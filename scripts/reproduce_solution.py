@@ -3,7 +3,8 @@
 
 Solves the two geometry conditions over the (R1, f) plane, locates the
 far-side meeting radius, assembles the event schedule, and runs the X/Z
-switch verification on |0>.  Writes a JSON summary next to the CSV contour.
+switch verification on |0>.  Writes a JSON summary next to the CSV of the
+contour the solve traced.
 
 Usage:
     python3 scripts/reproduce_solution.py [--out results/] [--jobs N]
@@ -24,7 +25,6 @@ from shellswitch import (
     SearchConfig,
     find_meeting_radius,
     measure_control_diagonal,
-    period_ratio_curve,
     run_switch,
     schedule,
     solve_switch_configuration,
@@ -80,9 +80,8 @@ def main() -> int:
         "runtime_seconds": elapsed,
     }
     (outdir / "solution.json").write_text(json.dumps(summary, indent=2) + "\n")
-    curve = period_ratio_curve(config, jobs=args.jobs)
     lines = ["R1,f,ratio"] + [
-        ",".join(format(v, ".17g") for v in row) for row in curve
+        ",".join(format(v, ".17g") for v in row) for row in solution.curve
     ]
     (outdir / "contour.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote {outdir / 'solution.json'} and {outdir / 'contour.csv'}")

@@ -13,12 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (
-    GeometryError,
-    SearchError,
-    ShellSwitchError,
-    UnattainableRatioError,
-)
+from .errors import GeometryError, SearchError, ShellSwitchError
 from .geodesic import (
     diametral_crossing_time,
     null_crossing_time,
@@ -27,9 +22,9 @@ from .geodesic import (
 )
 from .search import (
     SearchConfig,
+    _exterior_spans,
     find_meeting_radius,
     one_shell_spacetime,
-    period_ratio_curve,
     solve_switch_configuration,
     two_shell_spacetime,
 )
@@ -86,24 +81,21 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 def cmd_validate(args) -> int:
     doc = _load_json(args.config)
-    try:
-        st = spacetime_from_config(doc, horizon_margin=args.horizon_margin)
-    except GeometryError as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    st = spacetime_from_config(doc, horizon_margin=args.horizon_margin)
+    shells = []
+    for j, R in enumerate(st.shells):
+        stress = shell_stress(st, j)
+        shells.append({
+            "radius": R,
+            "junction_gap": induced_metric_gap(st, j),
+            "rho": stress.rho,
+            "P_tangential": stress.P_tangential,
+        })
     report = {
         "patches": [
             {"mass": p.mass, "r_min": p.r_min, "r_max": p.r_max} for p in st.patches
         ],
-        "shells": [
-            {
-                "radius": R,
-                "junction_gap": induced_metric_gap(st, j),
-                "rho": shell_stress(st, j).rho,
-                "P_tangential": shell_stress(st, j).P_tangential,
-            }
-            for j, R in enumerate(st.shells)
-        ],
+        "shells": shells,
         "lapses": list(st.lapses),
         "warnings": list(st.warnings),
     }
@@ -119,41 +111,22 @@ def cmd_stress(args) -> int:
 
 
 def cmd_search(args) -> int:
-    config = _search_config(args)
-    try:
-        solution = solve_switch_configuration(config, jobs=args.jobs)
-    except UnattainableRatioError as exc:
-        lo, hi = exc.attainable
-        print(
-            f"INFEASIBLE: ratio {exc.ratio} outside attainable "
-            f"[{fmt(lo)}, {fmt(hi)}]",
-            file=sys.stderr,
-        )
-        return EXIT_INFEASIBLE
-    curve = period_ratio_curve(config, jobs=args.jobs)
+    config = _search_config(_load_json(args.config), args.ratio, args.tol)
+    solution = solve_switch_configuration(config, jobs=args.jobs)
     out = Path(args.out) if args.out else None
     if out is not None:
         _dump_json(solution.as_dict(), str(out))
-        _write_csv(out.with_name(out.stem + "_curve.csv"), "R1,f,ratio", curve)
+        _write_csv(out.with_name(out.stem + "_curve.csv"), "R1,f,ratio", solution.curve)
     else:
         _dump_json(solution.as_dict(), None)
     return EXIT_OK
 
 
 def cmd_trace(args) -> int:
-    if args.samples <= 0:
-        raise InputError("sample count must be positive")
-    config = _search_config(args)
-    try:
-        solution = solve_switch_configuration(config, jobs=args.jobs)
-    except UnattainableRatioError as exc:
-        lo, hi = exc.attainable
-        print(
-            f"INFEASIBLE: ratio {exc.ratio} outside attainable "
-            f"[{fmt(lo)}, {fmt(hi)}]",
-            file=sys.stderr,
-        )
-        return EXIT_INFEASIBLE
+    if args.samples < 2:
+        raise InputError("sample count must be at least 2")
+    config = _search_config(_load_json(args.config), args.ratio, args.tol)
+    solution = solve_switch_configuration(config, jobs=args.jobs)
     meeting = find_meeting_radius(solution, config)
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -165,11 +138,7 @@ def cmd_trace(args) -> int:
     t_max = float(config.q) * solution.dt1
     for name, st in branches.items():
         samples = trajectory(st, config.r_i, t_max, args.samples)
-        _write_csv(
-            outdir / f"{name}.csv",
-            "t_global,r,tau",
-            ((t, r, tau) for t, r, tau in samples),
-        )
+        _write_csv(outdir / f"{name}.csv", "t_global,r,tau", samples)
     _far_side_tables(outdir, config, solution, args.samples)
     _dump_json(
         {"meeting": meeting.as_dict(), "solution": solution.as_dict()},
@@ -179,28 +148,26 @@ def cmd_trace(args) -> int:
 
 
 def _far_side_tables(outdir: Path, config, solution, samples: int) -> None:
-    """(r, tau) and (r, t_global) along each branch's first far-side excursion."""
-    from .geodesic import CycloidParams, coordinate_time, eta_of_radius, proper_time
+    """(t_global, r, tau) along each branch's first far-side excursion.
 
-    params = CycloidParams.from_rest(config.M, config.r_i)
-    halves = {
-        "gamma1": (solution.dt1 / 2.0, solution.dtau1 / 2.0, +1),
-        "gamma2": (solution.dt2 / 2.0, solution.dtau2 / 2.0, +1),
-    }
+    In the shared exterior both branches follow the rest-release cycloid from
+    r_i, mirrored about their far apoapsis at half a period: an outbound pass
+    from R1 up to r_i, then an inbound pass back down.  The apoapsis row is
+    written once, so t_global strictly increases.
+    """
     r_lo = solution.R1
-    for name, (t_half, tau_half, _) in halves.items():
-        rows = []
-        # outbound pass (before the far apoapsis), then inbound pass
-        for leg_sign in (-1, +1):
-            for i in range(samples):
-                r = r_lo + (config.r_i - r_lo) * i / (samples - 1)
-                if leg_sign > 0:
-                    r = config.r_i - (r - r_lo)  # descend for the inbound pass
-                eta = eta_of_radius(params, r)
-                t_e = coordinate_time(params, eta, r)
-                tau_e = proper_time(params, eta)
-                rows.append((t_half + leg_sign * t_e, r, tau_half + leg_sign * tau_e))
-        rows.sort(key=lambda row: row[0])
+    radii = [r_lo + (config.r_i - r_lo) * i / (samples - 1) for i in range(samples)]
+    passes = ((-1, radii), (+1, [config.r_i - (r - r_lo) for r in radii[1:]]))
+    spans = [(sign, r, *_exterior_spans(config, r)) for sign, rs in passes for r in rs]
+    halves = {
+        "gamma1": (solution.dt1 / 2.0, solution.dtau1 / 2.0),
+        "gamma2": (solution.dt2 / 2.0, solution.dtau2 / 2.0),
+    }
+    for name, (t_half, tau_half) in halves.items():
+        rows = sorted(
+            ((t_half + sign * t_e, r, tau_half + sign * tau_e) for sign, r, t_e, tau_e in spans),
+            key=lambda row: row[0],
+        )
         _write_csv(outdir / f"farside_{name}.csv", "t_global,r,tau", rows)
 
 
@@ -234,21 +201,17 @@ def cmd_lightray(args) -> int:
     doc = _load_json(args.config)
     r_a = float(doc["r_a"])
     r_b = float(doc["r_b"])
-    diametral = bool(doc.get("diametral", False))
+    fn = diametral_crossing_time if doc.get("diametral", False) else null_crossing_time
     result = {}
     if "patches" in doc:
         st = spacetime_from_config(doc, horizon_margin=args.horizon_margin)
-        fn = diametral_crossing_time if diametral else null_crossing_time
         result["dt_global"] = fn(st, r_a, r_b)
     else:
         # branch delays for a solved two-branch configuration
-        config = SearchConfig.from_dict(doc)
+        config = _search_config(doc)
         solution = solve_switch_configuration(config, jobs=args.jobs)
-        st1 = one_shell_spacetime(config, solution.R)
-        st2 = two_shell_spacetime(config, solution.R1)
-        fn = diametral_crossing_time if diametral else null_crossing_time
-        result["dt_branch1"] = fn(st1, r_a, r_b)
-        result["dt_branch2"] = fn(st2, r_a, r_b)
+        result["dt_branch1"] = fn(one_shell_spacetime(config, solution.R), r_a, r_b)
+        result["dt_branch2"] = fn(two_shell_spacetime(config, solution.R1), r_a, r_b)
     _dump_json(result, args.out)
     return EXIT_OK
 
@@ -258,18 +221,16 @@ def cmd_switch(args) -> int:
     A = sw.OperatorSpec.from_json(doc["A"])
     B = sw.OperatorSpec.from_json(doc["B"])
     psi = [complex(re, im) for re, im in doc["psi"]]
-    sched = sw.EventSchedule(
-        tau_A=0.0, t_A1=0.0, t_A2=2.0, t_B=1.0, t_f=4.0, tau_B=1.0, r_t=0.0
-    )
     if "C" in doc and "D" in doc:
         C = sw.OperatorSpec.from_json(doc["C"])
         D = sw.OperatorSpec.from_json(doc["D"])
-        joint = sw.run_general_protocol(sw.broken_switch_slots(C, D, B), psi, sched)
+        slots = sw.broken_switch_slots(C, D, B)
         orders = {"M1": ["B", "C"], "M2": ["D", "B"]}
     else:
-        joint = sw.run_switch(A, B, psi, sched)
-        o1, o2 = sched.branch_orders()
+        slots = sw.switch_slots(A, B)
+        o1, o2 = sw.SWITCH_ORDERS
         orders = {"M1": list(o1), "M2": list(o2)}
+    joint = sw.run_general_protocol(slots, psi)
     plus = sw.measure_control_diagonal(joint, +1)
     minus = sw.measure_control_diagonal(joint, -1)
     _dump_json(
@@ -288,65 +249,79 @@ def cmd_switch(args) -> int:
     return EXIT_OK
 
 
-def _search_config(args) -> SearchConfig:
-    doc = _load_json(args.config)
-    if args.ratio:
-        p, q = args.ratio.split("/")
+def _search_config(doc: dict, ratio: str | None = None, tol: float | None = None) -> SearchConfig:
+    """Search config from a document plus the --ratio/--tol overrides.
+
+    A config the search rejects is an input error, not an infeasible search.
+    """
+    if ratio:
+        p, q = ratio.split("/")
         doc = {**doc, "p": int(p), "q": int(q)}
-    if args.tol is not None:
-        doc = {**doc, "tol": args.tol}
-    return SearchConfig.from_dict(doc)
+    if tol is not None:
+        doc = {**doc, "tol": tol}
+    try:
+        return SearchConfig.from_dict(doc)
+    except SearchError as exc:
+        raise InputError(f"search config: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (input error); argparse's own 2 means invalid geometry here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+FLAGS = {
+    "--horizon-margin": dict(
+        type=float, default=DEFAULT_HORIZON_MARGIN,
+        help="relative shell-horizon clearance required at validation",
+    ),
+    "--ratio": dict(default=None, help="target ratio as p/q"),
+    "--tol": dict(type=float, default=None, help="root tolerance override"),
+    "--jobs": dict(type=int, default=1, help="worker processes for grids"),
+    "--samples": dict(type=int, default=512, help="rows per trajectory table, at least 2"),
+}
+SEARCH_FLAGS = ("--ratio", "--tol", "--jobs")
+
+# name: (handler, help, flags it reads beyond --config and --out)
+SUBCOMMANDS = {
+    "validate": (cmd_validate, "check a spacetime config", ("--horizon-margin",)),
+    "stress": (cmd_stress, "shell surface stress-energy report", ("--horizon-margin",)),
+    "search": (cmd_search, "solve the switch geometry conditions", SEARCH_FLAGS),
+    "trace": (cmd_trace, "trajectories and meeting event", SEARCH_FLAGS + ("--samples",)),
+    "period": (cmd_period, "oscillation period for a spacetime", ("--horizon-margin",)),
+    "lightray": (cmd_lightray, "radial null crossing times", ("--horizon-margin", "--jobs")),
+    "switch": (cmd_switch, "quantum switch state evolution", ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shellswitch",
         description="Glued shell spacetimes, radial geodesics, and the "
         "gravitational quantum switch parameter search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, out_help="output path"):
+    for name, (_, help_text, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="input JSON config")
-        p.add_argument("--out", default=None, help=out_help)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--tol", type=float, default=None, help="root tolerance override")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for grids")
-        p.add_argument("--ratio", default=None, help="target ratio as p/q")
         p.add_argument(
-            "--horizon-margin", type=float, default=DEFAULT_HORIZON_MARGIN,
-            help="relative shell-horizon clearance required at validation",
+            "--out", default=None,
+            help="output directory" if name == "trace" else "output path",
         )
-
-    common(sub.add_parser("validate", help="check a spacetime config"))
-    common(sub.add_parser("stress", help="shell surface stress-energy report"))
-    common(sub.add_parser("search", help="solve the switch geometry conditions"))
-    p_trace = sub.add_parser("trace", help="trajectories and meeting event")
-    common(p_trace, out_help="output directory")
-    p_trace.add_argument("--samples", type=int, default=512)
-    common(sub.add_parser("period", help="oscillation period for a spacetime"))
-    common(sub.add_parser("lightray", help="radial null crossing times"))
-    common(sub.add_parser("switch", help="quantum switch state evolution"))
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
-
-
-COMMANDS = {
-    "validate": cmd_validate,
-    "stress": cmd_stress,
-    "search": cmd_search,
-    "trace": cmd_trace,
-    "period": cmd_period,
-    "lightray": cmd_lightray,
-    "switch": cmd_switch,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return SUBCOMMANDS[args.command][0](args)
     except InputError as exc:
         print(f"INPUT ERROR: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Literal
 
 from .errors import (
     GeodesicError,
@@ -29,8 +28,6 @@ from .spacetime import ShellSpacetime, metric_factor
 
 SHELL_TOL = 1e-12  # |r - R| <= SHELL_TOL * R counts as "at the shell"
 APOAPSIS_CLAMP = 1e-14
-
-Direction = Literal["inbound", "outbound"]
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +66,13 @@ class CycloidParams:
             raise UnboundGeodesicError(
                 f"local energy E={math.sqrt(E_sq):.12g} >= 1 at r={r}"
             )
-        # 1 - E^2 = 2*mass/r - u_r^2, formed without subtracting near-unity terms
-        one_minus_E2 = 2.0 * mass / r - u_r * u_r
-        return cls(mass=mass, r_apo=2.0 * mass / one_minus_E2, energy=math.sqrt(E_sq))
+        if u_r == 0.0:
+            # at rest r is the apoapsis; 2*mass / (2*mass/r) can round off it
+            r_apo = r
+        else:
+            # 1 - E^2 = 2*mass/r - u_r^2, formed without subtracting near-unity terms
+            r_apo = 2.0 * mass / (2.0 * mass / r - u_r * u_r)
+        return cls(mass=mass, r_apo=r_apo, energy=math.sqrt(E_sq))
 
 
 def drop_energy(mass: float, r_i: float) -> float:
@@ -167,8 +168,6 @@ class GeodesicState:
     u_r: float  # dr/dtau, local
     u_t: float  # dt_local/dtau
     tau: float
-    t_global: float
-    direction: Direction
 
     def norm_defect(self, mass: float) -> float:
         """Deviation of the local 4-velocity norm from -1."""
@@ -214,8 +213,6 @@ def segment_schwarzschild(mass: float, entry: GeodesicState, r_exit: float) -> S
         u_r=sign * abs(U1),
         u_t=U0,
         tau=entry.tau + dtau,
-        t_global=entry.t_global,  # caller applies the lapse
-        direction="outbound" if sign > 0 else "inbound",
     )
     return SegmentResult(dt, dtau, exit_state, params, eta_a, eta_b)
 
@@ -229,20 +226,15 @@ def segment_minkowski(entry: GeodesicState, r_exit: float) -> SegmentResult:
         raise GeodesicError("stationary particle cannot reach a different radius")
     dtau = abs(dr / entry.u_r)
     dt = entry.u_t * dtau
-    exit_state = replace(
-        entry,
-        r=r_exit,
-        tau=entry.tau + dtau,
-        direction="outbound" if dr > 0 else "inbound",
-    )
+    exit_state = replace(entry, r=r_exit, tau=entry.tau + dtau)
     return SegmentResult(dt, dtau, exit_state)
 
 
 def cross_shell(state: GeodesicState, spacetime: ShellSpacetime, shell_index: int) -> GeodesicState:
     """Re-express the tangent vector on the other side of a shell.
 
-    Proper time and global coordinate time are continuous; only the local
-    components (u_t, u_r) and the patch index change.
+    Proper time is continuous; only the local components (u_t, u_r) and the
+    patch index change.
     """
     R = spacetime.shells[shell_index]
     if abs(state.r - R) > SHELL_TOL * R:
@@ -289,10 +281,7 @@ def release_state(spacetime: ShellSpacetime, r_i: float) -> GeodesicState:
         raise GeodesicError(f"release radius {r_i} below the outermost patch")
     E = drop_energy(mass, r_i)
     f = metric_factor(mass, r_i)
-    return GeodesicState(
-        patch_index=outer, r=r_i, u_r=0.0, u_t=E / f,
-        tau=0.0, t_global=0.0, direction="inbound",
-    )
+    return GeodesicState(patch_index=outer, r=r_i, u_r=0.0, u_t=E / f, tau=0.0)
 
 
 def quarter_oscillation(spacetime: ShellSpacetime, r_i: float) -> list[Leg]:
@@ -303,7 +292,6 @@ def quarter_oscillation(spacetime: ShellSpacetime, r_i: float) -> list[Leg]:
         )
     state = release_state(spacetime, r_i)
     legs: list[Leg] = []
-    t_global = 0.0
     for k in range(spacetime.n_patches - 1, -1, -1):
         patch = spacetime.patches[k]
         r_target = patch.r_min  # 0 for the core
@@ -311,23 +299,19 @@ def quarter_oscillation(spacetime: ShellSpacetime, r_i: float) -> list[Leg]:
             seg = segment_schwarzschild(patch.mass, state, r_target)
         else:
             seg = segment_minkowski(state, r_target)
-        dt_global = spacetime.lapses[k] * seg.dt_local
-        exit_state = replace(seg.exit_state, t_global=t_global + dt_global)
-        seg = replace(seg, exit_state=exit_state)
         legs.append(
             Leg(
                 patch_index=k,
                 r_outer=state.r,
                 r_inner=r_target,
                 dt_local=seg.dt_local,
-                dt_global=dt_global,
+                dt_global=spacetime.lapses[k] * seg.dt_local,
                 dtau=seg.dtau,
                 entry=state,
                 segment=seg,
             )
         )
-        t_global += dt_global
-        state = exit_state
+        state = seg.exit_state
         if k > 0:
             state = cross_shell(state, spacetime, k - 1)
     return legs

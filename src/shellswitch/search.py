@@ -13,10 +13,9 @@ proper time on their first far-side excursion.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from scipy.optimize import brentq
 
@@ -63,6 +62,8 @@ class SearchConfig:
             raise SearchError(f"R2={self.R2} must exceed 2m={2.0 * self.m}")
         if self.p <= 0 or self.q <= 0:
             raise SearchError("p and q must be positive integers")
+        if self.R1_min <= self.R2:
+            raise SearchError(f"R1_min={self.R1_min} must exceed R2={self.R2}")
         if self.R1_min >= self.R1_max:
             raise SearchError("need R1_min < R1_max")
         if self.grid < 2:
@@ -99,6 +100,8 @@ class SwitchSolution:
     clock_residual: float
     ratio_residual: float
     config: SearchConfig
+    # the (R1, f_star, Dt1/Dt2) contour the solve traced
+    curve: tuple[tuple[float, float, float], ...] = field(repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -224,7 +227,8 @@ def period_ratio_curve(config: SearchConfig, jobs: int = 1) -> list[tuple[float,
 
 
 def solve_switch_configuration(config: SearchConfig, jobs: int = 1) -> SwitchSolution:
-    """Solve both conditions: returns the geometry with Dt1/Dt2 = p/q on the contour."""
+    """Solve both conditions: returns the geometry with Dt1/Dt2 = p/q on the
+    contour, carrying the contour it traced as `curve`."""
     curve = period_ratio_curve(config, jobs=jobs)
     if len(curve) < 2:
         raise SearchError("contour could not be traced over the R1 grid")
@@ -252,6 +256,7 @@ def solve_switch_configuration(config: SearchConfig, jobs: int = 1) -> SwitchSol
         clock_residual=dtau1 / dt1 - dtau2 / dt2,
         ratio_residual=dt1 / dt2 - target,
         config=config,
+        curve=tuple(curve),
     )
     _validate_solution(solution)
     return solution
@@ -270,13 +275,9 @@ def _validate_solution(sol: SwitchSolution) -> None:
 # ---------------------------------------------------------------------------
 # Meeting event on the far side
 
-def exterior_cycloid(config: SearchConfig) -> CycloidParams:
-    return CycloidParams.from_rest(config.M, config.r_i)
-
-
 def _exterior_spans(config: SearchConfig, r: float) -> tuple[float, float]:
     """(t, tau) spans from rest at r_i down to r in the shared exterior metric."""
-    params = exterior_cycloid(config)
+    params = CycloidParams.from_rest(config.M, config.r_i)
     eta = eta_of_radius(params, r)
     return coordinate_time(params, eta, r), proper_time(params, eta)
 
@@ -312,11 +313,3 @@ def find_meeting_radius(solution: SwitchSolution, config: SearchConfig) -> Meeti
     if not t_A1 < t_A2:
         raise NoMeetingError(f"crossing found but t_A1={t_A1} >= t_A2={t_A2}")
     return MeetingEvent(r_t=r_t, tau_A=half_tau_1 + tau_e, t_A1=t_A1, t_A2=t_A2)
-
-
-# ---------------------------------------------------------------------------
-# JSON interface
-
-def load_search_config(path: str) -> SearchConfig:
-    with open(path) as fh:
-        return SearchConfig.from_dict(json.load(fh))

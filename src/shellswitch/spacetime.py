@@ -13,7 +13,6 @@ evaluations are at the equatorial plane.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -55,10 +54,6 @@ class PatchSpec:
     def bounded(self) -> bool:
         return self.r_max is not None
 
-    def contains(self, r: float, tol: float = 0.0) -> bool:
-        hi = math.inf if self.r_max is None else self.r_max
-        return self.r_min - tol <= r <= hi + tol
-
 
 @dataclass(frozen=True)
 class ShellSpacetime:
@@ -74,14 +69,6 @@ class ShellSpacetime:
     @property
     def n_patches(self) -> int:
         return len(self.patches)
-
-    def patch_of_radius(self, r: float) -> int:
-        """Index of the patch whose open domain contains r (shell radii resolve
-        to the outer patch)."""
-        for j, R in enumerate(self.shells):
-            if r < R:
-                return j
-        return len(self.patches) - 1
 
     def shell_masses(self, shell_index: int) -> tuple[float, float]:
         """(inner mass, outer mass) on either side of shell shell_index."""
@@ -265,9 +252,3 @@ def stress_report(spacetime: ShellSpacetime) -> dict:
             "P_radial": st.P_radial,
         }
     return records
-
-
-def load_spacetime(path: str, horizon_margin: float = DEFAULT_HORIZON_MARGIN) -> ShellSpacetime:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return spacetime_from_config(doc, horizon_margin=horizon_margin)

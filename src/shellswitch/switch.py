@@ -21,6 +21,8 @@ from .errors import DimensionMismatchError, ScheduleError
 from .search import MeetingEvent, SwitchSolution
 
 UNITARITY_TOL = 1e-12
+# operator labels in application order for (branch M1, branch M2)
+SWITCH_ORDERS = (("A", "B"), ("B", "A"))
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,6 @@ class EventSchedule:
     t_f: float
     tau_B: float
     r_t: float
-    far_side: bool = True
 
     def __post_init__(self):
         if not self.t_A1 < self.t_B < self.t_A2:
@@ -43,10 +44,9 @@ class EventSchedule:
             )
 
     def branch_orders(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """Operator labels in application order for (branch M1, branch M2)."""
-        first = ("A", "B") if self.t_A1 < self.t_B else ("B", "A")
-        second = ("B", "A") if self.t_B < self.t_A2 else ("A", "B")
-        return first, second
+        """Operator labels in application order for (branch M1, branch M2);
+        the ordering t_A1 < t_B < t_A2 checked above fixes them."""
+        return SWITCH_ORDERS
 
 
 @dataclass(frozen=True)
@@ -143,21 +143,12 @@ def _static_proper_time(M: float, r: float, t: float) -> float:
 def run_switch(
     A: OperatorSpec, B: OperatorSpec, psi, sched: EventSchedule
 ) -> JointState:
-    """Evolve (|M1> + |M2>)/sqrt(2) x psi through the scheduled operations."""
-    psi = _as_state(psi, A.dimension)
-    if B.dimension != A.dimension:
-        raise DimensionMismatchError(
-            f"operator dimensions differ: {A.dimension} vs {B.dimension}"
-        )
-    ops = {"A": A.matrix, "B": B.matrix}
-    order_1, order_2 = sched.branch_orders()
-    psi_1 = psi.copy()
-    for label in order_1:
-        psi_1 = ops[label] @ psi_1
-    psi_2 = psi.copy()
-    for label in order_2:
-        psi_2 = ops[label] @ psi_2
-    return JointState(np.concatenate([psi_1, psi_2]) / math.sqrt(2.0))
+    """Evolve (|M1> + |M2>)/sqrt(2) x psi through the scheduled operations.
+
+    sched is not read: building it checked t_A1 < t_B < t_A2, the ordering
+    whose layers switch_slots applies.
+    """
+    return run_general_protocol(switch_slots(A, B), psi)
 
 
 def measure_control_diagonal(joint: JointState, sign: int) -> MeasurementResult:
@@ -185,14 +176,13 @@ class ControlledSlot:
     on_m2: np.ndarray
 
 
-def run_general_protocol(
-    slots: list[ControlledSlot], psi, sched: EventSchedule | None = None
-) -> JointState:
+def run_general_protocol(slots: list[ControlledSlot], psi) -> JointState:
     """Apply branch-controlled layers in time order.
 
     With layers [(1, D), (B, B), (C, 1)] this realizes the broken-switch
     pattern (C B psi x |M1> + B D psi x |M2>)/sqrt(2); with C = D = A it
-    reduces to the plain switch output.
+    gives the plain switch output with the branch labels swapped,
+    (A B psi x |M1> + B A psi x |M2>)/sqrt(2).
     """
     if not slots:
         raise DimensionMismatchError("at least one slot is required")
@@ -207,6 +197,12 @@ def run_general_protocol(
         psi_1 = m1 @ psi_1
         psi_2 = m2 @ psi_2
     return JointState(np.concatenate([psi_1, psi_2]) / math.sqrt(2.0))
+
+
+def switch_slots(A: OperatorSpec, B: OperatorSpec) -> list[ControlledSlot]:
+    """Layers of the plain switch: A then B in branch M1, B then A in M2."""
+    ops = {"A": A.matrix, "B": B.matrix}
+    return [ControlledSlot(ops[a], ops[b]) for a, b in zip(*SWITCH_ORDERS)]
 
 
 def broken_switch_slots(C: OperatorSpec, D: OperatorSpec, B: OperatorSpec) -> list[ControlledSlot]:

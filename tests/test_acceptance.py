@@ -170,7 +170,7 @@ def test_criterion_4_invariant_suite(ref_solution):
         cp = CycloidParams.from_rest(mass, r_apo)
         from shellswitch.geodesic import eta_of_radius
         u_t, u_r = tangent(cp, eta_of_radius(cp, r_entry))
-        entry = GeodesicState(0, r_entry, u_r, u_t, 0.0, 0.0, "inbound")
+        entry = GeodesicState(0, r_entry, u_r, u_t, 0.0)
         seg = segment_schwarzschild(mass, entry, r_exit)
         dt_o, dtau_o = quad_spans(mass, E, r_entry, r_exit)
         worst_quad = max(
@@ -256,7 +256,7 @@ def test_criterion_6_switch_algebra():
     p_minus = measure_control_diagonal(joint, -1).probability
     pauli_ok = p_plus == 0.0 and p_minus == 1.0
 
-    broken = run_general_protocol(broken_switch_slots(X, Y, Z), ket0, SCHED)
+    broken = run_general_protocol(broken_switch_slots(X, Y, Z), ket0)
     want = np.concatenate(
         [X.matrix @ Z.matrix @ ket0, Z.matrix @ Y.matrix @ ket0]
     ) / math.sqrt(2.0)

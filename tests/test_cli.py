@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import shellswitch.search
 from shellswitch.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_INVALID, EXIT_OK, main
 
 ONE_SHELL = {
@@ -93,6 +94,31 @@ class TestSearch:
         assert main(["search", "--config", cfg]) == EXIT_INFEASIBLE
         assert "INFEASIBLE" in capsys.readouterr().err
 
+    def test_zero_denominator_ratio_exits_1(self, tmp_path, capsys):
+        cfg = write(tmp_path, "search.json", SEARCH)
+        assert main(["search", "--config", cfg, "--ratio", "9/0"]) == EXIT_INPUT
+        assert "INPUT ERROR" in capsys.readouterr().err
+
+    def test_outer_shell_at_inner_shell_exits_1(self, tmp_path, capsys):
+        cfg = write(tmp_path, "search.json", dict(SEARCH, R1_min=SEARCH["R2"]))
+        assert main(["search", "--config", cfg]) == EXIT_INPUT
+        assert "INPUT ERROR" in capsys.readouterr().err
+
+    def test_contour_traced_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve_contour = shellswitch.search.solve_contour
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_contour(*args, **kwargs)
+
+        monkeypatch.setattr(shellswitch.search, "solve_contour", counted)
+        cfg = write(tmp_path, "search.json", SEARCH)
+        out = tmp_path / "sol.json"
+        assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        # one pass over the grid plus the R1 root refinement
+        assert len(calls) < 2 * SEARCH["grid"]
+
     def test_ratio_override_flag(self, tmp_path):
         cfg = write(tmp_path, "search.json", dict(SEARCH, p=1, q=2))
         out = tmp_path / "sol.json"
@@ -157,6 +183,22 @@ class TestTrace:
         _, tmp, cfg, _ = traced
         assert main(["trace", "--config", cfg, "--samples", "0"]) == EXIT_INPUT
 
+    def test_single_sample_exits_1(self, traced, capsys):
+        # one sample leaves no spacing for the far-side tables
+        _, tmp, cfg, _ = traced
+        code = main(["trace", "--config", cfg, "--out", str(tmp / "one"),
+                     "--samples", "1"])
+        assert code == EXIT_INPUT
+        assert "INPUT ERROR" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["farside_gamma1.csv", "farside_gamma2.csv"])
+    def test_farside_time_strictly_increases(self, traced, name):
+        _, _, _, outdir = traced
+        rows = (outdir / name).read_text().splitlines()[1:]
+        assert len(rows) == 2 * 64 - 1  # the apoapsis row appears once
+        t = [float(row.split(",")[0]) for row in rows]
+        assert all(a < b for a, b in zip(t, t[1:]))
+
 
 class TestLightray:
     def test_exterior_crossing(self, tmp_path, capsys):
@@ -165,6 +207,11 @@ class TestLightray:
         assert main(["lightray", "--config", cfg]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["dt_global"] > 5.0  # longer than the flat-space gap
+
+    def test_branch_mode_bad_config_exits_1(self, tmp_path, capsys):
+        cfg = write(tmp_path, "ray.json", dict(SEARCH, q=0, r_a=12.0, r_b=12.0))
+        assert main(["lightray", "--config", cfg]) == EXIT_INPUT
+        assert "INPUT ERROR" in capsys.readouterr().err
 
 
 class TestSwitch:
@@ -191,3 +238,28 @@ class TestSwitch:
         doc = dict(PAULI, A=[[[2, 0], [0, 0]], [[0, 0], [1, 0]]])
         cfg = write(tmp_path, "sw.json", doc)
         assert main(["switch", "--config", cfg]) == EXIT_INVALID
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["switch", "--config", "CFG", "--jobs", "2"],
+        ["validate", "--config", "CFG", "--ratio", "9/10"],
+        ["search", "--config", "CFG", "--format", "csv"],
+        ["period", "--config", "CFG", "--samples", "8"],
+        ["search"],
+    ])
+    def test_usage_errors_exit_1(self, tmp_path, capsys, argv):
+        # unregistered flags and a missing --config are input errors (exit 1),
+        # not argparse's default 2, which means invalid geometry here
+        cfg = write(tmp_path, "cfg.json", SEARCH)
+        with pytest.raises(SystemExit) as exc:
+            main([cfg if arg == "CFG" else arg for arg in argv])
+        assert exc.value.code == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["trace", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out

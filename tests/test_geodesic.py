@@ -115,7 +115,7 @@ class TestSegments:
         E = drop_energy(mass, r)
         return GeodesicState(
             patch_index=0, r=r, u_r=0.0, u_t=E / metric_factor(mass, r),
-            tau=0.0, t_global=0.0, direction="inbound",
+            tau=0.0,
         )
 
     def test_rest_drop_spans(self):
@@ -139,7 +139,7 @@ class TestSegments:
         assert seg.exit_state.r == entry.r
 
     def test_unbound_rejected(self):
-        entry = GeodesicState(0, 12.0, -1.5, 2.0, 0.0, 0.0, "inbound")
+        entry = GeodesicState(0, 12.0, -1.5, 2.0, 0.0)
         with pytest.raises(UnboundGeodesicError):
             segment_schwarzschild(3.0, entry, 6.5)
 
@@ -168,23 +168,23 @@ class TestSegments:
         assert leg.dtau == pytest.approx(abs(dtau_oracle), rel=1e-8)
 
     def test_minkowski_drop_to_center(self):
-        entry = GeodesicState(0, 4.0, -0.5, math.sqrt(1.25), 0.0, 0.0, "inbound")
+        entry = GeodesicState(0, 4.0, -0.5, math.sqrt(1.25), 0.0)
         seg = segment_minkowski(entry, 0.0)
         assert seg.dtau == pytest.approx(8.0, rel=1e-15)
 
     def test_minkowski_uniform(self):
-        entry = GeodesicState(0, 0.0, 1.0, math.sqrt(2.0), 0.0, 0.0, "outbound")
+        entry = GeodesicState(0, 0.0, 1.0, math.sqrt(2.0), 0.0)
         seg = segment_minkowski(entry, 4.0)
         assert seg.dtau == pytest.approx(4.0)
         assert seg.dt_local == pytest.approx(4.0 * math.sqrt(2.0))
 
     def test_minkowski_zero_length(self):
-        entry = GeodesicState(0, 4.0, -0.5, math.sqrt(1.25), 0.0, 0.0, "inbound")
+        entry = GeodesicState(0, 4.0, -0.5, math.sqrt(1.25), 0.0)
         seg = segment_minkowski(entry, 4.0)
         assert (seg.dt_local, seg.dtau) == (0.0, 0.0)
 
     def test_minkowski_stationary_error(self):
-        entry = GeodesicState(0, 4.0, 0.0, 1.0, 0.0, 0.0, "inbound")
+        entry = GeodesicState(0, 4.0, 0.0, 1.0, 0.0)
         with pytest.raises(GeodesicError):
             segment_minkowski(entry, 0.0)
 
@@ -196,7 +196,7 @@ class TestSegments:
         s = inbound.exit_state
         back = segment_schwarzschild(
             3.0,
-            GeodesicState(0, 7.0, -s.u_r, s.u_t, 0.0, 0.0, "outbound"),
+            GeodesicState(0, 7.0, -s.u_r, s.u_t, 0.0),
             12.0,
         )
         assert back.dt_local == pytest.approx(inbound.dt_local, rel=1e-13)
@@ -228,8 +228,7 @@ class TestCrossShell:
         mass = st_.patches[patch_index].mass
         f = metric_factor(mass, R)
         u_t = math.sqrt((1.0 + u_r * u_r / f) / f)
-        return GeodesicState(patch_index, R, u_r, u_t, 0.0, 0.0,
-                             "inbound" if u_r < 0 else "outbound")
+        return GeodesicState(patch_index, R, u_r, u_t, 0.0)
 
     def test_identity_crossing(self):
         st_ = build_spacetime([
@@ -258,7 +257,7 @@ class TestCrossShell:
 
     def test_not_at_shell(self):
         st_ = one_shell(3.0, 10.0)
-        s = GeodesicState(1, 11.0, -0.5, 2.0, 0.0, 0.0, "inbound")
+        s = GeodesicState(1, 11.0, -0.5, 2.0, 0.0)
         with pytest.raises(GeodesicError):
             cross_shell(s, st_, 0)
 
@@ -279,7 +278,7 @@ class TestCrossShell:
             return
         f = metric_factor(mu_out, R)
         u_t = math.sqrt((1.0 + u_r * u_r / f) / f)
-        s = GeodesicState(2, R, u_r, u_t, 0.0, 0.0, "inbound" if u_r <= 0 else "outbound")
+        s = GeodesicState(2, R, u_r, u_t, 0.0)
         inner = cross_shell(s, st_, 1)
         assert inner.norm_defect(mu_in) < 1e-9
 
@@ -308,6 +307,16 @@ class TestOscillation:
         with pytest.raises(NoRestoringForceError):
             oscillation_period(st_, 12.0)
 
+    def test_rest_release_starts_at_apoapsis(self):
+        # 2M / (2M / r_i) rounds one ulp above r_i here; the release radius
+        # itself must be the apoapsis, so the exterior leg starts at eta = 0
+        # and its proper time is the from-rest closed form, bit for bit
+        M, r_i, R = 3.0749440709202327, 11.977602456133065, 7.0
+        leg = quarter_oscillation(one_shell(M, R), r_i)[0]
+        assert leg.segment.eta_entry == 0.0
+        params = CycloidParams.from_rest(M, r_i)
+        assert leg.dtau == proper_time(params, eta_of_radius(params, R))
+
     def test_norm_along_quarter(self):
         # 4-velocity norm -1 at sampled points of every leg, in local coords
         st_ = m2_reference()
@@ -324,7 +333,7 @@ class TestOscillation:
                 eta = seg.eta_entry + (seg.eta_exit - seg.eta_entry) * k / 49
                 r = radius(seg.cycloid, eta)
                 U0, U1 = tangent(seg.cycloid, eta, r)
-                s = GeodesicState(leg.patch_index, r, U1, U0, 0.0, 0.0, "inbound")
+                s = GeodesicState(leg.patch_index, r, U1, U0, 0.0)
                 assert s.norm_defect(mass) < 1e-9
                 checked += 1
         assert checked > 100

@@ -39,6 +39,12 @@ class TestConfig:
         with pytest.raises(SearchError):
             SearchConfig(**dict(REFERENCE, R1_min=12.0, R1_max=9.0))
 
+    @pytest.mark.parametrize("R1_min", [4.0, 3.5])
+    def test_outer_shell_must_clear_inner(self, R1_min):
+        # R1_min == R2 used to reach a division by R1 - R2 in the f bracket
+        with pytest.raises(SearchError):
+            SearchConfig(**dict(REFERENCE, R1_min=R1_min))
+
 
 class TestContour:
     def test_root_near_reference_point(self, ref_config):
@@ -83,6 +89,11 @@ class TestCurve:
         serial = period_ratio_curve(narrow_config, jobs=1)
         parallel = period_ratio_curve(narrow_config, jobs=3)
         assert serial == parallel
+
+    def test_solution_carries_the_traced_curve(self, narrow_config):
+        solution = solve_switch_configuration(narrow_config)
+        assert solution.curve == tuple(period_ratio_curve(narrow_config))
+        assert "curve" not in solution.as_dict()
 
 
 class TestSolution:

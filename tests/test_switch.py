@@ -180,7 +180,7 @@ class TestSwitch:
 class TestGeneralProtocol:
     def test_broken_switch_pauli_example(self):
         # C = X, D = Y, B = Z on |0>: (|1> x |M1> - i |1> x |M2>)/sqrt(2)
-        joint = run_general_protocol(broken_switch_slots(X, Y, Z), KET0, STUB)
+        joint = run_general_protocol(broken_switch_slots(X, Y, Z), KET0)
         want = np.array([0.0, 1.0, 0.0, -1j]) / math.sqrt(2.0)
         assert np.allclose(joint.amplitudes, want, atol=1e-15)
 
@@ -195,7 +195,7 @@ class TestGeneralProtocol:
             A = OperatorSpec(random_unitary(rng, d))
             B = OperatorSpec(random_unitary(rng, d))
             psi = random_state(rng, d)
-            via_slots = run_general_protocol(broken_switch_slots(A, A, B), psi, STUB)
+            via_slots = run_general_protocol(broken_switch_slots(A, A, B), psi)
             via_switch = run_switch(A, B, psi, STUB)
             assert np.allclose(via_slots.branch(0), via_switch.branch(1), atol=1e-12)
             assert np.allclose(via_slots.branch(1), via_switch.branch(0), atol=1e-12)
@@ -207,7 +207,7 @@ class TestGeneralProtocol:
             D = OperatorSpec(random_unitary(rng, 2))
             B = OperatorSpec(random_unitary(rng, 2))
             psi = random_state(rng, 2)
-            broken = run_general_protocol(broken_switch_slots(C, D, B), psi, STUB)
+            broken = run_general_protocol(broken_switch_slots(C, D, B), psi)
             # compare against the true switch with either branch labeling
             true_1 = np.concatenate(
                 [B.matrix @ C.matrix @ psi, C.matrix @ B.matrix @ psi]
@@ -220,7 +220,7 @@ class TestGeneralProtocol:
         A = OperatorSpec(random_unitary(rng, 2))
         B = OperatorSpec(random_unitary(rng, 2))
         psi = random_state(rng, 2)
-        joint = run_general_protocol(tabletop_slots(A, B), psi, STUB)
+        joint = run_general_protocol(tabletop_slots(A, B), psi)
         assert np.allclose(
             joint.branch(0), A.matrix @ B.matrix @ psi / math.sqrt(2.0), atol=1e-12
         )
@@ -230,9 +230,9 @@ class TestGeneralProtocol:
 
     def test_empty_slots_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            run_general_protocol([], KET0, STUB)
+            run_general_protocol([], KET0)
 
     def test_inconsistent_slot_dimensions(self):
         bad = [ControlledSlot(np.eye(2, dtype=complex), np.eye(3, dtype=complex))]
         with pytest.raises(DimensionMismatchError):
-            run_general_protocol(bad, KET0, STUB)
+            run_general_protocol(bad, KET0)
