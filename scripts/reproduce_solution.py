@@ -7,7 +7,7 @@ switch verification on |0>.  Writes a JSON summary next to the CSV of the
 contour the solve traced.
 
 Usage:
-    python3 scripts/reproduce_solution.py [--out results/] [--jobs N]
+    python3 scripts/reproduce_solution.py [--out results/] [--grid N]
 """
 
 import argparse
@@ -34,7 +34,6 @@ from shellswitch import (
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="results", help="output directory")
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--grid", type=int, default=200)
     args = ap.parse_args()
 
@@ -44,7 +43,7 @@ def main() -> int:
     )
 
     start = time.perf_counter()
-    solution = solve_switch_configuration(config, jobs=args.jobs)
+    solution = solve_switch_configuration(config)
     meeting = find_meeting_radius(solution, config)
     sched = schedule(solution, meeting)
     elapsed = time.perf_counter() - start

@@ -3,7 +3,7 @@
 Subcommands: validate, stress, search, trace, period, lightray, switch.
 Exit codes: 0 success, 1 input error, 2 validity violation, 3 infeasible
 search.  All numeric output uses 17 significant digits and is deterministic
-for identical inputs regardless of the worker count.
+for identical inputs.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 
 
-def fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -72,7 +68,7 @@ def _dump_json(doc, path: str | None) -> None:
 def _write_csv(path: Path, header: str, rows) -> None:
     lines = [header]
     for row in rows:
-        lines.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -112,13 +108,11 @@ def cmd_stress(args) -> int:
 
 def cmd_search(args) -> int:
     config = _search_config(_load_json(args.config), args.ratio, args.tol)
-    solution = solve_switch_configuration(config, jobs=args.jobs)
-    out = Path(args.out) if args.out else None
-    if out is not None:
-        _dump_json(solution.as_dict(), str(out))
+    solution = solve_switch_configuration(config)
+    _dump_json(solution.as_dict(), args.out or None)
+    if args.out:
+        out = Path(args.out)
         _write_csv(out.with_name(out.stem + "_curve.csv"), "R1,f,ratio", solution.curve)
-    else:
-        _dump_json(solution.as_dict(), None)
     return EXIT_OK
 
 
@@ -126,7 +120,7 @@ def cmd_trace(args) -> int:
     if args.samples < 2:
         raise InputError("sample count must be at least 2")
     config = _search_config(_load_json(args.config), args.ratio, args.tol)
-    solution = solve_switch_configuration(config, jobs=args.jobs)
+    solution = solve_switch_configuration(config)
     meeting = find_meeting_radius(solution, config)
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -201,7 +195,10 @@ def cmd_lightray(args) -> int:
     doc = _load_json(args.config)
     r_a = float(doc["r_a"])
     r_b = float(doc["r_b"])
-    fn = diametral_crossing_time if doc.get("diametral", False) else null_crossing_time
+    diametral = doc.get("diametral", False)
+    if not isinstance(diametral, bool):
+        raise InputError(f"diametral must be true or false, got {diametral!r}")
+    fn = diametral_crossing_time if diametral else null_crossing_time
     result = {}
     if "patches" in doc:
         st = spacetime_from_config(doc, horizon_margin=args.horizon_margin)
@@ -209,7 +206,7 @@ def cmd_lightray(args) -> int:
     else:
         # branch delays for a solved two-branch configuration
         config = _search_config(doc)
-        solution = solve_switch_configuration(config, jobs=args.jobs)
+        solution = solve_switch_configuration(config)
         result["dt_branch1"] = fn(one_shell_spacetime(config, solution.R), r_a, r_b)
         result["dt_branch2"] = fn(two_shell_spacetime(config, solution.R1), r_a, r_b)
     _dump_json(result, args.out)
@@ -218,7 +215,6 @@ def cmd_lightray(args) -> int:
 
 def cmd_switch(args) -> int:
     doc = _load_json(args.config)
-    A = sw.OperatorSpec.from_json(doc["A"])
     B = sw.OperatorSpec.from_json(doc["B"])
     psi = [complex(re, im) for re, im in doc["psi"]]
     if "C" in doc and "D" in doc:
@@ -227,7 +223,7 @@ def cmd_switch(args) -> int:
         slots = sw.broken_switch_slots(C, D, B)
         orders = {"M1": ["B", "C"], "M2": ["D", "B"]}
     else:
-        slots = sw.switch_slots(A, B)
+        slots = sw.switch_slots(sw.OperatorSpec.from_json(doc["A"]), B)
         o1, o2 = sw.SWITCH_ORDERS
         orders = {"M1": list(o1), "M2": list(o2)}
     joint = sw.run_general_protocol(slots, psi)
@@ -282,7 +278,9 @@ FLAGS = {
     ),
     "--ratio": dict(default=None, help="target ratio as p/q"),
     "--tol": dict(type=float, default=None, help="root tolerance override"),
-    "--jobs": dict(type=int, default=1, help="worker processes for grids"),
+    "--jobs": dict(
+        type=int, default=1, help="accepted for compatibility; the search runs serially",
+    ),
     "--samples": dict(type=int, default=512, help="rows per trajectory table, at least 2"),
 }
 SEARCH_FLAGS = ("--ratio", "--tol", "--jobs")

@@ -249,10 +249,8 @@ def cross_shell(state: GeodesicState, spacetime: ShellSpacetime, shell_index: in
         )
     k = math.sqrt(f_out / f_in)  # u_r(out) = k * u_r(in); u_t(out) = u_t(in)/k
     if inward:
-        new = replace(state, patch_index=shell_index, u_r=state.u_r / k, u_t=state.u_t * k)
-    else:
-        new = replace(state, patch_index=shell_index + 1, u_r=state.u_r * k, u_t=state.u_t / k)
-    return new
+        return replace(state, patch_index=shell_index, u_r=state.u_r / k, u_t=state.u_t * k)
+    return replace(state, patch_index=shell_index + 1, u_r=state.u_r * k, u_t=state.u_t / k)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +366,7 @@ def _quarter_sample(legs: list[Leg], t_quarter_offset: float) -> tuple[float, fl
     for leg in legs:
         if t_quarter_offset <= t0 + leg.dt_global or leg is legs[-1]:
             r, dtau = _invert_leg(leg, t_quarter_offset - t0)
-            tau0 = leg.entry.tau
-            return r, tau0 + dtau
+            return r, leg.entry.tau + dtau
         t0 += leg.dt_global
     raise AssertionError("unreachable")
 

@@ -14,7 +14,6 @@ proper time on their first far-side excursion.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from scipy.optimize import brentq
@@ -77,14 +76,37 @@ class SearchConfig:
     def from_dict(cls, doc: dict) -> "SearchConfig":
         kwargs = dict(
             m=float(doc["m"]), M=float(doc["M"]), R2=float(doc["R2"]),
-            r_i=float(doc["r_i"]), p=int(doc["p"]), q=int(doc["q"]),
+            r_i=float(doc["r_i"]), p=_integer(doc, "p"), q=_integer(doc, "q"),
             R1_min=float(doc["R1_min"]), R1_max=float(doc["R1_max"]),
         )
         if "grid" in doc:
-            kwargs["grid"] = int(doc["grid"])
+            kwargs["grid"] = _integer(doc, "grid")
         if "tol" in doc:
             kwargs["root_tol"] = float(doc["tol"])
         return cls(**kwargs)
+
+
+def _integer(doc: dict, key: str) -> int:
+    """An integer field; a fractional number or a boolean is rejected, not truncated."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
+        raise SearchError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+@dataclass(frozen=True)
+class ContourPoint:
+    """Both branch periods where the clock rates agree at one R1."""
+    R1: float
+    f: float
+    dt1: float
+    dtau1: float
+    dt2: float
+    dtau2: float
+
+    @property
+    def ratio(self) -> float:
+        return self.dt1 / self.dt2
 
 
 @dataclass(frozen=True)
@@ -152,109 +174,94 @@ def shell_radius(config: SearchConfig, R1: float, f: float) -> float:
     return config.R2 + (R1 - config.R2) * f
 
 
-def branch_periods(config: SearchConfig, R1: float, f: float) -> tuple[float, float, float, float]:
-    """(dt1, dtau1, dt2, dtau2) for the two branch spacetimes."""
+def ratio_residual(R1: float, f: float, config: SearchConfig, rate2: float) -> float:
+    """Dtau1/Dt1 - rate2, rate2 being the two-shell Dtau2/Dt2 at R1; NaN marks
+    a geometrically invalid point."""
     R = shell_radius(config, R1, f)
-    dt1, dtau1, _ = oscillation_period(one_shell_spacetime(config, R), config.r_i)
-    dt2, dtau2, _ = oscillation_period(two_shell_spacetime(config, R1), config.r_i)
-    return dt1, dtau1, dt2, dtau2
-
-
-def ratio_residual(R1: float, f: float, config: SearchConfig) -> float:
-    """Dtau1/Dt1 - Dtau2/Dt2; NaN marks a geometrically invalid point."""
     try:
-        dt1, dtau1, dt2, dtau2 = branch_periods(config, R1, f)
+        dt1, dtau1, _ = oscillation_period(one_shell_spacetime(config, R), config.r_i)
     except (GeometryError, GeodesicError):
         return math.nan
-    return dtau1 / dt1 - dtau2 / dt2
+    return dtau1 / dt1 - rate2
 
 
-def _f_bracket(config: SearchConfig, R1: float) -> tuple[float, float]:
+def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
+    """Both branch periods at the first root (in ascending f) of the
+    equal-clock-rate residual at fixed R1.  The two-shell period depends on R1
+    alone, so it is computed once and only the one-shell branch varies with f."""
     f_lo = (2.0 * config.M + F_MARGIN * R1 - config.R2) / (R1 - config.R2)
     if f_lo >= F_UPPER:
         raise NoSolutionAtRadius(f"no admissible f interval at R1={R1}")
-    return max(f_lo, 0.0), F_UPPER
-
-
-def solve_contour(R1: float, config: SearchConfig) -> float:
-    """First root (in ascending f) of the equal-clock-rate residual at fixed R1."""
-    f_lo, f_hi = _f_bracket(config, R1)
+    f_lo, f_hi = max(f_lo, 0.0), F_UPPER
+    try:
+        dt2, dtau2, _ = oscillation_period(two_shell_spacetime(config, R1), config.r_i)
+    except (GeometryError, GeodesicError) as exc:
+        raise NoSolutionAtRadius(f"two-shell branch invalid at R1={R1}: {exc}") from exc
+    rate2 = dtau2 / dt2
     fs = [f_lo + (f_hi - f_lo) * i / BRACKET_SCAN for i in range(BRACKET_SCAN + 1)]
-    vals = [ratio_residual(R1, f, config) for f in fs]
+    vals = [ratio_residual(R1, f, config, rate2) for f in fs]
     for i in range(BRACKET_SCAN):
         a, b = vals[i], vals[i + 1]
         if math.isnan(a) or math.isnan(b):
             continue
         if a == 0.0:
-            return fs[i]
+            f_star = fs[i]
+            break
         if a * b < 0.0:
-            return brentq(
-                lambda f: ratio_residual(R1, f, config),
+            f_star = brentq(
+                lambda f: ratio_residual(R1, f, config, rate2),
                 fs[i], fs[i + 1], xtol=config.root_tol, rtol=8.9e-16,
             )
-    raise NoSolutionAtRadius(
-        f"no sign change of the clock-rate residual in f at R1={R1}"
-    )
-
-
-def _curve_point(args: tuple[float, SearchConfig]):
-    R1, config = args
-    try:
-        f_star = solve_contour(R1, config)
-    except NoSolutionAtRadius:
-        return None
-    dt1, _, dt2, _ = branch_periods(config, R1, f_star)
-    return (R1, f_star, dt1 / dt2)
-
-
-def period_ratio_curve(config: SearchConfig, jobs: int = 1) -> list[tuple[float, float, float]]:
-    """(R1, f_star, Dt1/Dt2) along the contour over the configured R1 grid.
-
-    Grid points are independent; results are merged in grid order so the worker
-    count never changes the output.
-    """
-    grid = [
-        config.R1_min + (config.R1_max - config.R1_min) * i / (config.grid - 1)
-        for i in range(config.grid)
-    ]
-    args = [(R1, config) for R1 in grid]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(_curve_point, args, chunksize=8))
+            break
     else:
-        points = [_curve_point(a) for a in args]
-    return [p for p in points if p is not None]
+        raise NoSolutionAtRadius(
+            f"no sign change of the clock-rate residual in f at R1={R1}"
+        )
+    R = shell_radius(config, R1, f_star)
+    dt1, dtau1, _ = oscillation_period(one_shell_spacetime(config, R), config.r_i)
+    return ContourPoint(R1, f_star, dt1, dtau1, dt2, dtau2)
 
 
-def solve_switch_configuration(config: SearchConfig, jobs: int = 1) -> SwitchSolution:
+def period_ratio_curve(config: SearchConfig) -> list[tuple[float, float, float]]:
+    """(R1, f_star, Dt1/Dt2) along the contour over the configured R1 grid,
+    skipping grid points with no contour root."""
+    curve = []
+    for i in range(config.grid):
+        R1 = config.R1_min + (config.R1_max - config.R1_min) * i / (config.grid - 1)
+        try:
+            point = solve_contour(R1, config)
+        except NoSolutionAtRadius:
+            continue
+        curve.append((point.R1, point.f, point.ratio))
+    return curve
+
+
+def solve_switch_configuration(config: SearchConfig) -> SwitchSolution:
     """Solve both conditions: returns the geometry with Dt1/Dt2 = p/q on the
     contour, carrying the contour it traced as `curve`."""
-    curve = period_ratio_curve(config, jobs=jobs)
+    curve = period_ratio_curve(config)
     if len(curve) < 2:
         raise SearchError("contour could not be traced over the R1 grid")
     target = config.target_ratio
     ratios = [pt[2] for pt in curve]
-    bracket = None
-    for i in range(len(curve) - 1):
-        if (ratios[i] - target) * (ratios[i + 1] - target) <= 0.0:
-            bracket = (curve[i][0], curve[i + 1][0])
-            break
+    crossings = (
+        (a[0], b[0]) for a, b in zip(curve, curve[1:]) if (a[2] - target) * (b[2] - target) <= 0.0
+    )
+    bracket = next(crossings, None)
     if bracket is None:
         raise UnattainableRatioError(target, min(ratios), max(ratios))
 
     def g(R1: float) -> float:
-        return _curve_point((R1, config))[2] - target
+        return solve_contour(R1, config).ratio - target
 
     R1_star = brentq(g, bracket[0], bracket[1], xtol=config.root_tol, rtol=8.9e-16)
-    f_star = solve_contour(R1_star, config)
-    R_star = shell_radius(config, R1_star, f_star)
-    dt1, dtau1, dt2, dtau2 = branch_periods(config, R1_star, f_star)
+    pt = solve_contour(R1_star, config)
     solution = SwitchSolution(
-        R1=R1_star, f=f_star, R=R_star,
-        dt1=dt1, dtau1=dtau1, dt2=dt2, dtau2=dtau2,
-        achieved_ratio=dt1 / dt2,
-        clock_residual=dtau1 / dt1 - dtau2 / dt2,
-        ratio_residual=dt1 / dt2 - target,
+        R1=pt.R1, f=pt.f, R=shell_radius(config, pt.R1, pt.f),
+        dt1=pt.dt1, dtau1=pt.dtau1, dt2=pt.dt2, dtau2=pt.dtau2,
+        achieved_ratio=pt.ratio,
+        clock_residual=pt.dtau1 / pt.dt1 - pt.dtau2 / pt.dt2,
+        ratio_residual=pt.ratio - target,
         config=config,
         curve=tuple(curve),
     )
@@ -290,10 +297,8 @@ def find_meeting_radius(solution: SwitchSolution, config: SearchConfig) -> Meeti
     exterior both are time-shifted copies of the same rest-release cycloid, so
     the crossing condition reduces to a bracketed root in r on (R1, r_i).
     """
-    half_tau_1 = solution.dtau1 / 2.0
-    half_tau_2 = solution.dtau2 / 2.0
-    half_t_1 = solution.dt1 / 2.0
-    half_t_2 = solution.dt2 / 2.0
+    half_tau_1, half_tau_2 = solution.dtau1 / 2.0, solution.dtau2 / 2.0
+    half_t_1, half_t_2 = solution.dt1 / 2.0, solution.dt2 / 2.0
 
     def tau_gap(r: float) -> float:
         _, tau_e = _exterior_spans(config, r)

@@ -222,16 +222,14 @@ def patches_from_config(doc: dict) -> list[PatchSpec]:
         raw = doc["patches"]
     except (KeyError, TypeError):
         raise GeometryError("config must contain a 'patches' list")
-    out = []
-    for entry in raw:
-        out.append(
-            PatchSpec(
-                mass=float(entry["mass"]),
-                r_min=float(entry["r_min"]),
-                r_max=None if entry.get("r_max") is None else float(entry["r_max"]),
-            )
+    return [
+        PatchSpec(
+            mass=float(entry["mass"]),
+            r_min=float(entry["r_min"]),
+            r_max=None if entry.get("r_max") is None else float(entry["r_max"]),
         )
-    return out
+        for entry in raw
+    ]
 
 
 def spacetime_from_config(doc: dict, horizon_margin: float = DEFAULT_HORIZON_MARGIN) -> ShellSpacetime:

@@ -1,9 +1,18 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import shellswitch.search
 from shellswitch.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_INVALID, EXIT_OK, main
+from shellswitch.errors import NoSolutionAtRadius
+
+from conftest import REFERENCE
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 ONE_SHELL = {
     "patches": [
@@ -119,6 +128,30 @@ class TestSearch:
         # one pass over the grid plus the R1 root refinement
         assert len(calls) < 2 * SEARCH["grid"]
 
+    def test_failed_refinement_point_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a contour point that fails inside the R1 root refinement is an
+        # infeasible search, not a TypeError reported as an input error
+        calls = []
+        solve_contour = shellswitch.search.solve_contour
+
+        def failing_after_grid(R1, config):
+            calls.append(R1)
+            if len(calls) > SEARCH["grid"]:
+                raise NoSolutionAtRadius(f"no contour root at R1={R1}")
+            return solve_contour(R1, config)
+
+        monkeypatch.setattr(shellswitch.search, "solve_contour", failing_after_grid)
+        cfg = write(tmp_path, "search.json", SEARCH)
+        assert main(["search", "--config", cfg]) == EXIT_INFEASIBLE
+        assert len(calls) == SEARCH["grid"] + 1
+        assert "INFEASIBLE: no contour root" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("p", 9.7), ("grid", 24.9), ("q", True)])
+    def test_fractional_integer_field_exits_1(self, tmp_path, capsys, field, value):
+        cfg = write(tmp_path, "search.json", dict(SEARCH, **{field: value}))
+        assert main(["search", "--config", cfg]) == EXIT_INPUT
+        assert f"INPUT ERROR: search config: {field} must be an integer" in capsys.readouterr().err
+
     def test_ratio_override_flag(self, tmp_path):
         cfg = write(tmp_path, "search.json", dict(SEARCH, p=1, q=2))
         out = tmp_path / "sol.json"
@@ -208,6 +241,13 @@ class TestLightray:
         out = json.loads(capsys.readouterr().out)
         assert out["dt_global"] > 5.0  # longer than the flat-space gap
 
+    def test_string_diametral_exits_1(self, tmp_path, capsys):
+        # the string "false" is truthy: read loosely it runs the diametral ray
+        doc = json.loads((CONFIGS / "lightray_one_shell.json").read_text())
+        cfg = write(tmp_path, "ray.json", dict(doc, diametral="false"))
+        assert main(["lightray", "--config", cfg]) == EXIT_INPUT
+        assert "diametral must be true or false" in capsys.readouterr().err
+
     def test_branch_mode_bad_config_exits_1(self, tmp_path, capsys):
         cfg = write(tmp_path, "ray.json", dict(SEARCH, q=0, r_a=12.0, r_b=12.0))
         assert main(["lightray", "--config", cfg]) == EXIT_INPUT
@@ -234,10 +274,37 @@ class TestSwitch:
         out = json.loads(capsys.readouterr().out)
         assert out["branch_orders"] == {"M1": ["B", "C"], "M2": ["D", "B"]}
 
+    def test_broken_switch_needs_no_A(self, tmp_path, capsys):
+        doc = json.loads((CONFIGS / "broken_switch.json").read_text())
+        del doc["A"]
+        assert main(["switch", "--config", str(CONFIGS / "broken_switch.json")]) == EXIT_OK
+        with_A = capsys.readouterr().out
+        assert main(["switch", "--config", write(tmp_path, "sw.json", doc)]) == EXIT_OK
+        assert capsys.readouterr().out == with_A
+
     def test_non_unitary_operator_rejected(self, tmp_path, capsys):
         doc = dict(PAULI, A=[[[2, 0], [0, 0]], [[0, 0], [1, 0]]])
         cfg = write(tmp_path, "sw.json", doc)
         assert main(["switch", "--config", cfg]) == EXIT_INVALID
+
+
+class TestReproduceScript:
+    def test_contour_csv_is_the_solved_curve(self, tmp_path):
+        out = tmp_path / "results"
+        subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "reproduce_solution.py"),
+             "--grid", "24", "--out", str(out)],
+            check=True, capture_output=True,
+        )
+        solution = shellswitch.search.solve_switch_configuration(
+            shellswitch.search.SearchConfig(grid=24, **REFERENCE)
+        )
+        expected = ["R1,f,ratio"] + [
+            ",".join(format(v, ".17g") for v in row) for row in solution.curve
+        ]
+        assert (out / "contour.csv").read_text().splitlines() == expected
+        summary = json.loads((out / "solution.json").read_text())
+        assert summary["solution"] == solution.as_dict()
 
 
 class TestUsage:

@@ -15,7 +15,12 @@ from shellswitch.errors import (
     SearchError,
     UnattainableRatioError,
 )
-from shellswitch.search import branch_periods, shell_radius
+from shellswitch.geodesic import oscillation_period
+from shellswitch.search import (
+    one_shell_spacetime,
+    shell_radius,
+    two_shell_spacetime,
+)
 
 from conftest import REFERENCE
 
@@ -39,6 +44,20 @@ class TestConfig:
         with pytest.raises(SearchError):
             SearchConfig(**dict(REFERENCE, R1_min=12.0, R1_max=9.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("p", 9.7), ("q", 10.5), ("grid", 24.9), ("p", True), ("grid", False),
+        ("q", "10"), ("grid", None),
+    ])
+    def test_integer_fields_not_truncated(self, field, value):
+        # truncating p = 9.7 to 9 would solve a ratio nobody asked for
+        with pytest.raises(SearchError, match=field):
+            SearchConfig.from_dict(dict(REFERENCE, **{field: value}))
+
+    def test_integral_floats_accepted(self):
+        cfg = SearchConfig.from_dict(dict(REFERENCE, p=9.0, q=10.0, grid=24.0))
+        assert (cfg.p, cfg.q, cfg.grid) == (9, 10, 24)
+        assert all(type(v) is int for v in (cfg.p, cfg.q, cfg.grid))
+
     @pytest.mark.parametrize("R1_min", [4.0, 3.5])
     def test_outer_shell_must_clear_inner(self, R1_min):
         # R1_min == R2 used to reach a division by R1 - R2 in the f bracket
@@ -48,17 +67,28 @@ class TestConfig:
 
 class TestContour:
     def test_root_near_reference_point(self, ref_config):
-        f_star = solve_contour(10.072, ref_config)
-        assert 0.30 < f_star < 0.36
-        assert abs(ratio_residual(10.072, f_star, ref_config)) < 1e-10
+        point = solve_contour(10.072, ref_config)
+        rate2 = point.dtau2 / point.dt2
+        assert 0.30 < point.f < 0.36
+        assert abs(ratio_residual(10.072, point.f, ref_config, rate2)) < 1e-10
 
     def test_residual_sign_change_around_root(self, ref_config):
         # the admissible band below the root is only ~1e-4 wide in f before
         # the shell dips under the exterior horizon, so probe close in
-        f_star = solve_contour(10.072, ref_config)
-        lo = ratio_residual(10.072, f_star - 3e-5, ref_config)
-        hi = ratio_residual(10.072, f_star + 3e-5, ref_config)
+        point = solve_contour(10.072, ref_config)
+        rate2 = point.dtau2 / point.dt2
+        lo = ratio_residual(10.072, point.f - 3e-5, ref_config, rate2)
+        hi = ratio_residual(10.072, point.f + 3e-5, ref_config, rate2)
         assert lo * hi < 0.0
+
+    def test_point_carries_both_branch_periods(self, ref_config):
+        point = solve_contour(10.072, ref_config)
+        R = shell_radius(ref_config, 10.072, point.f)
+        dt1, dtau1, _ = oscillation_period(one_shell_spacetime(ref_config, R), ref_config.r_i)
+        dt2, dtau2, _ = oscillation_period(two_shell_spacetime(ref_config, 10.072), ref_config.r_i)
+        assert point.R1 == 10.072
+        assert (point.dt1, point.dtau1, point.dt2, point.dtau2) == (dt1, dtau1, dt2, dtau2)
+        assert point.ratio == dt1 / dt2
 
     def test_no_admissible_interval(self, ref_config):
         # R1 barely above 2M leaves no room for the shell bracket
@@ -85,11 +115,6 @@ class TestCurve:
         steps = [abs(b - a) for a, b in zip(fs, fs[1:])]
         assert max(steps) < 0.05
 
-    def test_parallel_matches_serial_bitwise(self, narrow_config):
-        serial = period_ratio_curve(narrow_config, jobs=1)
-        parallel = period_ratio_curve(narrow_config, jobs=3)
-        assert serial == parallel
-
     def test_solution_carries_the_traced_curve(self, narrow_config):
         solution = solve_switch_configuration(narrow_config)
         assert solution.curve == tuple(period_ratio_curve(narrow_config))
@@ -113,8 +138,10 @@ class TestSolution:
         )
 
     def test_solution_consistent_with_periods(self, ref_solution, ref_config):
-        dt1, dtau1, dt2, dtau2 = branch_periods(
-            ref_config, ref_solution.R1, ref_solution.f
+        R = shell_radius(ref_config, ref_solution.R1, ref_solution.f)
+        dt1, _, _ = oscillation_period(one_shell_spacetime(ref_config, R), ref_config.r_i)
+        dt2, _, _ = oscillation_period(
+            two_shell_spacetime(ref_config, ref_solution.R1), ref_config.r_i
         )
         assert ref_solution.dt1 == dt1
         assert ref_solution.dt2 == dt2
@@ -140,6 +167,42 @@ class TestSolution:
         doc = ref_solution.as_dict()
         assert doc["R1"] == ref_solution.R1
         assert set(doc) >= {"R1", "f", "R", "dt1", "dt2", "achieved_ratio"}
+
+
+# The grid-24 reference solve, printed to 17 significant digits.
+GRID24 = dict(
+    R1=10.072190313466759,
+    f=0.32946428793290061,
+    R=6.0005698578193822,
+    dt1=2801.5543858916944,
+    dtau1=87.583320033572448,
+    dt2=3112.8382065442029,
+    dtau2=97.314800037589563,
+)
+GRID24_MEETING = dict(
+    r_t=11.93823925369098,
+    t_A1=1404.2237259351834,
+    t_A2=1552.9725702827652,
+)
+
+
+class TestGrid24Pin:
+    """Refactors keep the solved numbers to 1e-10 relative, far inside the
+    acceptance gate's 1e-3."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        config = SearchConfig(grid=24, **REFERENCE)
+        solution = solve_switch_configuration(config)
+        return solution, find_meeting_radius(solution, config)
+
+    @pytest.mark.parametrize("name", sorted(GRID24))
+    def test_solution(self, solved, name):
+        assert getattr(solved[0], name) == pytest.approx(GRID24[name], rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("name", sorted(GRID24_MEETING))
+    def test_meeting(self, solved, name):
+        assert getattr(solved[1], name) == pytest.approx(GRID24_MEETING[name], rel=1e-10, abs=0)
 
 
 class TestMeeting:
@@ -174,8 +237,3 @@ class TestDeterminism:
         assert again.R1 == ref_solution.R1
         assert again.f == ref_solution.f
         assert again.dt1 == ref_solution.dt1
-
-    def test_parallel_solve_matches_serial(self, ref_config, ref_solution):
-        sol = solve_switch_configuration(ref_config, jobs=2)
-        assert sol.R1 == ref_solution.R1
-        assert sol.f == ref_solution.f
