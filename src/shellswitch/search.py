@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from scipy.optimize import brentq
 
@@ -32,8 +33,11 @@ from .geodesic import (
     eta_of_radius,
     oscillation_period,
     proper_time,
+    tangent,
 )
-from .spacetime import PatchSpec, ShellSpacetime, build_spacetime
+from .spacetime import (
+    DEFAULT_HORIZON_MARGIN, PatchSpec, ShellSpacetime, build_spacetime, metric_factor,
+)
 
 F_MARGIN = 1e-6        # radial margin 1e-6 * R1 above 2M for the f bracket
 F_UPPER = 1.0 - 1e-6
@@ -67,6 +71,10 @@ class SearchConfig:
             raise SearchError("need R1_min < R1_max")
         if self.grid < 2:
             raise SearchError("grid must have at least 2 points")
+        if not self.root_tol > 0.0:
+            raise SearchError(f"root tolerance tol={self.root_tol} must be positive")
+        if not self.r_i > max(2.0 * self.M, self.R1_max):  # release in the shared exterior
+            raise SearchError(f"r_i={self.r_i} must exceed 2M and R1_max={self.R1_max}")
 
     @property
     def target_ratio(self) -> float:
@@ -75,15 +83,23 @@ class SearchConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "SearchConfig":
         kwargs = dict(
-            m=float(doc["m"]), M=float(doc["M"]), R2=float(doc["R2"]),
-            r_i=float(doc["r_i"]), p=_integer(doc, "p"), q=_integer(doc, "q"),
-            R1_min=float(doc["R1_min"]), R1_max=float(doc["R1_max"]),
+            m=_real(doc, "m"), M=_real(doc, "M"), R2=_real(doc, "R2"),
+            r_i=_real(doc, "r_i"), p=_integer(doc, "p"), q=_integer(doc, "q"),
+            R1_min=_real(doc, "R1_min"), R1_max=_real(doc, "R1_max"),
         )
         if "grid" in doc:
             kwargs["grid"] = _integer(doc, "grid")
         if "tol" in doc:
-            kwargs["root_tol"] = float(doc["tol"])
+            kwargs["root_tol"] = _real(doc, "tol")
         return cls(**kwargs)
+
+
+def _real(doc: dict, key: str) -> float:
+    """A finite float field; a boolean, NaN or infinity is rejected, not coerced."""
+    value = doc[key]
+    if isinstance(value, bool) or not math.isfinite(float(value)):
+        raise SearchError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _integer(doc: dict, key: str) -> int:
@@ -174,14 +190,38 @@ def shell_radius(config: SearchConfig, R1: float, f: float) -> float:
     return config.R2 + (R1 - config.R2) * f
 
 
+@lru_cache(maxsize=16)
+def _release(M: float, r_i: float) -> tuple[CycloidParams, float]:
+    """The exterior cycloid from rest at r_i and its coordinate time there."""
+    params = CycloidParams.from_rest(M, r_i)
+    return params, coordinate_time(params, 0.0, r_i)
+
+
+def _one_shell_period(config: SearchConfig, R: float) -> tuple[float, float]:
+    """(Dt, Dtau) of oscillation_period(one_shell_spacetime(config, R), r_i), bit for
+    bit: its operations in their order (exterior leg from rest at r_i to R, tangent
+    transfer by k = sqrt(f(M, R)), core leg times the core lapse sqrt(1 / f(M, R)),
+    4 x the legs' sum) without the spacetime.  (NaN, NaN) exactly where it raises."""
+    M, r_i = config.M, config.r_i
+    # at R == r_i the particle rests at the shell and never reaches the core
+    if not 0.0 < R < r_i or metric_factor(M, R) < DEFAULT_HORIZON_MARGIN:
+        return math.nan, math.nan
+    f_out = metric_factor(M, R)
+    params, t_release = _release(M, r_i)
+    eta = eta_of_radius(params, R)
+    dt_out = abs(coordinate_time(params, eta, R) - t_release)
+    dtau_out = proper_time(params, eta)  # proper_time(params, 0.0) is 0.0
+    u_t, u_r = tangent(params, eta, R)
+    k = math.sqrt(f_out)
+    dtau_core = R / (abs(u_r) / k)
+    dt_core = math.sqrt(1.0 / f_out) * (u_t * k * dtau_core)
+    return 4.0 * (dt_out + dt_core), 4.0 * (dtau_out + dtau_core)
+
+
 def ratio_residual(R1: float, f: float, config: SearchConfig, rate2: float) -> float:
     """Dtau1/Dt1 - rate2, rate2 being the two-shell Dtau2/Dt2 at R1; NaN marks
     a geometrically invalid point."""
-    R = shell_radius(config, R1, f)
-    try:
-        dt1, dtau1, _ = oscillation_period(one_shell_spacetime(config, R), config.r_i)
-    except (GeometryError, GeodesicError):
-        return math.nan
+    dt1, dtau1 = _one_shell_period(config, shell_radius(config, R1, f))
     return dtau1 / dt1 - rate2
 
 
@@ -217,8 +257,8 @@ def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
         raise NoSolutionAtRadius(
             f"no sign change of the clock-rate residual in f at R1={R1}"
         )
-    R = shell_radius(config, R1, f_star)
-    dt1, dtau1, _ = oscillation_period(one_shell_spacetime(config, R), config.r_i)
+    # f_star lies between two finite residuals, so the period is finite
+    dt1, dtau1 = _one_shell_period(config, shell_radius(config, R1, f_star))
     return ContourPoint(R1, f_star, dt1, dtau1, dt2, dtau2)
 
 

@@ -152,6 +152,36 @@ class TestSearch:
         assert main(["search", "--config", cfg]) == EXIT_INPUT
         assert f"INPUT ERROR: search config: {field} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [True, False, float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["m", "M", "R2", "r_i", "R1_min", "R1_max", "tol"])
+    def test_bad_float_field_exits_1(self, tmp_path, capsys, monkeypatch, field, value):
+        # NaN and Infinity reach the config as the JSON literals Python writes
+        calls = []
+        monkeypatch.setattr(shellswitch.search, "solve_contour", lambda *a: calls.append(a))
+        cfg = write(tmp_path, "search.json", dict(SEARCH, **{field: value}))
+        assert main(["search", "--config", cfg]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"INPUT ERROR: search config: {field} must be a finite number" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("field, value", [
+        ("tol", 0), ("tol", -1e-10), ("r_i", 1.0), ("r_i", 6.0), ("r_i", 10.0), ("r_i", 10.4),
+    ])
+    def test_out_of_range_field_exits_1(self, tmp_path, capsys, monkeypatch, field, value):
+        # r_i must clear both the exterior horizon 2M = 6 and R1_max = 10.4
+        calls = []
+        monkeypatch.setattr(shellswitch.search, "solve_contour", lambda *a: calls.append(a))
+        cfg = write(tmp_path, "search.json", dict(SEARCH, **{field: value}))
+        assert main(["search", "--config", cfg]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("INPUT ERROR: search config: ") and field in err
+        assert calls == []
+
+    def test_zero_tol_flag_exits_1(self, tmp_path, capsys):
+        cfg = write(tmp_path, "search.json", SEARCH)
+        assert main(["search", "--config", cfg, "--tol", "0"]) == EXIT_INPUT
+        assert "tol=0.0 must be positive" in capsys.readouterr().err
+
     def test_ratio_override_flag(self, tmp_path):
         cfg = write(tmp_path, "search.json", dict(SEARCH, p=1, q=2))
         out = tmp_path / "sol.json"

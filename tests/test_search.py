@@ -1,7 +1,11 @@
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import shellswitch.search
 from shellswitch import (
     SearchConfig,
     find_meeting_radius,
@@ -11,16 +15,20 @@ from shellswitch import (
     solve_switch_configuration,
 )
 from shellswitch.errors import (
+    GeodesicError,
+    GeometryError,
     NoSolutionAtRadius,
     SearchError,
     UnattainableRatioError,
 )
 from shellswitch.geodesic import oscillation_period
 from shellswitch.search import (
+    _one_shell_period,
     one_shell_spacetime,
     shell_radius,
     two_shell_spacetime,
 )
+from shellswitch.spacetime import DEFAULT_HORIZON_MARGIN, metric_factor
 
 from conftest import REFERENCE
 
@@ -64,6 +72,25 @@ class TestConfig:
         with pytest.raises(SearchError):
             SearchConfig(**dict(REFERENCE, R1_min=R1_min))
 
+    @pytest.mark.parametrize("value", [True, False, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["m", "M", "R2", "r_i", "R1_min", "R1_max", "tol"])
+    def test_float_fields_finite_and_not_boolean(self, field, value):
+        # "tol": true used to solve with a root tolerance of 1.0
+        with pytest.raises(SearchError, match=f"{field} must be a finite number"):
+            SearchConfig.from_dict(dict(REFERENCE, **{field: value}))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, 1e-400])
+    def test_root_tolerance_must_be_positive(self, tol):
+        # tol = 0 used to reach scipy's "xtol too small"
+        with pytest.raises(SearchError, match="tol"):
+            SearchConfig.from_dict(dict(REFERENCE, tol=tol))
+
+    @pytest.mark.parametrize("r_i", [1.0, 6.0, 10.0, 11.5])
+    def test_release_in_shared_exterior(self, r_i):
+        # inside the horizon 2M = 6, or at or inside R1_max = 11.5
+        with pytest.raises(SearchError, match="r_i"):
+            SearchConfig.from_dict(dict(REFERENCE, r_i=r_i))
+
 
 class TestContour:
     def test_root_near_reference_point(self, ref_config):
@@ -94,6 +121,101 @@ class TestContour:
         # R1 barely above 2M leaves no room for the shell bracket
         with pytest.raises(NoSolutionAtRadius):
             solve_contour(6.0 + 1e-5, ref_config)
+
+
+def general_period(config, R):
+    """One-shell (Dt, Dtau) through oscillation_period; (NaN, NaN) where it raises."""
+    try:
+        dt, dtau, _ = oscillation_period(one_shell_spacetime(config, R), config.r_i)
+    except (GeometryError, GeodesicError):
+        return math.nan, math.nan
+    return dt, dtau
+
+
+def period_rate(config, R1, f, rate2):
+    """Dtau1/Dt1 - rate2 through the general period path; NaN where it raises."""
+    dt, dtau = general_period(config, shell_radius(config, R1, f))
+    return dtau / dt - rate2
+
+
+@st.composite
+def residual_inputs(draw):
+    """(config, R1, f, rate2) with R anywhere from inside the exterior horizon
+    to beyond r_i; some f place R at the horizon margin or just below r_i."""
+    M = draw(st.floats(0.5, 5.0))
+    r_i = 2.0 * M * draw(st.floats(1.001, 4.0))
+    R2 = r_i * draw(st.floats(0.05, 0.9))
+    config = SearchConfig(
+        m=R2 / 2.5, M=M, R2=R2, r_i=r_i, p=9, q=10,
+        R1_min=R2 + 0.25 * (r_i - R2), R1_max=R2 + 0.5 * (r_i - R2),
+    )
+    R1 = R2 * draw(st.floats(1.001, 1.5)) + (r_i - R2) * draw(st.floats(0.0, 1.5))
+    grazing = 2.0 * M / (1.0 - DEFAULT_HORIZON_MARGIN * draw(st.floats(0.999, 1.001)))
+    near_release = r_i * (1.0 - draw(st.floats(1e-15, 1e-6)))
+    f = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+        [(grazing - R2) / (R1 - R2), (near_release - R2) / (R1 - R2)])))
+    return config, R1, f, draw(st.sampled_from([0.0, 0.03125, 0.0311]))
+
+
+class TestClosedFormResidual:
+    """The search evaluates the one-shell period in closed form; it must be
+    oscillation_period's (Dt, Dtau) bit for bit, and NaN exactly where that raises."""
+
+    @given(residual_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_oscillation_period(self, inputs):
+        config, R1, f, rate2 = inputs
+        got, want = ratio_residual(R1, f, config, rate2), period_rate(config, R1, f, rate2)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        R = shell_radius(config, R1, f)
+        closed, general = _one_shell_period(config, R), general_period(config, R)
+        assert closed == general or all(math.isnan(x) for x in closed + general)
+
+    # R1 - R2 = 8 makes R = R2 + (R1 - R2) * f exact for these f
+    @pytest.mark.parametrize("f, why", [
+        (1.0, "R == r_i: the particle rests at the shell"),
+        (1.25, "R > r_i: the release is inside the shell"),
+        (0.25, "R == 2M: the shell sits on the exterior horizon"),
+        (0.125, "R < 2M: the shell is inside the exterior horizon"),
+    ])
+    def test_invalid_shell_is_nan(self, ref_config, f, why):
+        assert math.isnan(period_rate(ref_config, 12.0, f, 0.0)), why
+        assert math.isnan(ratio_residual(12.0, f, ref_config, 0.0)), why
+
+    def test_horizon_margin_edge(self, ref_config):
+        # walk R up by ulps until f(M, R) reaches DEFAULT_HORIZON_MARGIN
+        R = 6.0 * (1.0 + 0.999999 * DEFAULT_HORIZON_MARGIN)
+        while metric_factor(3.0, R) < DEFAULT_HORIZON_MARGIN:
+            inside, R = R, math.nextafter(R, math.inf)
+        f_in, f_out = (inside - 4.0) / 8.0, (R - 4.0) / 8.0
+        assert shell_radius(ref_config, 12.0, f_out) == R
+        assert math.isnan(period_rate(ref_config, 12.0, f_in, 0.0))
+        assert math.isnan(ratio_residual(12.0, f_in, ref_config, 0.0))
+        rate = ratio_residual(12.0, f_out, ref_config, 0.0)
+        assert rate == period_rate(ref_config, 12.0, f_out, 0.0) and rate > 0.0
+
+
+def test_hoisted_work_per_contour_point(monkeypatch):
+    """The two-shell period is the only general period evaluation per R1; the
+    f scan, its refinement and the contour point's one-shell period build no
+    spacetime.  The bound leaves room for one more per R1."""
+    counts = Counter()
+
+    def counting(name):
+        original = getattr(shellswitch.search, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("oscillation_period", "build_spacetime", "solve_contour"):
+        monkeypatch.setattr(shellswitch.search, name, counting(name))
+    solve_switch_configuration(SearchConfig(grid=24, **REFERENCE))
+    assert counts["solve_contour"] >= 24
+    assert counts["oscillation_period"] <= 2 * counts["solve_contour"]
+    assert counts["build_spacetime"] <= 2 * counts["solve_contour"]
 
 
 @pytest.fixture(scope="module")
