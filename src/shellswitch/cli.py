@@ -13,7 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import GeometryError, SearchError, ShellSwitchError
+from .errors import GeometryError, InputError, SearchError, ShellSwitchError
+from .fields import real
 from .geodesic import (
     diametral_crossing_time,
     null_crossing_time,
@@ -51,10 +52,6 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: line {exc.lineno} col {exc.colno}")
-
-
-class InputError(Exception):
-    pass
 
 
 def _dump_json(doc, path: str | None) -> None:
@@ -168,7 +165,7 @@ def _far_side_tables(outdir: Path, config, solution, samples: int) -> None:
 def cmd_period(args) -> int:
     doc = _load_json(args.config)
     st = spacetime_from_config(doc, horizon_margin=args.horizon_margin)
-    r_i = float(doc["r_i"])
+    r_i = real(doc, "r_i")
     dt, dtau, legs = oscillation_period(st, r_i)
     _dump_json(
         {
@@ -193,8 +190,7 @@ def cmd_period(args) -> int:
 
 def cmd_lightray(args) -> int:
     doc = _load_json(args.config)
-    r_a = float(doc["r_a"])
-    r_b = float(doc["r_b"])
+    r_a, r_b = real(doc, "r_a"), real(doc, "r_b")
     diametral = doc.get("diametral", False)
     if not isinstance(diametral, bool):
         raise InputError(f"diametral must be true or false, got {diametral!r}")

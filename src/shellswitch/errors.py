@@ -5,6 +5,10 @@ class ShellSwitchError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(ShellSwitchError, ValueError):
+    """Malformed input: an unreadable file, a wrong type or a non-finite number."""
+
+
 class GeometryError(ShellSwitchError, ValueError):
     """Invalid spacetime geometry (bad patches, shells, or radii)."""
 

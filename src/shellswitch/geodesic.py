@@ -15,7 +15,7 @@ where the naive tan-difference form loses most of its digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     GeodesicError,
@@ -24,7 +24,7 @@ from .errors import (
     UnboundGeodesicError,
     UnreachableRadiusError,
 )
-from .spacetime import ShellSpacetime, metric_factor
+from .spacetime import ShellSpacetime, metric_factor, stack_lapses
 
 SHELL_TOL = 1e-12  # |r - R| <= SHELL_TOL * R counts as "at the shell"
 APOAPSIS_CLAMP = 1e-14
@@ -36,17 +36,31 @@ APOAPSIS_CLAMP = 1e-14
 @dataclass(frozen=True)
 class CycloidParams:
     """Bound radial geodesic in one Schwarzschild patch of the given mass,
-    released from rest (possibly fictitiously) at r_apo."""
+    released from rest (possibly fictitiously) at r_apo.  The per-orbit factors
+    of the closed forms are computed once, each the leading part of its formula."""
 
     mass: float
     r_apo: float
     energy: float
+    t_scale: float = field(init=False, repr=False, compare=False)  # E*sqrt(r_apo^3/(2M))
+    tau_scale: float = field(init=False, repr=False, compare=False)  # sqrt(r_apo^3/(8M))
+    u_scale: float = field(init=False, repr=False, compare=False)  # sqrt(2M/r_apo)
+    one_minus_E2: float = field(init=False, repr=False, compare=False)  # 2M/r_apo
+    tan_h: float = field(init=False, repr=False, compare=False)  # tan(eta_horizon/2)
 
     def __post_init__(self):
         if not 0.0 < self.energy < 1.0:
             raise UnboundGeodesicError(
                 f"bound motion requires 0 < E < 1, got E={self.energy}"
             )
+        mass, r_apo, set_ = self.mass, self.r_apo, object.__setattr__
+        if not mass > 0.0:
+            raise NoRestoringForceError(f"a cycloid needs mass > 0, got mass={mass}")
+        set_(self, "t_scale", self.energy * math.sqrt(r_apo**3 / (2.0 * mass)))
+        set_(self, "tau_scale", math.sqrt(r_apo**3 / (8.0 * mass)))
+        set_(self, "u_scale", math.sqrt(2.0 * mass / r_apo))
+        set_(self, "one_minus_E2", 2.0 * mass / r_apo)
+        set_(self, "tan_h", math.sqrt((r_apo - 2.0 * mass) / (2.0 * mass)))
 
     @property
     def eta_horizon(self) -> float:
@@ -104,7 +118,7 @@ def radius(params: CycloidParams, eta: float) -> float:
 
 def proper_time(params: CycloidParams, eta: float) -> float:
     """Proper time elapsed from rest at r_apo (eta = 0)."""
-    return math.sqrt(params.r_apo**3 / (8.0 * params.mass)) * (eta + math.sin(eta))
+    return params.tau_scale * (eta + math.sin(eta))
 
 
 def coordinate_time(params: CycloidParams, eta: float, r: float | None = None) -> float:
@@ -113,18 +127,14 @@ def coordinate_time(params: CycloidParams, eta: float, r: float | None = None) -
     When the radius at eta is known exactly (e.g. a shell radius), pass it as r
     so that the near-horizon factor r - 2*mass is formed from the exact value.
     """
-    E, mass, r_apo = params.energy, params.mass, params.r_apo
+    mass, r_apo, tan_h = params.mass, params.r_apo, params.tan_h
     if r is None:
         r = radius(params, eta)
     if r <= 2.0 * mass:
         raise GeodesicError(
             f"coordinate time diverges: r={r} at or inside horizon {2.0 * mass}"
         )
-    one_minus_E2 = 2.0 * mass / r_apo
-    poly = E * math.sqrt(r_apo**3 / (2.0 * mass)) * (
-        0.5 * (eta + math.sin(eta)) + one_minus_E2 * eta
-    )
-    tan_h = math.sqrt((r_apo - 2.0 * mass) / (2.0 * mass))
+    poly = params.t_scale * (0.5 * (eta + math.sin(eta)) + params.one_minus_E2 * eta)
     tan_e = math.tan(0.5 * eta)
     # tan_h^2 - tan_e^2 == r_apo*(r - 2*mass) / (2*mass*r), so the log of the
     # ratio (tan_h + tan_e)/(tan_h - tan_e) can be formed without cancellation:
@@ -139,7 +149,7 @@ def tangent(params: CycloidParams, eta: float, r: float | None = None) -> tuple[
     if r is None:
         r = radius(params, eta)
     U0 = params.energy * r / (r - 2.0 * params.mass)
-    U1 = -math.sqrt(2.0 * params.mass / params.r_apo) * math.tan(0.5 * eta)
+    U1 = -params.u_scale * math.tan(0.5 * eta)
     return U0, U1
 
 
@@ -185,6 +195,25 @@ class SegmentResult:
     eta_exit: float | None = None
 
 
+def _schwarzschild_span(mass: float, r: float, u_r: float, r_exit: float):
+    """segment_schwarzschild on floats: (dt_local, dtau, exit u_r, exit u_t,
+    cycloid, eta_entry, eta_exit)."""
+    if mass <= 0.0:
+        raise GeodesicError("segment_schwarzschild needs mass > 0")
+    params = CycloidParams.from_state(mass, r, u_r)
+    if r_exit > params.r_apo * (1.0 + APOAPSIS_CLAMP):
+        raise UnreachableRadiusError(
+            f"exit radius {r_exit} beyond fictitious apoapsis {params.r_apo}"
+        )
+    eta_a = eta_of_radius(params, r)
+    eta_b = eta_of_radius(params, r_exit)
+    dt = abs(coordinate_time(params, eta_b, r_exit) - coordinate_time(params, eta_a, r))
+    dtau = abs(proper_time(params, eta_b) - proper_time(params, eta_a))
+    sign = 1.0 if r_exit > r else (-1.0 if r_exit < r else math.copysign(1.0, u_r))
+    U0, U1 = tangent(params, eta_b, r_exit)
+    return dt, dtau, sign * abs(U1), U0, params, eta_a, eta_b
+
+
 def segment_schwarzschild(mass: float, entry: GeodesicState, r_exit: float) -> SegmentResult:
     """Propagate through one Schwarzschild patch from entry.r to r_exit.
 
@@ -192,42 +221,38 @@ def segment_schwarzschild(mass: float, entry: GeodesicState, r_exit: float) -> S
     entry state; outbound pieces use the time-reflection of the inbound branch,
     so both spans are absolute values of parametric differences.
     """
-    if mass <= 0.0:
-        raise GeodesicError("segment_schwarzschild needs mass > 0")
-    params = CycloidParams.from_state(mass, entry.r, entry.u_r)
-    if r_exit > params.r_apo * (1.0 + APOAPSIS_CLAMP):
-        raise UnreachableRadiusError(
-            f"exit radius {r_exit} beyond fictitious apoapsis {params.r_apo}"
-        )
-    eta_a = eta_of_radius(params, entry.r)
-    eta_b = eta_of_radius(params, r_exit)
-    dt = abs(
-        coordinate_time(params, eta_b, r_exit) - coordinate_time(params, eta_a, entry.r)
+    dt, dtau, u_r, u_t, params, eta_a, eta_b = _schwarzschild_span(
+        mass, entry.r, entry.u_r, r_exit
     )
-    dtau = abs(proper_time(params, eta_b) - proper_time(params, eta_a))
-    sign = 1.0 if r_exit > entry.r else (-1.0 if r_exit < entry.r else math.copysign(1.0, entry.u_r))
-    U0, U1 = tangent(params, eta_b, r_exit)
-    exit_state = GeodesicState(
-        patch_index=entry.patch_index,
-        r=r_exit,
-        u_r=sign * abs(U1),
-        u_t=U0,
-        tau=entry.tau + dtau,
-    )
+    exit_state = GeodesicState(entry.patch_index, r_exit, u_r, u_t, entry.tau + dtau)
     return SegmentResult(dt, dtau, exit_state, params, eta_a, eta_b)
+
+
+def _minkowski_span(r: float, u_r: float, u_t: float, r_exit: float) -> tuple[float, float]:
+    """segment_minkowski on floats: (dt_local, dtau)."""
+    dr = r_exit - r
+    if dr == 0.0:
+        return 0.0, 0.0
+    if u_r == 0.0:
+        raise GeodesicError("stationary particle cannot reach a different radius")
+    dtau = abs(dr / u_r)
+    return u_t * dtau, dtau
 
 
 def segment_minkowski(entry: GeodesicState, r_exit: float) -> SegmentResult:
     """Uniform straight-line motion in a flat patch."""
-    dr = r_exit - entry.r
-    if dr == 0.0:
-        return SegmentResult(0.0, 0.0, entry)
-    if entry.u_r == 0.0:
-        raise GeodesicError("stationary particle cannot reach a different radius")
-    dtau = abs(dr / entry.u_r)
-    dt = entry.u_t * dtau
-    exit_state = replace(entry, r=r_exit, tau=entry.tau + dtau)
-    return SegmentResult(dt, dtau, exit_state)
+    dt, dtau = _minkowski_span(entry.r, entry.u_r, entry.u_t, r_exit)
+    if r_exit - entry.r == 0.0:
+        return SegmentResult(dt, dtau, entry)
+    return SegmentResult(dt, dtau, replace(entry, r=r_exit, tau=entry.tau + dtau))
+
+
+def _shell_transfer(mu_in: float, mu_out: float, R: float, r: float) -> float:
+    """k = sqrt(f_out / f_in) at the shell at R, for a body at r:
+    u_r(out) = k * u_r(in) and u_t(out) = u_t(in) / k."""
+    if abs(r - R) > SHELL_TOL * R:
+        raise GeodesicError(f"state at r={r} is not at shell R={R}")
+    return math.sqrt(metric_factor(mu_out, R) / metric_factor(mu_in, R))
 
 
 def cross_shell(state: GeodesicState, spacetime: ShellSpacetime, shell_index: int) -> GeodesicState:
@@ -237,17 +262,12 @@ def cross_shell(state: GeodesicState, spacetime: ShellSpacetime, shell_index: in
     patch index change.
     """
     R = spacetime.shells[shell_index]
-    if abs(state.r - R) > SHELL_TOL * R:
-        raise GeodesicError(f"state at r={state.r} is not at shell R={R}")
-    mu_in, mu_out = spacetime.shell_masses(shell_index)
-    f_in = metric_factor(mu_in, R)
-    f_out = metric_factor(mu_out, R)
+    k = _shell_transfer(*spacetime.shell_masses(shell_index), R, state.r)
     inward = state.patch_index == shell_index + 1
     if not inward and state.patch_index != shell_index:
         raise GeodesicError(
             f"state in patch {state.patch_index} is not adjacent to shell {shell_index}"
         )
-    k = math.sqrt(f_out / f_in)  # u_r(out) = k * u_r(in); u_t(out) = u_t(in)/k
     if inward:
         return replace(state, patch_index=shell_index, u_r=state.u_r / k, u_t=state.u_t * k)
     return replace(state, patch_index=shell_index + 1, u_r=state.u_r * k, u_t=state.u_t / k)
@@ -270,61 +290,86 @@ class Leg:
     segment: SegmentResult
 
 
-def release_state(spacetime: ShellSpacetime, r_i: float) -> GeodesicState:
-    outer = spacetime.n_patches - 1
-    mass = spacetime.patches[outer].mass
+def _release_u_t(mass: float, r_min: float, r_i: float) -> float:
+    """dt/dtau at rest at r_i in the outermost patch (mass, from r_min)."""
     if mass <= 0.0:
         raise NoRestoringForceError("outermost patch is flat: nothing pulls the body back")
-    if r_i < spacetime.patches[outer].r_min:
+    if r_i < r_min:
         raise GeodesicError(f"release radius {r_i} below the outermost patch")
-    E = drop_energy(mass, r_i)
-    f = metric_factor(mass, r_i)
-    return GeodesicState(patch_index=outer, r=r_i, u_r=0.0, u_t=E / f, tau=0.0)
+    return drop_energy(mass, r_i) / metric_factor(mass, r_i)
+
+
+def release_state(spacetime: ShellSpacetime, r_i: float) -> GeodesicState:
+    outer = spacetime.patches[-1]
+    u_t = _release_u_t(outer.mass, outer.r_min, r_i)
+    return GeodesicState(patch_index=spacetime.n_patches - 1, r=r_i, u_r=0.0, u_t=u_t, tau=0.0)
+
+
+def _inward_walk(masses, r_mins, shells, lapses, r_i: float) -> list[tuple]:
+    """The quarter oscillation from rest at r_i down to the center, on floats.
+
+    The operations are those of release_state, segment_schwarzschild,
+    segment_minkowski and cross_shell, in their order.  One record per patch,
+    outermost first: (patch, r_outer, r_inner, dt_local, dt_global, dtau,
+    entry (u_r, u_t, tau), exit (u_r, u_t), cycloid, eta_entry, eta_exit).
+    """
+    if masses[0] != 0.0:
+        raise NoRestoringForceError("oscillation through the center requires a flat core")
+    r, u_r, u_t, tau = r_i, 0.0, _release_u_t(masses[-1], r_mins[-1], r_i), 0.0
+    legs = []
+    for k in range(len(masses) - 1, -1, -1):
+        mass, r_target = masses[k], r_mins[k]  # r_min is 0 for the core
+        if mass > 0.0:
+            dt, dtau, u_r_out, u_t_out, *arc = _schwarzschild_span(mass, r, u_r, r_target)
+        else:
+            dt, dtau = _minkowski_span(r, u_r, u_t, r_target)
+            u_r_out, u_t_out, arc = u_r, u_t, (None, None, None)
+        entry, exit_ = (u_r, u_t, tau), (u_r_out, u_t_out)
+        legs.append((k, r, r_target, dt, lapses[k] * dt, dtau, entry, exit_, *arc))
+        r, u_r, u_t, tau = r_target, u_r_out, u_t_out, tau + dtau
+        if k > 0:
+            kappa = _shell_transfer(masses[k - 1], mass, shells[k - 1], r)
+            u_r, u_t = u_r / kappa, u_t * kappa
+    return legs
+
+
+def _four_quarters(legs: list[tuple]) -> tuple[float, float]:
+    """(Dt_global, Dtau) of the full oscillation: exactly four mirrored quarter
+    oscillations of the time-symmetric motion through the center."""
+    return 4.0 * sum(leg[4] for leg in legs), 4.0 * sum(leg[5] for leg in legs)
+
+
+def period_spans(masses, shells, r_i: float) -> tuple[float, float]:
+    """(Dt_global, Dtau) of oscillation_period(build_spacetime(stack), r_i) for
+    the center-out stack with masses[k] between shells[k - 1] (0 for the core)
+    and shells[k], bit for bit and raising the same errors, from floats alone."""
+    r_mins = (0.0, *shells)
+    lapses = stack_lapses(masses, r_mins, (*shells, None))
+    return _four_quarters(_inward_walk(masses, r_mins, shells, lapses, r_i))
+
+
+def _spacetime_walk(spacetime: ShellSpacetime, r_i: float) -> list[tuple]:
+    masses, r_mins = zip(*((p.mass, p.r_min) for p in spacetime.patches))
+    return _inward_walk(masses, r_mins, spacetime.shells, spacetime.lapses, r_i)
+
+
+def _leg(record: tuple) -> Leg:
+    k, r_outer, r_inner, dt_local, dt_global, dtau, entry, exit_, cycloid, eta_a, eta_b = record
+    entry = GeodesicState(k, r_outer, *entry)
+    exit_state = GeodesicState(k, r_inner, *exit_, entry.tau + dtau)
+    segment = SegmentResult(dt_local, dtau, exit_state, cycloid, eta_a, eta_b)
+    return Leg(k, r_outer, r_inner, dt_local, dt_global, dtau, entry, segment)
 
 
 def quarter_oscillation(spacetime: ShellSpacetime, r_i: float) -> list[Leg]:
     """Inbound legs from rest at r_i down to the center, one per patch."""
-    if spacetime.patches[0].mass != 0.0:
-        raise NoRestoringForceError(
-            "oscillation through the center requires a flat core"
-        )
-    state = release_state(spacetime, r_i)
-    legs: list[Leg] = []
-    for k in range(spacetime.n_patches - 1, -1, -1):
-        patch = spacetime.patches[k]
-        r_target = patch.r_min  # 0 for the core
-        if patch.mass > 0.0:
-            seg = segment_schwarzschild(patch.mass, state, r_target)
-        else:
-            seg = segment_minkowski(state, r_target)
-        legs.append(
-            Leg(
-                patch_index=k,
-                r_outer=state.r,
-                r_inner=r_target,
-                dt_local=seg.dt_local,
-                dt_global=spacetime.lapses[k] * seg.dt_local,
-                dtau=seg.dtau,
-                entry=state,
-                segment=seg,
-            )
-        )
-        state = seg.exit_state
-        if k > 0:
-            state = cross_shell(state, spacetime, k - 1)
-    return legs
+    return [_leg(record) for record in _spacetime_walk(spacetime, r_i)]
 
 
 def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, float, list[Leg]]:
-    """(Dt_global, Dtau, quarter legs) for one full radial oscillation.
-
-    The full period is exactly four mirrored quarter oscillations of the
-    time-symmetric motion through the center.
-    """
-    legs = quarter_oscillation(spacetime, r_i)
-    dt = 4.0 * sum(leg.dt_global for leg in legs)
-    dtau = 4.0 * sum(leg.dtau for leg in legs)
-    return dt, dtau, legs
+    """(Dt_global, Dtau, quarter legs) for one full radial oscillation."""
+    records = _spacetime_walk(spacetime, r_i)
+    return (*_four_quarters(records), [_leg(record) for record in records])
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ proper time on their first far-side excursion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from scipy.optimize import brentq
 
@@ -27,11 +27,12 @@ from .errors import (
     SearchError,
     UnattainableRatioError,
 )
+from .fields import integer, real
 from .geodesic import (
     CycloidParams,
     coordinate_time,
     eta_of_radius,
-    oscillation_period,
+    period_spans,
     proper_time,
     tangent,
 )
@@ -80,34 +81,22 @@ class SearchConfig:
     def target_ratio(self) -> float:
         return self.p / self.q
 
+    @cached_property
+    def release(self) -> tuple[CycloidParams, float]:
+        """The exterior cycloid from rest at r_i and its coordinate time there."""
+        params = CycloidParams.from_rest(self.M, self.r_i)
+        return params, coordinate_time(params, 0.0, self.r_i)
+
     @classmethod
     def from_dict(cls, doc: dict) -> "SearchConfig":
-        kwargs = dict(
-            m=_real(doc, "m"), M=_real(doc, "M"), R2=_real(doc, "R2"),
-            r_i=_real(doc, "r_i"), p=_integer(doc, "p"), q=_integer(doc, "q"),
-            R1_min=_real(doc, "R1_min"), R1_max=_real(doc, "R1_max"),
-        )
+        readers = dict(m=real, M=real, R2=real, r_i=real, p=integer, q=integer,
+                       R1_min=real, R1_max=real)
+        kwargs = {key: read(doc, key, SearchError) for key, read in readers.items()}
         if "grid" in doc:
-            kwargs["grid"] = _integer(doc, "grid")
+            kwargs["grid"] = integer(doc, "grid", SearchError)
         if "tol" in doc:
-            kwargs["root_tol"] = _real(doc, "tol")
+            kwargs["root_tol"] = real(doc, "tol", SearchError)
         return cls(**kwargs)
-
-
-def _real(doc: dict, key: str) -> float:
-    """A finite float field; a boolean, NaN or infinity is rejected, not coerced."""
-    value = doc[key]
-    if isinstance(value, bool) or not math.isfinite(float(value)):
-        raise SearchError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(doc: dict, key: str) -> int:
-    """An integer field; a fractional number or a boolean is rejected, not truncated."""
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
-        raise SearchError(f"{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -190,13 +179,6 @@ def shell_radius(config: SearchConfig, R1: float, f: float) -> float:
     return config.R2 + (R1 - config.R2) * f
 
 
-@lru_cache(maxsize=16)
-def _release(M: float, r_i: float) -> tuple[CycloidParams, float]:
-    """The exterior cycloid from rest at r_i and its coordinate time there."""
-    params = CycloidParams.from_rest(M, r_i)
-    return params, coordinate_time(params, 0.0, r_i)
-
-
 def _one_shell_period(config: SearchConfig, R: float) -> tuple[float, float]:
     """(Dt, Dtau) of oscillation_period(one_shell_spacetime(config, R), r_i), bit for
     bit: its operations in their order (exterior leg from rest at r_i to R, tangent
@@ -207,7 +189,7 @@ def _one_shell_period(config: SearchConfig, R: float) -> tuple[float, float]:
     if not 0.0 < R < r_i or metric_factor(M, R) < DEFAULT_HORIZON_MARGIN:
         return math.nan, math.nan
     f_out = metric_factor(M, R)
-    params, t_release = _release(M, r_i)
+    params, t_release = config.release
     eta = eta_of_radius(params, R)
     dt_out = abs(coordinate_time(params, eta, R) - t_release)
     dtau_out = proper_time(params, eta)  # proper_time(params, 0.0) is 0.0
@@ -234,7 +216,7 @@ def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
         raise NoSolutionAtRadius(f"no admissible f interval at R1={R1}")
     f_lo, f_hi = max(f_lo, 0.0), F_UPPER
     try:
-        dt2, dtau2, _ = oscillation_period(two_shell_spacetime(config, R1), config.r_i)
+        dt2, dtau2 = period_spans((0.0, config.m, config.M), (config.R2, R1), config.r_i)
     except (GeometryError, GeodesicError) as exc:
         raise NoSolutionAtRadius(f"two-shell branch invalid at R1={R1}: {exc}") from exc
     rate2 = dtau2 / dt2
@@ -278,7 +260,17 @@ def period_ratio_curve(config: SearchConfig) -> list[tuple[float, float, float]]
 
 def solve_switch_configuration(config: SearchConfig) -> SwitchSolution:
     """Solve both conditions: returns the geometry with Dt1/Dt2 = p/q on the
-    contour, carrying the contour it traced as `curve`."""
+    contour, carrying the contour it traced as `curve`.  Where the ratio is so
+    steep in f that an f root within root_tol leaves the R1 root off and a
+    residual above residual_tol, the solve is repeated with root_tol / 100."""
+    solution = _solve(config)
+    if max(abs(solution.clock_residual), abs(solution.ratio_residual)) > config.residual_tol:
+        solution = _solve(replace(config, root_tol=config.root_tol / 100.0))
+    _validate_solution(solution)
+    return solution
+
+
+def _solve(config: SearchConfig) -> SwitchSolution:
     curve = period_ratio_curve(config)
     if len(curve) < 2:
         raise SearchError("contour could not be traced over the R1 grid")
@@ -291,12 +283,20 @@ def solve_switch_configuration(config: SearchConfig) -> SwitchSolution:
     if bracket is None:
         raise UnattainableRatioError(target, min(ratios), max(ratios))
 
+    # brentq starts at the bracket ends, grid points of the curve, and returns
+    # an abscissa it evaluated: none of the three is solved again
+    traced = {R1: ratio for R1, _, ratio in curve}
+    points = {}
+
     def g(R1: float) -> float:
-        return solve_contour(R1, config).ratio - target
+        if R1 in traced:
+            return traced[R1] - target
+        points[R1] = solve_contour(R1, config)
+        return points[R1].ratio - target
 
     R1_star = brentq(g, bracket[0], bracket[1], xtol=config.root_tol, rtol=8.9e-16)
-    pt = solve_contour(R1_star, config)
-    solution = SwitchSolution(
+    pt = points.get(R1_star) or solve_contour(R1_star, config)
+    return SwitchSolution(
         R1=pt.R1, f=pt.f, R=shell_radius(config, pt.R1, pt.f),
         dt1=pt.dt1, dtau1=pt.dtau1, dt2=pt.dt2, dtau2=pt.dtau2,
         achieved_ratio=pt.ratio,
@@ -305,8 +305,6 @@ def solve_switch_configuration(config: SearchConfig) -> SwitchSolution:
         config=config,
         curve=tuple(curve),
     )
-    _validate_solution(solution)
-    return solution
 
 
 def _validate_solution(sol: SwitchSolution) -> None:
@@ -324,7 +322,7 @@ def _validate_solution(sol: SwitchSolution) -> None:
 
 def _exterior_spans(config: SearchConfig, r: float) -> tuple[float, float]:
     """(t, tau) spans from rest at r_i down to r in the shared exterior metric."""
-    params = CycloidParams.from_rest(config.M, config.r_i)
+    params = config.release[0]
     eta = eta_of_radius(params, r)
     return coordinate_time(params, eta, r), proper_time(params, eta)
 

@@ -70,6 +70,26 @@ class TestValidate:
         cfg = write(tmp_path, "empty.json", {"nope": 1})
         assert main(["validate", "--config", cfg]) in (EXIT_INPUT, EXIT_INVALID)
 
+    @pytest.mark.parametrize("patch, field, value", [
+        (1, "mass", float("nan")), (0, "r_max", float("inf")), (1, "r_min", float("-inf")),
+        (1, "mass", "3"), (0, "r_min", False), (1, "mass", 10**400),
+    ])
+    def test_non_finite_patch_field_exits_1(self, tmp_path, capsys, patch, field, value):
+        # a NaN mass or an infinite radius used to exit 0 with NaN lapses
+        doc = json.loads(json.dumps(ONE_SHELL))
+        doc["patches"][patch][field] = value
+        cfg = write(tmp_path, "st.json", doc)
+        for command in ("validate", "stress", "period"):
+            assert main([command, "--config", cfg]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"INPUT ERROR: {field} must be a finite number, got {value!r}" in captured.err
+
+    def test_period_release_must_be_finite(self, tmp_path, capsys):
+        cfg = write(tmp_path, "st.json", dict(ONE_SHELL, r_i=float("nan")))
+        assert main(["period", "--config", cfg]) == EXIT_INPUT
+        assert "INPUT ERROR: r_i must be a finite number" in capsys.readouterr().err
+
 
 class TestPeriodStress:
     def test_period_output(self, tmp_path, capsys):
@@ -177,6 +197,17 @@ class TestSearch:
         assert err.startswith("INPUT ERROR: search config: ") and field in err
         assert calls == []
 
+    @pytest.mark.parametrize("field", ["M", "tol"])
+    def test_string_float_field_exits_1(self, tmp_path, capsys, monkeypatch, field):
+        # "M": "3" used to be converted and solved; a string is not a number
+        calls = []
+        monkeypatch.setattr(shellswitch.search, "solve_contour", lambda *a: calls.append(a))
+        cfg = write(tmp_path, "search.json", dict(SEARCH, **{field: "3"}))
+        assert main(["search", "--config", cfg]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"INPUT ERROR: search config: {field} must be a finite number, got '3'" in err
+        assert calls == []
+
     def test_zero_tol_flag_exits_1(self, tmp_path, capsys):
         cfg = write(tmp_path, "search.json", SEARCH)
         assert main(["search", "--config", cfg, "--tol", "0"]) == EXIT_INPUT
@@ -277,6 +308,18 @@ class TestLightray:
         cfg = write(tmp_path, "ray.json", dict(doc, diametral="false"))
         assert main(["lightray", "--config", cfg]) == EXIT_INPUT
         assert "diametral must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("r_a", float("nan")), ("r_b", float("inf")), ("r_a", "7"), ("r_b", True),
+    ])
+    def test_non_finite_radius_exits_1(self, tmp_path, capsys, field, value):
+        # r_a = NaN used to exit 0 with {"dt_global": NaN}
+        doc = json.loads((CONFIGS / "lightray_one_shell.json").read_text())
+        cfg = write(tmp_path, "ray.json", dict(doc, **{field: value}))
+        assert main(["lightray", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"INPUT ERROR: {field} must be a finite number, got {value!r}" in captured.err
 
     def test_branch_mode_bad_config_exits_1(self, tmp_path, capsys):
         cfg = write(tmp_path, "ray.json", dict(SEARCH, q=0, r_a=12.0, r_b=12.0))

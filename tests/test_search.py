@@ -21,7 +21,9 @@ from shellswitch.errors import (
     SearchError,
     UnattainableRatioError,
 )
-from shellswitch.geodesic import oscillation_period
+import shellswitch.geodesic
+import shellswitch.spacetime
+from shellswitch.geodesic import oscillation_period, period_spans
 from shellswitch.search import (
     _one_shell_period,
     one_shell_spacetime,
@@ -124,9 +126,9 @@ class TestContour:
 
 
 def general_period(config, R):
-    """One-shell (Dt, Dtau) through oscillation_period; (NaN, NaN) where it raises."""
+    """One-shell (Dt, Dtau) through the general walk; (NaN, NaN) where it raises."""
     try:
-        dt, dtau, _ = oscillation_period(one_shell_spacetime(config, R), config.r_i)
+        dt, dtau = period_spans((0.0, config.M), (R,), config.r_i)
     except (GeometryError, GeodesicError):
         return math.nan, math.nan
     return dt, dtau
@@ -158,8 +160,8 @@ def residual_inputs(draw):
 
 
 class TestClosedFormResidual:
-    """The search evaluates the one-shell period in closed form; it must be
-    oscillation_period's (Dt, Dtau) bit for bit, and NaN exactly where that raises."""
+    """The search evaluates the one-shell period in closed form; it must be the
+    general walk's (Dt, Dtau) bit for bit, and NaN exactly where that raises."""
 
     @given(residual_inputs())
     @settings(max_examples=400, deadline=None)
@@ -196,26 +198,29 @@ class TestClosedFormResidual:
 
 
 def test_hoisted_work_per_contour_point(monkeypatch):
-    """The two-shell period is the only general period evaluation per R1; the
-    f scan, its refinement and the contour point's one-shell period build no
-    spacetime.  The bound leaves room for one more per R1."""
+    """Each contour point computes its two-shell period with one float-only walk
+    and builds no spacetime; the outer root solves no point the curve or its
+    own iterations already hold, so the grid-24 solve makes 24 + 4 points."""
     counts = Counter()
 
-    def counting(name):
-        original = getattr(shellswitch.search, name)
+    def count(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return original(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("oscillation_period", "build_spacetime", "solve_contour"):
-        monkeypatch.setattr(shellswitch.search, name, counting(name))
+    for name in ("solve_contour", "period_spans", "build_spacetime"):
+        count(shellswitch.search, name)
+    count(shellswitch.spacetime, "build_spacetime")
+    count(shellswitch.geodesic, "oscillation_period")
     solve_switch_configuration(SearchConfig(grid=24, **REFERENCE))
-    assert counts["solve_contour"] >= 24
-    assert counts["oscillation_period"] <= 2 * counts["solve_contour"]
-    assert counts["build_spacetime"] <= 2 * counts["solve_contour"]
+    assert counts["solve_contour"] == 28
+    assert counts["period_spans"] == counts["solve_contour"]
+    assert counts["oscillation_period"] == 0
+    assert counts["build_spacetime"] == 0
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +281,20 @@ class TestSolution:
         sol = solve_switch_configuration(cfg)
         assert sol.R1 == pytest.approx(ref_solution.R1, abs=1e-8)
         assert sol.f == pytest.approx(ref_solution.f, abs=1e-8)
+
+    def test_steep_contour_solves_with_tighter_root(self):
+        # here the period ratio moves ~2e4 per unit f: an f root within the
+        # default 1e-10 left R1 1e-5 off with a clock residual of 1.04e-8, and
+        # the solve failed; it is repeated at root_tol / 100 instead
+        config = SearchConfig(
+            m=1.982769840947147, M=2.9026069070469456, R2=3.9655875460951253,
+            r_i=12.152849338001285, p=7, q=8, R1_min=9.0, R1_max=11.5, grid=40,
+        )
+        solution = solve_switch_configuration(config)
+        assert solution.config.root_tol == 1e-12
+        assert abs(solution.clock_residual) < 1e-12
+        assert abs(solution.ratio_residual) < 1e-11
+        assert solution.R1 == pytest.approx(11.1992981071, abs=1e-9)
 
     def test_unattainable_ratio(self):
         cfg = SearchConfig(**dict(REFERENCE, p=1, q=2), grid=16)
