@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import GeometryError, InputError, SearchError, ShellSwitchError
-from .fields import real
+from .fields import amplitude, finite, real
 from .geodesic import (
     diametral_crossing_time,
     null_crossing_time,
@@ -55,7 +55,7 @@ def _load_json(path: str) -> dict:
 
 
 def _dump_json(doc, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -211,15 +211,15 @@ def cmd_lightray(args) -> int:
 
 def cmd_switch(args) -> int:
     doc = _load_json(args.config)
-    B = sw.OperatorSpec.from_json(doc["B"])
-    psi = [complex(re, im) for re, im in doc["psi"]]
+    B = sw.OperatorSpec.from_json(doc["B"], name="B")
+    psi = [amplitude(z, f"psi[{i}]") for i, z in enumerate(doc["psi"])]
     if "C" in doc and "D" in doc:
-        C = sw.OperatorSpec.from_json(doc["C"])
-        D = sw.OperatorSpec.from_json(doc["D"])
+        C = sw.OperatorSpec.from_json(doc["C"], name="C")
+        D = sw.OperatorSpec.from_json(doc["D"], name="D")
         slots = sw.broken_switch_slots(C, D, B)
         orders = {"M1": ["B", "C"], "M2": ["D", "B"]}
     else:
-        slots = sw.switch_slots(sw.OperatorSpec.from_json(doc["A"]), B)
+        slots = sw.switch_slots(sw.OperatorSpec.from_json(doc["A"], name="A"), B)
         o1, o2 = sw.SWITCH_ORDERS
         orders = {"M1": list(o1), "M2": list(o2)}
     joint = sw.run_general_protocol(slots, psi)
@@ -267,9 +267,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def margin(text: str) -> float:
+    """A --horizon-margin value: a finite number (the fields rule), not negative."""
+    if finite(float(text), "the margin", argparse.ArgumentTypeError) < 0.0:
+        raise argparse.ArgumentTypeError(f"the margin must be >= 0, got {text}")
+    return float(text)
+
+
 FLAGS = {
     "--horizon-margin": dict(
-        type=float, default=DEFAULT_HORIZON_MARGIN,
+        type=margin, default=DEFAULT_HORIZON_MARGIN,
         help="relative shell-horizon clearance required at validation",
     ),
     "--ratio": dict(default=None, help="target ratio as p/q"),

@@ -8,13 +8,23 @@ from .errors import InputError
 FLOAT_MAX = sys.float_info.max
 
 
-def real(doc: dict, key: str, error: type[Exception] = InputError) -> float:
-    """A finite float field; an integer too large for a float is not finite."""
-    value = doc[key]
+def finite(value, name: str, error: type[Exception] = InputError) -> float:
+    """A finite float; an integer too large for a float is not finite."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not number or not abs(value) <= FLOAT_MAX:
-        raise error(f"{key} must be a finite number, got {value!r}")
+        raise error(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def real(doc: dict, key: str, error: type[Exception] = InputError) -> float:
+    """A finite float field."""
+    return finite(doc[key], key, error)
+
+
+def amplitude(pair, name: str) -> complex:
+    """A complex number given as a [re, im] pair of finite numbers."""
+    re, im = pair
+    return complex(finite(re, f"{name}[0]"), finite(im, f"{name}[1]"))
 
 
 def integer(doc: dict, key: str, error: type[Exception] = InputError) -> int:

@@ -28,6 +28,8 @@ from .spacetime import ShellSpacetime, metric_factor, stack_lapses
 
 SHELL_TOL = 1e-12  # |r - R| <= SHELL_TOL * R counts as "at the shell"
 APOAPSIS_CLAMP = 1e-14
+ETA_GUARD = 1e-11  # sampling evaluates t(eta) only this near the Newton estimate
+NEWTON_STEPS, NEWTON_TOL = 30, 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +377,55 @@ def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, fl
 # ---------------------------------------------------------------------------
 # Trajectory sampling in global time
 
-def _invert_leg(leg: Leg, t_in_leg: float) -> tuple[float, float]:
+def _eta_estimate(params: CycloidParams, lo, hi, eta, t0, t_local_target) -> float:
+    """Root of t(eta) - t0 = t_local_target by Newton from eta, stepping in
+    s = log(eta_horizon - eta) so that near-horizon legs converge fast too; an
+    unconverged step that leaves the sign bracket bisects it; NaN after NEWTON_STEPS."""
+    eta_h, two_m, scale = params.eta_horizon, 2.0 * params.mass, params.energy * params.tau_scale
+    for _ in range(NEWTON_STEPS):
+        r = radius(params, eta)
+        g = coordinate_time(params, eta, r) - t0 - t_local_target
+        lo, hi = (eta, hi) if g < 0.0 else (lo, eta)
+        dt_deta = scale * r / (r - two_m) * (1.0 + math.cos(eta))
+        new = eta_h - (eta_h - eta) * math.exp(min(g / (dt_deta * (eta_h - eta)), 1.0))
+        if abs(new - eta) <= NEWTON_TOL:
+            return new
+        eta = new if lo < new < hi else 0.5 * (lo + hi)
+    return math.nan
+
+
+def _bisect_eta(params: CycloidParams, lo, hi, t0, t_local_target, estimate) -> float:
+    """Bisect t(eta) - t0 = t_local_target to 1e-12 in eta, deciding midpoints
+    farther than ETA_GUARD from the estimate by their side of it.  A final lo or
+    hi so decided is evaluated: the float predicate is monotone at scales far
+    above its rounding (if float error in t(eta) - t0 is far below ETA_GUARD *
+    t'(eta)), so P(lo) and not P(hi) prove that every guess matched plain
+    bisection, whose result this is to the last bit; NaN if they do not."""
+    guessed_lo = guessed_hi = False
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if mid < estimate - ETA_GUARD:
+            lo, guessed_lo = mid, True
+        elif mid > estimate + ETA_GUARD:
+            hi, guessed_hi = mid, True
+        elif coordinate_time(params, mid) - t0 < t_local_target:
+            lo, guessed_lo = mid, False
+        else:
+            hi, guessed_hi = mid, False
+    if (guessed_lo and not coordinate_time(params, lo) - t0 < t_local_target
+            or guessed_hi and coordinate_time(params, hi) - t0 < t_local_target):
+        return math.nan
+    return 0.5 * (lo + hi)
+
+
+def _leg_origin(leg: Leg) -> tuple[float, float] | None:
+    """(t, tau) of a Schwarzschild leg's cycloid at its entry; None if flat."""
+    params, eta = leg.segment.cycloid, leg.segment.eta_entry
+    return None if params is None else (
+        coordinate_time(params, eta, leg.r_outer), proper_time(params, eta))
+
+
+def _invert_leg(leg: Leg, origin: tuple[float, float] | None, t_in_leg: float) -> tuple[float, float]:
     """(r, tau elapsed within leg) at global-time offset t_in_leg from leg start."""
     seg = leg.segment
     if t_in_leg <= 0.0:
@@ -385,32 +435,25 @@ def _invert_leg(leg: Leg, t_in_leg: float) -> tuple[float, float]:
     if seg.cycloid is None:
         # flat patch: r and tau are linear in t
         frac = t_in_leg / leg.dt_global
-        return (
-            leg.r_outer + frac * (leg.r_inner - leg.r_outer),
-            frac * leg.dtau,
-        )
-    params = seg.cycloid
+        return leg.r_outer + frac * (leg.r_inner - leg.r_outer), frac * leg.dtau
+    params, (t0, tau0) = seg.cycloid, origin
     t_local_target = t_in_leg / (leg.dt_global / leg.dt_local)
-    t0 = coordinate_time(params, seg.eta_entry, leg.r_outer)
+    # t(eta) is strictly increasing on the inbound branch
     lo, hi = seg.eta_entry, seg.eta_exit
-    # t(eta) is strictly increasing on the inbound branch; bisect to 1e-12 in eta
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if coordinate_time(params, mid) - t0 < t_local_target:
-            lo = mid
-        else:
-            hi = mid
-    eta = 0.5 * (lo + hi)
-    tau0 = proper_time(params, seg.eta_entry)
+    guess = lo + (hi - lo) * t_in_leg / leg.dt_global
+    estimate = _eta_estimate(params, lo, hi, guess, t0, t_local_target)
+    eta = _bisect_eta(params, lo, hi, t0, t_local_target, estimate)
+    if math.isnan(eta):
+        eta = _bisect_eta(params, lo, hi, t0, t_local_target, math.nan)  # no guesses
     return radius(params, eta), proper_time(params, eta) - tau0
 
 
-def _quarter_sample(legs: list[Leg], t_quarter_offset: float) -> tuple[float, float]:
+def _quarter_sample(legs: list[Leg], origins: list, t_quarter_offset: float) -> tuple[float, float]:
     """(r, tau) within the inbound quarter at global-time offset from release."""
     t0 = 0.0
-    for leg in legs:
+    for leg, origin in zip(legs, origins):
         if t_quarter_offset <= t0 + leg.dt_global or leg is legs[-1]:
-            r, dtau = _invert_leg(leg, t_quarter_offset - t0)
+            r, dtau = _invert_leg(leg, origin, t_quarter_offset - t0)
             return r, leg.entry.tau + dtau
         t0 += leg.dt_global
     raise AssertionError("unreachable")
@@ -423,20 +466,18 @@ def trajectory(
     if sample_count <= 0:
         raise GeodesicError("sample_count must be positive")
     dt_period, dtau_period, legs = oscillation_period(spacetime, r_i)
-    t_quarter = dt_period / 4.0
-    t_half = dt_period / 2.0
-    tau_quarter = dtau_period / 4.0
-    tau_half = dtau_period / 2.0
+    origins = [_leg_origin(leg) for leg in legs]
+    t_quarter, t_half, tau_half = dt_period / 4.0, dt_period / 2.0, dtau_period / 2.0
 
     samples = []
     for i in range(sample_count):
         t = t_global_max * i / (sample_count - 1) if sample_count > 1 else 0.0
         n_half, rem = divmod(t, t_half)
         if rem <= t_quarter:
-            r, tau_q = _quarter_sample(legs, rem)
+            r, tau_q = _quarter_sample(legs, origins, rem)
             tau = n_half * tau_half + tau_q
         else:
-            r, tau_q = _quarter_sample(legs, t_half - rem)
+            r, tau_q = _quarter_sample(legs, origins, t_half - rem)
             tau = (n_half + 1.0) * tau_half - tau_q
         samples.append((t, r, tau))
     return samples

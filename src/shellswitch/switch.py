@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ScheduleError
+from .fields import amplitude
 from .search import MeetingEvent, SwitchSolution
 
 UNITARITY_TOL = 1e-12
@@ -73,9 +74,10 @@ class OperatorSpec:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_json(cls, entries: list, unitary: bool = True) -> "OperatorSpec":
-        """Entries as nested [[ [re, im], ... ], ...]."""
-        m = np.array([[complex(re, im) for re, im in row] for row in entries])
+    def from_json(cls, entries: list, unitary: bool = True, name: str = "operator") -> "OperatorSpec":
+        """Entries as nested [[ [re, im], ... ], ...] of finite numbers."""
+        m = np.array([[amplitude(z, f"{name}[{i}][{j}]") for j, z in enumerate(row)]
+                      for i, row in enumerate(entries)])
         return cls(matrix=m, unitary=unitary)
 
     def to_json(self) -> list:

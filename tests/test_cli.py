@@ -3,8 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import shellswitch.cli
 import shellswitch.search
 from shellswitch.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_INVALID, EXIT_OK, main
 from shellswitch.errors import NoSolutionAtRadius
@@ -56,6 +58,22 @@ class TestValidate:
         cfg = write(tmp_path, "bad.json", bad)
         assert main(["validate", "--config", cfg]) == EXIT_INVALID
         assert "INVALID" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("margin", ["nan", "inf", "-1"])
+    def test_margin_must_be_finite_and_not_negative(self, tmp_path, capsys, margin):
+        # a shell 1e-12 above 2M = 6 fails the default margin; no flag value
+        # may switch that check off
+        near = {"patches": [
+            {"mass": 0.0, "r_min": 0.0, "r_max": 6.000000000006},
+            {"mass": 3.0, "r_min": 6.000000000006, "r_max": None},
+        ]}
+        cfg = write(tmp_path, "near.json", near)
+        assert main(["validate", "--config", cfg]) == EXIT_INVALID
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--config", cfg, "--horizon-margin", margin])
+        assert exc.value.code == EXIT_INPUT
+        assert "--horizon-margin" in capsys.readouterr().err
 
     def test_truncated_json_exits_1(self, tmp_path, capsys):
         path = tmp_path / "trunc.json"
@@ -354,6 +372,38 @@ class TestSwitch:
         with_A = capsys.readouterr().out
         assert main(["switch", "--config", write(tmp_path, "sw.json", doc)]) == EXIT_OK
         assert capsys.readouterr().out == with_A
+
+    @pytest.mark.parametrize("field, path, value", [
+        ("psi", (0, 0), float("nan")),
+        ("psi", (1, 1), float("-inf")),
+        ("psi", (0, 0), True),
+        ("A", (0, 1, 0), float("nan")),
+        ("B", (1, 1, 1), float("inf")),
+        ("B", (0, 0, 0), "1"),
+    ])
+    def test_non_finite_amplitude_exits_1(self, tmp_path, capsys, field, path, value):
+        doc = json.loads(json.dumps(PAULI))
+        *outer, last = path
+        entry = doc[field]
+        for i in outer:
+            entry = entry[i]
+        entry[last] = value
+        cfg = write(tmp_path, "sw.json", doc)  # NaN and Infinity as bare tokens
+        assert main(["switch", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = field + "".join(f"[{i}]" for i in path)
+        assert f"{name} must be a finite number" in captured.err
+
+    def test_output_json_is_finite(self, tmp_path, capsys, monkeypatch):
+        # a non-finite number that reached the output would not be JSON
+        monkeypatch.setattr(shellswitch.cli.sw, "measure_control_diagonal",
+                            lambda joint, sign: shellswitch.cli.sw.MeasurementResult(
+                                np.zeros(2), float("nan")))
+        out = tmp_path / "out.json"
+        cfg = write(tmp_path, "sw.json", PAULI)
+        assert main(["switch", "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
 
     def test_non_unitary_operator_rejected(self, tmp_path, capsys):
         doc = dict(PAULI, A=[[[2, 0], [0, 0]], [[0, 0], [1, 0]]])

@@ -26,7 +26,13 @@ from shellswitch.errors import (
     NoRestoringForceError,
     UnboundGeodesicError,
 )
+from shellswitch import geodesic
 from shellswitch.geodesic import (
+    Leg,
+    _bisect_eta,
+    _eta_estimate,
+    _invert_leg,
+    _leg_origin,
     coordinate_time,
     diametral_crossing_time,
     eta_of_radius,
@@ -39,7 +45,7 @@ from shellswitch.geodesic import (
 )
 from shellswitch.spacetime import DEFAULT_HORIZON_MARGIN, metric_factor
 
-from oracles import quad_spans
+from oracles import invert_leg_bisection, quad_spans
 
 
 def one_shell(M, R):
@@ -376,6 +382,91 @@ class TestTrajectory:
     def test_bad_sample_count(self):
         with pytest.raises(GeodesicError):
             trajectory(m2_reference(), 12.0, 10.0, 0)
+
+    def test_coordinate_time_calls_per_sample(self, monkeypatch):
+        """Work pin: the guided bisection evaluates t(eta) about 10 times per
+        Schwarzschild-leg sample, where plain bisection took about 41."""
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return coordinate_time(*args)
+
+        st_ = build_spacetime([
+            PatchSpec(0.0, 0.0, 4.0), PatchSpec(1.9, 4.0, 9.0), PatchSpec(3.0, 9.0, None),
+        ])
+        dt, _, _ = oscillation_period(st_, 12.0)
+        monkeypatch.setattr(geodesic, "coordinate_time", counted)
+        samples = trajectory(st_, 12.0, 2.0 * dt, 500)
+        inverted = sum(4.0 < r < 12.0 for _, r, _ in samples)
+        assert inverted > 300
+        assert len(calls) <= 16 * inverted
+
+
+def leg_from(mass, r_apo, r_entry, r_exit, lapse):
+    """The Schwarzschild leg from r_entry down to r_exit on the rest-release
+    cycloid from r_apo, with global time lapse * local time."""
+    params = CycloidParams.from_rest(mass, r_apo)
+    U0, U1 = tangent(params, eta_of_radius(params, r_entry), r_entry)
+    entry = GeodesicState(1, r_entry, U1, U0, 0.0)
+    seg = segment_schwarzschild(mass, entry, r_exit)
+    return Leg(1, r_entry, r_exit, seg.dt_local, lapse * seg.dt_local, seg.dtau, entry, seg)
+
+
+@st.composite
+def legs(draw):
+    """(leg, t_in_leg): exits anywhere down to within 1e-9 of the horizon,
+    entries from rest or mid-flight, and targets across the leg."""
+    mass = draw(st.floats(0.1, 5.0))
+    horizon = 2.0 * mass
+    r_apo = horizon * (1.0 + draw(st.floats(2e-3, 20.0)))
+    r_exit = draw(st.one_of(
+        st.floats(-9.0, -3.0).map(lambda x: horizon * (1.0 + 10.0**x)),
+        st.floats(0.01, 0.99).map(lambda u: horizon + (r_apo - horizon) * u),
+    ))
+    v = draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+    leg = leg_from(mass, r_apo, r_exit + (r_apo - r_exit) * v, r_exit, draw(st.floats(0.01, 100.0)))
+    return leg, leg.dt_global * draw(st.floats(1e-6, 1.0 - 1e-6))
+
+
+class TestGuidedBisection:
+    """The Newton-guided, certified bisection returns plain bisection's bits."""
+
+    @given(legs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_plain_bisection(self, drawn):
+        leg, t = drawn
+        got = _invert_leg(leg, _leg_origin(leg), t)
+        assert [x.hex() for x in got] == [x.hex() for x in invert_leg_bisection(leg, t)]
+
+    @pytest.mark.parametrize("r_exit", [6.000000011999999, 9.0])
+    def test_wrong_estimate(self, monkeypatch, r_exit):
+        """A wrong estimate gives NaN or the plain bits, never other bits; on
+        NaN the sampler reruns the loop unguided and still returns them."""
+        leg = leg_from(3.0, 12.0, 12.0, r_exit, 1.0)
+        params, seg = leg.segment.cycloid, leg.segment
+        origin = _leg_origin(leg)
+        t0 = origin[0]
+        lo, hi = seg.eta_entry, seg.eta_exit
+        offsets = [s * 10.0**k for k in range(-10, 0) for s in (1.0, -1.0)]
+        refused = 0
+        for frac in (0.01, 0.3, 0.7, 0.999):
+            t = frac * leg.dt_global
+            target = t / (leg.dt_global / leg.dt_local)
+            plain = _bisect_eta(params, lo, hi, t0, target, math.nan)
+            reference = invert_leg_bisection(leg, t)
+            estimate = _eta_estimate(params, lo, hi, lo, t0, target)
+            assert abs(estimate - plain) < geodesic.ETA_GUARD
+            assert _bisect_eta(params, lo, hi, t0, target, estimate) == plain
+            for offset in offsets:
+                guided = _bisect_eta(params, lo, hi, t0, target, estimate + offset)
+                refused += math.isnan(guided)
+                assert math.isnan(guided) or guided == plain
+                monkeypatch.setattr(geodesic, "_eta_estimate", lambda *a: estimate + offset)
+                got = _invert_leg(leg, origin, t)
+                monkeypatch.undo()
+                assert got == reference
+        assert refused > 0
 
 
 class TestNullRays:

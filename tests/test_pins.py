@@ -103,6 +103,32 @@ TRAJECTORY = [
 ]
 
 
+# (PERIODS row, t_max.hex(), {row: (t_global, r, tau)}) of 64-sample
+# trajectories, recorded at e600cc5 before the sampler's bisection was guided
+# by a Newton estimate: the outer leg of the 6.000000011999999 shell, which
+# ends 2e-9 above its horizon, and 1.5 periods of a 4- and a 6-shell stack
+STACK_TRAJECTORIES = [
+    (4, '0x1.2a60d870cd14bp+7', {
+        10: ('0x1.7ae4a111456fap+4', '0x1.2c2c066522936p+3', '0x1.e857d69dede49p+3'),
+        40: ('0x1.7ae4a111456fap+6', '0x1.8001b8c16cc99p+2', '0x1.5d053fd45ec64p+4'),
+        60: ('0x1.1c2b78ccf413bp+7', '0x1.8000002a19af4p+2', '0x1.5d05db9a798cdp+4'),
+        62: ('0x1.25a4633a2f69bp+7', '0x1.800000131e448p+2', '0x1.5d05dba299a6fp+4'),
+    }),
+    (14, '0x1.1355e76272853p+8', {
+        3: ('0x1.a38f1771718dfp+3', '0x1.c757aa8f216abp+2', '0x1.2962ecae405e9p+3'),
+        6: ('0x1.a38f1771718dfp+4', '0x1.16dd1e136a3f5p+2', '0x1.f2ce422b2c516p+3'),
+        16: ('0x1.17b4ba4ba1095p+6', '0x1.5059e575c8f0ap+2', '0x1.65a5095e2b8c1p+4'),
+        44: ('0x1.80988027fd6cdp+7', '0x1.f1fecb39abbbap+2', '0x1.3c81ba52c9762p+6'),
+    }),
+    (18, '0x1.844aab8ade636p+6', {
+        2: ('0x1.8a747d80e1eb1p+1', '0x1.8b4639931e564p+1', '0x1.1a4030db304adp+1'),
+        5: ('0x1.ed119ce11a65dp+2', '0x1.27153693ffd0ap+1', '0x1.4f68ac99ac159p+2'),
+        8: ('0x1.8a747d80e1eb1p+3', '0x1.2b61b85bc9569p+0', '0x1.e390a52510999p+2'),
+        45: ('0x1.1559e83e9ed94p+6', '0x1.70eb4d95d0c17p+1', '0x1.2ab77aca384efp+5'),
+    }),
+]
+
+
 def stack(masses, shells):
     bounds = (0.0, *shells, None)
     return build_spacetime([PatchSpec(m, bounds[k], bounds[k + 1]) for k, m in enumerate(masses)])
@@ -154,3 +180,10 @@ def test_trajectory_rows(solved):
     for branch, row, recorded in TRAJECTORY:
         samples = trajectory(branches[branch], config.r_i, t_max, 64)
         assert tuple(x.hex() for x in samples[row]) == recorded
+
+
+@pytest.mark.parametrize("index, t_max, rows", STACK_TRAJECTORIES)
+def test_stack_trajectory_rows(index, t_max, rows):
+    masses, shells, r_i, _ = PERIODS[index]
+    samples = trajectory(stack(masses, shells), r_i, float.fromhex(t_max), 64)
+    assert {row: tuple(x.hex() for x in samples[row]) for row in rows} == rows
