@@ -55,7 +55,11 @@ def _load_json(path: str) -> dict:
 
 
 def _dump_json(doc, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
+    except ValueError as exc:
+        # the inputs are checked finite: a NaN or infinity here is the program's
+        raise ShellSwitchError(f"output holds a non-finite number: {exc}") from exc
     if path is None:
         sys.stdout.write(text)
     else:

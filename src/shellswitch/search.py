@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (
@@ -43,6 +44,9 @@ from .spacetime import (
 F_MARGIN = 1e-6        # radial margin 1e-6 * R1 above 2M for the f bracket
 F_UPPER = 1.0 - 1e-6
 BRACKET_SCAN = 64      # f subdivisions used to find the first sign change
+SCAN_GUARD = 1e-12     # a numpy scan residual this near zero is evaluated exactly
+SCAN_BLOCK = 32        # R1 grid points per numpy scan pass, bounding its memory
+_SCAN_STEPS = np.arange(BRACKET_SCAN + 1.0)
 
 
 @dataclass(frozen=True)
@@ -207,21 +211,71 @@ def ratio_residual(R1: float, f: float, config: SearchConfig, rate2: float) -> f
     return dtau1 / dt1 - rate2
 
 
-def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
-    """Both branch periods at the first root (in ascending f) of the
-    equal-clock-rate residual at fixed R1.  The two-shell period depends on R1
-    alone, so it is computed once and only the one-shell branch varies with f."""
-    f_lo = (2.0 * config.M + F_MARGIN * R1 - config.R2) / (R1 - config.R2)
+def _one_shell_rates(config: SearchConfig, R: np.ndarray) -> np.ndarray:
+    """Dtau1/Dt1 of _one_shell_period at each radius of R, from its float
+    operations in its order on numpy.  NaN where it returns NaN or either span
+    is not finite; wherever it raises, the rate is therefore not finite.
+    numpy's transcendentals may differ from math's in the last bits, so these
+    rates only choose a bracket."""
+    M, r_i = config.M, config.r_i
+    params, t_release = config.release
+    r_apo = params.r_apo
+    with np.errstate(all="ignore"):
+        f_out = (R - 2.0 * M) / R
+        eta = 2.0 * np.arccos(np.sqrt(R / r_apo))
+        sin_eta, tan_e = np.sin(eta), np.tan(0.5 * eta)
+        poly = params.t_scale * (0.5 * (eta + sin_eta) + params.one_minus_E2 * eta)
+        log_term = 2.0 * M * np.log(
+            (params.tan_h + tan_e) ** 2 * (2.0 * M * R) / (r_apo * (R - 2.0 * M))
+        )
+        dt_out = np.abs(poly + log_term - t_release)
+        dtau_out = params.tau_scale * (eta + sin_eta)
+        u_t = params.energy * R / (R - 2.0 * M)
+        k = np.sqrt(f_out)
+        dtau_core = R / (np.abs(params.u_scale * tan_e) / k)
+        dt_core = np.sqrt(1.0 / f_out) * (u_t * k * dtau_core)
+        dt1, dtau1 = 4.0 * (dt_out + dt_core), 4.0 * (dtau_out + dtau_core)
+        valid = ((0.0 < R) & (R < r_i) & (f_out >= DEFAULT_HORIZON_MARGIN)
+                 & np.isfinite(dt1) & np.isfinite(dtau1))
+        return np.where(valid, dtau1 / dt1, np.nan)
+
+
+def _scan_block(R1s: list[float], config: SearchConfig):
+    """The f scans of the R1s in one numpy pass: per row the lower f end (before
+    its admissibility check), the BRACKET_SCAN + 1 scan abscissae and the
+    one-shell clock rate at each."""
+    f_los = [(2.0 * config.M + F_MARGIN * R1 - config.R2) / (R1 - config.R2) for R1 in R1s]
+    lo = np.array([max(f_lo, 0.0) for f_lo in f_los])[:, None]
+    fs = lo + (F_UPPER - lo) * _SCAN_STEPS / BRACKET_SCAN
+    R = config.R2 + (np.array(R1s)[:, None] - config.R2) * fs
+    return f_los, fs.tolist(), _one_shell_rates(config, R)
+
+
+def _scan_residuals(R1: float, fs: list[float], rates: np.ndarray,
+                    config: SearchConfig, rate2: float) -> list[float]:
+    """ratio_residual at each scan abscissa: the numpy rate minus rate2 where that
+    is finite and farther than SCAN_GUARD from zero, so its sign is the exact
+    residual's; ratio_residual itself everywhere else, in ascending f."""
+    with np.errstate(all="ignore"):
+        vals = rates - rate2
+        redo = np.flatnonzero(~(np.abs(vals) > SCAN_GUARD) | ~np.isfinite(vals))
+    vals = vals.tolist()
+    for j in redo.tolist():
+        vals[j] = ratio_residual(R1, fs[j], config, rate2)
+    return vals
+
+
+def _contour_point(R1: float, f_lo: float, fs: list[float], rates: np.ndarray,
+                   config: SearchConfig) -> ContourPoint:
+    """solve_contour at R1 from its row of _scan_block."""
     if f_lo >= F_UPPER:
         raise NoSolutionAtRadius(f"no admissible f interval at R1={R1}")
-    f_lo, f_hi = max(f_lo, 0.0), F_UPPER
     try:
         dt2, dtau2 = period_spans((0.0, config.m, config.M), (config.R2, R1), config.r_i)
     except (GeometryError, GeodesicError) as exc:
         raise NoSolutionAtRadius(f"two-shell branch invalid at R1={R1}: {exc}") from exc
     rate2 = dtau2 / dt2
-    fs = [f_lo + (f_hi - f_lo) * i / BRACKET_SCAN for i in range(BRACKET_SCAN + 1)]
-    vals = [ratio_residual(R1, f, config, rate2) for f in fs]
+    vals = _scan_residuals(R1, fs, rates, config, rate2)
     for i in range(BRACKET_SCAN):
         a, b = vals[i], vals[i + 1]
         if math.isnan(a) or math.isnan(b):
@@ -244,17 +298,29 @@ def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
     return ContourPoint(R1, f_star, dt1, dtau1, dt2, dtau2)
 
 
+def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
+    """Both branch periods at the first root (in ascending f) of the
+    equal-clock-rate residual at fixed R1.  The two-shell period depends on R1
+    alone, so it is computed once and only the one-shell branch varies with f."""
+    f_los, fs, rates = _scan_block([R1], config)
+    return _contour_point(R1, f_los[0], fs[0], rates[0], config)
+
+
 def period_ratio_curve(config: SearchConfig) -> list[tuple[float, float, float]]:
     """(R1, f_star, Dt1/Dt2) along the contour over the configured R1 grid,
-    skipping grid points with no contour root."""
+    skipping grid points with no contour root.  The f scans of SCAN_BLOCK grid
+    points at a time are one numpy pass."""
+    R1s = [config.R1_min + (config.R1_max - config.R1_min) * i / (config.grid - 1)
+           for i in range(config.grid)]
     curve = []
-    for i in range(config.grid):
-        R1 = config.R1_min + (config.R1_max - config.R1_min) * i / (config.grid - 1)
-        try:
-            point = solve_contour(R1, config)
-        except NoSolutionAtRadius:
-            continue
-        curve.append((point.R1, point.f, point.ratio))
+    for start in range(0, config.grid, SCAN_BLOCK):
+        block = R1s[start:start + SCAN_BLOCK]
+        for R1, *row in zip(block, *_scan_block(block, config)):
+            try:
+                point = _contour_point(R1, *row, config)
+            except NoSolutionAtRadius:
+                continue
+            curve.append((point.R1, point.f, point.ratio))
     return curve
 
 

@@ -234,7 +234,9 @@ def _as_state(psi, d: int) -> np.ndarray:
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.size != d:
         raise DimensionMismatchError(f"state dimension {v.size} != operator dimension {d}")
-    n = np.linalg.norm(v)
+    # scaled by the largest component, so that no square overflows or underflows
+    scale = float(np.maximum(np.abs(v.real), np.abs(v.imag)).max(initial=0.0))
+    n = scale * float(np.linalg.norm(v / scale)) if scale > 0.0 else 0.0
     if abs(n - 1.0) > 1e-9:
         raise DimensionMismatchError(f"state norm {n} is not 1")
     return v

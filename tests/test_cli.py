@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -153,13 +154,13 @@ class TestSearch:
 
     def test_contour_traced_once(self, tmp_path, monkeypatch):
         calls = []
-        solve_contour = shellswitch.search.solve_contour
+        contour_point = shellswitch.search._contour_point
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return solve_contour(*args, **kwargs)
+            return contour_point(*args, **kwargs)
 
-        monkeypatch.setattr(shellswitch.search, "solve_contour", counted)
+        monkeypatch.setattr(shellswitch.search, "_contour_point", counted)
         cfg = write(tmp_path, "search.json", SEARCH)
         out = tmp_path / "sol.json"
         assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_OK
@@ -170,15 +171,15 @@ class TestSearch:
         # a contour point that fails inside the R1 root refinement is an
         # infeasible search, not a TypeError reported as an input error
         calls = []
-        solve_contour = shellswitch.search.solve_contour
+        contour_point = shellswitch.search._contour_point
 
-        def failing_after_grid(R1, config):
+        def failing_after_grid(R1, *row):
             calls.append(R1)
             if len(calls) > SEARCH["grid"]:
                 raise NoSolutionAtRadius(f"no contour root at R1={R1}")
-            return solve_contour(R1, config)
+            return contour_point(R1, *row)
 
-        monkeypatch.setattr(shellswitch.search, "solve_contour", failing_after_grid)
+        monkeypatch.setattr(shellswitch.search, "_contour_point", failing_after_grid)
         cfg = write(tmp_path, "search.json", SEARCH)
         assert main(["search", "--config", cfg]) == EXIT_INFEASIBLE
         assert len(calls) == SEARCH["grid"] + 1
@@ -195,7 +196,7 @@ class TestSearch:
     def test_bad_float_field_exits_1(self, tmp_path, capsys, monkeypatch, field, value):
         # NaN and Infinity reach the config as the JSON literals Python writes
         calls = []
-        monkeypatch.setattr(shellswitch.search, "solve_contour", lambda *a: calls.append(a))
+        monkeypatch.setattr(shellswitch.search, "_contour_point", lambda *a: calls.append(a))
         cfg = write(tmp_path, "search.json", dict(SEARCH, **{field: value}))
         assert main(["search", "--config", cfg]) == EXIT_INPUT
         err = capsys.readouterr().err
@@ -208,7 +209,7 @@ class TestSearch:
     def test_out_of_range_field_exits_1(self, tmp_path, capsys, monkeypatch, field, value):
         # r_i must clear both the exterior horizon 2M = 6 and R1_max = 10.4
         calls = []
-        monkeypatch.setattr(shellswitch.search, "solve_contour", lambda *a: calls.append(a))
+        monkeypatch.setattr(shellswitch.search, "_contour_point", lambda *a: calls.append(a))
         cfg = write(tmp_path, "search.json", dict(SEARCH, **{field: value}))
         assert main(["search", "--config", cfg]) == EXIT_INPUT
         err = capsys.readouterr().err
@@ -219,7 +220,7 @@ class TestSearch:
     def test_string_float_field_exits_1(self, tmp_path, capsys, monkeypatch, field):
         # "M": "3" used to be converted and solved; a string is not a number
         calls = []
-        monkeypatch.setattr(shellswitch.search, "solve_contour", lambda *a: calls.append(a))
+        monkeypatch.setattr(shellswitch.search, "_contour_point", lambda *a: calls.append(a))
         cfg = write(tmp_path, "search.json", dict(SEARCH, **{field: "3"}))
         assert main(["search", "--config", cfg]) == EXIT_INPUT
         err = capsys.readouterr().err
@@ -402,8 +403,20 @@ class TestSwitch:
                                 np.zeros(2), float("nan")))
         out = tmp_path / "out.json"
         cfg = write(tmp_path, "sw.json", PAULI)
-        assert main(["switch", "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        # an internal fault, not an input error
+        assert main(["switch", "--config", cfg, "--out", str(out)]) == EXIT_INVALID
         assert not out.exists()
+        assert "ERROR: output holds a non-finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", [1e200, 1e-200])
+    def test_extreme_amplitudes_report_a_finite_norm(self, tmp_path, capsys, size):
+        # squaring 1e200 overflowed the norm to inf with a RuntimeWarning, and
+        # squaring 1e-200 underflowed it to 0
+        cfg = write(tmp_path, "sw.json", dict(PAULI, psi=[[size, 0], [size, 0]]))
+        assert main(["switch", "--config", cfg]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: state norm ") and err.endswith(" is not 1\n")
+        assert float(err.split()[3]) == pytest.approx(math.sqrt(2.0) * size, rel=1e-15, abs=0.0)
 
     def test_non_unitary_operator_rejected(self, tmp_path, capsys):
         doc = dict(PAULI, A=[[[2, 0], [0, 0]], [[0, 0], [1, 0]]])

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ import shellswitch.geodesic
 import shellswitch.spacetime
 from shellswitch.geodesic import oscillation_period, period_spans
 from shellswitch.search import (
+    SCAN_GUARD,
     _one_shell_period,
     one_shell_spacetime,
     shell_radius,
@@ -33,6 +35,7 @@ from shellswitch.search import (
 from shellswitch.spacetime import DEFAULT_HORIZON_MARGIN, metric_factor
 
 from conftest import REFERENCE
+from oracles import scalar_contour, scalar_curve
 
 
 class TestConfig:
@@ -125,6 +128,103 @@ class TestContour:
             solve_contour(6.0 + 1e-5, ref_config)
 
 
+def outcome(fn, *args):
+    """fn(*args)'s floats as (type, float.hex) pairs, or the class and message
+    of what it raises."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, list):
+        values = [x for point in result for x in point]
+    else:
+        values = [result.R1, result.f, result.dt1, result.dtau1, result.dt2, result.dtau2]
+    return [(type(x).__name__, x.hex()) for x in values]
+
+
+@st.composite
+def scan_configs(draw):
+    """Search configs around the reference: R2 down to 1e-8 relative above its
+    horizon 2m, R1 ranges that may start at or inside the exterior horizon 2M
+    (no f interval, or no valid two-shell branch, at those grid points), and
+    grids of 2 to 80 points."""
+    M, R2 = draw(st.floats(2.5, 3.5)), draw(st.floats(3.5, 4.5))
+    m = R2 / (2.0 * (1.0 + 10.0 ** draw(st.floats(-8.0, -2.0))))
+    R1_min = max(R2 + 0.05, 2.0 * M + draw(st.floats(-1.0, 5.0)))
+    R1_max = R1_min + draw(st.floats(0.1, 4.0))
+    r_i = max(2.0 * M, R1_max) * draw(st.floats(1.0001, 1.5))
+    return SearchConfig(m=m, M=M, R2=R2, r_i=r_i, p=9, q=10,
+                        R1_min=R1_min, R1_max=R1_max, grid=draw(st.integers(2, 80)))
+
+
+class TestScanOracle:
+    """The f scans run as numpy passes and only choose brackets; every contour
+    output keeps the bits of the scalar scan (tests/oracles.py), and every
+    error its class and message."""
+
+    @given(scan_configs(), st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_curve_and_point_match_scalar_scan(self, config, t):
+        assert outcome(period_ratio_curve, config) == outcome(scalar_curve, config)
+        R1 = config.R1_min + (config.R1_max - config.R1_min) * t
+        assert outcome(solve_contour, R1, config) == outcome(scalar_contour, R1, config)
+
+    @pytest.mark.parametrize("R1_min", [9.0, 5.0])
+    def test_forced_fallback_keeps_the_bits(self, monkeypatch, R1_min):
+        # NaN, infinite, or within SCAN_GUARD of the two-shell rate: each such
+        # numpy rate is re-evaluated by ratio_residual; below R1 = 6 = 2M the
+        # grid points have no f interval or no valid two-shell branch
+        config = SearchConfig(**dict(REFERENCE, R1_min=R1_min), grid=40)
+        rng = np.random.default_rng(7)
+        scan_block = shellswitch.search._scan_block
+        residual = shellswitch.search.ratio_residual
+        forced, calls = [0], [0]
+
+        def corrupted(R1s, config):
+            f_los, fs, rates = scan_block(R1s, config)
+            rates = rates.copy()
+            for row, R1 in enumerate(R1s):
+                try:
+                    dt2, dtau2 = period_spans(
+                        (0.0, config.m, config.M), (config.R2, R1), config.r_i)
+                except (GeometryError, GeodesicError):
+                    continue
+                within = 0.5 * SCAN_GUARD * rng.uniform(-1.0, 1.0, rates[row, 1::4].size)
+                rates[row, 1::4] = dtau2 / dt2 + within
+                rates[row, 0::4] = np.nan
+                rates[row, 2::8] = np.inf
+                forced[0] += rates[row, 0::4].size + rates[row, 1::4].size
+            return f_los, fs, rates
+
+        def counted(*args):
+            calls[0] += 1
+            return residual(*args)
+
+        monkeypatch.setattr(shellswitch.search, "_scan_block", corrupted)
+        monkeypatch.setattr(shellswitch.search, "ratio_residual", counted)
+        got = outcome(period_ratio_curve, config)
+        monkeypatch.undo()
+        assert got == outcome(scalar_curve, config)
+        assert forced[0] > 0 and calls[0] > forced[0]
+
+    def test_reference_scans_have_one_root(self, monkeypatch):
+        # the first sign change in f is the only one: the root-multiplicity
+        # check of the grid-200 reference, read from the scan rows
+        rows = []
+        scan_residuals = shellswitch.search._scan_residuals
+
+        def recorded(*args):
+            rows.append(scan_residuals(*args))
+            return rows[-1]
+
+        monkeypatch.setattr(shellswitch.search, "_scan_residuals", recorded)
+        curve = period_ratio_curve(SearchConfig(grid=200, **REFERENCE))
+        assert len(rows) == len(curve) == 200
+        for vals in rows:
+            assert not any(math.isnan(v) for v in vals) and 0.0 not in vals
+            assert sum(a * b < 0.0 for a, b in zip(vals, vals[1:])) == 1
+
+
 def general_period(config, R):
     """One-shell (Dt, Dtau) through the general walk; (NaN, NaN) where it raises."""
     try:
@@ -212,13 +312,13 @@ def test_hoisted_work_per_contour_point(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("solve_contour", "period_spans", "build_spacetime"):
+    for name in ("_contour_point", "period_spans", "build_spacetime"):
         count(shellswitch.search, name)
     count(shellswitch.spacetime, "build_spacetime")
     count(shellswitch.geodesic, "oscillation_period")
     solve_switch_configuration(SearchConfig(grid=24, **REFERENCE))
-    assert counts["solve_contour"] == 28
-    assert counts["period_spans"] == counts["solve_contour"]
+    assert counts["_contour_point"] == 28
+    assert counts["period_spans"] == counts["_contour_point"]
     assert counts["oscillation_period"] == 0
     assert counts["build_spacetime"] == 0
 
