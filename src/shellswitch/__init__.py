@@ -7,20 +7,13 @@ from .spacetime import (
     SurfaceStress,
     build_spacetime,
     induced_metric_gap,
-    lapse_factor,
     shell_stress,
 )
 from .geodesic import (
     CycloidParams,
-    GeodesicState,
-    SegmentResult,
-    cross_shell,
-    cycloid_state,
     drop_energy,
     null_crossing_time,
     oscillation_period,
-    segment_minkowski,
-    segment_schwarzschild,
     static_exchange,
     trajectory,
 )

@@ -195,6 +195,9 @@ def cmd_period(args) -> int:
 def cmd_lightray(args) -> int:
     doc = _load_json(args.config)
     r_a, r_b = real(doc, "r_a"), real(doc, "r_b")
+    for key, r in (("r_a", r_a), ("r_b", r_b)):
+        if r < 0.0:
+            raise InputError(f"{key} must be >= 0, got {r!r}")
     diametral = doc.get("diametral", False)
     if not isinstance(diametral, bool):
         raise InputError(f"diametral must be true or false, got {diametral!r}")
@@ -285,12 +288,9 @@ FLAGS = {
     ),
     "--ratio": dict(default=None, help="target ratio as p/q"),
     "--tol": dict(type=float, default=None, help="root tolerance override"),
-    "--jobs": dict(
-        type=int, default=1, help="accepted for compatibility; the search runs serially",
-    ),
     "--samples": dict(type=int, default=512, help="rows per trajectory table, at least 2"),
 }
-SEARCH_FLAGS = ("--ratio", "--tol", "--jobs")
+SEARCH_FLAGS = ("--ratio", "--tol")
 
 # name: (handler, help, flags it reads beyond --config and --out)
 SUBCOMMANDS = {
@@ -299,7 +299,7 @@ SUBCOMMANDS = {
     "search": (cmd_search, "solve the switch geometry conditions", SEARCH_FLAGS),
     "trace": (cmd_trace, "trajectories and meeting event", SEARCH_FLAGS + ("--samples",)),
     "period": (cmd_period, "oscillation period for a spacetime", ("--horizon-margin",)),
-    "lightray": (cmd_lightray, "radial null crossing times", ("--horizon-margin", "--jobs")),
+    "lightray": (cmd_lightray, "radial null crossing times", ("--horizon-margin",)),
     "switch": (cmd_switch, "quantum switch state evolution", ()),
 }
 

@@ -15,7 +15,10 @@ where the naive tan-difference form loses most of its digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+# Unused here, and kept: the benchmark's tracer (bench/tracer.py) wraps and
+# counts geodesic.replace, so the name must stay a module attribute.
+from dataclasses import replace  # noqa: F401
 
 from .errors import (
     GeodesicError,
@@ -155,53 +158,17 @@ def tangent(params: CycloidParams, eta: float, r: float | None = None) -> tuple[
     return U0, U1
 
 
-def cycloid_state(params: CycloidParams, eta: float) -> tuple[float, float, float, float, float]:
-    """(r, t, tau, U0, U1) at parameter eta on the inbound branch."""
-    if not 0.0 <= eta < math.pi:
-        raise GeodesicError(f"eta={eta} outside [0, pi)")
-    r = radius(params, eta)
-    if r <= 2.0 * params.mass:
-        raise GeodesicError(f"eta={eta} reaches r={r} inside the horizon")
-    t = coordinate_time(params, eta, r)
-    tau = proper_time(params, eta)
-    U0, U1 = tangent(params, eta, r)
-    return r, t, tau, U0, U1
-
-
 # ---------------------------------------------------------------------------
-# Per-patch segments and shell crossings
-
-@dataclass(frozen=True)
-class GeodesicState:
-    """Kinematic state in the local coordinates of one patch."""
-
-    patch_index: int
-    r: float
-    u_r: float  # dr/dtau, local
-    u_t: float  # dt_local/dtau
-    tau: float
-
-    def norm_defect(self, mass: float) -> float:
-        """Deviation of the local 4-velocity norm from -1."""
-        f = metric_factor(mass, self.r)
-        return abs(-f * self.u_t**2 + self.u_r**2 / f + 1.0)
-
-
-@dataclass(frozen=True)
-class SegmentResult:
-    dt_local: float
-    dtau: float
-    exit_state: GeodesicState
-    cycloid: CycloidParams | None = None
-    eta_entry: float | None = None
-    eta_exit: float | None = None
-
+# Patch spans, shell crossings and the full oscillation
 
 def _schwarzschild_span(mass: float, r: float, u_r: float, r_exit: float):
-    """segment_schwarzschild on floats: (dt_local, dtau, exit u_r, exit u_t,
-    cycloid, eta_entry, eta_exit)."""
-    if mass <= 0.0:
-        raise GeodesicError("segment_schwarzschild needs mass > 0")
+    """Motion from r (radial velocity u_r) to r_exit in one Schwarzschild patch:
+    (dt_local, dtau, u_r, u_t at r_exit, cycloid, eta_entry, eta_exit).
+
+    The motion is a piece of the fictitious rest-release cycloid through the
+    entry state; outbound pieces use the time-reflection of the inbound branch,
+    so both spans are absolute values of parametric differences.
+    """
     params = CycloidParams.from_state(mass, r, u_r)
     if r_exit > params.r_apo * (1.0 + APOAPSIS_CLAMP):
         raise UnreachableRadiusError(
@@ -216,22 +183,9 @@ def _schwarzschild_span(mass: float, r: float, u_r: float, r_exit: float):
     return dt, dtau, sign * abs(U1), U0, params, eta_a, eta_b
 
 
-def segment_schwarzschild(mass: float, entry: GeodesicState, r_exit: float) -> SegmentResult:
-    """Propagate through one Schwarzschild patch from entry.r to r_exit.
-
-    The motion is a piece of the fictitious rest-release cycloid through the
-    entry state; outbound pieces use the time-reflection of the inbound branch,
-    so both spans are absolute values of parametric differences.
-    """
-    dt, dtau, u_r, u_t, params, eta_a, eta_b = _schwarzschild_span(
-        mass, entry.r, entry.u_r, r_exit
-    )
-    exit_state = GeodesicState(entry.patch_index, r_exit, u_r, u_t, entry.tau + dtau)
-    return SegmentResult(dt, dtau, exit_state, params, eta_a, eta_b)
-
-
 def _minkowski_span(r: float, u_r: float, u_t: float, r_exit: float) -> tuple[float, float]:
-    """segment_minkowski on floats: (dt_local, dtau)."""
+    """(dt_local, dtau) of uniform straight-line motion from r to r_exit in a
+    flat patch; the velocity (u_r, u_t) does not change."""
     dr = r_exit - r
     if dr == 0.0:
         return 0.0, 0.0
@@ -239,14 +193,6 @@ def _minkowski_span(r: float, u_r: float, u_t: float, r_exit: float) -> tuple[fl
         raise GeodesicError("stationary particle cannot reach a different radius")
     dtau = abs(dr / u_r)
     return u_t * dtau, dtau
-
-
-def segment_minkowski(entry: GeodesicState, r_exit: float) -> SegmentResult:
-    """Uniform straight-line motion in a flat patch."""
-    dt, dtau = _minkowski_span(entry.r, entry.u_r, entry.u_t, r_exit)
-    if r_exit - entry.r == 0.0:
-        return SegmentResult(dt, dtau, entry)
-    return SegmentResult(dt, dtau, replace(entry, r=r_exit, tau=entry.tau + dtau))
 
 
 def _shell_transfer(mu_in: float, mu_out: float, R: float, r: float) -> float:
@@ -257,30 +203,14 @@ def _shell_transfer(mu_in: float, mu_out: float, R: float, r: float) -> float:
     return math.sqrt(metric_factor(mu_out, R) / metric_factor(mu_in, R))
 
 
-def cross_shell(state: GeodesicState, spacetime: ShellSpacetime, shell_index: int) -> GeodesicState:
-    """Re-express the tangent vector on the other side of a shell.
-
-    Proper time is continuous; only the local components (u_t, u_r) and the
-    patch index change.
-    """
-    R = spacetime.shells[shell_index]
-    k = _shell_transfer(*spacetime.shell_masses(shell_index), R, state.r)
-    inward = state.patch_index == shell_index + 1
-    if not inward and state.patch_index != shell_index:
-        raise GeodesicError(
-            f"state in patch {state.patch_index} is not adjacent to shell {shell_index}"
-        )
-    if inward:
-        return replace(state, patch_index=shell_index, u_r=state.u_r / k, u_t=state.u_t * k)
-    return replace(state, patch_index=shell_index + 1, u_r=state.u_r * k, u_t=state.u_t / k)
-
-
-# ---------------------------------------------------------------------------
-# Full oscillations
-
-@dataclass(frozen=True)
+# slotted for trajectory's attribute reads (a NamedTuple field reads ~3x slower);
+# not frozen, which would cost ~3 us per leg to build
+@dataclass(slots=True)
 class Leg:
-    """One patch traversal of the quarter oscillation, with global-time span."""
+    """One patch traversal of the inbound quarter oscillation: spans from r_outer
+    down to r_inner, the entry state (u_r = dr/dtau and u_t = dt_local/dtau in
+    the patch's coordinates, tau since release) and, in a Schwarzschild patch,
+    the cycloid and its eta range (None in a flat patch)."""
 
     patch_index: int
     r_outer: float
@@ -288,8 +218,12 @@ class Leg:
     dt_local: float
     dt_global: float
     dtau: float
-    entry: GeodesicState
-    segment: SegmentResult
+    u_r: float
+    u_t: float
+    tau: float
+    cycloid: CycloidParams | None
+    eta_entry: float | None
+    eta_exit: float | None
 
 
 def _release_u_t(mass: float, r_min: float, r_i: float) -> float:
@@ -301,19 +235,13 @@ def _release_u_t(mass: float, r_min: float, r_i: float) -> float:
     return drop_energy(mass, r_i) / metric_factor(mass, r_i)
 
 
-def release_state(spacetime: ShellSpacetime, r_i: float) -> GeodesicState:
-    outer = spacetime.patches[-1]
-    u_t = _release_u_t(outer.mass, outer.r_min, r_i)
-    return GeodesicState(patch_index=spacetime.n_patches - 1, r=r_i, u_r=0.0, u_t=u_t, tau=0.0)
-
-
 def _inward_walk(masses, r_mins, shells, lapses, r_i: float) -> list[tuple]:
-    """The quarter oscillation from rest at r_i down to the center, on floats.
+    """The quarter oscillation from rest at r_i down to the center.
 
-    The operations are those of release_state, segment_schwarzschild,
-    segment_minkowski and cross_shell, in their order.  One record per patch,
-    outermost first: (patch, r_outer, r_inner, dt_local, dt_global, dtau,
-    entry (u_r, u_t, tau), exit (u_r, u_t), cycloid, eta_entry, eta_exit).
+    Each patch is crossed by _schwarzschild_span or _minkowski_span, and each
+    shell rescales (u_r, u_t) by its _shell_transfer factor; proper time runs
+    on across it.  One plain tuple per patch, outermost first, holding the
+    fields of Leg in its order (the search's hot loop builds no Leg).
     """
     if masses[0] != 0.0:
         raise NoRestoringForceError("oscillation through the center requires a flat core")
@@ -326,8 +254,7 @@ def _inward_walk(masses, r_mins, shells, lapses, r_i: float) -> list[tuple]:
         else:
             dt, dtau = _minkowski_span(r, u_r, u_t, r_target)
             u_r_out, u_t_out, arc = u_r, u_t, (None, None, None)
-        entry, exit_ = (u_r, u_t, tau), (u_r_out, u_t_out)
-        legs.append((k, r, r_target, dt, lapses[k] * dt, dtau, entry, exit_, *arc))
+        legs.append((k, r, r_target, dt, lapses[k] * dt, dtau, u_r, u_t, tau, *arc))
         r, u_r, u_t, tau = r_target, u_r_out, u_t_out, tau + dtau
         if k > 0:
             kappa = _shell_transfer(masses[k - 1], mass, shells[k - 1], r)
@@ -350,28 +277,11 @@ def period_spans(masses, shells, r_i: float) -> tuple[float, float]:
     return _four_quarters(_inward_walk(masses, r_mins, shells, lapses, r_i))
 
 
-def _spacetime_walk(spacetime: ShellSpacetime, r_i: float) -> list[tuple]:
-    masses, r_mins = zip(*((p.mass, p.r_min) for p in spacetime.patches))
-    return _inward_walk(masses, r_mins, spacetime.shells, spacetime.lapses, r_i)
-
-
-def _leg(record: tuple) -> Leg:
-    k, r_outer, r_inner, dt_local, dt_global, dtau, entry, exit_, cycloid, eta_a, eta_b = record
-    entry = GeodesicState(k, r_outer, *entry)
-    exit_state = GeodesicState(k, r_inner, *exit_, entry.tau + dtau)
-    segment = SegmentResult(dt_local, dtau, exit_state, cycloid, eta_a, eta_b)
-    return Leg(k, r_outer, r_inner, dt_local, dt_global, dtau, entry, segment)
-
-
-def quarter_oscillation(spacetime: ShellSpacetime, r_i: float) -> list[Leg]:
-    """Inbound legs from rest at r_i down to the center, one per patch."""
-    return [_leg(record) for record in _spacetime_walk(spacetime, r_i)]
-
-
 def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, float, list[Leg]]:
-    """(Dt_global, Dtau, quarter legs) for one full radial oscillation."""
-    records = _spacetime_walk(spacetime, r_i)
-    return (*_four_quarters(records), [_leg(record) for record in records])
+    """(Dt_global, Dtau, inbound quarter legs) for one full radial oscillation."""
+    masses, r_mins = zip(*((p.mass, p.r_min) for p in spacetime.patches))
+    records = _inward_walk(masses, r_mins, spacetime.shells, spacetime.lapses, r_i)
+    return (*_four_quarters(records), [Leg(*record) for record in records])
 
 
 # ---------------------------------------------------------------------------
@@ -420,26 +330,25 @@ def _bisect_eta(params: CycloidParams, lo, hi, t0, t_local_target, estimate) -> 
 
 def _leg_origin(leg: Leg) -> tuple[float, float] | None:
     """(t, tau) of a Schwarzschild leg's cycloid at its entry; None if flat."""
-    params, eta = leg.segment.cycloid, leg.segment.eta_entry
+    params, eta = leg.cycloid, leg.eta_entry
     return None if params is None else (
         coordinate_time(params, eta, leg.r_outer), proper_time(params, eta))
 
 
 def _invert_leg(leg: Leg, origin: tuple[float, float] | None, t_in_leg: float) -> tuple[float, float]:
     """(r, tau elapsed within leg) at global-time offset t_in_leg from leg start."""
-    seg = leg.segment
     if t_in_leg <= 0.0:
         return leg.r_outer, 0.0
     if t_in_leg >= leg.dt_global:
         return leg.r_inner, leg.dtau
-    if seg.cycloid is None:
+    if leg.cycloid is None:
         # flat patch: r and tau are linear in t
         frac = t_in_leg / leg.dt_global
         return leg.r_outer + frac * (leg.r_inner - leg.r_outer), frac * leg.dtau
-    params, (t0, tau0) = seg.cycloid, origin
+    params, (t0, tau0) = leg.cycloid, origin
     t_local_target = t_in_leg / (leg.dt_global / leg.dt_local)
     # t(eta) is strictly increasing on the inbound branch
-    lo, hi = seg.eta_entry, seg.eta_exit
+    lo, hi = leg.eta_entry, leg.eta_exit
     guess = lo + (hi - lo) * t_in_leg / leg.dt_global
     estimate = _eta_estimate(params, lo, hi, guess, t0, t_local_target)
     eta = _bisect_eta(params, lo, hi, t0, t_local_target, estimate)
@@ -454,7 +363,7 @@ def _quarter_sample(legs: list[Leg], origins: list, t_quarter_offset: float) -> 
     for leg, origin in zip(legs, origins):
         if t_quarter_offset <= t0 + leg.dt_global or leg is legs[-1]:
             r, dtau = _invert_leg(leg, origin, t_quarter_offset - t0)
-            return r, leg.entry.tau + dtau
+            return r, leg.tau + dtau
         t0 += leg.dt_global
     raise AssertionError("unreachable")
 

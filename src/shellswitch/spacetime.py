@@ -70,10 +70,6 @@ class ShellSpacetime:
     lapses: tuple[float, ...]
     warnings: tuple[str, ...] = ()
 
-    @property
-    def n_patches(self) -> int:
-        return len(self.patches)
-
     def shell_masses(self, shell_index: int) -> tuple[float, float]:
         """(inner mass, outer mass) on either side of shell shell_index."""
         return (self.patches[shell_index].mass, self.patches[shell_index + 1].mass)
@@ -161,13 +157,6 @@ def stack_lapses(masses, r_mins, r_maxs, horizon_margin=DEFAULT_HORIZON_MARGIN) 
         f_out = metric_factor(masses[k + 1], R)
         lapses[k] = lapses[k + 1] * math.sqrt(f_in / f_out)
     return lapses
-
-
-def lapse_factor(spacetime: ShellSpacetime, patch_index: int) -> float:
-    """Factor converting patch-local coordinate time to global time."""
-    if not 0 <= patch_index < spacetime.n_patches:
-        raise IndexError(f"patch index {patch_index} out of range")
-    return spacetime.lapses[patch_index]
 
 
 def induced_metric_gap(spacetime: ShellSpacetime, shell_index: int) -> float:

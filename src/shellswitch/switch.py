@@ -22,7 +22,8 @@ from .fields import amplitude
 from .search import MeetingEvent, SwitchSolution
 
 UNITARITY_TOL = 1e-12
-# operator labels in application order for (branch M1, branch M2)
+# operator labels in application order for (branch M1, branch M2); the
+# schedule's ordering t_A1 < t_B < t_A2 fixes them
 SWITCH_ORDERS = (("A", "B"), ("B", "A"))
 
 
@@ -43,11 +44,6 @@ class EventSchedule:
             raise ScheduleError(
                 f"need t_A1 < t_B < t_A2, got {self.t_A1}, {self.t_B}, {self.t_A2}"
             )
-
-    def branch_orders(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """Operator labels in application order for (branch M1, branch M2);
-        the ordering t_A1 < t_B < t_A2 checked above fixes them."""
-        return SWITCH_ORDERS
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 The quadrature oracle integrates dt/dr and dtau/dr for bound radial motion of
 local energy E in a single Schwarzschild metric; it shares no code with the
-parametric closed forms it validates.  The plain bisection is the reference
+parametric closed forms it validates.  The 4-velocity norm is the
+invariant every propagated state keeps.  The plain bisection is the reference
 that the guided trajectory sampling must reproduce to the last bit.  The
 scalar contour is the search's f scan before its numpy pass, one ratio_residual
 per scan point; the search must reproduce it to the last bit.
@@ -28,6 +29,7 @@ from shellswitch.search import (
     ratio_residual,
     shell_radius,
 )
+from shellswitch.spacetime import metric_factor
 
 
 def quad_spans(mass: float, E: float, r_from: float, r_to: float) -> tuple[float, float]:
@@ -44,25 +46,31 @@ def quad_spans(mass: float, E: float, r_from: float, r_to: float) -> tuple[float
     return dt, dtau
 
 
+def norm_defect(mass: float, r: float, u_r: float, u_t: float) -> float:
+    """|-f u_t^2 + u_r^2 / f + 1| with f = 1 - 2*mass/r: how far the radial
+    4-velocity (u_t, u_r) at r in a patch of this mass is from norm -1."""
+    f = metric_factor(mass, r)
+    return abs(-f * u_t**2 + u_r**2 / f + 1.0)
+
+
 def invert_leg_bisection(leg, t_in_leg: float) -> tuple[float, float]:
     """(r, tau elapsed within leg) at global-time offset t_in_leg from leg
     start, by plain bisection in eta (the sampling before its Newton guide)."""
-    seg = leg.segment
     if t_in_leg <= 0.0:
         return leg.r_outer, 0.0
     if t_in_leg >= leg.dt_global:
         return leg.r_inner, leg.dtau
-    if seg.cycloid is None:
+    if leg.cycloid is None:
         # flat patch: r and tau are linear in t
         frac = t_in_leg / leg.dt_global
         return (
             leg.r_outer + frac * (leg.r_inner - leg.r_outer),
             frac * leg.dtau,
         )
-    params = seg.cycloid
+    params = leg.cycloid
     t_local_target = t_in_leg / (leg.dt_global / leg.dt_local)
-    t0 = coordinate_time(params, seg.eta_entry, leg.r_outer)
-    lo, hi = seg.eta_entry, seg.eta_exit
+    t0 = coordinate_time(params, leg.eta_entry, leg.r_outer)
+    lo, hi = leg.eta_entry, leg.eta_exit
     # t(eta) is strictly increasing on the inbound branch; bisect to 1e-12 in eta
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
@@ -71,7 +79,7 @@ def invert_leg_bisection(leg, t_in_leg: float) -> tuple[float, float]:
         else:
             hi = mid
     eta = 0.5 * (lo + hi)
-    tau0 = proper_time(params, seg.eta_entry)
+    tau0 = proper_time(params, leg.eta_entry)
     return radius(params, eta), proper_time(params, eta) - tau0
 
 

@@ -239,13 +239,12 @@ class TestSearch:
                      "--out", str(out)])
         assert code == EXIT_OK
 
-    def test_byte_identical_across_runs_and_jobs(self, tmp_path):
+    def test_byte_identical_across_runs(self, tmp_path):
         cfg = write(tmp_path, "search.json", SEARCH)
         outputs = []
-        for tag, jobs in (("a", "1"), ("b", "1"), ("c", "3")):
+        for tag in "abc":
             out = tmp_path / f"sol_{tag}.json"
-            assert main(["search", "--config", cfg, "--out", str(out),
-                         "--jobs", jobs]) == EXIT_OK
+            assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_OK
             outputs.append(
                 out.read_bytes()
                 + (tmp_path / f"sol_{tag}_curve.csv").read_bytes()
@@ -283,11 +282,11 @@ class TestTrace:
         assert lines[0] == "t_global,r,tau"
         assert len(lines) == 65
 
-    def test_trace_deterministic_across_jobs(self, traced):
+    def test_trace_deterministic_across_runs(self, traced):
         _, tmp, cfg, outdir = traced
         outdir2 = tmp / "run2"
         assert main(["trace", "--config", cfg, "--out", str(outdir2),
-                     "--samples", "64", "--jobs", "2"]) == EXIT_OK
+                     "--samples", "64"]) == EXIT_OK
         for name in ("gamma1.csv", "gamma2.csv", "farside_gamma1.csv",
                      "farside_gamma2.csv", "meeting.json"):
             assert (outdir / name).read_bytes() == (outdir2 / name).read_bytes()
@@ -339,6 +338,23 @@ class TestLightray:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"INPUT ERROR: {field} must be a finite number, got {value!r}" in captured.err
+
+    @pytest.mark.parametrize("diametral", [False, True])
+    @pytest.mark.parametrize("config", ["lightray_one_shell.json", "lightray_branches.json"])
+    @pytest.mark.parametrize("field", ["r_a", "r_b"])
+    def test_negative_radius_exits_1(self, tmp_path, capsys, monkeypatch, field, config, diametral):
+        # r_a = -5 used to be clamped to the center: exit 0 with r_a = 0's time;
+        # branch mode rejects it before solving
+        solves = []
+        monkeypatch.setattr(shellswitch.cli, "solve_switch_configuration", solves.append)
+        doc = json.loads((CONFIGS / config).read_text())
+        doc.update({"diametral": diametral, field: -5.0})
+        cfg = write(tmp_path, "ray.json", doc)
+        assert main(["lightray", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"INPUT ERROR: {field} must be >= 0, got -5.0\n"
+        assert solves == []
 
     def test_branch_mode_bad_config_exits_1(self, tmp_path, capsys):
         cfg = write(tmp_path, "ray.json", dict(SEARCH, q=0, r_a=12.0, r_b=12.0))
@@ -450,6 +466,10 @@ class TestUsage:
         ["search", "--config", "CFG", "--format", "csv"],
         ["period", "--config", "CFG", "--samples", "8"],
         ["search"],
+        # --jobs was parsed and never read
+        ["search", "--config", "CFG", "--jobs", "2"],
+        ["trace", "--config", "CFG", "--jobs", "2"],
+        ["lightray", "--config", "CFG", "--jobs", "2"],
     ])
     def test_usage_errors_exit_1(self, tmp_path, capsys, argv):
         # unregistered flags and a missing --config are input errors (exit 1),

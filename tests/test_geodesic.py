@@ -7,16 +7,11 @@ from hypothesis import strategies as st
 
 from shellswitch import (
     CycloidParams,
-    GeodesicState,
     PatchSpec,
     build_spacetime,
-    cross_shell,
-    cycloid_state,
     drop_energy,
     null_crossing_time,
     oscillation_period,
-    segment_minkowski,
-    segment_schwarzschild,
     static_exchange,
     trajectory,
 )
@@ -25,6 +20,7 @@ from shellswitch.errors import (
     HorizonViolation,
     NoRestoringForceError,
     UnboundGeodesicError,
+    UnreachableRadiusError,
 )
 from shellswitch import geodesic
 from shellswitch.geodesic import (
@@ -32,20 +28,23 @@ from shellswitch.geodesic import (
     _bisect_eta,
     _eta_estimate,
     _invert_leg,
+    _inward_walk,
     _leg_origin,
+    _minkowski_span,
+    _release_u_t,
+    _schwarzschild_span,
+    _shell_transfer,
     coordinate_time,
     diametral_crossing_time,
     eta_of_radius,
     period_spans,
     proper_time,
-    quarter_oscillation,
     radius,
-    release_state,
     tangent,
 )
 from shellswitch.spacetime import DEFAULT_HORIZON_MARGIN, metric_factor
 
-from oracles import invert_leg_bisection, quad_spans
+from oracles import invert_leg_bisection, norm_defect, quad_spans
 
 
 def one_shell(M, R):
@@ -75,13 +74,15 @@ class TestDropEnergy:
 class TestCycloid:
     def test_rest_at_apoapsis(self):
         params = CycloidParams.from_rest(3.0, 12.0)
-        r, t, tau, U0, U1 = cycloid_state(params, 0.0)
+        r = radius(params, 0.0)
+        U0, U1 = tangent(params, 0.0, r)
+        t, tau = coordinate_time(params, 0.0, r), proper_time(params, 0.0)
         assert (r, t, tau, U1) == (12.0, 0.0, 0.0, 0.0)
         assert U0 == pytest.approx(1.0 / params.energy, rel=1e-14)
 
     def test_quarter_parameter(self):
         params = CycloidParams.from_rest(3.0, 12.0)
-        r, _, tau, _, _ = cycloid_state(params, math.pi / 2)
+        r, tau = radius(params, math.pi / 2), proper_time(params, math.pi / 2)
         assert r == pytest.approx(6.0, rel=1e-14)
         assert tau == pytest.approx(math.sqrt(72.0) * (math.pi / 2 + 1.0), rel=1e-14)
 
@@ -91,13 +92,6 @@ class TestCycloid:
             math.sqrt(72.0) * math.pi, rel=1e-14
         )
         assert radius(params, math.pi) == pytest.approx(0.0, abs=1e-25)
-
-    def test_eta_domain(self):
-        params = CycloidParams.from_rest(3.0, 12.0)
-        with pytest.raises(GeodesicError):
-            cycloid_state(params, -0.1)
-        with pytest.raises(GeodesicError):
-            cycloid_state(params, 3.2)
 
     def test_coordinate_time_diverges_at_horizon(self):
         params = CycloidParams.from_rest(3.0, 12.0)
@@ -130,96 +124,76 @@ class TestCycloid:
 
 
 class TestSegments:
-    def rest_entry(self, mass, r):
-        E = drop_energy(mass, r)
-        return GeodesicState(
-            patch_index=0, r=r, u_r=0.0, u_t=E / metric_factor(mass, r),
-            tau=0.0,
-        )
+    """_schwarzschild_span and _minkowski_span, the walk's per-patch spans."""
 
     def test_rest_drop_spans(self):
         # r = 6 itself is the horizon (coordinate time diverges); check the
         # proper-time value there via the parametric form and the full spans
         # against the quadrature oracle just above it.
-        seg = segment_schwarzschild(3.0, self.rest_entry(3.0, 12.0), 6.00057)
+        dt, dtau, *_ = _schwarzschild_span(3.0, 12.0, 0.0, 6.00057)
         dt_oracle, dtau_oracle = quad_spans(3.0, math.sqrt(0.5), 12.0, 6.00057)
-        assert seg.dt_local == pytest.approx(abs(dt_oracle), rel=1e-9)
-        assert seg.dtau == pytest.approx(abs(dtau_oracle), rel=1e-9)
-        assert seg.dtau == pytest.approx(math.sqrt(72.0) * (math.pi / 2 + 1.0), abs=2e-3)
+        assert dt == pytest.approx(abs(dt_oracle), rel=1e-9)
+        assert dtau == pytest.approx(abs(dtau_oracle), rel=1e-9)
+        assert dtau == pytest.approx(math.sqrt(72.0) * (math.pi / 2 + 1.0), abs=2e-3)
 
     def test_segment_to_horizon_rejected(self):
         with pytest.raises(GeodesicError):
-            segment_schwarzschild(3.0, self.rest_entry(3.0, 12.0), 6.0)
+            _schwarzschild_span(3.0, 12.0, 0.0, 6.0)
 
     def test_zero_length_segment(self):
-        entry = self.rest_entry(3.0, 12.0)
-        seg = segment_schwarzschild(3.0, entry, 12.0)
-        assert seg.dt_local == 0.0 and seg.dtau == 0.0
-        assert seg.exit_state.r == entry.r
+        dt, dtau, u_r, _, _, eta_entry, eta_exit = _schwarzschild_span(3.0, 12.0, 0.0, 12.0)
+        assert (dt, dtau, u_r) == (0.0, 0.0, 0.0)
+        assert eta_entry == eta_exit == 0.0
 
     def test_unbound_rejected(self):
-        entry = GeodesicState(0, 12.0, -1.5, 2.0, 0.0)
         with pytest.raises(UnboundGeodesicError):
-            segment_schwarzschild(3.0, entry, 6.5)
+            _schwarzschild_span(3.0, 12.0, -1.5, 6.5)
 
     def test_unreachable_radius(self):
-        entry = self.rest_entry(3.0, 12.0)
-        from shellswitch.errors import UnreachableRadiusError
         with pytest.raises(UnreachableRadiusError):
-            segment_schwarzschild(3.0, entry, 12.5)
+            _schwarzschild_span(3.0, 12.0, 0.0, 12.5)
 
     def test_energy_constant_within_segment(self):
-        entry = self.rest_entry(3.0, 12.0)
-        seg = segment_schwarzschild(3.0, entry, 6.2)
-        s = seg.exit_state
-        E_in = math.sqrt(entry.u_r**2 + metric_factor(3.0, entry.r))
-        E_out = math.sqrt(s.u_r**2 + metric_factor(3.0, s.r))
+        _, _, u_r, u_t, *_ = _schwarzschild_span(3.0, 12.0, 0.0, 6.2)
+        E_in = math.sqrt(metric_factor(3.0, 12.0))
+        E_out = math.sqrt(u_r**2 + metric_factor(3.0, 6.2))
         assert E_out == pytest.approx(E_in, rel=1e-10)
+        # the conserved energy read off the time component agrees
+        assert metric_factor(3.0, 6.2) * u_t == pytest.approx(E_in, rel=1e-10)
 
     def test_midflight_oracle_agreement(self):
         # entry at the outer shell of the two-shell reference geometry
-        st_ = m2_reference()
-        legs = quarter_oscillation(st_, 12.0)
+        _, _, legs = oscillation_period(m2_reference(), 12.0)
         leg = legs[1]  # intermediate patch
-        E_loc = math.sqrt(leg.entry.u_r**2 + metric_factor(1.9999, leg.entry.r))
-        dt_oracle, dtau_oracle = quad_spans(1.9999, E_loc, leg.entry.r, leg.r_inner)
+        E_loc = math.sqrt(leg.u_r**2 + metric_factor(1.9999, leg.r_outer))
+        dt_oracle, dtau_oracle = quad_spans(1.9999, E_loc, leg.r_outer, leg.r_inner)
         assert leg.dt_local == pytest.approx(abs(dt_oracle), rel=1e-8)
         assert leg.dtau == pytest.approx(abs(dtau_oracle), rel=1e-8)
 
     def test_minkowski_drop_to_center(self):
-        entry = GeodesicState(0, 4.0, -0.5, math.sqrt(1.25), 0.0)
-        seg = segment_minkowski(entry, 0.0)
-        assert seg.dtau == pytest.approx(8.0, rel=1e-15)
+        _, dtau = _minkowski_span(4.0, -0.5, math.sqrt(1.25), 0.0)
+        assert dtau == pytest.approx(8.0, rel=1e-15)
 
     def test_minkowski_uniform(self):
-        entry = GeodesicState(0, 0.0, 1.0, math.sqrt(2.0), 0.0)
-        seg = segment_minkowski(entry, 4.0)
-        assert seg.dtau == pytest.approx(4.0)
-        assert seg.dt_local == pytest.approx(4.0 * math.sqrt(2.0))
+        dt, dtau = _minkowski_span(0.0, 1.0, math.sqrt(2.0), 4.0)
+        assert dtau == pytest.approx(4.0)
+        assert dt == pytest.approx(4.0 * math.sqrt(2.0))
 
     def test_minkowski_zero_length(self):
-        entry = GeodesicState(0, 4.0, -0.5, math.sqrt(1.25), 0.0)
-        seg = segment_minkowski(entry, 4.0)
-        assert (seg.dt_local, seg.dtau) == (0.0, 0.0)
+        assert _minkowski_span(4.0, -0.5, math.sqrt(1.25), 4.0) == (0.0, 0.0)
 
     def test_minkowski_stationary_error(self):
-        entry = GeodesicState(0, 4.0, 0.0, 1.0, 0.0)
         with pytest.raises(GeodesicError):
-            segment_minkowski(entry, 0.0)
+            _minkowski_span(4.0, 0.0, 1.0, 0.0)
 
     def test_time_reflection_symmetry(self):
         # infall r_i -> R spans equal the outbound R -> r_i spans; the only
         # slack is the one-ulp apoapsis reconstruction from the mid-flight
         # state (the period itself is composed as 4x one quarter, exactly).
-        inbound = segment_schwarzschild(3.0, self.rest_entry(3.0, 12.0), 7.0)
-        s = inbound.exit_state
-        back = segment_schwarzschild(
-            3.0,
-            GeodesicState(0, 7.0, -s.u_r, s.u_t, 0.0),
-            12.0,
-        )
-        assert back.dt_local == pytest.approx(inbound.dt_local, rel=1e-13)
-        assert back.dtau == pytest.approx(inbound.dtau, rel=1e-13)
+        dt_in, dtau_in, u_r, *_ = _schwarzschild_span(3.0, 12.0, 0.0, 7.0)
+        dt_back, dtau_back, *_ = _schwarzschild_span(3.0, 7.0, -u_r, 12.0)
+        assert dt_back == pytest.approx(dt_in, rel=1e-13)
+        assert dtau_back == pytest.approx(dtau_in, rel=1e-13)
 
     def test_randomized_quadrature_oracle(self):
         rng = np.random.default_rng(20240824)
@@ -241,44 +215,41 @@ class TestSegments:
             assert dtau == pytest.approx(abs(dtau_o), rel=1e-8)
 
 
+def cross(mu_in, mu_out, R, u_r, u_t, inward=True):
+    """(u_r, u_t) on the other side of the shell at R, by the walk's rule."""
+    k = _shell_transfer(mu_in, mu_out, R, R)
+    return (u_r / k, u_t * k) if inward else (u_r * k, u_t / k)
+
+
+def on_shell_u_t(mass, r, u_r):
+    """u_t of a unit-norm radial 4-velocity with this u_r at r."""
+    f = metric_factor(mass, r)
+    return math.sqrt((1.0 + u_r * u_r / f) / f)
+
+
 class TestCrossShell:
-    def entry_at_shell(self, st_, shell_index, u_r, patch_index):
-        R = st_.shells[shell_index]
-        mass = st_.patches[patch_index].mass
-        f = metric_factor(mass, R)
-        u_t = math.sqrt((1.0 + u_r * u_r / f) / f)
-        return GeodesicState(patch_index, R, u_r, u_t, 0.0)
+    """_shell_transfer: the tangent vector re-expressed across a shell."""
 
     def test_identity_crossing(self):
-        st_ = build_spacetime([
-            PatchSpec(0.0, 0.0, 8.0),
-            PatchSpec(2.0, 8.0, 20.0),
-            PatchSpec(2.0, 20.0, None),
-        ])
-        s = self.entry_at_shell(st_, 1, -0.5, 2)
-        out = cross_shell(s, st_, 1)
-        assert out.u_r == pytest.approx(s.u_r, rel=1e-15)
-        assert out.u_t == pytest.approx(s.u_t, rel=1e-15)
+        u_r, u_t = -0.5, on_shell_u_t(2.0, 20.0, -0.5)
+        out = cross(2.0, 2.0, 20.0, u_r, u_t)
+        assert out[0] == pytest.approx(u_r, rel=1e-15)
+        assert out[1] == pytest.approx(u_t, rel=1e-15)
 
     def test_minkowski_interior_factor(self):
-        st_ = one_shell(3.0, 10.0)
-        s = self.entry_at_shell(st_, 0, -0.5, 1)
-        inner = cross_shell(s, st_, 0)
-        assert inner.u_r == pytest.approx(-0.5 / math.sqrt(0.4), rel=1e-14)
-        assert inner.u_r == pytest.approx(-0.7906, abs=1e-4)
+        inner_u_r, _ = cross(0.0, 3.0, 10.0, -0.5, on_shell_u_t(3.0, 10.0, -0.5))
+        assert inner_u_r == pytest.approx(-0.5 / math.sqrt(0.4), rel=1e-14)
+        assert inner_u_r == pytest.approx(-0.7906, abs=1e-4)
 
     def test_round_trip_identity(self):
-        st_ = one_shell(3.0, 10.0)
-        s = self.entry_at_shell(st_, 0, -0.5, 1)
-        back = cross_shell(cross_shell(s, st_, 0), st_, 0)
-        assert back.u_r == pytest.approx(s.u_r, rel=1e-14)
-        assert back.u_t == pytest.approx(s.u_t, rel=1e-14)
+        u_r, u_t = -0.5, on_shell_u_t(3.0, 10.0, -0.5)
+        back = cross(0.0, 3.0, 10.0, *cross(0.0, 3.0, 10.0, u_r, u_t), inward=False)
+        assert back[0] == pytest.approx(u_r, rel=1e-14)
+        assert back[1] == pytest.approx(u_t, rel=1e-14)
 
     def test_not_at_shell(self):
-        st_ = one_shell(3.0, 10.0)
-        s = GeodesicState(1, 11.0, -0.5, 2.0, 0.0)
         with pytest.raises(GeodesicError):
-            cross_shell(s, st_, 0)
+            _shell_transfer(0.0, 3.0, 10.0, 11.0)
 
     @given(st.floats(min_value=0.0, max_value=2.0),
            st.floats(min_value=0.1, max_value=3.0),
@@ -288,18 +259,15 @@ class TestCrossShell:
     def test_norm_preserved(self, mu_in, mu_out, u_r, clearance):
         R = 2.0 * max(mu_in, mu_out) * clearance
         try:
-            st_ = build_spacetime([
+            build_spacetime([
                 PatchSpec(0.0, 0.0, R / 2),
                 PatchSpec(mu_in, R / 2, R),
                 PatchSpec(mu_out, R, None),
             ])
         except Exception:
             return
-        f = metric_factor(mu_out, R)
-        u_t = math.sqrt((1.0 + u_r * u_r / f) / f)
-        s = GeodesicState(2, R, u_r, u_t, 0.0)
-        inner = cross_shell(s, st_, 1)
-        assert inner.norm_defect(mu_in) < 1e-9
+        inner = cross(mu_in, mu_out, R, u_r, on_shell_u_t(mu_out, R, u_r))
+        assert norm_defect(mu_in, R, *inner) < 1e-9
 
 
 class TestOscillation:
@@ -331,31 +299,45 @@ class TestOscillation:
         # itself must be the apoapsis, so the exterior leg starts at eta = 0
         # and its proper time is the from-rest closed form, bit for bit
         M, r_i, R = 3.0749440709202327, 11.977602456133065, 7.0
-        leg = quarter_oscillation(one_shell(M, R), r_i)[0]
-        assert leg.segment.eta_entry == 0.0
+        leg = oscillation_period(one_shell(M, R), r_i)[2][0]
+        assert leg.eta_entry == 0.0
         params = CycloidParams.from_rest(M, r_i)
         assert leg.dtau == proper_time(params, eta_of_radius(params, R))
 
     def test_norm_along_quarter(self):
         # 4-velocity norm -1 at sampled points of every leg, in local coords
         st_ = m2_reference()
-        legs = quarter_oscillation(st_, 12.0)
+        _, _, legs = oscillation_period(st_, 12.0)
         checked = 0
         for leg in legs:
             mass = st_.patches[leg.patch_index].mass
-            seg = leg.segment
-            if seg.cycloid is None:
-                assert leg.entry.norm_defect(mass) < 1e-9
-                checked += 1
+            assert norm_defect(mass, leg.r_outer, leg.u_r, leg.u_t) < 1e-9
+            checked += 1
+            if leg.cycloid is None:
                 continue
             for k in range(50):
-                eta = seg.eta_entry + (seg.eta_exit - seg.eta_entry) * k / 49
-                r = radius(seg.cycloid, eta)
-                U0, U1 = tangent(seg.cycloid, eta, r)
-                s = GeodesicState(leg.patch_index, r, U1, U0, 0.0)
-                assert s.norm_defect(mass) < 1e-9
+                eta = leg.eta_entry + (leg.eta_exit - leg.eta_entry) * k / 49
+                r = radius(leg.cycloid, eta)
+                U0, U1 = tangent(leg.cycloid, eta, r)
+                assert norm_defect(mass, r, U1, U0) < 1e-9
                 checked += 1
         assert checked > 100
+
+    def test_legs_are_the_walk_records(self):
+        # one flat Leg per walk record, outermost patch first; each leg starts
+        # where the one outside it ended, tau running on across the shells
+        st_ = m2_reference()
+        _, _, legs = oscillation_period(st_, 12.0)
+        masses = [p.mass for p in st_.patches]
+        r_mins = [p.r_min for p in st_.patches]
+        records = _inward_walk(masses, r_mins, st_.shells, st_.lapses, 12.0)
+        assert legs == [Leg(*record) for record in records]
+        assert [leg.patch_index for leg in legs] == [2, 1, 0]
+        assert (legs[0].r_outer, legs[0].u_r, legs[0].tau) == (12.0, 0.0, 0.0)
+        for outer, inner in zip(legs, legs[1:]):
+            assert inner.r_outer == outer.r_inner
+            assert inner.tau == outer.tau + outer.dtau
+            assert inner.dt_global == st_.lapses[inner.patch_index] * inner.dt_local
 
 
 class TestTrajectory:
@@ -408,9 +390,8 @@ def leg_from(mass, r_apo, r_entry, r_exit, lapse):
     cycloid from r_apo, with global time lapse * local time."""
     params = CycloidParams.from_rest(mass, r_apo)
     U0, U1 = tangent(params, eta_of_radius(params, r_entry), r_entry)
-    entry = GeodesicState(1, r_entry, U1, U0, 0.0)
-    seg = segment_schwarzschild(mass, entry, r_exit)
-    return Leg(1, r_entry, r_exit, seg.dt_local, lapse * seg.dt_local, seg.dtau, entry, seg)
+    dt, dtau, _, _, cycloid, eta_entry, eta_exit = _schwarzschild_span(mass, r_entry, U1, r_exit)
+    return Leg(1, r_entry, r_exit, dt, lapse * dt, dtau, U1, U0, 0.0, cycloid, eta_entry, eta_exit)
 
 
 @st.composite
@@ -444,10 +425,10 @@ class TestGuidedBisection:
         """A wrong estimate gives NaN or the plain bits, never other bits; on
         NaN the sampler reruns the loop unguided and still returns them."""
         leg = leg_from(3.0, 12.0, 12.0, r_exit, 1.0)
-        params, seg = leg.segment.cycloid, leg.segment
+        params = leg.cycloid
         origin = _leg_origin(leg)
         t0 = origin[0]
-        lo, hi = seg.eta_entry, seg.eta_exit
+        lo, hi = leg.eta_entry, leg.eta_exit
         offsets = [s * 10.0**k for k in range(-10, 0) for s in (1.0, -1.0)]
         refused = 0
         for frac in (0.01, 0.3, 0.7, 0.999):
@@ -516,8 +497,10 @@ class TestStaticExchange:
 
 class TestReleaseState:
     def test_norm(self):
-        s = release_state(m2_reference(), 12.0)
-        assert s.norm_defect(3.0) < 1e-12
+        u_t = _release_u_t(3.0, 10.072, 12.0)
+        assert norm_defect(3.0, 12.0, 0.0, u_t) < 1e-12
+        leg = oscillation_period(m2_reference(), 12.0)[2][0]
+        assert (leg.u_r, leg.u_t) == (0.0, u_t)
 
 
 @st.composite

@@ -9,7 +9,6 @@ from shellswitch import (
     PatchSpec,
     build_spacetime,
     induced_metric_gap,
-    lapse_factor,
     shell_stress,
 )
 from shellswitch.errors import GeometryError, HorizonViolation
@@ -72,12 +71,12 @@ class TestBuild:
 
 class TestLapse:
     def test_outermost_is_one(self):
-        assert lapse_factor(m2_reference(), 2) == 1.0
+        assert m2_reference().lapses[2] == 1.0
 
     def test_m2_region_ii(self):
         want = math.sqrt((1 - 3.9998 / 10.072) / (1 - 6 / 10.072))
-        assert lapse_factor(m2_reference(), 1) == pytest.approx(want, rel=1e-14)
-        assert lapse_factor(m2_reference(), 1) == pytest.approx(1.2212, abs=1e-4)
+        assert m2_reference().lapses[1] == pytest.approx(want, rel=1e-14)
+        assert m2_reference().lapses[1] == pytest.approx(1.2212, abs=1e-4)
 
     def test_core_is_product_of_shell_factors(self):
         st_ = m2_reference()
@@ -85,8 +84,11 @@ class TestLapse:
         assert st_.lapses[0] == pytest.approx(st_.lapses[1] * factor2, rel=1e-14)
 
     def test_index_out_of_range(self):
+        # one lapse per patch, and none beyond the outermost
+        st_ = m2_reference()
+        assert len(st_.lapses) == len(st_.patches) == 3
         with pytest.raises(IndexError):
-            lapse_factor(m2_reference(), 3)
+            st_.lapses[3]
 
 
 class TestInducedMetric:

@@ -13,7 +13,7 @@ from shellswitch import (
     schedule,
 )
 from shellswitch.errors import DimensionMismatchError, ScheduleError
-from shellswitch.switch import ControlledSlot, broken_switch_slots, tabletop_slots
+from shellswitch.switch import SWITCH_ORDERS, ControlledSlot, broken_switch_slots, tabletop_slots
 
 from oracles import random_state, random_unitary
 
@@ -48,7 +48,7 @@ class TestSchedule:
         assert sched.tau_B < sched.t_B
 
     def test_branch_orders(self):
-        assert STUB.branch_orders() == (("A", "B"), ("B", "A"))
+        assert SWITCH_ORDERS == (("A", "B"), ("B", "A"))
 
     def test_misordered_schedule_rejected(self):
         with pytest.raises(ScheduleError):
