@@ -14,10 +14,9 @@ proper time on their first far-side excursion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (
@@ -43,10 +42,8 @@ from .spacetime import (
 
 F_MARGIN = 1e-6        # radial margin 1e-6 * R1 above 2M for the f bracket
 F_UPPER = 1.0 - 1e-6
-BRACKET_SCAN = 64      # f subdivisions used to find the first sign change
-SCAN_GUARD = 1e-12     # a numpy scan residual this near zero is evaluated exactly
-SCAN_BLOCK = 32        # R1 grid points per numpy scan pass, bounding its memory
-_SCAN_STEPS = np.arange(BRACKET_SCAN + 1.0)
+F_XTOL = 1e-30         # absolute f tolerance, negligible beside brentq's rtol * f
+RESIDUAL_TOL = 1e-8    # bound on a solution's clock-rate and period-ratio residuals
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,6 @@ class SearchConfig:
     R1_max: float
     grid: int = 200
     root_tol: float = 1e-10
-    residual_tol: float = 1e-8
 
     def __post_init__(self):
         if self.m <= 0 or self.M <= 0:
@@ -211,63 +207,14 @@ def ratio_residual(R1: float, f: float, config: SearchConfig, rate2: float) -> f
     return dtau1 / dt1 - rate2
 
 
-def _one_shell_rates(config: SearchConfig, R: np.ndarray) -> np.ndarray:
-    """Dtau1/Dt1 of _one_shell_period at each radius of R, from its float
-    operations in its order on numpy.  NaN where it returns NaN or either span
-    is not finite; wherever it raises, the rate is therefore not finite.
-    numpy's transcendentals may differ from math's in the last bits, so these
-    rates only choose a bracket."""
-    M, r_i = config.M, config.r_i
-    params, t_release = config.release
-    r_apo = params.r_apo
-    with np.errstate(all="ignore"):
-        f_out = (R - 2.0 * M) / R
-        eta = 2.0 * np.arccos(np.sqrt(R / r_apo))
-        sin_eta, tan_e = np.sin(eta), np.tan(0.5 * eta)
-        poly = params.t_scale * (0.5 * (eta + sin_eta) + params.one_minus_E2 * eta)
-        log_term = 2.0 * M * np.log(
-            (params.tan_h + tan_e) ** 2 * (2.0 * M * R) / (r_apo * (R - 2.0 * M))
-        )
-        dt_out = np.abs(poly + log_term - t_release)
-        dtau_out = params.tau_scale * (eta + sin_eta)
-        u_t = params.energy * R / (R - 2.0 * M)
-        k = np.sqrt(f_out)
-        dtau_core = R / (np.abs(params.u_scale * tan_e) / k)
-        dt_core = np.sqrt(1.0 / f_out) * (u_t * k * dtau_core)
-        dt1, dtau1 = 4.0 * (dt_out + dt_core), 4.0 * (dtau_out + dtau_core)
-        valid = ((0.0 < R) & (R < r_i) & (f_out >= DEFAULT_HORIZON_MARGIN)
-                 & np.isfinite(dt1) & np.isfinite(dtau1))
-        return np.where(valid, dtau1 / dt1, np.nan)
-
-
-def _scan_block(R1s: list[float], config: SearchConfig):
-    """The f scans of the R1s in one numpy pass: per row the lower f end (before
-    its admissibility check), the BRACKET_SCAN + 1 scan abscissae and the
-    one-shell clock rate at each."""
-    f_los = [(2.0 * config.M + F_MARGIN * R1 - config.R2) / (R1 - config.R2) for R1 in R1s]
-    lo = np.array([max(f_lo, 0.0) for f_lo in f_los])[:, None]
-    fs = lo + (F_UPPER - lo) * _SCAN_STEPS / BRACKET_SCAN
-    R = config.R2 + (np.array(R1s)[:, None] - config.R2) * fs
-    return f_los, fs.tolist(), _one_shell_rates(config, R)
-
-
-def _scan_residuals(R1: float, fs: list[float], rates: np.ndarray,
-                    config: SearchConfig, rate2: float) -> list[float]:
-    """ratio_residual at each scan abscissa: the numpy rate minus rate2 where that
-    is finite and farther than SCAN_GUARD from zero, so its sign is the exact
-    residual's; ratio_residual itself everywhere else, in ascending f."""
-    with np.errstate(all="ignore"):
-        vals = rates - rate2
-        redo = np.flatnonzero(~(np.abs(vals) > SCAN_GUARD) | ~np.isfinite(vals))
-    vals = vals.tolist()
-    for j in redo.tolist():
-        vals[j] = ratio_residual(R1, fs[j], config, rate2)
-    return vals
-
-
-def _contour_point(R1: float, f_lo: float, fs: list[float], rates: np.ndarray,
-                   config: SearchConfig) -> ContourPoint:
-    """solve_contour at R1 from its row of _scan_block."""
+def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
+    """Both branch periods at the root in f of the equal-clock-rate residual at
+    fixed R1.  The two-shell period depends on R1 alone, so it is computed once
+    and only the one-shell branch varies with f.  The one-shell rate Dtau1/Dt1
+    rises strictly in R (tests/test_search.py checks it at 50 digits), so the
+    root is unique: brentq solves it over the whole admissible interval to
+    brentq's relative floor, about 4 ulps of f."""
+    f_lo = (2.0 * config.M + F_MARGIN * R1 - config.R2) / (R1 - config.R2)
     if f_lo >= F_UPPER:
         raise NoSolutionAtRadius(f"no admissible f interval at R1={R1}")
     try:
@@ -275,21 +222,17 @@ def _contour_point(R1: float, f_lo: float, fs: list[float], rates: np.ndarray,
     except (GeometryError, GeodesicError) as exc:
         raise NoSolutionAtRadius(f"two-shell branch invalid at R1={R1}: {exc}") from exc
     rate2 = dtau2 / dt2
-    vals = _scan_residuals(R1, fs, rates, config, rate2)
-    for i in range(BRACKET_SCAN):
-        a, b = vals[i], vals[i + 1]
-        if math.isnan(a) or math.isnan(b):
-            continue
-        if a == 0.0:
-            f_star = fs[i]
-            break
-        if a * b < 0.0:
-            f_star = brentq(
-                lambda f: ratio_residual(R1, f, config, rate2),
-                fs[i], fs[i + 1], xtol=config.root_tol, rtol=8.9e-16,
-            )
-            break
-    else:
+
+    def residual(f: float) -> float:
+        return ratio_residual(R1, f, config, rate2)
+
+    f_lo = max(f_lo, 0.0)
+    lo, hi = residual(f_lo), residual(F_UPPER)
+    if lo == 0.0 or hi == 0.0:
+        f_star = f_lo if lo == 0.0 else F_UPPER
+    elif lo * hi < 0.0:
+        f_star = brentq(residual, f_lo, F_UPPER, xtol=F_XTOL, rtol=8.9e-16)
+    else:  # NaN at an end, or no sign change
         raise NoSolutionAtRadius(
             f"no sign change of the clock-rate residual in f at R1={R1}"
         )
@@ -298,45 +241,24 @@ def _contour_point(R1: float, f_lo: float, fs: list[float], rates: np.ndarray,
     return ContourPoint(R1, f_star, dt1, dtau1, dt2, dtau2)
 
 
-def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
-    """Both branch periods at the first root (in ascending f) of the
-    equal-clock-rate residual at fixed R1.  The two-shell period depends on R1
-    alone, so it is computed once and only the one-shell branch varies with f."""
-    f_los, fs, rates = _scan_block([R1], config)
-    return _contour_point(R1, f_los[0], fs[0], rates[0], config)
-
-
 def period_ratio_curve(config: SearchConfig) -> list[tuple[float, float, float]]:
     """(R1, f_star, Dt1/Dt2) along the contour over the configured R1 grid,
-    skipping grid points with no contour root.  The f scans of SCAN_BLOCK grid
-    points at a time are one numpy pass."""
-    R1s = [config.R1_min + (config.R1_max - config.R1_min) * i / (config.grid - 1)
-           for i in range(config.grid)]
+    skipping grid points with no contour root."""
     curve = []
-    for start in range(0, config.grid, SCAN_BLOCK):
-        block = R1s[start:start + SCAN_BLOCK]
-        for R1, *row in zip(block, *_scan_block(block, config)):
-            try:
-                point = _contour_point(R1, *row, config)
-            except NoSolutionAtRadius:
-                continue
-            curve.append((point.R1, point.f, point.ratio))
+    for i in range(config.grid):
+        R1 = config.R1_min + (config.R1_max - config.R1_min) * i / (config.grid - 1)
+        try:
+            point = solve_contour(R1, config)
+        except NoSolutionAtRadius:
+            continue
+        curve.append((point.R1, point.f, point.ratio))
     return curve
 
 
 def solve_switch_configuration(config: SearchConfig) -> SwitchSolution:
     """Solve both conditions: returns the geometry with Dt1/Dt2 = p/q on the
-    contour, carrying the contour it traced as `curve`.  Where the ratio is so
-    steep in f that an f root within root_tol leaves the R1 root off and a
-    residual above residual_tol, the solve is repeated with root_tol / 100."""
-    solution = _solve(config)
-    if max(abs(solution.clock_residual), abs(solution.ratio_residual)) > config.residual_tol:
-        solution = _solve(replace(config, root_tol=config.root_tol / 100.0))
-    _validate_solution(solution)
-    return solution
-
-
-def _solve(config: SearchConfig) -> SwitchSolution:
+    contour, carrying the contour it traced as `curve`.  R1 is solved to
+    root_tol; each contour point's f to brentq's relative floor."""
     curve = period_ratio_curve(config)
     if len(curve) < 2:
         raise SearchError("contour could not be traced over the R1 grid")
@@ -362,7 +284,7 @@ def _solve(config: SearchConfig) -> SwitchSolution:
 
     R1_star = brentq(g, bracket[0], bracket[1], xtol=config.root_tol, rtol=8.9e-16)
     pt = points.get(R1_star) or solve_contour(R1_star, config)
-    return SwitchSolution(
+    solution = SwitchSolution(
         R1=pt.R1, f=pt.f, R=shell_radius(config, pt.R1, pt.f),
         dt1=pt.dt1, dtau1=pt.dtau1, dt2=pt.dt2, dtau2=pt.dtau2,
         achieved_ratio=pt.ratio,
@@ -371,15 +293,17 @@ def _solve(config: SearchConfig) -> SwitchSolution:
         config=config,
         curve=tuple(curve),
     )
+    _validate_solution(solution)
+    return solution
 
 
 def _validate_solution(sol: SwitchSolution) -> None:
     cfg = sol.config
     if not (2.0 * cfg.M < sol.R < sol.R1 and cfg.R2 < sol.R):
         raise SearchError(f"solved geometry invalid: R={sol.R}, R1={sol.R1}")
-    if abs(sol.clock_residual) > cfg.residual_tol:
+    if abs(sol.clock_residual) > RESIDUAL_TOL:
         raise SearchError(f"clock-rate residual {sol.clock_residual} above tolerance")
-    if abs(sol.ratio_residual) > cfg.residual_tol:
+    if abs(sol.ratio_residual) > RESIDUAL_TOL:
         raise SearchError(f"period-ratio residual {sol.ratio_residual} above tolerance")
 
 

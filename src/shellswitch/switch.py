@@ -214,18 +214,6 @@ def broken_switch_slots(C: OperatorSpec, D: OperatorSpec, B: OperatorSpec) -> li
     ]
 
 
-def tabletop_slots(A: OperatorSpec, B: OperatorSpec) -> list[ControlledSlot]:
-    """Four-slot pattern where each operation is applied at two times."""
-    d = A.dimension
-    eye = np.eye(d, dtype=complex)
-    return [
-        ControlledSlot(B.matrix, eye),
-        ControlledSlot(eye, A.matrix),
-        ControlledSlot(eye, B.matrix),
-        ControlledSlot(A.matrix, eye),
-    ]
-
-
 def _as_state(psi, d: int) -> np.ndarray:
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.size != d:

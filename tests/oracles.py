@@ -4,32 +4,24 @@ The quadrature oracle integrates dt/dr and dtau/dr for bound radial motion of
 local energy E in a single Schwarzschild metric; it shares no code with the
 parametric closed forms it validates.  The 4-velocity norm is the
 invariant every propagated state keeps.  The plain bisection is the reference
-that the guided trajectory sampling must reproduce to the last bit.  The
-scalar contour is the search's f scan before its numpy pass, one ratio_residual
-per scan point; the search must reproduce it to the last bit.
+that the guided trajectory sampling must reproduce to the last bit.  The mp_*
+closed forms give the periods, the contour and the switch root at DPS digits;
+tanh-sinh quadrature (mp_quad_period) checks the closed forms.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from shellswitch.errors import GeodesicError, GeometryError, NoSolutionAtRadius
-from shellswitch.geodesic import coordinate_time, period_spans, proper_time, radius
-from shellswitch.search import (
-    BRACKET_SCAN,
-    F_MARGIN,
-    F_UPPER,
-    ContourPoint,
-    SearchConfig,
-    _one_shell_period,
-    ratio_residual,
-    shell_radius,
-)
+from shellswitch.geodesic import coordinate_time, proper_time, radius
 from shellswitch.spacetime import metric_factor
+
+DPS = 50  # working digits of the mp_* oracles
 
 
 def quad_spans(mass: float, E: float, r_from: float, r_to: float) -> tuple[float, float]:
@@ -95,51 +87,122 @@ def random_state(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def scalar_contour(R1: float, config: SearchConfig) -> ContourPoint:
-    """Both branch periods at the first root (in ascending f) of the
-    equal-clock-rate residual at fixed R1.  The two-shell period depends on R1
-    alone, so it is computed once and only the one-shell branch varies with f."""
-    f_lo = (2.0 * config.M + F_MARGIN * R1 - config.R2) / (R1 - config.R2)
-    if f_lo >= F_UPPER:
-        raise NoSolutionAtRadius(f"no admissible f interval at R1={R1}")
-    f_lo, f_hi = max(f_lo, 0.0), F_UPPER
-    try:
-        dt2, dtau2 = period_spans((0.0, config.m, config.M), (config.R2, R1), config.r_i)
-    except (GeometryError, GeodesicError) as exc:
-        raise NoSolutionAtRadius(f"two-shell branch invalid at R1={R1}: {exc}") from exc
-    rate2 = dtau2 / dt2
-    fs = [f_lo + (f_hi - f_lo) * i / BRACKET_SCAN for i in range(BRACKET_SCAN + 1)]
-    vals = [ratio_residual(R1, f, config, rate2) for f in fs]
-    for i in range(BRACKET_SCAN):
-        a, b = vals[i], vals[i + 1]
-        if math.isnan(a) or math.isnan(b):
-            continue
-        if a == 0.0:
-            f_star = fs[i]
-            break
-        if a * b < 0.0:
-            f_star = brentq(
-                lambda f: ratio_residual(R1, f, config, rate2),
-                fs[i], fs[i + 1], xtol=config.root_tol, rtol=8.9e-16,
-            )
-            break
-    else:
-        raise NoSolutionAtRadius(
-            f"no sign change of the clock-rate residual in f at R1={R1}"
-        )
-    # f_star lies between two finite residuals, so the period is finite
-    dt1, dtau1 = _one_shell_period(config, shell_radius(config, R1, f_star))
-    return ContourPoint(R1, f_star, dt1, dtau1, dt2, dtau2)
+# ---------------------------------------------------------------------------
+# 50-digit closed forms and the switch root.  The mp_* functions work at
+# mpmath's current precision (callers set it with mp.workdps(DPS)), so that
+# mp.diff can raise it; mp_switch_root sets DPS itself.
+
+def _stack(masses, shells, r_i):
+    """The stack as mpf: masses, patch bounds center-out ending at r_i, the
+    lapses of the patches relative to the outermost, and the release energy."""
+    masses = [mp.mpf(m) for m in masses]
+    bounds = [mp.mpf(0), *(mp.mpf(R) for R in shells), mp.mpf(r_i)]
+    lapses = [mp.mpf(1)] * len(masses)
+    for k in range(len(masses) - 2, -1, -1):
+        R = bounds[k + 1]
+        lapses[k] = lapses[k + 1] * mp.sqrt(_f(masses[k], R) / _f(masses[k + 1], R))
+    return masses, bounds, lapses, mp.sqrt(_f(masses[-1], bounds[-1]))
 
 
-def scalar_curve(config: SearchConfig) -> list[tuple[float, float, float]]:
-    """period_ratio_curve through scalar_contour, one grid point at a time."""
-    curve = []
-    for i in range(config.grid):
-        R1 = config.R1_min + (config.R1_max - config.R1_min) * i / (config.grid - 1)
-        try:
-            point = scalar_contour(R1, config)
-        except NoSolutionAtRadius:
-            continue
-        curve.append((point.R1, point.f, point.ratio))
-    return curve
+def _f(mass, r):
+    return 1 - 2 * mass / r
+
+
+def _cycloid_at(mass, r_apo, r):
+    """(t, tau) from rest at r_apo down to r on r = r_apo cos^2(eta/2), in
+    the textbook form t/(2m) = log|(h + x)/(h - x)| + h (eta + r_apo/(4m) (eta +
+    sin eta)), x = tan(eta/2), h = sqrt(r_apo/(2m) - 1)."""
+    eta = 2 * mp.acos(mp.sqrt(min(r / r_apo, 1)))
+    x, h = mp.tan(eta / 2), mp.sqrt(r_apo / (2 * mass) - 1)
+    tau = mp.sqrt(r_apo**3 / (8 * mass)) * (eta + mp.sin(eta))
+    t = 2 * mass * (mp.log((h + x) / (h - x)) + h * (eta + r_apo / (4 * mass) * (eta + mp.sin(eta))))
+    return t, tau
+
+
+def mp_period(masses, shells, r_i):
+    """(Dt, Dtau) of the full oscillation from rest at r_i through the
+    center-out stack (masses[k] between shells[k - 1], 0 for the core, and
+    shells[k]) in closed form: in each patch the local energy is E * lapse, and
+    the body moves on a straight line (flat) or on a cycloid piece."""
+    masses, bounds, lapses, E = _stack(masses, shells, r_i)
+    dt = dtau = mp.mpf(0)
+    for mass, a, b, lapse in zip(masses, bounds, bounds[1:], lapses):
+        E_k = E * lapse
+        if mass == 0:
+            span_tau = (b - a) / mp.sqrt(E_k**2 - 1)
+            span_t = E_k * span_tau
+        else:
+            r_apo = 2 * mass / (1 - E_k**2)
+            (t_a, tau_a), (t_b, tau_b) = _cycloid_at(mass, r_apo, a), _cycloid_at(mass, r_apo, b)
+            span_t, span_tau = t_a - t_b, tau_a - tau_b
+        dt += lapse * span_t
+        dtau += span_tau
+    return 4 * dt, 4 * dtau
+
+
+def mp_quad_period(masses, shells, r_i):
+    """mp_period by tanh-sinh quadrature of dt/dr and dtau/dr in each patch; the
+    release patch is integrated in s, r = r_i - s^2, which removes the inverse
+    square root at rest."""
+    masses, bounds, lapses, E = _stack(masses, shells, r_i)
+    dt = dtau = mp.mpf(0)
+    for mass, a, b, lapse in zip(masses[:-1], bounds, bounds[1:], lapses):
+        E_k = E * lapse
+        dtau += mp.quad(lambda r: 1 / mp.sqrt(E_k**2 - _f(mass, r)), [a, b])
+        dt += lapse * mp.quad(lambda r: E_k / (_f(mass, r) * mp.sqrt(E_k**2 - _f(mass, r))), [a, b])
+    mass, a, b = masses[-1], bounds[-2], bounds[-1]
+
+    def dtau_ds(s):
+        return 2 * mp.sqrt((b - s * s) * b / (2 * mass))
+
+    dtau += mp.quad(dtau_ds, [0, mp.sqrt(b - a)])
+    dt += mp.quad(lambda s: E * dtau_ds(s) / _f(mass, b - s * s), [0, mp.sqrt(b - a)])
+    return 4 * dt, 4 * dtau
+
+
+def mp_rate(masses, shells, r_i):
+    """Dtau/Dt of mp_period: the branch's clock rate."""
+    dt, dtau = mp_period(masses, shells, r_i)
+    return dtau / dt
+
+
+def _bracketed_root(g, a, b):
+    """The root of g in [a, b], where g changes sign, by the Illinois method
+    (Dowell & Jarratt, 1971) until the bracket is a few ulps of the working
+    precision wide."""
+    a, b = mp.mpf(a), mp.mpf(b)
+    ga, gb = g(a), g(b)
+    if not ga * gb < 0:
+        raise ValueError(f"no sign change on [{a}, {b}]")
+    for _ in range(500):
+        if abs(b - a) <= 2**8 * mp.eps * abs(b):
+            return b
+        c = b - gb * (b - a) / (gb - ga)
+        gc = g(c)
+        if gc == 0:
+            return c
+        if gc * gb < 0:
+            a, ga = b, gb
+        else:
+            ga /= 2
+        b, gb = c, gc
+    raise ArithmeticError(f"Illinois iteration did not converge on [{a}, {b}]")
+
+
+def mp_contour_ratio(m, M, R2, r_i, R1):
+    """Dt1/Dt2 on the contour at R1: the one-shell shell radius in (2M, R1)
+    whose clock rate equals the two-shell rate."""
+    rate2 = mp_rate((0, m, M), (R2, R1), r_i)
+    R = _bracketed_root(lambda R: mp_rate((0, M), (R,), r_i) - rate2,
+                        2 * mp.mpf(M) * (1 + mp.mpf(10) ** -15), R1)
+    return mp_period((0, M), (R,), r_i)[0] / mp_period((0, m, M), (R2, R1), r_i)[0]
+
+
+@lru_cache(maxsize=None)
+def mp_switch_root(m, M, R2, r_i, p, q, R1_min, R1_max):
+    """R1 at DPS digits where the contour's period ratio is p/q, bracketed by
+    [R1_min, R1_max]."""
+    with mp.workdps(DPS):
+        target = mp.mpf(p) / q
+        return _bracketed_root(lambda R1: mp_contour_ratio(m, M, R2, r_i, R1) - target,
+                               R1_min, R1_max)

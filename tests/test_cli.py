@@ -154,13 +154,13 @@ class TestSearch:
 
     def test_contour_traced_once(self, tmp_path, monkeypatch):
         calls = []
-        contour_point = shellswitch.search._contour_point
+        contour_point = shellswitch.search.solve_contour
 
         def counted(*args, **kwargs):
             calls.append(args)
             return contour_point(*args, **kwargs)
 
-        monkeypatch.setattr(shellswitch.search, "_contour_point", counted)
+        monkeypatch.setattr(shellswitch.search, "solve_contour", counted)
         cfg = write(tmp_path, "search.json", SEARCH)
         out = tmp_path / "sol.json"
         assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_OK
@@ -171,15 +171,15 @@ class TestSearch:
         # a contour point that fails inside the R1 root refinement is an
         # infeasible search, not a TypeError reported as an input error
         calls = []
-        contour_point = shellswitch.search._contour_point
+        contour_point = shellswitch.search.solve_contour
 
-        def failing_after_grid(R1, *row):
+        def failing_after_grid(R1, config):
             calls.append(R1)
             if len(calls) > SEARCH["grid"]:
                 raise NoSolutionAtRadius(f"no contour root at R1={R1}")
-            return contour_point(R1, *row)
+            return contour_point(R1, config)
 
-        monkeypatch.setattr(shellswitch.search, "_contour_point", failing_after_grid)
+        monkeypatch.setattr(shellswitch.search, "solve_contour", failing_after_grid)
         cfg = write(tmp_path, "search.json", SEARCH)
         assert main(["search", "--config", cfg]) == EXIT_INFEASIBLE
         assert len(calls) == SEARCH["grid"] + 1
@@ -196,7 +196,7 @@ class TestSearch:
     def test_bad_float_field_exits_1(self, tmp_path, capsys, monkeypatch, field, value):
         # NaN and Infinity reach the config as the JSON literals Python writes
         calls = []
-        monkeypatch.setattr(shellswitch.search, "_contour_point", lambda *a: calls.append(a))
+        monkeypatch.setattr(shellswitch.search, "solve_contour", lambda *a: calls.append(a))
         cfg = write(tmp_path, "search.json", dict(SEARCH, **{field: value}))
         assert main(["search", "--config", cfg]) == EXIT_INPUT
         err = capsys.readouterr().err
@@ -209,7 +209,7 @@ class TestSearch:
     def test_out_of_range_field_exits_1(self, tmp_path, capsys, monkeypatch, field, value):
         # r_i must clear both the exterior horizon 2M = 6 and R1_max = 10.4
         calls = []
-        monkeypatch.setattr(shellswitch.search, "_contour_point", lambda *a: calls.append(a))
+        monkeypatch.setattr(shellswitch.search, "solve_contour", lambda *a: calls.append(a))
         cfg = write(tmp_path, "search.json", dict(SEARCH, **{field: value}))
         assert main(["search", "--config", cfg]) == EXIT_INPUT
         err = capsys.readouterr().err
@@ -220,7 +220,7 @@ class TestSearch:
     def test_string_float_field_exits_1(self, tmp_path, capsys, monkeypatch, field):
         # "M": "3" used to be converted and solved; a string is not a number
         calls = []
-        monkeypatch.setattr(shellswitch.search, "_contour_point", lambda *a: calls.append(a))
+        monkeypatch.setattr(shellswitch.search, "solve_contour", lambda *a: calls.append(a))
         cfg = write(tmp_path, "search.json", dict(SEARCH, **{field: "3"}))
         assert main(["search", "--config", cfg]) == EXIT_INPUT
         err = capsys.readouterr().err

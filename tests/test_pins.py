@@ -1,4 +1,5 @@
-"""Bits recorded at commit 667e01a, before the period walk moved onto floats.
+"""Bits recorded at commit 667e01a, before the period walk moved onto floats,
+except where a table says otherwise.
 
 Every value is a float.hex string and is compared with ==: a refactor of the
 period, search or sampling paths keeps these outputs to the last bit.  A
@@ -76,30 +77,32 @@ PERIODS = [
      ('0x1.73f7063667b14p+11', '0x1.dae9b340b819cp+6')),
 ]
 
-# the grid-24 reference solve
+# the grid-24 reference solve, its meeting and its trajectory rows, recorded
+# with each contour f solved to brentq's relative floor (R1 1.1e-11 off the
+# 50-digit root)
 SOLUTION = {
-    'R1': '0x1.424f620f6dafep+3',
-    'f': '0x1.515f16177ca84p-2',
-    'R': '0x1.800956282ca5cp+2',
-    'dt1': '0x1.5e31bd877b462p+11',
-    'dtau1': '0x1.5e5551d8cd2e6p+6',
-    'dt2': '0x1.851ad29687d4ap+11',
-    'dtau2': '0x1.85425af0e8e83p+6',
-    'achieved_ratio': '0x1.ccccccccce269p-1',
-    'clock_residual': '-0x1.ff10000000000p-44',
-    'ratio_residual': '0x1.59c0000000000p-41',
+    'R1': '0x1.424f620f611b5p+3',
+    'f': '0x1.515f1617927f4p-2',
+    'R': '0x1.800956282ca58p+2',
+    'dt1': '0x1.5e31bd877f799p+11',
+    'dtau1': '0x1.5e5551d8cd2a0p+6',
+    'dt2': '0x1.851ad2968db3dp+11',
+    'dtau2': '0x1.85425af0e47b3p+6',
+    'achieved_ratio': '0x1.ccccccccccb98p-1',
+    'clock_residual': '-0x1.3400000000000p-47',
+    'ratio_residual': '-0x1.3500000000000p-45',
 }
 MEETING = {
-    'r_t': '0x1.7e060e53cda38p+3',
-    'tau_A': '0x1.71cbd664db0b5p+5',
-    't_A1': '0x1.5f0e518695b85p+10',
-    't_A2': '0x1.843e3e976d627p+10',
+    'r_t': '0x1.7e060e53ce165p+3',
+    'tau_A': '0x1.71cbd664d8d28p+5',
+    't_A1': '0x1.5f0e518699d2bp+10',
+    't_A2': '0x1.843e3e97735abp+10',
 }
 # (branch, row, (t_global, r, tau)) of 64-sample trajectories over q * dt1
 TRAJECTORY = [
-    ('gamma1', 5, ('0x1.15ee966b86686p+11', '0x1.310ddc5110cb8p+0', '0x1.06d0ced9d4912p+6')),
-    ('gamma1', 37, ('0x1.01164b2375ed6p+14', '0x1.add9595af4c21p+1', '0x1.f7a67f0d1bed7p+8')),
-    ('gamma2', 50, ('0x1.5b6a3c0668028p+14', '0x1.ee624b186d62cp+0', '0x1.60c21c2f47167p+9')),
+    ('gamma1', 5, ('0x1.15ee966b89bdep+11', '0x1.310ddc51105ecp+0', '0x1.06d0ced9d48d9p+6')),
+    ('gamma1', 37, ('0x1.01164b237902ep+14', '0x1.add9595af428ap+1', '0x1.f7a67f0d1be70p+8')),
+    ('gamma2', 50, ('0x1.5b6a3c066c2d6p+14', '0x1.ee624b18d2fd8p+0', '0x1.60c21c2f43134p+9')),
 ]
 
 

@@ -1,7 +1,7 @@
 import math
 from collections import Counter
 
-import numpy as np
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +26,6 @@ import shellswitch.geodesic
 import shellswitch.spacetime
 from shellswitch.geodesic import oscillation_period, period_spans
 from shellswitch.search import (
-    SCAN_GUARD,
     _one_shell_period,
     one_shell_spacetime,
     shell_radius,
@@ -35,7 +34,7 @@ from shellswitch.search import (
 from shellswitch.spacetime import DEFAULT_HORIZON_MARGIN, metric_factor
 
 from conftest import REFERENCE
-from oracles import scalar_contour, scalar_curve
+from oracles import DPS, mp_period, mp_quad_period, mp_rate, mp_switch_root
 
 
 class TestConfig:
@@ -128,103 +127,6 @@ class TestContour:
             solve_contour(6.0 + 1e-5, ref_config)
 
 
-def outcome(fn, *args):
-    """fn(*args)'s floats as (type, float.hex) pairs, or the class and message
-    of what it raises."""
-    try:
-        result = fn(*args)
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
-    if isinstance(result, list):
-        values = [x for point in result for x in point]
-    else:
-        values = [result.R1, result.f, result.dt1, result.dtau1, result.dt2, result.dtau2]
-    return [(type(x).__name__, x.hex()) for x in values]
-
-
-@st.composite
-def scan_configs(draw):
-    """Search configs around the reference: R2 down to 1e-8 relative above its
-    horizon 2m, R1 ranges that may start at or inside the exterior horizon 2M
-    (no f interval, or no valid two-shell branch, at those grid points), and
-    grids of 2 to 80 points."""
-    M, R2 = draw(st.floats(2.5, 3.5)), draw(st.floats(3.5, 4.5))
-    m = R2 / (2.0 * (1.0 + 10.0 ** draw(st.floats(-8.0, -2.0))))
-    R1_min = max(R2 + 0.05, 2.0 * M + draw(st.floats(-1.0, 5.0)))
-    R1_max = R1_min + draw(st.floats(0.1, 4.0))
-    r_i = max(2.0 * M, R1_max) * draw(st.floats(1.0001, 1.5))
-    return SearchConfig(m=m, M=M, R2=R2, r_i=r_i, p=9, q=10,
-                        R1_min=R1_min, R1_max=R1_max, grid=draw(st.integers(2, 80)))
-
-
-class TestScanOracle:
-    """The f scans run as numpy passes and only choose brackets; every contour
-    output keeps the bits of the scalar scan (tests/oracles.py), and every
-    error its class and message."""
-
-    @given(scan_configs(), st.floats(0.0, 1.0))
-    @settings(max_examples=40, deadline=None)
-    def test_curve_and_point_match_scalar_scan(self, config, t):
-        assert outcome(period_ratio_curve, config) == outcome(scalar_curve, config)
-        R1 = config.R1_min + (config.R1_max - config.R1_min) * t
-        assert outcome(solve_contour, R1, config) == outcome(scalar_contour, R1, config)
-
-    @pytest.mark.parametrize("R1_min", [9.0, 5.0])
-    def test_forced_fallback_keeps_the_bits(self, monkeypatch, R1_min):
-        # NaN, infinite, or within SCAN_GUARD of the two-shell rate: each such
-        # numpy rate is re-evaluated by ratio_residual; below R1 = 6 = 2M the
-        # grid points have no f interval or no valid two-shell branch
-        config = SearchConfig(**dict(REFERENCE, R1_min=R1_min), grid=40)
-        rng = np.random.default_rng(7)
-        scan_block = shellswitch.search._scan_block
-        residual = shellswitch.search.ratio_residual
-        forced, calls = [0], [0]
-
-        def corrupted(R1s, config):
-            f_los, fs, rates = scan_block(R1s, config)
-            rates = rates.copy()
-            for row, R1 in enumerate(R1s):
-                try:
-                    dt2, dtau2 = period_spans(
-                        (0.0, config.m, config.M), (config.R2, R1), config.r_i)
-                except (GeometryError, GeodesicError):
-                    continue
-                within = 0.5 * SCAN_GUARD * rng.uniform(-1.0, 1.0, rates[row, 1::4].size)
-                rates[row, 1::4] = dtau2 / dt2 + within
-                rates[row, 0::4] = np.nan
-                rates[row, 2::8] = np.inf
-                forced[0] += rates[row, 0::4].size + rates[row, 1::4].size
-            return f_los, fs, rates
-
-        def counted(*args):
-            calls[0] += 1
-            return residual(*args)
-
-        monkeypatch.setattr(shellswitch.search, "_scan_block", corrupted)
-        monkeypatch.setattr(shellswitch.search, "ratio_residual", counted)
-        got = outcome(period_ratio_curve, config)
-        monkeypatch.undo()
-        assert got == outcome(scalar_curve, config)
-        assert forced[0] > 0 and calls[0] > forced[0]
-
-    def test_reference_scans_have_one_root(self, monkeypatch):
-        # the first sign change in f is the only one: the root-multiplicity
-        # check of the grid-200 reference, read from the scan rows
-        rows = []
-        scan_residuals = shellswitch.search._scan_residuals
-
-        def recorded(*args):
-            rows.append(scan_residuals(*args))
-            return rows[-1]
-
-        monkeypatch.setattr(shellswitch.search, "_scan_residuals", recorded)
-        curve = period_ratio_curve(SearchConfig(grid=200, **REFERENCE))
-        assert len(rows) == len(curve) == 200
-        for vals in rows:
-            assert not any(math.isnan(v) for v in vals) and 0.0 not in vals
-            assert sum(a * b < 0.0 for a, b in zip(vals, vals[1:])) == 1
-
-
 def general_period(config, R):
     """One-shell (Dt, Dtau) through the general walk; (NaN, NaN) where it raises."""
     try:
@@ -312,13 +214,13 @@ def test_hoisted_work_per_contour_point(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_contour_point", "period_spans", "build_spacetime"):
+    for name in ("solve_contour", "period_spans", "build_spacetime"):
         count(shellswitch.search, name)
     count(shellswitch.spacetime, "build_spacetime")
     count(shellswitch.geodesic, "oscillation_period")
     solve_switch_configuration(SearchConfig(grid=24, **REFERENCE))
-    assert counts["_contour_point"] == 28
-    assert counts["period_spans"] == counts["_contour_point"]
+    assert counts["solve_contour"] == 28
+    assert counts["period_spans"] == counts["solve_contour"]
     assert counts["oscillation_period"] == 0
     assert counts["build_spacetime"] == 0
 
@@ -383,18 +285,17 @@ class TestSolution:
         assert sol.f == pytest.approx(ref_solution.f, abs=1e-8)
 
     def test_steep_contour_solves_with_tighter_root(self):
-        # here the period ratio moves ~2e4 per unit f: an f root within the
-        # default 1e-10 left R1 1e-5 off with a clock residual of 1.04e-8, and
-        # the solve failed; it is repeated at root_tol / 100 instead
+        # here the period ratio moves ~2e4 per unit f, so R1 holds root_tol
+        # only if each contour f is solved far below root_tol
         config = SearchConfig(
             m=1.982769840947147, M=2.9026069070469456, R2=3.9655875460951253,
             r_i=12.152849338001285, p=7, q=8, R1_min=9.0, R1_max=11.5, grid=40,
         )
         solution = solve_switch_configuration(config)
-        assert solution.config.root_tol == 1e-12
+        assert solution.config.root_tol == 1e-10
         assert abs(solution.clock_residual) < 1e-12
         assert abs(solution.ratio_residual) < 1e-11
-        assert solution.R1 == pytest.approx(11.1992981071, abs=1e-9)
+        assert abs(solution.R1 - fifty_digit_root(config)) < 1e-10
 
     def test_unattainable_ratio(self):
         cfg = SearchConfig(**dict(REFERENCE, p=1, q=2), grid=16)
@@ -408,6 +309,103 @@ class TestSolution:
         doc = ref_solution.as_dict()
         assert doc["R1"] == ref_solution.R1
         assert set(doc) >= {"R1", "f", "R", "dt1", "dt2", "achieved_ratio"}
+
+
+def fifty_digit_root(config):
+    """R1 of the config's switch geometry from the 50-digit oracle."""
+    return float(mp_switch_root(config.m, config.M, config.R2, config.r_i,
+                                config.p, config.q, config.R1_min, config.R1_max))
+
+
+# switch geometries with their R1 roots at 30 digits: the reference at two
+# ratios, a benchmark geometry where R1 once sat 1.2e-5 off, and the steep one
+ROOT_GEOMETRIES = [
+    (dict(REFERENCE), "10.0721903133643714695803962217"),
+    (dict(REFERENCE, p=13, q=15), "11.0369825739800794261741163065"),
+    (dict(REFERENCE, m=2.0139606550675664, M=2.9104579730358564, R2=4.027969966098064,
+          r_i=12.087938288655302), "10.4969912709210260961872255586"),
+    (dict(REFERENCE, m=1.982769840947147, M=2.9026069070469456, R2=3.9655875460951253,
+          r_i=12.152849338001285, p=7, q=8), "11.1992981071310921094084542656"),
+]
+
+
+@st.composite
+def one_shell_radii(draw):
+    """(r_i, R) for M = 1/2: r_i from 1 + 1e-6 to 1e6, and R from 1e-14
+    relative above the horizon 2M = 1 to 1e-12 relative below r_i, with draws
+    crowding either end."""
+    r_i = 1.0 + 10.0 ** draw(st.floats(-6.0, math.log10(1e6 - 1.0)))
+    lo, hi = 1.0 + 1e-14, r_i * (1.0 - 1e-12)
+    exponent = st.floats(-14.0, 0.0)
+    w = draw(st.one_of(st.floats(0.0, 1.0), exponent.map(lambda x: 10.0 ** x),
+                       exponent.map(lambda x: 1.0 - 10.0 ** x)))
+    return r_i, lo + (hi - lo) * w
+
+
+class TestFiftyDigitOracle:
+    """The 50-digit closed forms of tests/oracles.py: tanh-sinh quadrature
+    agrees with them, the float periods match them, and the one-shell clock
+    rate they give rises strictly in R, so each R1 has at most one contour root."""
+
+    @pytest.mark.parametrize("masses, shells, r_i", [
+        ((0.0, 3.0), (6.000569857819382,), 12.0),
+        ((0.0, 1.9999, 3.0), (4.0, 10.07219031346676), 12.0),
+        ((0.0, 1.9999, 3.0), (3.9998000079995997, 11.5), 12.0),
+    ])
+    def test_closed_forms_match_quadrature(self, masses, shells, r_i):
+        with mp.workdps(DPS):
+            for closed, quad in zip(mp_period(masses, shells, r_i),
+                                    mp_quad_period(masses, shells, r_i)):
+                assert abs(closed / quad - 1) < mp.mpf(10) ** -40
+
+    @pytest.mark.parametrize("R", [6.000000011999999, 6.000569857819382, 7.0, 9.5])
+    def test_one_shell_period(self, ref_config, R):
+        with mp.workdps(DPS):
+            want = mp_period((0.0, 3.0), (R,), 12.0)
+            for got, exact in zip(_one_shell_period(ref_config, R), want):
+                assert abs(got / exact - 1) < 1e-15
+
+    @pytest.mark.parametrize("R2, R1", [
+        (4.0, 9.0), (4.0, 10.07219031346676), (4.0, 11.5), (3.9998000079995997, 11.5),
+    ])
+    def test_two_shell_period(self, R2, R1):
+        with mp.workdps(DPS):
+            want = mp_period((0.0, 1.9999, 3.0), (R2, R1), 12.0)
+            for got, exact in zip(period_spans((0.0, 1.9999, 3.0), (R2, R1), 12.0), want):
+                assert abs(got / exact - 1) < 1e-15
+
+    @given(one_shell_radii())
+    @settings(max_examples=500, deadline=None)
+    def test_one_shell_rate_rises_in_R(self, radii):
+        # Dtau1/Dt1 depends on R/M and r_i/M alone, so M = 1/2 covers every M
+        r_i, R = radii
+        with mp.workdps(DPS):
+            assert mp.diff(lambda x: mp_rate((0.0, 0.5), (x,), r_i), mp.mpf(R)) > 0
+
+    @pytest.mark.parametrize("geometry, digits", ROOT_GEOMETRIES)
+    def test_switch_roots(self, geometry, digits):
+        config = SearchConfig(**geometry)
+        with mp.workdps(DPS):
+            root = mp_switch_root(config.m, config.M, config.R2, config.r_i,
+                                  config.p, config.q, config.R1_min, config.R1_max)
+            assert abs(root - mp.mpf(digits)) < mp.mpf(10) ** -28
+
+
+class TestRootPrecision:
+    """The solved R1 lies within root_tol of the 50-digit root."""
+
+    @pytest.mark.parametrize("grid", [24, 200])
+    @pytest.mark.parametrize("p, q", [(9, 10), (13, 15)])
+    def test_reference(self, grid, p, q):
+        config = SearchConfig(**dict(REFERENCE, p=p, q=q), grid=grid)
+        solution = solve_switch_configuration(config)
+        assert abs(solution.R1 - fifty_digit_root(config)) < config.root_tol
+
+    def test_benchmark_geometry(self):
+        # steep in f: residuals inside RESIDUAL_TOL allow R1 1.2e-5 off this root
+        config = SearchConfig(**ROOT_GEOMETRIES[2][0], grid=64)
+        solution = solve_switch_configuration(config)
+        assert abs(solution.R1 - fifty_digit_root(config)) < 1e-10
 
 
 # The grid-24 reference solve, printed to 17 significant digits.

@@ -13,7 +13,7 @@ from shellswitch import (
     schedule,
 )
 from shellswitch.errors import DimensionMismatchError, ScheduleError
-from shellswitch.switch import SWITCH_ORDERS, ControlledSlot, broken_switch_slots, tabletop_slots
+from shellswitch.switch import SWITCH_ORDERS, ControlledSlot, broken_switch_slots
 
 from oracles import random_state, random_unitary
 
@@ -214,19 +214,6 @@ class TestGeneralProtocol:
             ) / math.sqrt(2.0)
             fidelity = abs(np.vdot(true_1, broken.amplitudes))
             assert fidelity < 1.0 - 1e-6
-
-    def test_tabletop_pattern_swaps_orders(self):
-        rng = np.random.default_rng(13)
-        A = OperatorSpec(random_unitary(rng, 2))
-        B = OperatorSpec(random_unitary(rng, 2))
-        psi = random_state(rng, 2)
-        joint = run_general_protocol(tabletop_slots(A, B), psi)
-        assert np.allclose(
-            joint.branch(0), A.matrix @ B.matrix @ psi / math.sqrt(2.0), atol=1e-12
-        )
-        assert np.allclose(
-            joint.branch(1), B.matrix @ A.matrix @ psi / math.sqrt(2.0), atol=1e-12
-        )
 
     def test_empty_slots_rejected(self):
         with pytest.raises(DimensionMismatchError):
