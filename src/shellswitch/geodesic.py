@@ -31,7 +31,6 @@ from .spacetime import ShellSpacetime, metric_factor, stack_lapses
 
 SHELL_TOL = 1e-12  # |r - R| <= SHELL_TOL * R counts as "at the shell"
 APOAPSIS_CLAMP = 1e-14
-ETA_GUARD = 1e-11  # sampling evaluates t(eta) only this near the Newton estimate
 NEWTON_STEPS, NEWTON_TOL = 30, 1e-9
 
 
@@ -287,45 +286,26 @@ def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, fl
 # ---------------------------------------------------------------------------
 # Trajectory sampling in global time
 
-def _eta_estimate(params: CycloidParams, lo, hi, eta, t0, t_local_target) -> float:
-    """Root of t(eta) - t0 = t_local_target by Newton from eta, stepping in
-    s = log(eta_horizon - eta) so that near-horizon legs converge fast too; an
-    unconverged step that leaves the sign bracket bisects it; NaN after NEWTON_STEPS."""
+def _solve_eta(params: CycloidParams, lo, hi, eta, t0, t_local_target) -> float:
+    """Root of t(eta) - t0 = t_local_target in its sign bracket [lo, hi], by
+    Newton from eta safeguarded by bisection (rtsafe, Numerical Recipes 9.4):
+    steps are taken in s = log(eta_horizon - eta) so that near-horizon legs
+    converge fast too, and a step that leaves the bracket bisects it.  Returns
+    the converged step; after NEWTON_STEPS without convergence, bisects the
+    bracket to its last bit."""
     eta_h, two_m, scale = params.eta_horizon, 2.0 * params.mass, params.energy * params.tau_scale
     for _ in range(NEWTON_STEPS):
         r = radius(params, eta)
         g = coordinate_time(params, eta, r) - t0 - t_local_target
         lo, hi = (eta, hi) if g < 0.0 else (lo, eta)
         dt_deta = scale * r / (r - two_m) * (1.0 + math.cos(eta))
-        new = eta_h - (eta_h - eta) * math.exp(min(g / (dt_deta * (eta_h - eta)), 1.0))
+        new = eta - (eta_h - eta) * math.expm1(min(g / (dt_deta * (eta_h - eta)), 1.0))
         if abs(new - eta) <= NEWTON_TOL:
             return new
         eta = new if lo < new < hi else 0.5 * (lo + hi)
-    return math.nan
-
-
-def _bisect_eta(params: CycloidParams, lo, hi, t0, t_local_target, estimate) -> float:
-    """Bisect t(eta) - t0 = t_local_target to 1e-12 in eta, deciding midpoints
-    farther than ETA_GUARD from the estimate by their side of it.  A final lo or
-    hi so decided is evaluated: the float predicate is monotone at scales far
-    above its rounding (if float error in t(eta) - t0 is far below ETA_GUARD *
-    t'(eta)), so P(lo) and not P(hi) prove that every guess matched plain
-    bisection, whose result this is to the last bit; NaN if they do not."""
-    guessed_lo = guessed_hi = False
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if mid < estimate - ETA_GUARD:
-            lo, guessed_lo = mid, True
-        elif mid > estimate + ETA_GUARD:
-            hi, guessed_hi = mid, True
-        elif coordinate_time(params, mid) - t0 < t_local_target:
-            lo, guessed_lo = mid, False
-        else:
-            hi, guessed_hi = mid, False
-    if (guessed_lo and not coordinate_time(params, lo) - t0 < t_local_target
-            or guessed_hi and coordinate_time(params, hi) - t0 < t_local_target):
-        return math.nan
-    return 0.5 * (lo + hi)
+    while lo < (eta := 0.5 * (lo + hi)) < hi:
+        lo, hi = (eta, hi) if coordinate_time(params, eta) - t0 < t_local_target else (lo, eta)
+    return eta
 
 
 def _leg_origin(leg: Leg) -> tuple[float, float] | None:
@@ -350,10 +330,7 @@ def _invert_leg(leg: Leg, origin: tuple[float, float] | None, t_in_leg: float) -
     # t(eta) is strictly increasing on the inbound branch
     lo, hi = leg.eta_entry, leg.eta_exit
     guess = lo + (hi - lo) * t_in_leg / leg.dt_global
-    estimate = _eta_estimate(params, lo, hi, guess, t0, t_local_target)
-    eta = _bisect_eta(params, lo, hi, t0, t_local_target, estimate)
-    if math.isnan(eta):
-        eta = _bisect_eta(params, lo, hi, t0, t_local_target, math.nan)  # no guesses
+    eta = _solve_eta(params, lo, hi, guess, t0, t_local_target)
     return radius(params, eta), proper_time(params, eta) - tau0
 
 

@@ -226,16 +226,12 @@ def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
     def residual(f: float) -> float:
         return ratio_residual(R1, f, config, rate2)
 
-    f_lo = max(f_lo, 0.0)
-    lo, hi = residual(f_lo), residual(F_UPPER)
-    if lo == 0.0 or hi == 0.0:
-        f_star = f_lo if lo == 0.0 else F_UPPER
-    elif lo * hi < 0.0:
-        f_star = brentq(residual, f_lo, F_UPPER, xtol=F_XTOL, rtol=8.9e-16)
-    else:  # NaN at an end, or no sign change
+    try:
+        f_star = brentq(residual, max(f_lo, 0.0), F_UPPER, xtol=F_XTOL, rtol=8.9e-16)
+    except ValueError as exc:  # NaN at an end, or no sign change
         raise NoSolutionAtRadius(
             f"no sign change of the clock-rate residual in f at R1={R1}"
-        )
+        ) from exc
     # f_star lies between two finite residuals, so the period is finite
     dt1, dtau1 = _one_shell_period(config, shell_radius(config, R1, f_star))
     return ContourPoint(R1, f_star, dt1, dtau1, dt2, dtau2)

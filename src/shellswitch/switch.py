@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DimensionMismatchError, ScheduleError
 from .fields import amplitude
 from .search import MeetingEvent, SwitchSolution
+from .spacetime import metric_factor
 
 UNITARITY_TOL = 1e-12
 # operator labels in application order for (branch M1, branch M2); the
@@ -121,7 +122,8 @@ def schedule(
     if t_B is None:
         t_B = 0.5 * (meeting.t_A1 + meeting.t_A2)
     t_f = solution.config.q * solution.dt1
-    tau_B = _static_proper_time(solution.config.M, meeting.r_t, t_B)
+    # a static observer at r_t ages sqrt(1 - 2M/r_t) per unit global time
+    tau_B = math.sqrt(metric_factor(solution.config.M, meeting.r_t)) * t_B
     return EventSchedule(
         tau_A=meeting.tau_A,
         t_A1=meeting.t_A1,
@@ -131,11 +133,6 @@ def schedule(
         tau_B=tau_B,
         r_t=meeting.r_t,
     )
-
-
-def _static_proper_time(M: float, r: float, t: float) -> float:
-    """Proper time accumulated over global time t by a static observer at r."""
-    return math.sqrt((r - 2.0 * M) / r) * t
 
 
 def run_switch(

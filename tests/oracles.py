@@ -3,10 +3,10 @@
 The quadrature oracle integrates dt/dr and dtau/dr for bound radial motion of
 local energy E in a single Schwarzschild metric; it shares no code with the
 parametric closed forms it validates.  The 4-velocity norm is the
-invariant every propagated state keeps.  The plain bisection is the reference
-that the guided trajectory sampling must reproduce to the last bit.  The mp_*
-closed forms give the periods, the contour and the switch root at DPS digits;
-tanh-sinh quadrature (mp_quad_period) checks the closed forms.
+invariant every propagated state keeps.  The mp_* closed forms give the
+periods, the contour, the switch root and the trajectory samples of a leg
+(mp_invert_leg) at DPS digits; tanh-sinh quadrature (mp_quad_period) checks the
+closed forms.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from shellswitch.geodesic import coordinate_time, proper_time, radius
 from shellswitch.spacetime import metric_factor
 
 DPS = 50  # working digits of the mp_* oracles
@@ -43,36 +42,6 @@ def norm_defect(mass: float, r: float, u_r: float, u_t: float) -> float:
     4-velocity (u_t, u_r) at r in a patch of this mass is from norm -1."""
     f = metric_factor(mass, r)
     return abs(-f * u_t**2 + u_r**2 / f + 1.0)
-
-
-def invert_leg_bisection(leg, t_in_leg: float) -> tuple[float, float]:
-    """(r, tau elapsed within leg) at global-time offset t_in_leg from leg
-    start, by plain bisection in eta (the sampling before its Newton guide)."""
-    if t_in_leg <= 0.0:
-        return leg.r_outer, 0.0
-    if t_in_leg >= leg.dt_global:
-        return leg.r_inner, leg.dtau
-    if leg.cycloid is None:
-        # flat patch: r and tau are linear in t
-        frac = t_in_leg / leg.dt_global
-        return (
-            leg.r_outer + frac * (leg.r_inner - leg.r_outer),
-            frac * leg.dtau,
-        )
-    params = leg.cycloid
-    t_local_target = t_in_leg / (leg.dt_global / leg.dt_local)
-    t0 = coordinate_time(params, leg.eta_entry, leg.r_outer)
-    lo, hi = leg.eta_entry, leg.eta_exit
-    # t(eta) is strictly increasing on the inbound branch; bisect to 1e-12 in eta
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if coordinate_time(params, mid) - t0 < t_local_target:
-            lo = mid
-        else:
-            hi = mid
-    eta = 0.5 * (lo + hi)
-    tau0 = proper_time(params, leg.eta_entry)
-    return radius(params, eta), proper_time(params, eta) - tau0
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -196,6 +165,32 @@ def mp_contour_ratio(m, M, R2, r_i, R1):
     R = _bracketed_root(lambda R: mp_rate((0, M), (R,), r_i) - rate2,
                         2 * mp.mpf(M) * (1 + mp.mpf(10) ** -15), R1)
     return mp_period((0, M), (R,), r_i)[0] / mp_period((0, m, M), (R2, R1), r_i)[0]
+
+
+def mp_invert_leg(leg, t_in_leg: float):
+    """(r, tau elapsed within leg) at global-time offset t_in_leg from the start
+    of a Schwarzschild leg, at DPS digits: the root in eta > eta_entry of
+    t(eta) - t(eta_entry) = t_in_leg * dt_local / dt_global.  t and tau are
+    the cycloid's closed forms from the leg's float mass, r_apo and energy, the
+    log term in the textbook form of _cycloid_at."""
+    params = leg.cycloid
+    with mp.workdps(DPS):
+        mass, r_apo, E = (mp.mpf(x) for x in (params.mass, params.r_apo, params.energy))
+        h, tau_scale = mp.sqrt(r_apo / (2 * mass) - 1), mp.sqrt(r_apo**3 / (8 * mass))
+
+        def t_tau(eta):
+            x, arc = mp.tan(eta / 2), eta + mp.sin(eta)
+            t = E * 2 * tau_scale * (arc / 2 + 2 * mass / r_apo * eta) + 2 * mass * mp.log((h + x) / (h - x))
+            return t, tau_scale * arc
+
+        a = mp.mpf(leg.eta_entry)
+        t_a, tau_a = t_tau(a)
+        target = t_a + mp.mpf(t_in_leg) * mp.mpf(leg.dt_local) / mp.mpf(leg.dt_global)
+        # past eta_exit, halfway to the horizon: a target within rounding of
+        # the leg's end still has its root bracketed
+        b = (leg.eta_exit + 2 * mp.asin(E)) / 2
+        eta = _bracketed_root(lambda eta: t_tau(eta)[0] - target, a, b)
+        return r_apo * mp.cos(eta / 2) ** 2, t_tau(eta)[1] - tau_a
 
 
 @lru_cache(maxsize=None)

@@ -25,8 +25,6 @@ from shellswitch.errors import (
 from shellswitch import geodesic
 from shellswitch.geodesic import (
     Leg,
-    _bisect_eta,
-    _eta_estimate,
     _invert_leg,
     _inward_walk,
     _leg_origin,
@@ -44,7 +42,7 @@ from shellswitch.geodesic import (
 )
 from shellswitch.spacetime import DEFAULT_HORIZON_MARGIN, metric_factor
 
-from oracles import invert_leg_bisection, norm_defect, quad_spans
+from oracles import mp_invert_leg, norm_defect, quad_spans
 
 
 def one_shell(M, R):
@@ -340,6 +338,18 @@ class TestOscillation:
             assert inner.dt_global == st_.lapses[inner.patch_index] * inner.dt_local
 
 
+def count_t_calls(monkeypatch) -> list:
+    """One entry per coordinate_time call the sampler makes from here on."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return coordinate_time(*args)
+
+    monkeypatch.setattr(geodesic, "coordinate_time", counted)
+    return calls
+
+
 class TestTrajectory:
     def test_initial_sample(self):
         samples = trajectory(m2_reference(), 12.0, 100.0, 5)
@@ -366,23 +376,17 @@ class TestTrajectory:
             trajectory(m2_reference(), 12.0, 10.0, 0)
 
     def test_coordinate_time_calls_per_sample(self, monkeypatch):
-        """Work pin: the guided bisection evaluates t(eta) about 10 times per
-        Schwarzschild-leg sample, where plain bisection took about 41."""
-        calls = []
-
-        def counted(*args):
-            calls.append(None)
-            return coordinate_time(*args)
-
+        """Work pin: the safeguarded Newton solve evaluates t(eta) about 4
+        times per Schwarzschild-leg sample."""
         st_ = build_spacetime([
             PatchSpec(0.0, 0.0, 4.0), PatchSpec(1.9, 4.0, 9.0), PatchSpec(3.0, 9.0, None),
         ])
         dt, _, _ = oscillation_period(st_, 12.0)
-        monkeypatch.setattr(geodesic, "coordinate_time", counted)
+        calls = count_t_calls(monkeypatch)
         samples = trajectory(st_, 12.0, 2.0 * dt, 500)
         inverted = sum(4.0 < r < 12.0 for _, r, _ in samples)
         assert inverted > 300
-        assert len(calls) <= 16 * inverted
+        assert len(calls) <= 6 * inverted
 
 
 def leg_from(mass, r_apo, r_entry, r_exit, lapse):
@@ -410,44 +414,42 @@ def legs(draw):
     return leg, leg.dt_global * draw(st.floats(1e-6, 1.0 - 1e-6))
 
 
-class TestGuidedBisection:
-    """The Newton-guided, certified bisection returns plain bisection's bits."""
+def assert_matches_fifty_digits(leg, t, got):
+    """r within 1e-13 relative of the 50-digit inversion, and tau within 1e-14
+    of the proper time since the cycloid's rest plus 2M/E.  Near the horizon
+    the float t(eta) is off by a few ulps of 2M r/(r - 2M), which moves tau by a
+    few ulps of 2M/E however exact the root."""
+    params = leg.cycloid
+    r_mp, tau_mp = mp_invert_leg(leg, t)
+    r, tau = got
+    scale = tau_mp + proper_time(params, leg.eta_entry) + 2.0 * params.mass / params.energy
+    assert abs(r - r_mp) <= 1e-13 * r_mp
+    assert abs(tau - tau_mp) <= 1e-14 * scale
+
+
+class TestNewtonSampling:
+    """The safeguarded Newton solve against a 50-digit inversion of the same leg."""
 
     @given(legs())
     @settings(max_examples=400, deadline=None)
-    def test_matches_plain_bisection(self, drawn):
+    def test_matches_fifty_digit_inversion(self, drawn):
         leg, t = drawn
-        got = _invert_leg(leg, _leg_origin(leg), t)
-        assert [x.hex() for x in got] == [x.hex() for x in invert_leg_bisection(leg, t)]
+        assert_matches_fifty_digits(leg, t, _invert_leg(leg, _leg_origin(leg), t))
 
     @pytest.mark.parametrize("r_exit", [6.000000011999999, 9.0])
-    def test_wrong_estimate(self, monkeypatch, r_exit):
-        """A wrong estimate gives NaN or the plain bits, never other bits; on
-        NaN the sampler reruns the loop unguided and still returns them."""
+    def test_bisection_fallback(self, monkeypatch, r_exit):
+        """With no Newton step the bracket is bisected to its last bit, which
+        holds the same bounds."""
         leg = leg_from(3.0, 12.0, 12.0, r_exit, 1.0)
-        params = leg.cycloid
         origin = _leg_origin(leg)
-        t0 = origin[0]
-        lo, hi = leg.eta_entry, leg.eta_exit
-        offsets = [s * 10.0**k for k in range(-10, 0) for s in (1.0, -1.0)]
-        refused = 0
-        for frac in (0.01, 0.3, 0.7, 0.999):
+        monkeypatch.setattr(geodesic, "NEWTON_STEPS", 0)
+        calls = count_t_calls(monkeypatch)
+        for frac in (1e-6, 0.01, 0.3, 0.7, 0.999, 1.0 - 1e-6):
             t = frac * leg.dt_global
-            target = t / (leg.dt_global / leg.dt_local)
-            plain = _bisect_eta(params, lo, hi, t0, target, math.nan)
-            reference = invert_leg_bisection(leg, t)
-            estimate = _eta_estimate(params, lo, hi, lo, t0, target)
-            assert abs(estimate - plain) < geodesic.ETA_GUARD
-            assert _bisect_eta(params, lo, hi, t0, target, estimate) == plain
-            for offset in offsets:
-                guided = _bisect_eta(params, lo, hi, t0, target, estimate + offset)
-                refused += math.isnan(guided)
-                assert math.isnan(guided) or guided == plain
-                monkeypatch.setattr(geodesic, "_eta_estimate", lambda *a: estimate + offset)
-                got = _invert_leg(leg, origin, t)
-                monkeypatch.undo()
-                assert got == reference
-        assert refused > 0
+            calls.clear()
+            got = _invert_leg(leg, origin, t)
+            assert len(calls) > 40
+            assert_matches_fifty_digits(leg, t, got)
 
 
 class TestNullRays:

@@ -107,27 +107,28 @@ TRAJECTORY = [
 
 
 # (PERIODS row, t_max.hex(), {row: (t_global, r, tau)}) of 64-sample
-# trajectories, recorded at e600cc5 before the sampler's bisection was guided
-# by a Newton estimate: the outer leg of the 6.000000011999999 shell, which
-# ends 2e-9 above its horizon, and 1.5 periods of a 4- and a 6-shell stack
+# trajectories: the outer leg of the 6.000000011999999 shell, which ends 2e-9
+# above its horizon, and 1.5 periods of a 4- and a 6-shell stack.  Recorded
+# from the safeguarded Newton sampler, which put every r and tau here within
+# 2e-15 relative of the 50-digit inversion of its leg (oracles.mp_invert_leg).
 STACK_TRAJECTORIES = [
     (4, '0x1.2a60d870cd14bp+7', {
-        10: ('0x1.7ae4a111456fap+4', '0x1.2c2c066522936p+3', '0x1.e857d69dede49p+3'),
-        40: ('0x1.7ae4a111456fap+6', '0x1.8001b8c16cc99p+2', '0x1.5d053fd45ec64p+4'),
-        60: ('0x1.1c2b78ccf413bp+7', '0x1.8000002a19af4p+2', '0x1.5d05db9a798cdp+4'),
-        62: ('0x1.25a4633a2f69bp+7', '0x1.800000131e448p+2', '0x1.5d05dba299a6fp+4'),
+        10: ('0x1.7ae4a111456fap+4', '0x1.2c2c0665226bap+3', '0x1.e857d69dee4f0p+3'),
+        40: ('0x1.7ae4a111456fap+6', '0x1.8001b8c16d509p+2', '0x1.5d053fd45e968p+4'),
+        60: ('0x1.1c2b78ccf413bp+7', '0x1.8000002a1a218p+2', '0x1.5d05db9a79646p+4'),
+        62: ('0x1.25a4633a2f69bp+7', '0x1.800000131eba4p+2', '0x1.5d05dba2997d5p+4'),
     }),
     (14, '0x1.1355e76272853p+8', {
-        3: ('0x1.a38f1771718dfp+3', '0x1.c757aa8f216abp+2', '0x1.2962ecae405e9p+3'),
-        6: ('0x1.a38f1771718dfp+4', '0x1.16dd1e136a3f5p+2', '0x1.f2ce422b2c516p+3'),
-        16: ('0x1.17b4ba4ba1095p+6', '0x1.5059e575c8f0ap+2', '0x1.65a5095e2b8c1p+4'),
-        44: ('0x1.80988027fd6cdp+7', '0x1.f1fecb39abbbap+2', '0x1.3c81ba52c9762p+6'),
+        3: ('0x1.a38f1771718dfp+3', '0x1.c757aa8f2112fp+2', '0x1.2962ecae40fc3p+3'),
+        6: ('0x1.a38f1771718dfp+4', '0x1.16dd1e136a2e5p+2', '0x1.f2ce422b2c5eap+3'),
+        16: ('0x1.17b4ba4ba1095p+6', '0x1.5059e575c9547p+2', '0x1.65a5095e2bbc3p+4'),
+        44: ('0x1.80988027fd6cdp+7', '0x1.f1fecb39abcabp+2', '0x1.3c81ba52c970ep+6'),
     }),
     (18, '0x1.844aab8ade636p+6', {
-        2: ('0x1.8a747d80e1eb1p+1', '0x1.8b4639931e564p+1', '0x1.1a4030db304adp+1'),
-        5: ('0x1.ed119ce11a65dp+2', '0x1.27153693ffd0ap+1', '0x1.4f68ac99ac159p+2'),
-        8: ('0x1.8a747d80e1eb1p+3', '0x1.2b61b85bc9569p+0', '0x1.e390a52510999p+2'),
-        45: ('0x1.1559e83e9ed94p+6', '0x1.70eb4d95d0c17p+1', '0x1.2ab77aca384efp+5'),
+        2: ('0x1.8a747d80e1eb1p+1', '0x1.8b4639931e4bfp+1', '0x1.1a4030db308ebp+1'),
+        5: ('0x1.ed119ce11a65dp+2', '0x1.27153693ff51ep+1', '0x1.4f68ac99acbf9p+2'),
+        8: ('0x1.8a747d80e1eb1p+3', '0x1.2b61b85bc957ep+0', '0x1.e390a52510991p+2'),
+        45: ('0x1.1559e83e9ed94p+6', '0x1.70eb4d95d0cc8p+1', '0x1.2ab77aca384bfp+5'),
     }),
 ]
 

@@ -225,6 +225,28 @@ def test_hoisted_work_per_contour_point(monkeypatch):
     assert counts["build_spacetime"] == 0
 
 
+def test_contour_point_residuals_are_brentq_evaluations(monkeypatch):
+    """solve_contour evaluates the residual only inside brentq: brentq's own
+    sign check at the interval ends is the only one."""
+    residuals, evaluations = [], []
+    ratio_residual_, brentq_ = shellswitch.search.ratio_residual, shellswitch.search.brentq
+
+    def counted_residual(*args):
+        residuals.append(None)
+        return ratio_residual_(*args)
+
+    def counted_brentq(*args, **kwargs):
+        root, result = brentq_(*args, **kwargs, full_output=True)
+        evaluations.append(result.function_calls)
+        return root
+
+    monkeypatch.setattr(shellswitch.search, "ratio_residual", counted_residual)
+    monkeypatch.setattr(shellswitch.search, "brentq", counted_brentq)
+    solve_contour(10.072, SearchConfig(grid=24, **REFERENCE))
+    assert len(residuals) == sum(evaluations) > 2
+    assert len(evaluations) == 1
+
+
 @pytest.fixture(scope="module")
 def narrow_config():
     return SearchConfig(**dict(REFERENCE, R1_min=9.8, R1_max=10.4), grid=13)
