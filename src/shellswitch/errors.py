@@ -53,6 +53,18 @@ class UnattainableRatioError(SearchError):
         )
 
 
+class MultipleCrossingsError(SearchError):
+    """The period ratio crosses its target more than once along the contour."""
+
+    def __init__(self, ratio, brackets):
+        self.ratio = ratio
+        self.brackets = tuple(brackets)
+        super().__init__(
+            f"period ratio {ratio} crossed {len(self.brackets)} times along the contour, "
+            "in the R1 brackets " + ", ".join(f"[{a!r}, {b!r}]" for a, b in self.brackets)
+        )
+
+
 class NoMeetingError(SearchError):
     """No transversal crossing of the two branch proper-time curves."""
 

@@ -185,6 +185,16 @@ class TestSearch:
         assert len(calls) == SEARCH["grid"] + 1
         assert "INFEASIBLE: no contour root" in capsys.readouterr().err
 
+    def test_several_crossings_exit_3(self, tmp_path, monkeypatch, capsys):
+        # the search lists every bracket of a ratio crossed more than once
+        curve = [(9.0, 0.3, 0.95), (9.5, 0.3, 0.85), (10.0, 0.3, 0.95)]
+        monkeypatch.setattr(shellswitch.search, "period_ratio_curve", lambda config: curve)
+        cfg = write(tmp_path, "search.json", SEARCH)
+        assert main(["search", "--config", cfg]) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "INFEASIBLE: period ratio 0.9 crossed 2 times" in err
+        assert "[9.0, 9.5], [9.5, 10.0]" in err
+
     @pytest.mark.parametrize("field, value", [("p", 9.7), ("grid", 24.9), ("q", True)])
     def test_fractional_integer_field_exits_1(self, tmp_path, capsys, field, value):
         cfg = write(tmp_path, "search.json", dict(SEARCH, **{field: value}))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,7 +43,7 @@ from shellswitch.geodesic import (
 )
 from shellswitch.spacetime import DEFAULT_HORIZON_MARGIN, metric_factor
 
-from oracles import mp_invert_leg, norm_defect, quad_spans
+from oracles import DPS, _cycloid_at, mp_invert_leg, norm_defect, quad_spans
 
 
 def one_shell(M, R):
@@ -127,11 +128,13 @@ class TestSegments:
     def test_rest_drop_spans(self):
         # r = 6 itself is the horizon (coordinate time diverges); check the
         # proper-time value there via the parametric form and the full spans
-        # against the quadrature oracle just above it.
+        # against the 50-digit closed form just above it.  (scipy's quad does
+        # not converge here: the integrand is singular at rest at r = 12.)
         dt, dtau, *_ = _schwarzschild_span(3.0, 12.0, 0.0, 6.00057)
-        dt_oracle, dtau_oracle = quad_spans(3.0, math.sqrt(0.5), 12.0, 6.00057)
-        assert dt == pytest.approx(abs(dt_oracle), rel=1e-9)
-        assert dtau == pytest.approx(abs(dtau_oracle), rel=1e-9)
+        with mp.workdps(DPS):
+            dt_oracle, dtau_oracle = _cycloid_at(mp.mpf(3), mp.mpf(12), mp.mpf(6.00057))
+        assert dt == pytest.approx(float(dt_oracle), rel=1e-14)
+        assert dtau == pytest.approx(float(dtau_oracle), rel=1e-14)
         assert dtau == pytest.approx(math.sqrt(72.0) * (math.pi / 2 + 1.0), abs=2e-3)
 
     def test_segment_to_horizon_rejected(self):

@@ -78,31 +78,31 @@ PERIODS = [
 ]
 
 # the grid-24 reference solve, its meeting and its trajectory rows, recorded
-# with each contour f solved to brentq's relative floor (R1 1.1e-11 off the
-# 50-digit root)
+# with each contour f solved by safeguarded Newton to within a few ulps (R1
+# 6.9e-12 off the 50-digit root)
 SOLUTION = {
-    'R1': '0x1.424f620f611b5p+3',
-    'f': '0x1.515f1617927f4p-2',
+    'R1': '0x1.424f620f5ead5p+3',
+    'f': '0x1.515f161796b72p-2',
     'R': '0x1.800956282ca58p+2',
     'dt1': '0x1.5e31bd877f799p+11',
     'dtau1': '0x1.5e5551d8cd2a0p+6',
-    'dt2': '0x1.851ad2968db3dp+11',
-    'dtau2': '0x1.85425af0e47b3p+6',
-    'achieved_ratio': '0x1.ccccccccccb98p-1',
-    'clock_residual': '-0x1.3400000000000p-47',
-    'ratio_residual': '-0x1.3500000000000p-45',
+    'dt2': '0x1.851ad2968ed64p+11',
+    'dtau2': '0x1.85425af0e3a07p+6',
+    'achieved_ratio': '0x1.cccccccccb619p-1',
+    'clock_residual': '0x1.0210000000000p-45',
+    'ratio_residual': '-0x1.6b40000000000p-41',
 }
 MEETING = {
-    'r_t': '0x1.7e060e53ce165p+3',
-    'tau_A': '0x1.71cbd664d8d28p+5',
-    't_A1': '0x1.5f0e518699d2bp+10',
-    't_A2': '0x1.843e3e97735abp+10',
+    'r_t': '0x1.7e060e53ce2cap+3',
+    'tau_A': '0x1.71cbd664d8652p+5',
+    't_A1': '0x1.5f0e518699cddp+10',
+    't_A2': '0x1.843e3e9774820p+10',
 }
 # (branch, row, (t_global, r, tau)) of 64-sample trajectories over q * dt1
 TRAJECTORY = [
     ('gamma1', 5, ('0x1.15ee966b89bdep+11', '0x1.310ddc51105ecp+0', '0x1.06d0ced9d48d9p+6')),
     ('gamma1', 37, ('0x1.01164b237902ep+14', '0x1.add9595af428ap+1', '0x1.f7a67f0d1be70p+8')),
-    ('gamma2', 50, ('0x1.5b6a3c066c2d6p+14', '0x1.ee624b18d2fd8p+0', '0x1.60c21c2f43134p+9')),
+    ('gamma2', 50, ('0x1.5b6a3c066c2d6p+14', '0x1.ee624b1933032p+0', '0x1.60c21c2f424c9p+9')),
 ]
 
 

@@ -1,9 +1,10 @@
 import math
 from collections import Counter
+from functools import cached_property
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shellswitch.search
@@ -18,6 +19,7 @@ from shellswitch import (
 from shellswitch.errors import (
     GeodesicError,
     GeometryError,
+    MultipleCrossingsError,
     NoSolutionAtRadius,
     SearchError,
     UnattainableRatioError,
@@ -26,15 +28,18 @@ import shellswitch.geodesic
 import shellswitch.spacetime
 from shellswitch.geodesic import oscillation_period, period_spans
 from shellswitch.search import (
+    F_MARGIN,
+    F_UPPER,
     _one_shell_period,
     one_shell_spacetime,
+    ratio_crossings,
     shell_radius,
     two_shell_spacetime,
 )
 from shellswitch.spacetime import DEFAULT_HORIZON_MARGIN, metric_factor
 
 from conftest import REFERENCE
-from oracles import DPS, mp_period, mp_quad_period, mp_rate, mp_switch_root
+from oracles import DPS, _bracketed_root, mp_period, mp_quad_period, mp_rate, mp_switch_root
 
 
 class TestConfig:
@@ -172,7 +177,7 @@ class TestClosedFormResidual:
         got, want = ratio_residual(R1, f, config, rate2), period_rate(config, R1, f, rate2)
         assert got == want or (math.isnan(got) and math.isnan(want))
         R = shell_radius(config, R1, f)
-        closed, general = _one_shell_period(config, R), general_period(config, R)
+        closed, general = _one_shell_period(config, R)[:2], general_period(config, R)
         assert closed == general or all(math.isnan(x) for x in closed + general)
 
     # R1 - R2 = 8 makes R = R2 + (R1 - R2) * f exact for these f
@@ -225,26 +230,101 @@ def test_hoisted_work_per_contour_point(monkeypatch):
     assert counts["build_spacetime"] == 0
 
 
-def test_contour_point_residuals_are_brentq_evaluations(monkeypatch):
-    """solve_contour evaluates the residual only inside brentq: brentq's own
-    sign check at the interval ends is the only one."""
-    residuals, evaluations = [], []
-    ratio_residual_, brentq_ = shellswitch.search.ratio_residual, shellswitch.search.brentq
+def test_one_shell_evaluations_per_solve(monkeypatch):
+    """The grid-200 reference solve evaluates the one-shell period at most
+    1,500 times (it made 1,152: ~5.5 per contour point, the two end checks
+    included, plus the seed table's 33 rows), and builds the table once."""
+    evaluations, tables = [], []
+    period, table = shellswitch.search._one_shell_period, SearchConfig.rate_table
 
-    def counted_residual(*args):
-        residuals.append(None)
-        return ratio_residual_(*args)
+    def counted_period(*args):
+        evaluations.append(None)
+        return period(*args)
 
-    def counted_brentq(*args, **kwargs):
-        root, result = brentq_(*args, **kwargs, full_output=True)
-        evaluations.append(result.function_calls)
-        return root
+    def counted_table(config):
+        tables.append(None)
+        return table.func(config)
 
-    monkeypatch.setattr(shellswitch.search, "ratio_residual", counted_residual)
-    monkeypatch.setattr(shellswitch.search, "brentq", counted_brentq)
-    solve_contour(10.072, SearchConfig(grid=24, **REFERENCE))
-    assert len(residuals) == sum(evaluations) > 2
-    assert len(evaluations) == 1
+    counted = cached_property(counted_table)
+    counted.__set_name__(SearchConfig, "rate_table")
+    monkeypatch.setattr(shellswitch.search, "_one_shell_period", counted_period)
+    monkeypatch.setattr(SearchConfig, "rate_table", counted)
+    solve_switch_configuration(SearchConfig(grid=200, **REFERENCE))
+    assert len(tables) == 1
+    assert len(evaluations) <= 1500
+
+
+@st.composite
+def contour_inputs(draw):
+    """(config, R1) near the reference geometry, drawn as the benchmark draws
+    it but with R2 from 1e-7 (not 1e-5) to 1e-2 relative above its horizon 2m,
+    and R1 from below 2M, where no f is admissible, to R1_max, crowding the
+    configured [R1_min, R1_max]."""
+    R2 = draw(st.floats(3.95, 4.05))
+    m = 0.5 * R2 * (1.0 - 10.0 ** draw(st.floats(-7.0, -2.0)))
+    config = SearchConfig(m=m, M=draw(st.floats(2.9, 3.1)), R2=R2,
+                          r_i=draw(st.floats(11.8, 12.2)), p=9, q=10, R1_min=9.0, R1_max=11.5)
+    return config, draw(st.one_of(st.floats(5.0, 11.5), st.floats(9.0, 11.5)))
+
+
+def expected_contour_root(config, R1):
+    """None where the admissible f interval is empty, the two-shell branch
+    invalid, or the clock-rate residual has no sign change across the whole
+    interval (a NaN at an end included); otherwise the interval's ends."""
+    f_lo = (2.0 * config.M + F_MARGIN * R1 - config.R2) / (R1 - config.R2)
+    if f_lo >= F_UPPER:
+        return None
+    try:
+        dt2, dtau2 = period_spans((0.0, config.m, config.M), (config.R2, R1), config.r_i)
+    except (GeometryError, GeodesicError):
+        return None
+    ends = (max(f_lo, 0.0), F_UPPER)
+    lo, hi = (ratio_residual(R1, f, config, dtau2 / dt2) for f in ends)
+    return ends if lo <= 0.0 <= hi or hi <= 0.0 <= lo else None
+
+
+def fifty_digit_f(config, point):
+    """f of the 50-digit root of mp_rate((0, M), (R,), r_i) = Dtau2/Dt2, the
+    two-shell rate of the point, bracketed 1e-12 relative around its R."""
+    R = shell_radius(config, point.R1, point.f)
+    with mp.workdps(DPS):
+        rate2 = mp.mpf(point.dtau2) / mp.mpf(point.dt2)
+        root = _bracketed_root(lambda x: mp_rate((0.0, config.M), (x,), config.r_i) - rate2,
+                               R * (1.0 - 1e-12), R * (1.0 + 1e-12))
+        return (root - mp.mpf(config.R2)) / (mp.mpf(point.R1) - mp.mpf(config.R2))
+
+
+class TestContourPrecision:
+    """solve_contour's f lies within 4 ulps of the 50-digit root, and it
+    raises NoSolutionAtRadius exactly where brentq's end check used to."""
+
+    @given(contour_inputs())
+    @example((SearchConfig(m=1.9766306075809594, M=3.0248335429174165, R2=3.9550801030965967,
+                           r_i=12.099786187127252, p=9, q=10, R1_min=9.0, R1_max=11.5),
+              8.431232201003974))  # the evaluated f at its last Newton step is 4.04 ulps off
+    @settings(max_examples=300, deadline=None)
+    def test_fifty_digit_root_or_no_sign_change(self, inputs):
+        config, R1 = inputs
+        ends = expected_contour_root(config, R1)
+        if ends is None:
+            with pytest.raises(NoSolutionAtRadius):
+                solve_contour(R1, config)
+            return
+        point = solve_contour(R1, config)
+        assert ends[0] <= point.f <= ends[1]
+        f_star = fifty_digit_f(config, point)
+        assert abs(point.f - f_star) <= 4 * math.ulp(float(f_star))
+
+    @pytest.mark.parametrize("R1", [9.0, 10.072, 11.5])
+    def test_bisection_fallback(self, monkeypatch, R1):
+        # with no Newton step the bracket is bisected to its last bit
+        config = SearchConfig(**REFERENCE)
+        newton = solve_contour(R1, config)
+        monkeypatch.setattr(shellswitch.search, "NEWTON_STEPS", 0)
+        bisected = solve_contour(R1, config)
+        f_star = fifty_digit_f(config, bisected)
+        assert abs(bisected.f - f_star) <= 4 * math.ulp(float(f_star))
+        assert abs(bisected.f - newton.f) <= 8 * math.ulp(newton.f)
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +407,33 @@ class TestSolution:
         lo, hi = err.value.attainable
         assert not (lo <= 0.5 <= hi)
 
+    def test_untraceable_contour_counts_dropped_points(self):
+        # 2M = 6: no R1 in [4.5, 6] admits a shell above the exterior horizon
+        cfg = SearchConfig(**dict(REFERENCE, R1_min=4.5, R1_max=6.0), grid=8)
+        with pytest.raises(SearchError, match="8 of 8 grid points have no contour root"):
+            solve_switch_configuration(cfg)
+
+    def test_several_crossings_are_listed_not_chosen(self, monkeypatch):
+        curve = [(9.0, 0.3, 0.95), (9.5, 0.3, 0.85), (10.0, 0.3, 0.95), (10.5, 0.3, 0.85)]
+        monkeypatch.setattr(shellswitch.search, "period_ratio_curve", lambda config: curve)
+        with pytest.raises(MultipleCrossingsError) as err:
+            solve_switch_configuration(SearchConfig(**REFERENCE, grid=4))
+        assert err.value.brackets == ((9.0, 9.5), (9.5, 10.0), (10.0, 10.5))
+        assert "crossed 3 times" in str(err.value) and "[9.5, 10.0]" in str(err.value)
+
+    @pytest.mark.parametrize("ratios, brackets", [
+        ((0.95, 0.9, 0.85), [(9.0, 9.5)]),               # through a grid point: once
+        ((0.95, 0.9, 0.95), [(9.0, 9.5)]),               # touching it: once
+        ((0.9, 0.95, 0.97), [(9.0, 9.5)]),               # at the first point
+        ((0.95, 0.97, 0.9), [(9.5, 10.0)]),              # at the last point
+        ((0.95, 0.9, 0.9), [(9.0, 9.5), (9.5, 10.0)]),   # two grid points on it
+        ((0.95, 0.85, 0.95), [(9.0, 9.5), (9.5, 10.0)]),
+        ((0.95, 0.93, 0.91), []),
+    ])
+    def test_ratio_crossings(self, ratios, brackets):
+        curve = [(9.0 + 0.5 * i, 0.3, ratio) for i, ratio in enumerate(ratios)]
+        assert ratio_crossings(curve, 0.9) == brackets
+
     def test_as_dict_round_trip(self, ref_solution):
         doc = ref_solution.as_dict()
         assert doc["R1"] == ref_solution.R1
@@ -395,6 +502,13 @@ class TestFiftyDigitOracle:
             want = mp_period((0.0, 1.9999, 3.0), (R2, R1), 12.0)
             for got, exact in zip(period_spans((0.0, 1.9999, 3.0), (R2, R1), 12.0), want):
                 assert abs(got / exact - 1) < 1e-15
+
+    @pytest.mark.parametrize("R", [6.000000011999999, 6.000569857819382, 7.0, 9.5, 11.9])
+    def test_one_shell_rate_slope(self, ref_config, R):
+        # the closed-form d(Dtau1/Dt1)/dR that drives the contour's Newton steps
+        with mp.workdps(DPS):
+            want = mp.diff(lambda x: mp_rate((0.0, 3.0), (x,), 12.0), mp.mpf(R))
+            assert abs(_one_shell_period(ref_config, R)[2] / want - 1) < 1e-13
 
     @given(one_shell_radii())
     @settings(max_examples=500, deadline=None)
