@@ -27,7 +27,7 @@ from .errors import (
     UnboundGeodesicError,
     UnreachableRadiusError,
 )
-from .spacetime import ShellSpacetime, metric_factor, stack_lapses
+from .spacetime import ShellSpacetime, metric_factor
 
 SHELL_TOL = 1e-12  # |r - R| <= SHELL_TOL * R counts as "at the shell"
 APOAPSIS_CLAMP = 1e-14
@@ -240,7 +240,7 @@ def _inward_walk(masses, r_mins, shells, lapses, r_i: float) -> list[tuple]:
     Each patch is crossed by _schwarzschild_span or _minkowski_span, and each
     shell rescales (u_r, u_t) by its _shell_transfer factor; proper time runs
     on across it.  One plain tuple per patch, outermost first, holding the
-    fields of Leg in its order (the search's hot loop builds no Leg).
+    fields of Leg in its order; oscillation_period makes each a Leg.
     """
     if masses[0] != 0.0:
         raise NoRestoringForceError("oscillation through the center requires a flat core")
@@ -265,15 +265,6 @@ def _four_quarters(legs: list[tuple]) -> tuple[float, float]:
     """(Dt_global, Dtau) of the full oscillation: exactly four mirrored quarter
     oscillations of the time-symmetric motion through the center."""
     return 4.0 * sum(leg[4] for leg in legs), 4.0 * sum(leg[5] for leg in legs)
-
-
-def period_spans(masses, shells, r_i: float) -> tuple[float, float]:
-    """(Dt_global, Dtau) of oscillation_period(build_spacetime(stack), r_i) for
-    the center-out stack with masses[k] between shells[k - 1] (0 for the core)
-    and shells[k], bit for bit and raising the same errors, from floats alone."""
-    r_mins = (0.0, *shells)
-    lapses = stack_lapses(masses, r_mins, (*shells, None))
-    return _four_quarters(_inward_walk(masses, r_mins, shells, lapses, r_i))
 
 
 def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, float, list[Leg]]:

@@ -23,6 +23,7 @@ from scipy.optimize import brentq
 from .errors import (
     GeodesicError,
     GeometryError,
+    HorizonViolation,
     MultipleCrossingsError,
     NoMeetingError,
     NoSolutionAtRadius,
@@ -33,9 +34,10 @@ from .fields import integer, real
 from .geodesic import (
     NEWTON_STEPS,
     CycloidParams,
+    _minkowski_span,
+    _schwarzschild_span,
     coordinate_time,
     eta_of_radius,
-    period_spans,
     proper_time,
     tangent,
 )
@@ -65,8 +67,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.m <= 0 or self.M <= 0:
             raise SearchError("masses must be positive")
-        if self.R2 <= 2.0 * self.m:
-            raise SearchError(f"R2={self.R2} must exceed 2m={2.0 * self.m}")
+        # the two-shell period's inner shell, checked here once for every R1
+        if self.R2 <= 2.0 * self.m or metric_factor(self.m, self.R2) < DEFAULT_HORIZON_MARGIN:
+            raise SearchError(f"R2={self.R2} must clear the horizon 2m={2.0 * self.m} "
+                              f"by the relative margin {DEFAULT_HORIZON_MARGIN}")
         if self.p <= 0 or self.q <= 0:
             raise SearchError("p and q must be positive integers")
         if self.R1_min <= self.R2:
@@ -119,7 +123,8 @@ class SearchConfig:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
+# slotted and not frozen: a frozen build costs ~1 us more per contour point
+@dataclass(slots=True)
 class ContourPoint:
     """Both branch periods where the clock rates agree at one R1."""
     R1: float
@@ -199,6 +204,17 @@ def shell_radius(config: SearchConfig, R1: float, f: float) -> float:
     return config.R2 + (R1 - config.R2) * f
 
 
+def _exterior_leg(config: SearchConfig, r: float) -> tuple[float, float, float, float]:
+    """(t, tau, u_t, u_r) at r on the shared exterior's cycloid from rest at r_i
+    (config.release): coordinate time (the release's own t not subtracted) and
+    proper time since rest, and the inbound tangent.  from_state(M, r_i, 0.0),
+    which the walk builds, is from_rest(M, r_i) bit for bit, and proper_time
+    at the rest is 0.0, so these are the walk's exterior-leg operations."""
+    params = config.release[0]
+    eta = eta_of_radius(params, r)
+    return (coordinate_time(params, eta, r), proper_time(params, eta), *tangent(params, eta, r))
+
+
 def _one_shell_period(config: SearchConfig, R: float) -> tuple[float, float, float]:
     """(Dt, Dtau) of oscillation_period(one_shell_spacetime(config, R), r_i), bit for
     bit: its operations in their order (exterior leg from rest at r_i to R, tangent
@@ -210,11 +226,8 @@ def _one_shell_period(config: SearchConfig, R: float) -> tuple[float, float, flo
     if not 0.0 < R < r_i or metric_factor(M, R) < DEFAULT_HORIZON_MARGIN:
         return math.nan, math.nan, math.nan
     f_out = metric_factor(M, R)
-    params, t_release = config.release
-    eta = eta_of_radius(params, R)
-    dt_out = abs(coordinate_time(params, eta, R) - t_release)
-    dtau_out = proper_time(params, eta)  # proper_time(params, 0.0) is 0.0
-    u_t, u_r = tangent(params, eta, R)
+    t, dtau_out, u_t, u_r = _exterior_leg(config, R)
+    dt_out = abs(t - config.release[1])
     k = math.sqrt(f_out)
     dtau_core = R / (abs(u_r) / k)
     dt_core = math.sqrt(1.0 / f_out) * (u_t * k * dtau_core)
@@ -227,6 +240,39 @@ def _one_shell_period(config: SearchConfig, R: float) -> tuple[float, float, flo
     ddtau = dtau_core * (shared + lapse) - 1.0 / abs(u_r)
     ddt = dt_core * (shared - lapse) - u_t / abs(u_r)
     return dt, dtau, 4.0 * (ddtau - dtau / dt * ddt) / dt
+
+
+def _two_shell_period(config: SearchConfig, R1: float) -> tuple[float, float]:
+    """(Dt, Dtau) of oscillation_period(two_shell_spacetime(config, R1), r_i), bit
+    for bit, raising the exception class it raises: the walk's legs in its order
+    (the exterior leg to R1, the tangent transfer at R1, the Schwarzschild span
+    of mass m down to R2, the transfer at R2, the flat core), with the lapses and
+    the four-quarter sums folded as stack_lapses and _four_quarters fold them.
+    Only the checks that depend on R1 are made; SearchConfig made the others."""
+    m, M, R2, r_i = config.m, config.M, config.R2, config.r_i
+    if not R1 > R2:
+        raise GeometryError(f"patch needs r_min < r_max, got [{R2}, {R1}]")
+    if R1 <= 2.0 * M or metric_factor(M, R1) < DEFAULT_HORIZON_MARGIN:
+        raise HorizonViolation(
+            f"shell at R={R1} at or inside the outer-patch horizon 2*mass={2.0 * M} "
+            f"(relative margin {DEFAULT_HORIZON_MARGIN})"
+        )
+    if R1 > r_i:
+        raise GeodesicError(f"release radius {r_i} below the outermost patch")
+    f_out, f_mid = metric_factor(M, R1), metric_factor(m, R1)
+    t, dtau_out, _, u_r = _exterior_leg(config, R1)
+    dt_out = abs(t - config.release[1])
+    # the span reads u_r only squared and through u_r == 0, so its sign is moot
+    k = math.sqrt(f_out / f_mid)
+    dt_mid, dtau_mid, u_r, u_t, *_ = _schwarzschild_span(m, R1, u_r / k, R2)
+    # at R2 the flat core's f is exactly 1.0
+    f_shell = metric_factor(m, R2)
+    k = math.sqrt(f_shell)
+    dt_core, dtau_core = _minkowski_span(R2, u_r / k, u_t * k, 0.0)
+    lapse_mid = math.sqrt(f_mid / f_out)
+    lapse_core = lapse_mid * math.sqrt(1.0 / f_shell)
+    return (4.0 * (dt_out + lapse_mid * dt_mid + lapse_core * dt_core),
+            4.0 * (dtau_out + dtau_mid + dtau_core))
 
 
 def ratio_residual(R1: float, f: float, config: SearchConfig, rate2: float) -> float:
@@ -288,8 +334,9 @@ def _contour_root(config: SearchConfig, R1: float, rate2: float,
 
 def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
     """Both branch periods at the root in f of the equal-clock-rate residual at
-    fixed R1.  The two-shell period depends on R1 alone, so it is computed once
-    and only the one-shell branch varies with f.  The one-shell rate Dtau1/Dt1
+    fixed R1.  The two-shell period depends on R1 alone, so it is computed once,
+    in closed form from the config's cached release (_two_shell_period), and
+    only the one-shell branch varies with f.  The one-shell rate Dtau1/Dt1
     rises strictly in R (tests/test_search.py checks it at 50 digits), so the
     root is unique.  The residual's signs at both ends of the whole admissible
     interval decide whether there is one (a NaN or no sign change raises
@@ -303,7 +350,7 @@ def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
     if f_lo >= F_UPPER:
         raise NoSolutionAtRadius(f"no admissible f interval at R1={R1}")
     try:
-        dt2, dtau2 = period_spans((0.0, config.m, config.M), (config.R2, R1), config.r_i)
+        dt2, dtau2 = _two_shell_period(config, R1)
     except (GeometryError, GeodesicError) as exc:
         raise NoSolutionAtRadius(f"two-shell branch invalid at R1={R1}: {exc}") from exc
     rate2 = dtau2 / dt2
@@ -408,9 +455,7 @@ def _validate_solution(sol: SwitchSolution) -> None:
 
 def _exterior_spans(config: SearchConfig, r: float) -> tuple[float, float]:
     """(t, tau) spans from rest at r_i down to r in the shared exterior metric."""
-    params = config.release[0]
-    eta = eta_of_radius(params, r)
-    return coordinate_time(params, eta, r), proper_time(params, eta)
+    return _exterior_leg(config, r)[:2]
 
 
 def find_meeting_radius(solution: SwitchSolution, config: SearchConfig) -> MeetingEvent:

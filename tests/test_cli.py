@@ -152,6 +152,13 @@ class TestSearch:
         assert main(["search", "--config", cfg]) == EXIT_INPUT
         assert "INPUT ERROR" in capsys.readouterr().err
 
+    def test_inner_shell_inside_horizon_margin_exits_1(self, tmp_path, capsys):
+        # R2 = 4 is 5e-12 relative above 2m, inside the 1e-9 margin: rejected
+        # with the config, not after every grid point fails (it exited 3)
+        cfg = write(tmp_path, "search.json", dict(SEARCH, m=1.99999999999))
+        assert main(["search", "--config", cfg]) == EXIT_INPUT
+        assert "INPUT ERROR: search config: R2=4.0 must clear" in capsys.readouterr().err
+
     def test_contour_traced_once(self, tmp_path, monkeypatch):
         calls = []
         contour_point = shellswitch.search.solve_contour

@@ -36,12 +36,11 @@ from shellswitch.geodesic import (
     coordinate_time,
     diametral_crossing_time,
     eta_of_radius,
-    period_spans,
     proper_time,
     radius,
     tangent,
 )
-from shellswitch.spacetime import DEFAULT_HORIZON_MARGIN, metric_factor
+from shellswitch.spacetime import metric_factor
 
 from oracles import DPS, _cycloid_at, mp_invert_leg, norm_defect, quad_spans
 
@@ -506,53 +505,3 @@ class TestReleaseState:
         assert norm_defect(3.0, 12.0, 0.0, u_t) < 1e-12
         leg = oscillation_period(m2_reference(), 12.0)[2][0]
         assert (leg.u_r, leg.u_t) == (0.0, u_t)
-
-
-@st.composite
-def stacks(draw):
-    """(masses, shells, r_i): a flat core and 1-6 shells with outward-growing
-    masses.  Some shells graze, meet or cross the horizon margin of the patch
-    outside them, some fall below the shell inside them, and some releases lie
-    at or below the outer shell."""
-    n = draw(st.integers(1, 6))
-    masses = [0.0] + sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))
-    shells = []
-    for k in range(n):
-        below = shells[-1] if shells else 0.0
-        horizon = 2.0 * masses[k + 1]
-        grazing = horizon / (1.0 - DEFAULT_HORIZON_MARGIN * draw(st.floats(0.999, 1.001)))
-        shells.append(draw(st.one_of(
-            st.just(grazing),
-            st.floats(1e-4, 0.5).map(lambda x: max(below, horizon) * (1.0 + x) + 1e-3),
-            st.floats(0.5, 1.0).map(lambda x: below * x),
-        )))
-    r_i = shells[-1] * draw(st.one_of(st.just(1.0), st.floats(0.9, 1.5)))
-    return tuple(masses), tuple(shells), r_i
-
-
-def outcome(period):
-    """The periods' bits, or the class of the exception raised."""
-    try:
-        dt, dtau = period()[:2]
-    except Exception as exc:
-        return type(exc)
-    return dt.hex(), dtau.hex()
-
-
-class TestPeriodSpans:
-    """period_spans checks a stack given as floats and walks it without the
-    spacetime: the same bits as oscillation_period(build_spacetime(...)), and
-    the same exception class where that raises."""
-
-    @given(stacks())
-    @settings(max_examples=300, deadline=None)
-    def test_matches_built_spacetime(self, stack):
-        masses, shells, r_i = stack
-        bounds = (0.0, *shells, None)
-
-        def built():
-            patches = [PatchSpec(m, bounds[k], bounds[k + 1]) for k, m in enumerate(masses)]
-            return oscillation_period(build_spacetime(patches), r_i)
-
-        assert outcome(lambda: period_spans(masses, shells, r_i)) == outcome(built)
-

@@ -26,11 +26,12 @@ from shellswitch.errors import (
 )
 import shellswitch.geodesic
 import shellswitch.spacetime
-from shellswitch.geodesic import oscillation_period, period_spans
+from shellswitch.geodesic import oscillation_period
 from shellswitch.search import (
     F_MARGIN,
     F_UPPER,
     _one_shell_period,
+    _two_shell_period,
     one_shell_spacetime,
     ratio_crossings,
     shell_radius,
@@ -74,6 +75,13 @@ class TestConfig:
         cfg = SearchConfig.from_dict(dict(REFERENCE, p=9.0, q=10.0, grid=24.0))
         assert (cfg.p, cfg.q, cfg.grid) == (9, 10, 24)
         assert all(type(v) is int for v in (cfg.p, cfg.q, cfg.grid))
+
+    def test_inner_shell_inside_horizon_margin(self):
+        # 5e-10 relative above 2m: every grid point's two-shell period used to
+        # raise, and the search ended as an untraceable contour
+        m = REFERENCE["R2"] / 2.0 * (1.0 - 5e-10)
+        with pytest.raises(SearchError, match=r"R2=4\.0 .* 2m=.* margin 1e-09"):
+            SearchConfig(**dict(REFERENCE, m=m))
 
     @pytest.mark.parametrize("R1_min", [4.0, 3.5])
     def test_outer_shell_must_clear_inner(self, R1_min):
@@ -135,7 +143,7 @@ class TestContour:
 def general_period(config, R):
     """One-shell (Dt, Dtau) through the general walk; (NaN, NaN) where it raises."""
     try:
-        dt, dtau = period_spans((0.0, config.M), (R,), config.r_i)
+        dt, dtau, _ = oscillation_period(one_shell_spacetime(config, R), config.r_i)
     except (GeometryError, GeodesicError):
         return math.nan, math.nan
     return dt, dtau
@@ -204,8 +212,58 @@ class TestClosedFormResidual:
         assert rate == period_rate(ref_config, 12.0, f_out, 0.0) and rate > 0.0
 
 
+def outcome(period):
+    """The periods' bits, or the class of the exception raised."""
+    try:
+        dt, dtau = period()[:2]
+    except Exception as exc:
+        return type(exc)
+    return dt.hex(), dtau.hex()
+
+
+@st.composite
+def two_shell_inputs(draw):
+    """(config, R1) with R1 across (R2, r_i] and just outside it: at or below
+    R2, at 2M (1 +- the horizon margin), grazing that margin, at r_i, an ulp
+    either side of r_i, and beyond r_i.  R2 clears its horizon 2m by 1.3e-9
+    to 0.8 relative, as SearchConfig requires."""
+    M = draw(st.floats(0.5, 5.0))
+    r_i = 2.0 * M * draw(st.floats(1.001, 4.0))
+    R2 = r_i * draw(st.floats(0.05, 0.9))
+    config = SearchConfig(
+        m=0.5 * R2 * (1.0 - 10.0 ** draw(st.floats(-8.9, -0.1))), M=M, R2=R2, r_i=r_i,
+        p=9, q=10, R1_min=R2 + 0.25 * (r_i - R2), R1_max=R2 + 0.5 * (r_i - R2),
+    )
+    margin = DEFAULT_HORIZON_MARGIN
+    R1 = draw(st.one_of(
+        st.floats(0.0, 1.0).map(lambda w: R2 + (r_i - R2) * w),
+        st.floats(0.5, 1.0).map(lambda w: R2 * w),
+        st.floats(-2.0, 2.0).map(lambda x: 2.0 * M * (1.0 + margin * x)),
+        st.floats(0.999, 1.001).map(lambda x: 2.0 * M / (1.0 - margin * x)),
+        st.floats(1.0, 1.1).map(lambda w: r_i * w),
+        st.sampled_from([r_i, math.nextafter(r_i, 0.0), math.nextafter(r_i, math.inf)]),
+    ))
+    return config, R1
+
+
+class TestTwoShellClosedForm:
+    """The search computes the two-shell period in closed form from the config's
+    release; it must be the general walk's (Dt, Dtau) bit for bit, and raise
+    the exception class that the walk raises wherever it raises."""
+
+    @given(two_shell_inputs())
+    @example((SearchConfig(**REFERENCE), 4.0))    # R1 == R2: GeometryError
+    @example((SearchConfig(**REFERENCE), 6.0))    # R1 == 2M: HorizonViolation
+    @example((SearchConfig(**REFERENCE), 12.5))   # R1 > r_i: GeodesicError
+    @settings(max_examples=500, deadline=None)
+    def test_matches_oscillation_period(self, inputs):
+        config, R1 = inputs
+        walked = outcome(lambda: oscillation_period(two_shell_spacetime(config, R1), config.r_i))
+        assert outcome(lambda: _two_shell_period(config, R1)) == walked
+
+
 def test_hoisted_work_per_contour_point(monkeypatch):
-    """Each contour point computes its two-shell period with one float-only walk
+    """Each contour point computes its two-shell period once, in closed form,
     and builds no spacetime; the outer root solves no point the curve or its
     own iterations already hold, so the grid-24 solve makes 24 + 4 points."""
     counts = Counter()
@@ -219,13 +277,13 @@ def test_hoisted_work_per_contour_point(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("solve_contour", "period_spans", "build_spacetime"):
+    for name in ("solve_contour", "_two_shell_period", "build_spacetime"):
         count(shellswitch.search, name)
     count(shellswitch.spacetime, "build_spacetime")
     count(shellswitch.geodesic, "oscillation_period")
     solve_switch_configuration(SearchConfig(grid=24, **REFERENCE))
     assert counts["solve_contour"] == 28
-    assert counts["period_spans"] == counts["solve_contour"]
+    assert counts["_two_shell_period"] == 28
     assert counts["oscillation_period"] == 0
     assert counts["build_spacetime"] == 0
 
@@ -275,7 +333,7 @@ def expected_contour_root(config, R1):
     if f_lo >= F_UPPER:
         return None
     try:
-        dt2, dtau2 = period_spans((0.0, config.m, config.M), (config.R2, R1), config.r_i)
+        dt2, dtau2, _ = oscillation_period(two_shell_spacetime(config, R1), config.r_i)
     except (GeometryError, GeodesicError):
         return None
     ends = (max(f_lo, 0.0), F_UPPER)
@@ -498,9 +556,12 @@ class TestFiftyDigitOracle:
         (4.0, 9.0), (4.0, 10.07219031346676), (4.0, 11.5), (3.9998000079995997, 11.5),
     ])
     def test_two_shell_period(self, R2, R1):
+        config = SearchConfig(**dict(REFERENCE, R2=R2))
+        walked = oscillation_period(two_shell_spacetime(config, R1), 12.0)[:2]
+        assert _two_shell_period(config, R1) == walked
         with mp.workdps(DPS):
             want = mp_period((0.0, 1.9999, 3.0), (R2, R1), 12.0)
-            for got, exact in zip(period_spans((0.0, 1.9999, 3.0), (R2, R1), 12.0), want):
+            for got, exact in zip(walked, want):
                 assert abs(got / exact - 1) < 1e-15
 
     @pytest.mark.parametrize("R", [6.000000011999999, 6.000569857819382, 7.0, 9.5, 11.9])
