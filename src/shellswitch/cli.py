@@ -23,7 +23,7 @@ from .geodesic import (
 )
 from .search import (
     SearchConfig,
-    _exterior_spans,
+    _exterior_leg,
     find_meeting_radius,
     one_shell_spacetime,
     solve_switch_configuration,
@@ -153,7 +153,7 @@ def _far_side_tables(outdir: Path, config, solution, samples: int) -> None:
     r_lo = solution.R1
     radii = [r_lo + (config.r_i - r_lo) * i / (samples - 1) for i in range(samples)]
     passes = ((-1, radii), (+1, [config.r_i - (r - r_lo) for r in radii[1:]]))
-    spans = [(sign, r, *_exterior_spans(config, r)) for sign, rs in passes for r in rs]
+    spans = [(sign, r, *_exterior_leg(config, r)[:2]) for sign, rs in passes for r in rs]
     halves = {
         "gamma1": (solution.dt1 / 2.0, solution.dtau1 / 2.0),
         "gamma2": (solution.dt2 / 2.0, solution.dtau2 / 2.0),

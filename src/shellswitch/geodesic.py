@@ -29,7 +29,6 @@ from .errors import (
 )
 from .spacetime import ShellSpacetime, metric_factor
 
-SHELL_TOL = 1e-12  # |r - R| <= SHELL_TOL * R counts as "at the shell"
 APOAPSIS_CLAMP = 1e-14
 NEWTON_STEPS, NEWTON_TOL = 30, 1e-9
 
@@ -194,11 +193,9 @@ def _minkowski_span(r: float, u_r: float, u_t: float, r_exit: float) -> tuple[fl
     return u_t * dtau, dtau
 
 
-def _shell_transfer(mu_in: float, mu_out: float, R: float, r: float) -> float:
-    """k = sqrt(f_out / f_in) at the shell at R, for a body at r:
+def _shell_transfer(mu_in: float, mu_out: float, R: float) -> float:
+    """k = sqrt(f_out / f_in) at the shell at R:
     u_r(out) = k * u_r(in) and u_t(out) = u_t(in) / k."""
-    if abs(r - R) > SHELL_TOL * R:
-        raise GeodesicError(f"state at r={r} is not at shell R={R}")
     return math.sqrt(metric_factor(mu_out, R) / metric_factor(mu_in, R))
 
 
@@ -234,44 +231,34 @@ def _release_u_t(mass: float, r_min: float, r_i: float) -> float:
     return drop_energy(mass, r_i) / metric_factor(mass, r_i)
 
 
-def _inward_walk(masses, r_mins, shells, lapses, r_i: float) -> list[tuple]:
-    """The quarter oscillation from rest at r_i down to the center.
+def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, float, list[Leg]]:
+    """(Dt_global, Dtau, inbound quarter legs) for one full radial oscillation.
 
-    Each patch is crossed by _schwarzschild_span or _minkowski_span, and each
-    shell rescales (u_r, u_t) by its _shell_transfer factor; proper time runs
-    on across it.  One plain tuple per patch, outermost first, holding the
-    fields of Leg in its order; oscillation_period makes each a Leg.
+    The quarter oscillation from rest at r_i down to the center is walked one
+    patch at a time, outermost first: each patch is crossed by
+    _schwarzschild_span or _minkowski_span, and each shell, at the r_min of
+    the patch just crossed, rescales (u_r, u_t) by its _shell_transfer factor;
+    proper time runs on across it.  The motion through the center is time
+    symmetric, so the period is exactly four mirrored quarters.
     """
-    if masses[0] != 0.0:
+    patches, lapses = spacetime.patches, spacetime.lapses
+    if patches[0].mass != 0.0:
         raise NoRestoringForceError("oscillation through the center requires a flat core")
-    r, u_r, u_t, tau = r_i, 0.0, _release_u_t(masses[-1], r_mins[-1], r_i), 0.0
+    r, u_r, u_t, tau = r_i, 0.0, _release_u_t(patches[-1].mass, patches[-1].r_min, r_i), 0.0
     legs = []
-    for k in range(len(masses) - 1, -1, -1):
-        mass, r_target = masses[k], r_mins[k]  # r_min is 0 for the core
+    for k in range(len(patches) - 1, -1, -1):
+        mass, r_target = patches[k].mass, patches[k].r_min  # r_min is 0 for the core
         if mass > 0.0:
             dt, dtau, u_r_out, u_t_out, *arc = _schwarzschild_span(mass, r, u_r, r_target)
         else:
             dt, dtau = _minkowski_span(r, u_r, u_t, r_target)
             u_r_out, u_t_out, arc = u_r, u_t, (None, None, None)
-        legs.append((k, r, r_target, dt, lapses[k] * dt, dtau, u_r, u_t, tau, *arc))
+        legs.append(Leg(k, r, r_target, dt, lapses[k] * dt, dtau, u_r, u_t, tau, *arc))
         r, u_r, u_t, tau = r_target, u_r_out, u_t_out, tau + dtau
         if k > 0:
-            kappa = _shell_transfer(masses[k - 1], mass, shells[k - 1], r)
+            kappa = _shell_transfer(patches[k - 1].mass, mass, r)
             u_r, u_t = u_r / kappa, u_t * kappa
-    return legs
-
-
-def _four_quarters(legs: list[tuple]) -> tuple[float, float]:
-    """(Dt_global, Dtau) of the full oscillation: exactly four mirrored quarter
-    oscillations of the time-symmetric motion through the center."""
-    return 4.0 * sum(leg[4] for leg in legs), 4.0 * sum(leg[5] for leg in legs)
-
-
-def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, float, list[Leg]]:
-    """(Dt_global, Dtau, inbound quarter legs) for one full radial oscillation."""
-    masses, r_mins = zip(*((p.mass, p.r_min) for p in spacetime.patches))
-    records = _inward_walk(masses, r_mins, spacetime.shells, spacetime.lapses, r_i)
-    return (*_four_quarters(records), [Leg(*record) for record in records])
+    return 4.0 * sum(leg.dt_global for leg in legs), 4.0 * sum(leg.dtau for leg in legs), legs
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,8 @@ class SearchConfig:
             raise SearchError(f"root tolerance tol={self.root_tol} must be positive")
         if not self.r_i > max(2.0 * self.M, self.R1_max):  # release in the shared exterior
             raise SearchError(f"r_i={self.r_i} must exceed 2M and R1_max={self.R1_max}")
+        if metric_factor(self.M, self.r_i) == 1.0:  # 2M/r_i rounds to 0: E = 1, unbound
+            raise SearchError(f"M={self.M} is too small for a bound release from r_i={self.r_i}")
 
     @property
     def target_ratio(self) -> float:
@@ -246,8 +248,9 @@ def _two_shell_period(config: SearchConfig, R1: float) -> tuple[float, float]:
     """(Dt, Dtau) of oscillation_period(two_shell_spacetime(config, R1), r_i), bit
     for bit, raising the exception class it raises: the walk's legs in its order
     (the exterior leg to R1, the tangent transfer at R1, the Schwarzschild span
-    of mass m down to R2, the transfer at R2, the flat core), with the lapses and
-    the four-quarter sums folded as stack_lapses and _four_quarters fold them.
+    of mass m down to R2, the transfer at R2, the flat core), with the lapses
+    folded as build_spacetime folds them and the four-quarter sums as
+    oscillation_period sums them.
     Only the checks that depend on R1 are made; SearchConfig made the others."""
     m, M, R2, r_i = config.m, config.M, config.R2, config.r_i
     if not R1 > R2:
@@ -453,11 +456,6 @@ def _validate_solution(sol: SwitchSolution) -> None:
 # ---------------------------------------------------------------------------
 # Meeting event on the far side
 
-def _exterior_spans(config: SearchConfig, r: float) -> tuple[float, float]:
-    """(t, tau) spans from rest at r_i down to r in the shared exterior metric."""
-    return _exterior_leg(config, r)[:2]
-
-
 def find_meeting_radius(solution: SwitchSolution, config: SearchConfig) -> MeetingEvent:
     """Radius where the two branch geodesics cross at equal proper time.
 
@@ -470,7 +468,7 @@ def find_meeting_radius(solution: SwitchSolution, config: SearchConfig) -> Meeti
     half_t_1, half_t_2 = solution.dt1 / 2.0, solution.dt2 / 2.0
 
     def tau_gap(r: float) -> float:
-        _, tau_e = _exterior_spans(config, r)
+        tau_e = _exterior_leg(config, r)[1]
         return (half_tau_1 + tau_e) - (half_tau_2 - tau_e)
 
     r_lo = solution.R1 * (1.0 + 1e-12)
@@ -481,7 +479,7 @@ def find_meeting_radius(solution: SwitchSolution, config: SearchConfig) -> Meeti
             "proper-time curves do not cross transversally on (R1, r_i)"
         )
     r_t = brentq(tau_gap, r_lo, r_hi, xtol=1e-12, rtol=8.9e-16)
-    t_e, tau_e = _exterior_spans(config, r_t)
+    t_e, tau_e = _exterior_leg(config, r_t)[:2]
     t_A1 = half_t_1 + t_e
     t_A2 = half_t_2 - t_e
     if not t_A1 < t_A2:

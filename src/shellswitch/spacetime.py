@@ -27,21 +27,6 @@ def metric_factor(mass: float, r: float) -> float:
     return (r - 2.0 * mass) / r
 
 
-def check_patch(mass: float, r_min: float, r_max: float | None) -> None:
-    """A patch's own checks: mass and r_min non-negative, r_min < r_max, and a
-    domain that starts outside the patch horizon."""
-    if mass < 0:
-        raise GeometryError(f"patch mass must be >= 0, got {mass}")
-    if r_min < 0:
-        raise GeometryError(f"patch r_min must be >= 0, got {r_min}")
-    if r_max is not None and r_min >= r_max:
-        raise GeometryError(f"patch needs r_min < r_max, got [{r_min}, {r_max}]")
-    if r_min > 0 and r_min <= 2.0 * mass:
-        raise HorizonViolation(
-            f"patch domain starts at r_min={r_min} inside the horizon 2*mass={2.0 * mass}"
-        )
-
-
 @dataclass(frozen=True)
 class PatchSpec:
     """One static spherically symmetric patch: Schwarzschild of the given mass
@@ -52,7 +37,17 @@ class PatchSpec:
     r_max: float | None  # None = unbounded (outermost patch)
 
     def __post_init__(self):
-        check_patch(self.mass, self.r_min, self.r_max)
+        mass, r_min, r_max = self.mass, self.r_min, self.r_max
+        if mass < 0:
+            raise GeometryError(f"patch mass must be >= 0, got {mass}")
+        if r_min < 0:
+            raise GeometryError(f"patch r_min must be >= 0, got {r_min}")
+        if r_max is not None and r_min >= r_max:
+            raise GeometryError(f"patch needs r_min < r_max, got [{r_min}, {r_max}]")
+        if r_min > 0 and r_min <= 2.0 * mass:
+            raise HorizonViolation(
+                f"patch domain starts at r_min={r_min} inside the horizon 2*mass={2.0 * mass}"
+            )
 
     @property
     def bounded(self) -> bool:
@@ -110,10 +105,28 @@ def build_spacetime(
     for k, p in enumerate(patches[:-1]):
         if not p.bounded:
             raise GeometryError(f"only the outermost patch may be unbounded (patch {k})")
-    lapses = stack_lapses(
-        [p.mass for p in patches], [p.r_min for p in patches], [p.r_max for p in patches],
-        horizon_margin,
-    )
+    if len(patches) > 1 and patches[0].mass != 0.0:
+        raise GeometryError("innermost patch must be a flat (mass 0) core when shells are present")
+    for k, (inner, outer) in enumerate(zip(patches, patches[1:])):
+        R = inner.r_max
+        if R != outer.r_min:
+            raise GeometryError(
+                f"gap or overlap between patches {k} and {k + 1}: {R} != {outer.r_min}"
+            )
+        if metric_factor(outer.mass, R) < horizon_margin:
+            raise HorizonViolation(
+                f"shell at R={R} at or inside the outer-patch horizon "
+                f"2*mass={2.0 * outer.mass} (relative margin {horizon_margin})"
+            )
+
+    # Per-shell factor sqrt(f_in/f_out) relates local times across shell j;
+    # a patch's lapse is the product over all shells outside it.
+    lapses = [1.0] * len(patches)
+    for k in range(len(patches) - 2, -1, -1):
+        R = patches[k].r_max
+        f_in = metric_factor(patches[k].mass, R)
+        f_out = metric_factor(patches[k + 1].mass, R)
+        lapses[k] = lapses[k + 1] * math.sqrt(f_in / f_out)
     warnings = [
         f"shell at R={inner.r_max}: outer mass {outer.mass} < inner mass "
         f"{inner.mass}, negative surface energy density"
@@ -125,38 +138,6 @@ def build_spacetime(
         lapses=tuple(lapses),
         warnings=tuple(warnings),
     )
-
-
-def stack_lapses(masses, r_mins, r_maxs, horizon_margin=DEFAULT_HORIZON_MARGIN) -> list[float]:
-    """Lapses of the center-out stack of patches masses[k] on [r_mins[k], r_maxs[k]],
-    given as floats, after the checks of PatchSpec and build_spacetime in their
-    order: each patch, the flat core, then each shell's adjacency and its
-    clearance of the outer-patch horizon by the relative margin."""
-    for mass, r_min, r_max in zip(masses, r_mins, r_maxs):
-        check_patch(mass, r_min, r_max)
-    if len(masses) > 1 and masses[0] != 0.0:
-        raise GeometryError("innermost patch must be a flat (mass 0) core when shells are present")
-    for k in range(len(masses) - 1):
-        R = r_maxs[k]
-        if R != r_mins[k + 1]:
-            raise GeometryError(
-                f"gap or overlap between patches {k} and {k + 1}: {R} != {r_mins[k + 1]}"
-            )
-        if metric_factor(masses[k + 1], R) < horizon_margin:
-            raise HorizonViolation(
-                f"shell at R={R} at or inside the outer-patch horizon "
-                f"2*mass={2.0 * masses[k + 1]} (relative margin {horizon_margin})"
-            )
-
-    # Per-shell factor sqrt(f_in/f_out) relates local times across shell j;
-    # a patch's lapse is the product over all shells outside it.
-    lapses = [1.0] * len(masses)
-    for k in range(len(masses) - 2, -1, -1):
-        R = r_maxs[k]
-        f_in = metric_factor(masses[k], R)
-        f_out = metric_factor(masses[k + 1], R)
-        lapses[k] = lapses[k + 1] * math.sqrt(f_in / f_out)
-    return lapses
 
 
 def induced_metric_gap(spacetime: ShellSpacetime, shell_index: int) -> float:

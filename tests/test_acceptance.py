@@ -69,9 +69,9 @@ def test_criterion_1_golden_reproduction():
 
 
 def test_criterion_2_meeting_radius(ref_solution, ref_meeting):
-    from shellswitch.search import _exterior_spans
+    from shellswitch.search import _exterior_leg
 
-    _, tau_e = _exterior_spans(ref_solution.config, ref_meeting.r_t)
+    tau_e = _exterior_leg(ref_solution.config, ref_meeting.r_t)[1]
     tau_1 = ref_solution.dtau1 / 2.0 + tau_e
     tau_2 = ref_solution.dtau2 / 2.0 - tau_e
     ok = (

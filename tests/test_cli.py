@@ -159,6 +159,14 @@ class TestSearch:
         assert main(["search", "--config", cfg]) == EXIT_INPUT
         assert "INPUT ERROR: search config: R2=4.0 must clear" in capsys.readouterr().err
 
+    def test_release_that_rounds_to_unbound_exits_1(self, tmp_path, capsys):
+        # M = 1e-17 leaves 2M/r_i = 0.0 in floats: rejected with the config,
+        # not after every grid point fails (it exited 3)
+        cfg = write(tmp_path, "search.json", dict(SEARCH, M=1e-17))
+        assert main(["search", "--config", cfg]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("INPUT ERROR: search config: M=1e-17 ") and "r_i=12.0" in err
+
     def test_contour_traced_once(self, tmp_path, monkeypatch):
         calls = []
         contour_point = shellswitch.search.solve_contour

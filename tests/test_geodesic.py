@@ -27,7 +27,6 @@ from shellswitch import geodesic
 from shellswitch.geodesic import (
     Leg,
     _invert_leg,
-    _inward_walk,
     _leg_origin,
     _minkowski_span,
     _release_u_t,
@@ -217,7 +216,7 @@ class TestSegments:
 
 def cross(mu_in, mu_out, R, u_r, u_t, inward=True):
     """(u_r, u_t) on the other side of the shell at R, by the walk's rule."""
-    k = _shell_transfer(mu_in, mu_out, R, R)
+    k = _shell_transfer(mu_in, mu_out, R)
     return (u_r / k, u_t * k) if inward else (u_r * k, u_t / k)
 
 
@@ -247,10 +246,6 @@ class TestCrossShell:
         assert back[0] == pytest.approx(u_r, rel=1e-14)
         assert back[1] == pytest.approx(u_t, rel=1e-14)
 
-    def test_not_at_shell(self):
-        with pytest.raises(GeodesicError):
-            _shell_transfer(0.0, 3.0, 10.0, 11.0)
-
     @given(st.floats(min_value=0.0, max_value=2.0),
            st.floats(min_value=0.1, max_value=3.0),
            st.floats(min_value=-2.0, max_value=2.0),
@@ -279,7 +274,7 @@ class TestOscillation:
         r2 = ref_solution.dtau2 / ref_solution.dt2
         assert r1 == pytest.approx(r2, abs=1e-6)
 
-    def test_period_is_four_quarters(self):
+    def test_period_is_four_times_the_quarter(self):
         st_ = m2_reference()
         dt, dtau, legs = oscillation_period(st_, 12.0)
         assert dt == 4.0 * sum(leg.dt_global for leg in legs)
@@ -324,20 +319,28 @@ class TestOscillation:
         assert checked > 100
 
     def test_legs_are_the_walk_records(self):
-        # one flat Leg per walk record, outermost patch first; each leg starts
-        # where the one outside it ended, tau running on across the shells
+        # one Leg per patch, outermost first, holding its patch's span; each
+        # leg starts where the one outside it ended, with the exit tangent
+        # rescaled at the shell between them and tau running on across it
         st_ = m2_reference()
         _, _, legs = oscillation_period(st_, 12.0)
-        masses = [p.mass for p in st_.patches]
-        r_mins = [p.r_min for p in st_.patches]
-        records = _inward_walk(masses, r_mins, st_.shells, st_.lapses, 12.0)
-        assert legs == [Leg(*record) for record in records]
+        mass = [p.mass for p in st_.patches]
         assert [leg.patch_index for leg in legs] == [2, 1, 0]
         assert (legs[0].r_outer, legs[0].u_r, legs[0].tau) == (12.0, 0.0, 0.0)
+        assert legs[0].u_t == _release_u_t(3.0, 10.072, 12.0)
         for outer, inner in zip(legs, legs[1:]):
             assert inner.r_outer == outer.r_inner
             assert inner.tau == outer.tau + outer.dtau
             assert inner.dt_global == st_.lapses[inner.patch_index] * inner.dt_local
+            span = _schwarzschild_span(mass[outer.patch_index], outer.r_outer, outer.u_r,
+                                       outer.r_inner)
+            k = _shell_transfer(mass[inner.patch_index], mass[outer.patch_index], inner.r_outer)
+            assert (outer.dt_local, outer.dtau) == span[:2]
+            assert (outer.cycloid, outer.eta_entry, outer.eta_exit) == span[4:]
+            assert (inner.u_r, inner.u_t) == (span[2] / k, span[3] * k)
+        core = legs[-1]
+        assert (core.r_inner, core.cycloid) == (0.0, None)
+        assert (core.dt_local, core.dtau) == _minkowski_span(core.r_outer, core.u_r, core.u_t, 0.0)
 
 
 def count_t_calls(monkeypatch) -> list:

@@ -83,6 +83,12 @@ class TestConfig:
         with pytest.raises(SearchError, match=r"R2=4\.0 .* 2m=.* margin 1e-09"):
             SearchConfig(**dict(REFERENCE, m=m))
 
+    def test_release_that_rounds_to_unbound(self):
+        # 2M/r_i rounds away at M = 1e-17: the release cycloid would have E = 1,
+        # and every grid point failed on it (the search exited 3)
+        with pytest.raises(SearchError, match=r"M=1e-17 .* r_i=12\.0"):
+            SearchConfig(**dict(REFERENCE, M=1e-17))
+
     @pytest.mark.parametrize("R1_min", [4.0, 3.5])
     def test_outer_shell_must_clear_inner(self, R1_min):
         # R1_min == R2 used to reach a division by R1 - R2 in the f bracket
@@ -649,9 +655,9 @@ class TestMeeting:
         assert ref_meeting.t_A1 < ref_meeting.t_A2
 
     def test_equal_proper_time_on_both_branches(self, ref_solution, ref_meeting):
-        from shellswitch.search import _exterior_spans
+        from shellswitch.search import _exterior_leg
 
-        _, tau_e = _exterior_spans(ref_solution.config, ref_meeting.r_t)
+        tau_e = _exterior_leg(ref_solution.config, ref_meeting.r_t)[1]
         tau_gamma1 = ref_solution.dtau1 / 2.0 + tau_e
         tau_gamma2 = ref_solution.dtau2 / 2.0 - tau_e
         assert tau_gamma1 == pytest.approx(tau_gamma2, rel=1e-12)

@@ -69,6 +69,59 @@ class TestBuild:
             PatchSpec(3.0, 5.0, 10.0)
 
 
+# One row per PatchSpec/build_spacetime rejection: the (mass, r_min, r_max)
+# patches, center out, and the class and message start it must raise.  The
+# rows with two faults pin the order of the checks: each patch's own checks
+# (mass, r_min, r_min < r_max, horizon) as it is built, then the list: empty,
+# core r_min, bounded outermost, unbounded inner, flat core, then each shell
+# from the inside out, adjacency before the horizon margin.
+REJECTIONS = {
+    "empty": ([], GeometryError, "at least one patch is required"),
+    "core-r_min": ([(0.0, 1.0, None)], GeometryError, "innermost patch must start at r = 0"),
+    "bounded-outermost": ([(0.0, 0.0, 4.0)], GeometryError, "outermost patch must be unbounded"),
+    "unbounded-inner": ([(0.0, 0.0, None), (3.0, 8.0, None)], GeometryError,
+                        "only the outermost patch may be unbounded (patch 0)"),
+    "negative-mass": ([(-1.0, 0.0, None)], GeometryError, "patch mass must be >= 0, got -1.0"),
+    "negative-r_min": ([(0.0, -1.0, 4.0)], GeometryError, "patch r_min must be >= 0, got -1.0"),
+    "r_min-not-below-r_max": ([(0.0, 4.0, 4.0)], GeometryError,
+                              "patch needs r_min < r_max, got [4.0, 4.0]"),
+    "patch-inside-horizon": ([(0.0, 0.0, 5.0), (3.0, 5.0, None)], HorizonViolation,
+                             "patch domain starts at r_min=5.0 inside the horizon"),
+    "flat-core": ([(1.0, 0.0, 8.0), (3.0, 8.0, None)], GeometryError,
+                  "innermost patch must be a flat (mass 0) core"),
+    "gap": ([(0.0, 0.0, 8.0), (3.0, 9.0, None)], GeometryError,
+            "gap or overlap between patches 0 and 1: 8.0 != 9.0"),
+    "shell-horizon": ([(0.0, 0.0, 6.000000001), (3.0, 6.000000001, None)], HorizonViolation,
+                      "shell at R=6.000000001 at or inside the outer-patch horizon"),
+    # two faults each: the first named check wins
+    "mass-before-r_min": ([(-1.0, -1.0, None)], GeometryError, "patch mass must be >= 0"),
+    "r_min-before-order": ([(0.0, -1.0, -2.0)], GeometryError, "patch r_min must be >= 0"),
+    "patch-before-list": ([(0.0, 1.0, 4.0), (-3.0, 4.0, 5.0)], GeometryError,
+                          "patch mass must be >= 0"),
+    "core-r_min-before-bounded-outermost": ([(0.0, 1.0, 4.0)], GeometryError,
+                                            "innermost patch must start at r = 0"),
+    "bounded-outermost-before-unbounded-inner": ([(0.0, 0.0, None), (3.0, 8.0, 10.0)],
+                                                 GeometryError, "outermost patch must be unbounded"),
+    "unbounded-inner-before-flat-core": ([(1.0, 0.0, None), (3.0, 8.0, None)], GeometryError,
+                                         "only the outermost patch may be unbounded"),
+    "flat-core-before-gap": ([(1.0, 0.0, 4.0), (3.0, 8.0, None)], GeometryError,
+                             "innermost patch must be a flat (mass 0) core"),
+    "gap-before-shell-horizon": ([(0.0, 0.0, 6.0), (3.0, 6.5, None)], GeometryError,
+                                 "gap or overlap between patches 0 and 1"),
+    "inner-shell-before-outer-shell": (
+        [(0.0, 0.0, 4.0), (1.9999999999, 4.0, 10.0), (3.0, 11.0, None)], HorizonViolation,
+        "shell at R=4.0 at or inside the outer-patch horizon"),
+}
+
+
+@pytest.mark.parametrize("patches, error, message", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_stack_rejections_in_order(patches, error, message):
+    with pytest.raises(GeometryError) as raised:
+        build_spacetime([PatchSpec(*patch) for patch in patches])
+    assert type(raised.value) is error
+    assert str(raised.value).startswith(message)
+
+
 class TestLapse:
     def test_outermost_is_one(self):
         assert m2_reference().lapses[2] == 1.0
