@@ -326,23 +326,41 @@ def _quarter_sample(legs: list[Leg], origins: list, t_quarter_offset: float) -> 
 def trajectory(
     spacetime: ShellSpacetime, r_i: float, t_global_max: float, sample_count: int
 ) -> list[tuple[float, float, float]]:
-    """Uniform global-time samples (t_global, r, tau) of the oscillating drop."""
+    """Uniform global-time samples (t_global, r, tau) of the oscillating drop.
+
+    Each sample time is reduced to an offset in the inbound quarter, rem or
+    t_half - rem after divmod(t, t_half), and each distinct offset is solved
+    once per call: samples one period apart, and mirrored samples in the two
+    quarters of a half period, often give the same float.  The reuse is keyed
+    by the exact offset (only 0.0 and -0.0 compare equal with different bits,
+    and both solve to the same bits), so every row is what a solve per sample
+    gives.  Over two periods of configs/two_shell_spacetime.json, 4,001
+    samples (a grid aligned to the period) hit 1,711 distinct offsets and take
+    1.24 us/sample, 1.88 without the reuse; 4,000 samples hit 3,437 and take
+    1.79 us/sample, 1.75 without (Python 3.11.7, 2 shared cores).
+    """
     if sample_count <= 0:
         raise GeodesicError("sample_count must be positive")
+    # NaN and inf t_global_max, and a finite one whose t_global_max * i
+    # overflows, would give NaN rows
+    if not math.isfinite(t_global_max * (sample_count - 1)):
+        raise GeodesicError(
+            f"sample times must be finite: t_global_max={t_global_max} over {sample_count} samples"
+        )
     dt_period, dtau_period, legs = oscillation_period(spacetime, r_i)
     origins = [_leg_origin(leg) for leg in legs]
     t_quarter, t_half, tau_half = dt_period / 4.0, dt_period / 2.0, dtau_period / 2.0
 
-    samples = []
+    samples, solved = [], {}  # exact quarter offset -> (r, tau_q)
     for i in range(sample_count):
         t = t_global_max * i / (sample_count - 1) if sample_count > 1 else 0.0
         n_half, rem = divmod(t, t_half)
-        if rem <= t_quarter:
-            r, tau_q = _quarter_sample(legs, origins, rem)
-            tau = n_half * tau_half + tau_q
-        else:
-            r, tau_q = _quarter_sample(legs, origins, t_half - rem)
-            tau = (n_half + 1.0) * tau_half - tau_q
+        inbound = rem <= t_quarter
+        offset = rem if inbound else t_half - rem
+        if (hit := solved.get(offset)) is None:
+            hit = solved[offset] = _quarter_sample(legs, origins, offset)
+        r, tau_q = hit
+        tau = n_half * tau_half + tau_q if inbound else (n_half + 1.0) * tau_half - tau_q
         samples.append((t, r, tau))
     return samples
 

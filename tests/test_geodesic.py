@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -29,6 +31,7 @@ from shellswitch.geodesic import (
     _invert_leg,
     _leg_origin,
     _minkowski_span,
+    _quarter_sample,
     _release_u_t,
     _schwarzschild_span,
     _shell_transfer,
@@ -39,9 +42,11 @@ from shellswitch.geodesic import (
     radius,
     tangent,
 )
-from shellswitch.spacetime import metric_factor
+from shellswitch.spacetime import metric_factor, spacetime_from_config
 
 from oracles import DPS, _cycloid_at, mp_invert_leg, norm_defect, quad_spans
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def one_shell(M, R):
@@ -355,6 +360,18 @@ def count_t_calls(monkeypatch) -> list:
     return calls
 
 
+def record_quarter_samples(monkeypatch) -> list:
+    """One (offset, (r, tau)) entry per quarter offset the sampler solves."""
+    solved = []
+
+    def recorded(legs, origins, offset):
+        solved.append((offset, _quarter_sample(legs, origins, offset)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(geodesic, "_quarter_sample", recorded)
+    return solved
+
+
 class TestTrajectory:
     def test_initial_sample(self):
         samples = trajectory(m2_reference(), 12.0, 100.0, 5)
@@ -380,18 +397,45 @@ class TestTrajectory:
         with pytest.raises(GeodesicError):
             trajectory(m2_reference(), 12.0, 10.0, 0)
 
-    def test_coordinate_time_calls_per_sample(self, monkeypatch):
+    @pytest.mark.parametrize("t_max, sample_count", [
+        (math.nan, 5), (math.inf, 5), (-math.inf, 5), (math.inf, 1), (1e308, 600),
+    ])
+    def test_non_finite_sample_times(self, t_max, sample_count):
+        # each would put NaN in the rows: NaN and inf, and a t_max whose t_max * i overflows
+        with pytest.raises(GeodesicError, match="sample times must be finite"):
+            trajectory(m2_reference(), 12.0, t_max, sample_count)
+
+    def test_coordinate_time_calls_per_offset(self, monkeypatch):
         """Work pin: the safeguarded Newton solve evaluates t(eta) about 4
-        times per Schwarzschild-leg sample."""
+        times per distinct quarter offset it solves in a Schwarzschild leg.
+        On this grid, aligned to the period, 501 samples hit 150 such offsets;
+        solving every sample would cost about 9 evaluations per offset."""
         st_ = build_spacetime([
             PatchSpec(0.0, 0.0, 4.0), PatchSpec(1.9, 4.0, 9.0), PatchSpec(3.0, 9.0, None),
         ])
         dt, _, _ = oscillation_period(st_, 12.0)
+        solved = record_quarter_samples(monkeypatch)
         calls = count_t_calls(monkeypatch)
-        samples = trajectory(st_, 12.0, 2.0 * dt, 500)
-        inverted = sum(4.0 < r < 12.0 for _, r, _ in samples)
-        assert inverted > 300
-        assert len(calls) <= 6 * inverted
+        trajectory(st_, 12.0, 2.0 * dt, 501)
+        inverted = {offset for offset, (r, _) in solved if 4.0 < r < 12.0}
+        assert len(inverted) > 140
+        assert len(calls) <= 6 * len(inverted)
+
+    def test_each_distinct_offset_solved_once(self, monkeypatch):
+        """Work pin: on a grid aligned to the period, samples one period apart
+        and mirrored samples in a half period share their quarter offset, and
+        each distinct offset is solved once."""
+        doc = json.loads((CONFIGS / "two_shell_spacetime.json").read_text())
+        st_, r_i = spacetime_from_config(doc), doc["r_i"]
+        dt, _, _ = oscillation_period(st_, r_i)
+        solved = record_quarter_samples(monkeypatch)
+        trajectory(st_, r_i, 2.0 * dt, 4001)
+        offsets = set()
+        for i in range(4001):
+            rem = divmod(2.0 * dt * i / 4000, dt / 2.0)[1]
+            offsets.add(rem if rem <= dt / 4.0 else dt / 2.0 - rem)
+        assert sorted(offset for offset, _ in solved) == sorted(offsets)
+        assert len(offsets) < 4001 / 2
 
 
 def leg_from(mass, r_apo, r_entry, r_exit, lapse):

@@ -7,6 +7,8 @@ string in place of the two periods names the exception that stack raises.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shellswitch import (
     PatchSpec,
@@ -17,6 +19,7 @@ from shellswitch import (
     solve_switch_configuration,
     trajectory,
 )
+from shellswitch.geodesic import _leg_origin, _quarter_sample
 from shellswitch.search import one_shell_spacetime, two_shell_spacetime
 
 from conftest import REFERENCE
@@ -195,3 +198,56 @@ def test_stack_trajectory_rows(index, t_max, rows):
     masses, shells, r_i, _ = PERIODS[index]
     samples = trajectory(stack(masses, shells), r_i, float.fromhex(t_max), 64)
     assert {row: tuple(x.hex() for x in samples[row]) for row in rows} == rows
+
+
+# the PERIODS stacks of 1 to 4 shells that give a period
+SAMPLED_STACKS = [
+    (masses, shells, r_i) for masses, shells, r_i, recorded in PERIODS
+    if isinstance(recorded, tuple) and len(shells) <= 4
+]
+
+
+def solve_per_sample(spacetime, r_i, t_max, sample_count):
+    """trajectory's rows with one _quarter_sample call per sample."""
+    dt, dtau, legs = oscillation_period(spacetime, r_i)
+    origins = [_leg_origin(leg) for leg in legs]
+    t_quarter, t_half, tau_half = dt / 4.0, dt / 2.0, dtau / 2.0
+    rows = []
+    for i in range(sample_count):
+        t = t_max * i / (sample_count - 1)
+        n_half, rem = divmod(t, t_half)
+        if rem <= t_quarter:
+            r, tau_q = _quarter_sample(legs, origins, rem)
+            rows.append((t, r, n_half * tau_half + tau_q))
+        else:
+            r, tau_q = _quarter_sample(legs, origins, t_half - rem)
+            rows.append((t, r, (n_half + 1.0) * tau_half - tau_q))
+    return rows
+
+
+@st.composite
+def sample_grids(draw):
+    """(spacetime, r_i, t_max, sample_count): k whole periods over
+    k * step + 1 samples, where quarter offsets repeat, or any t_max within
+    six periods either side of 0 over 2 to 600 samples."""
+    masses, shells, r_i = draw(st.sampled_from(SAMPLED_STACKS))
+    spacetime = stack(masses, shells)
+    period = oscillation_period(spacetime, r_i)[0]
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 4))
+        return spacetime, r_i, k * period, k * draw(st.integers(1, 599 // k)) + 1
+    return spacetime, r_i, period * draw(st.floats(-6.0, 6.0)), draw(st.integers(2, 600))
+
+
+@given(st.lists(sample_grids(), min_size=2, max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_offset_reuse_keeps_every_bit(grids):
+    """trajectory solves each distinct quarter offset once per call; its rows
+    are those of a solve per sample, to the last bit.  Two calls per example,
+    so that reuse across calls shows too: offset 0.0 recurs in every call."""
+    for spacetime, r_i, t_max, sample_count in grids:
+        got = trajectory(spacetime, r_i, t_max, sample_count)
+        expected = solve_per_sample(spacetime, r_i, t_max, sample_count)
+        assert [tuple(x.hex() for x in row) for row in got] == [
+            tuple(x.hex() for x in row) for row in expected
+        ]
