@@ -29,6 +29,7 @@ from shellswitch import (
     schedule,
     solve_switch_configuration,
 )
+from shellswitch.cli import _write_csv
 
 
 def main() -> int:
@@ -79,10 +80,7 @@ def main() -> int:
         "runtime_seconds": elapsed,
     }
     (outdir / "solution.json").write_text(json.dumps(summary, indent=2) + "\n")
-    lines = ["R1,f,ratio"] + [
-        ",".join(format(v, ".17g") for v in row) for row in solution.curve
-    ]
-    (outdir / "contour.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(outdir / "contour.csv", "R1,f,ratio", solution.curve)
     print(f"wrote {outdir / 'solution.json'} and {outdir / 'contour.csv'}")
     return 0
 

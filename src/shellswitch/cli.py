@@ -9,8 +9,10 @@ for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import GeometryError, InputError, SearchError, ShellSwitchError
@@ -54,6 +56,16 @@ def _load_json(path: str) -> dict:
         raise InputError(f"invalid JSON in {path}: line {exc.lineno} col {exc.colno}")
 
 
+@contextmanager
+def _writing(path):
+    """Every output write runs in here: a path that cannot be written is an
+    input error (exit 1), not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _dump_json(doc, path: str | None) -> None:
     try:
         text = json.dumps(doc, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
@@ -63,14 +75,15 @@ def _dump_json(doc, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        with _writing(path):
+            Path(path).write_text(text)
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Rows of three floats, each to 17 significant digits."""
+    text = header + "\n" + "".join("%.17g,%.17g,%.17g\n" % row for row in rows)
+    with _writing(path):
+        path.write_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +137,8 @@ def cmd_trace(args) -> int:
     solution = solve_switch_configuration(config)
     meeting = find_meeting_radius(solution, config)
     outdir = Path(args.out or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
+    with _writing(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
 
     branches = {
         "gamma1": one_shell_spacetime(config, solution.R),
@@ -148,12 +162,14 @@ def _far_side_tables(outdir: Path, config, solution, samples: int) -> None:
     In the shared exterior both branches follow the rest-release cycloid from
     r_i, mirrored about their far apoapsis at half a period: an outbound pass
     from R1 up to r_i, then an inbound pass back down.  The apoapsis row is
-    written once, so t_global strictly increases.
+    written once, so t_global strictly increases.  Each distinct radius is
+    solved once: most inbound radii equal an outbound one bit for bit.
     """
     r_lo = solution.R1
     radii = [r_lo + (config.r_i - r_lo) * i / (samples - 1) for i in range(samples)]
     passes = ((-1, radii), (+1, [config.r_i - (r - r_lo) for r in radii[1:]]))
-    spans = [(sign, r, *_exterior_leg(config, r)[:2]) for sign, rs in passes for r in rs]
+    legs = {r: _exterior_leg(config, r)[:2] for r in {r for _, rs in passes for r in rs}}
+    spans = [(sign, r, *legs[r]) for sign, rs in passes for r in rs]
     halves = {
         "gamma1": (solution.dt1 / 2.0, solution.dtau1 / 2.0),
         "gamma2": (solution.dt2 / 2.0, solution.dtau2 / 2.0),
@@ -248,14 +264,15 @@ def cmd_switch(args) -> int:
     return EXIT_OK
 
 
-def _search_config(doc: dict, ratio: str | None = None, tol: float | None = None) -> SearchConfig:
+def _search_config(
+    doc: dict, ratio: tuple[int, int] | None = None, tol: float | None = None
+) -> SearchConfig:
     """Search config from a document plus the --ratio/--tol overrides.
 
     A config the search rejects is an input error, not an infeasible search.
     """
-    if ratio:
-        p, q = ratio.split("/")
-        doc = {**doc, "p": int(p), "q": int(q)}
+    if ratio is not None:
+        doc = {**doc, "p": ratio[0], "q": ratio[1]}
     if tol is not None:
         doc = {**doc, "tol": tol}
     try:
@@ -281,12 +298,21 @@ def margin(text: str) -> float:
     return float(text)
 
 
+def ratio(text: str) -> tuple[int, int]:
+    """A --ratio value: two integers as p/q.  A zero q is left to SearchConfig."""
+    p, _, q = text.partition("/")
+    try:
+        return int(p), int(q)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected <int>/<int>, got {text!r}") from None
+
+
 FLAGS = {
     "--horizon-margin": dict(
         type=margin, default=DEFAULT_HORIZON_MARGIN,
         help="relative shell-horizon clearance required at validation",
     ),
-    "--ratio": dict(default=None, help="target ratio as p/q"),
+    "--ratio": dict(type=ratio, default=None, help="target ratio as p/q"),
     "--tol": dict(type=float, default=None, help="root tolerance override"),
     "--samples": dict(type=int, default=512, help="rows per trajectory table, at least 2"),
 }
@@ -304,7 +330,10 @@ SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later main call:
+    parse_args keeps no state between calls."""
     parser = _Parser(
         prog="shellswitch",
         description="Glued shell spacetimes, radial geodesics, and the "

@@ -1,11 +1,16 @@
+import argparse
 import json
 import math
+import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import shellswitch.cli
 import shellswitch.search
@@ -257,6 +262,16 @@ class TestSearch:
         assert main(["search", "--config", cfg, "--tol", "0"]) == EXIT_INPUT
         assert "tol=0.0 must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["", "9/10/3", "9/x", "0.9"])
+    def test_malformed_ratio_names_flag_and_value(self, tmp_path, capsys, value):
+        # "" used to be ignored (the config's own p/q was solved) and 9/10/3
+        # failed with only "too many values to unpack"
+        cfg = write(tmp_path, "search.json", SEARCH)
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--config", cfg, "--ratio", value])
+        assert exc.value.code == EXIT_INPUT
+        assert f"argument --ratio: expected <int>/<int>, got {value!r}" in capsys.readouterr().err
+
     def test_ratio_override_flag(self, tmp_path):
         cfg = write(tmp_path, "search.json", dict(SEARCH, p=1, q=2))
         out = tmp_path / "sol.json"
@@ -495,6 +510,11 @@ class TestUsage:
         ["search", "--config", "CFG", "--jobs", "2"],
         ["trace", "--config", "CFG", "--jobs", "2"],
         ["lightray", "--config", "CFG", "--jobs", "2"],
+        # --ratio must be <int>/<int>; "" used to be parsed and then ignored
+        ["search", "--config", "CFG", "--ratio", ""],
+        ["search", "--config", "CFG", "--ratio", "9/10/3"],
+        ["search", "--config", "CFG", "--ratio", "9/x"],
+        ["search", "--config", "CFG", "--ratio", "0.9"],
     ])
     def test_usage_errors_exit_1(self, tmp_path, capsys, argv):
         # unregistered flags and a missing --config are input errors (exit 1),
@@ -511,3 +531,134 @@ class TestUsage:
             main(argv)
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+def _taken(tmp_path, name):
+    """An output directory in which `name` is taken by a directory."""
+    (tmp_path / "out" / name).mkdir(parents=True)
+    return tmp_path / "out"
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command, doc, out", [
+        ("validate", ONE_SHELL, lambda tmp: str(tmp / "missing" / "x.json")),
+        ("stress", ONE_SHELL, lambda tmp: str(tmp / "missing" / "x.json")),
+        ("period", ONE_SHELL, lambda tmp: str(tmp / "missing" / "x.json")),
+        ("period", ONE_SHELL, lambda tmp: ""),  # the working directory itself
+        ("lightray", dict(ONE_SHELL, r_a=7.0, r_b=12.0), lambda tmp: str(tmp / "missing" / "x.json")),
+        ("switch", PAULI, lambda tmp: str(tmp / "missing" / "x.json")),
+        ("search", SEARCH, lambda tmp: str(tmp / "missing" / "x.json")),
+        ("search", SEARCH, lambda tmp: str(_taken(tmp, "x_curve.csv") / "x.json")),
+        # below the config, a regular file: the directory cannot be made
+        ("trace", SEARCH, lambda tmp: str(tmp / "cfg.json" / "sub")),
+        ("trace", SEARCH, lambda tmp: str(_taken(tmp, "gamma1.csv"))),
+        ("trace", SEARCH, lambda tmp: str(_taken(tmp, "farside_gamma2.csv"))),
+        ("trace", SEARCH, lambda tmp: str(_taken(tmp, "meeting.json"))),
+    ], ids=["validate", "stress", "period", "period-cwd", "lightray", "switch", "search",
+            "search-curve", "trace-mkdir", "trace-gamma1", "trace-farside", "trace-meeting"])
+    def test_input_error_without_traceback(self, tmp_path, capsys, monkeypatch, command, doc, out):
+        # each of these ended in an uncaught OSError and a traceback
+        cfg = write(tmp_path, "cfg.json", doc)
+        argv = [command, "--config", cfg, "--out", out(tmp_path)]
+        if command == "trace":
+            argv += ["--samples", "8"]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("INPUT ERROR: cannot write ")
+        assert "Traceback" not in err
+
+
+class TestInProcessSession:
+    def test_shared_parser_keeps_every_byte(self, tmp_path, monkeypatch):
+        """main builds its parser once per process; later calls, after a usage
+        error and an infeasible search, write the bytes of the first call and
+        of a fresh process."""
+        inits = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            inits.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cfg = write(tmp_path, "search.json", SEARCH)
+        infeasible = write(tmp_path, "infeasible.json", dict(SEARCH, p=1, q=2))
+        trace_argv = ["trace", "--config", cfg, "--samples", "721", "--out"]
+
+        assert main(["search", "--config", cfg, "--out", str(tmp_path / "a.json")]) == EXIT_OK
+        built = len(inits)
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--config", cfg, "--ratio", "9/x"])
+        assert exc.value.code == EXIT_INPUT
+        assert main(["search", "--config", infeasible]) == EXIT_INFEASIBLE
+        assert main(trace_argv + [str(tmp_path / "trace")]) == EXIT_OK
+        assert main(["search", "--config", cfg, "--out", str(tmp_path / "b.json")]) == EXIT_OK
+        assert len(inits) == built
+
+        for name in ("{}.json", "{}_curve.csv"):
+            a, b = (tmp_path / name.format(tag) for tag in "ab")
+            assert a.read_bytes() == b.read_bytes()
+        subprocess.run(
+            [sys.executable, "-m", "shellswitch.cli", *trace_argv, str(tmp_path / "fresh")],
+            check=True, capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "trace").iterdir())
+        for name in names:
+            assert (tmp_path / "trace" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "rows.csv"
+
+
+class TestOutputWriters:
+    @given(st.lists(st.tuples(st.floats(), st.floats(), st.floats()), max_size=5))
+    @example([(-0.0, 0.0, 5e-324)])
+    @example([(2.2250738585072009e-308, -4.9e-324, 1.0000000000000002)])
+    @example([(math.inf, -math.inf, math.nan)])
+    @example([])
+    @settings(max_examples=300)
+    def test_csv_rows_match_per_value_format(self, csv_path, rows):
+        shellswitch.cli._write_csv(csv_path, "a,b,c", rows)
+        expected = ["a,b,c"] + [",".join(format(v, ".17g") for v in row) for row in rows]
+        assert csv_path.read_text() == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("samples", [64, 721])
+    def test_far_side_solves_each_radius_once(self, tmp_path, monkeypatch, ref_config,
+                                              ref_solution, samples):
+        config, solution = ref_config, ref_solution
+        radii = []
+
+        def counted(config, r):
+            radii.append(r)
+            return shellswitch.search._exterior_leg(config, r)
+
+        monkeypatch.setattr(shellswitch.cli, "_exterior_leg", counted)
+        shellswitch.cli._far_side_tables(tmp_path, config, solution, samples)
+        assert max(Counter(radii).values()) == 1
+        assert len(radii) < 2 * samples - 1  # inbound radii repeat outbound ones
+
+        # the tables as built with one exterior leg per row
+        r_lo = solution.R1
+        outbound = [r_lo + (config.r_i - r_lo) * i / (samples - 1) for i in range(samples)]
+        inbound = [config.r_i - (r - r_lo) for r in outbound[1:]]
+        assert set(radii) == set(outbound + inbound)
+        spans = [(sign, r, *shellswitch.search._exterior_leg(config, r)[:2])
+                 for sign, rs in ((-1, outbound), (+1, inbound)) for r in rs]
+        for name, t_half, tau_half in (
+            ("gamma1", solution.dt1 / 2.0, solution.dtau1 / 2.0),
+            ("gamma2", solution.dt2 / 2.0, solution.dtau2 / 2.0),
+        ):
+            expected = sorted(
+                ((t_half + sign * t_e, r, tau_half + sign * tau_e) for sign, r, t_e, tau_e in spans),
+                key=lambda row: row[0],
+            )
+            lines = (tmp_path / f"farside_{name}.csv").read_text().splitlines()[1:]
+            got = [tuple(float(v) for v in line.split(",")) for line in lines]
+            assert [tuple(v.hex() for v in row) for row in got] == [
+                tuple(v.hex() for v in row) for row in expected
+            ]
