@@ -123,8 +123,8 @@ def cmd_stress(args) -> int:
 def cmd_search(args) -> int:
     config = _search_config(_load_json(args.config), args.ratio, args.tol)
     solution = solve_switch_configuration(config)
-    _dump_json(solution.as_dict(), args.out or None)
-    if args.out:
+    _dump_json(solution.as_dict(), args.out)
+    if args.out is not None:
         out = Path(args.out)
         _write_csv(out.with_name(out.stem + "_curve.csv"), "R1,f,ratio", solution.curve)
     return EXIT_OK
@@ -298,6 +298,14 @@ def margin(text: str) -> float:
     return float(text)
 
 
+def out_path(text: str) -> str:
+    """An --out value: any non-empty path.  Without --out, JSON goes to stdout
+    and trace writes into the working directory; "" would be a third case."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return text
+
+
 def ratio(text: str) -> tuple[int, int]:
     """A --ratio value: two integers as p/q.  A zero q is left to SearchConfig."""
     p, _, q = text.partition("/")
@@ -344,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="input JSON config")
         p.add_argument(
-            "--out", default=None,
+            "--out", type=out_path, default=None,
             help="output directory" if name == "trace" else "output path",
         )
         for flag in flags:

@@ -36,7 +36,9 @@ NEWTON_STEPS, NEWTON_TOL = 30, 1e-9
 # ---------------------------------------------------------------------------
 # Single-patch cycloid kinematics
 
-@dataclass(frozen=True)
+# slotted and not frozen, as Leg: a frozen build, through object.__setattr__,
+# took about twice as long, and the search builds one per two-shell period
+@dataclass(slots=True)
 class CycloidParams:
     """Bound radial geodesic in one Schwarzschild patch of the given mass,
     released from rest (possibly fictitiously) at r_apo.  The per-orbit factors
@@ -56,14 +58,14 @@ class CycloidParams:
             raise UnboundGeodesicError(
                 f"bound motion requires 0 < E < 1, got E={self.energy}"
             )
-        mass, r_apo, set_ = self.mass, self.r_apo, object.__setattr__
+        mass, r_apo = self.mass, self.r_apo
         if not mass > 0.0:
             raise NoRestoringForceError(f"a cycloid needs mass > 0, got mass={mass}")
-        set_(self, "t_scale", self.energy * math.sqrt(r_apo**3 / (2.0 * mass)))
-        set_(self, "tau_scale", math.sqrt(r_apo**3 / (8.0 * mass)))
-        set_(self, "u_scale", math.sqrt(2.0 * mass / r_apo))
-        set_(self, "one_minus_E2", 2.0 * mass / r_apo)
-        set_(self, "tan_h", math.sqrt((r_apo - 2.0 * mass) / (2.0 * mass)))
+        self.t_scale = self.energy * math.sqrt(r_apo**3 / (2.0 * mass))
+        self.tau_scale = math.sqrt(r_apo**3 / (8.0 * mass))
+        self.u_scale = math.sqrt(2.0 * mass / r_apo)
+        self.one_minus_E2 = 2.0 * mass / r_apo
+        self.tan_h = math.sqrt((r_apo - 2.0 * mass) / (2.0 * mass))
 
     @property
     def eta_horizon(self) -> float:

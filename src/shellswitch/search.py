@@ -48,6 +48,7 @@ from .spacetime import (
 F_MARGIN = 1e-6        # radial margin 1e-6 * R1 above 2M for the f bracket
 F_UPPER = 1.0 - 1e-6
 SEED_RADII = 33        # rows of the one-shell rate table that seeds each contour point
+END_GUARD = 1e-9       # a converged f this close to an unchecked end checks that end
 RESIDUAL_TOL = 1e-8    # bound on a solution's clock-rate and period-ratio residuals
 
 
@@ -81,6 +82,9 @@ class SearchConfig:
             raise SearchError("grid must have at least 2 points")
         if not self.root_tol > 0.0:
             raise SearchError(f"root tolerance tol={self.root_tol} must be positive")
+        if not self.R1_max > 2.0 * self.M:  # else no grid point admits a shell outside 2M
+            raise SearchError(f"R1_max={self.R1_max} must exceed the exterior horizon "
+                              f"2M={2.0 * self.M}")
         if not self.r_i > max(2.0 * self.M, self.R1_max):  # release in the shared exterior
             raise SearchError(f"r_i={self.r_i} must exceed 2M and R1_max={self.R1_max}")
         if metric_factor(self.M, self.r_i) == 1.0:  # 2M/r_i rounds to 0: E = 1, unbound
@@ -97,21 +101,23 @@ class SearchConfig:
         return params, coordinate_time(params, 0.0, self.r_i)
 
     @cached_property
-    def rate_table(self) -> tuple[list[float], list[float]]:
-        """(log Dtau1/Dt1, s) of the one-shell branch at SEED_RADII radii
-        R = 2M + e^s, s evenly spaced from log(F_MARGIN * R1_min) to
-        log(R1_max - 2M): every shell radius a contour point admits.  Radii
-        where the one-shell period is invalid are left out; the rate rises in
-        R, so both lists ascend."""
+    def rate_table(self) -> tuple[list[float], list[float], list[float]]:
+        """(L, s, ds/dL) of the one-shell branch at SEED_RADII radii R = 2M + e^s,
+        L = log Dtau1/Dt1, s evenly spaced from log(F_MARGIN * R1_min) to
+        log(R1_max - 2M): every shell radius a contour point admits.  The
+        closed-form rate slope gives ds/dL = rate / (slope e^s) at no extra
+        evaluation.  Radii where the one-shell period is invalid are left out;
+        the rate rises in R, so L and s ascend."""
         s_lo, s_hi = math.log(F_MARGIN * self.R1_min), math.log(self.R1_max - 2.0 * self.M)
-        log_rates, s_values = [], []
+        log_rates, s_values, ds_dL = [], [], []
         for i in range(SEED_RADII):
             s = s_lo + (s_hi - s_lo) * i / (SEED_RADII - 1)
-            dt, dtau, _ = _one_shell_period(self, 2.0 * self.M + math.exp(s))
-            if not math.isnan(dt):
+            dt, dtau, slope = _one_shell_period(self, 2.0 * self.M + math.exp(s))
+            if slope > 0.0:  # False for NaN too
                 log_rates.append(math.log(dtau / dt))
                 s_values.append(s)
-        return log_rates, s_values
+                ds_dL.append(dtau / dt / (slope * math.exp(s)))
+        return log_rates, s_values, ds_dL
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SearchConfig":
@@ -286,53 +292,95 @@ def ratio_residual(R1: float, f: float, config: SearchConfig, rate2: float) -> f
 
 
 def _seed(config: SearchConfig, R1: float, rate2: float) -> float:
-    """f where the linear interpolation of config.rate_table puts the one-shell
-    rate at rate2; NaN if the table has fewer than two rows."""
-    log_rates, s_values = config.rate_table
+    """f where config.rate_table, inverted by cubic Hermite interpolation of s
+    in L = log rate (clamped to the table's rows), puts the one-shell rate at
+    rate2; NaN if the table has fewer than two rows.  On the reference the
+    seed's R - 2M is ~2.5e-7 relative off the root (~8e-4 by linear
+    interpolation), so Newton needs ~2.5 evaluations where it needed ~3.9."""
+    log_rates, s_values, ds_dL = config.rate_table
     if len(log_rates) < 2:
         return math.nan
     x = min(max(math.log(rate2), log_rates[0]), log_rates[-1])
     i = min(bisect(log_rates, x), len(log_rates) - 1)
-    w = (x - log_rates[i - 1]) / (log_rates[i] - log_rates[i - 1])
-    s = s_values[i - 1] + w * (s_values[i] - s_values[i - 1])
+    h = log_rates[i] - log_rates[i - 1]
+    t = (x - log_rates[i - 1]) / h
+    u = 1.0 - t
+    s = (u * u * ((1.0 + 2.0 * t) * s_values[i - 1] + t * h * ds_dL[i - 1])
+         + t * t * ((3.0 - 2.0 * t) * s_values[i] - u * h * ds_dL[i]))
     return (2.0 * config.M + math.exp(s) - config.R2) / (R1 - config.R2)
 
 
+def _check_end(config: SearchConfig, R1: float, rate2: float, end: float, side: float) -> None:
+    """Raise NoSolutionAtRadius unless the clock-rate residual at an end of the
+    admissible f interval lies on the root's side of 0: side -1.0 at the lower
+    end (residual <= 0), +1.0 at the upper (>= 0).  A NaN fails."""
+    if not side * ratio_residual(R1, end, config, rate2) >= 0.0:
+        raise NoSolutionAtRadius(f"no sign change of the clock-rate residual in f at R1={R1}")
+
+
 def _contour_root(config: SearchConfig, R1: float, rate2: float,
-                  lo: float, hi: float, rising: bool) -> tuple[float, float, float]:
-    """(f, Dt1, Dtau1) at the root of the clock-rate residual g in [lo, hi],
-    where g changes sign (rising: from negative at lo), by Newton from the rate
-    table's seed safeguarded by bisection (rtsafe, Numerical Recipes 9.4): g' is
-    the closed-form rate slope times dR/df = R1 - R2, and a step that leaves
-    the sign bracket bisects it.
+                  lo: float, hi: float) -> tuple[float, float, float]:
+    """(f, Dt1, Dtau1) at the root of the clock-rate residual g in the
+    admissible interval [lo, hi], by Newton from the rate table's Hermite seed
+    safeguarded by bisection (rtsafe, Numerical Recipes 9.4): g' is the
+    closed-form rate slope times dR/df = R1 - R2, and a step that leaves the
+    sign bracket bisects it.  The one-shell rate rises strictly in R, so g
+    rises in f and has a root iff g(lo) <= 0 <= g(hi).
+
+    Neither end is evaluated up front.  An end is checked (_check_end) only
+    when the seed or a Newton step leaves the bracket through it, or when the
+    returned f lies within END_GUARD of it, far beyond the residual's rounding
+    noise in f.  Elsewhere the root found, an interior zero of the rising g,
+    already implies both signs, so NoSolutionAtRadius is raised exactly where
+    checks of both ends would raise.  On the grid-200 reference no end is
+    evaluated.
 
     Stops once a Newton step is at most 4 ulps of f, brentq's relative floor.
     f itself can then be up to that step plus half an ulp of R (in f) off the
     root, while f - step is off by the half ulp of R alone; so f - step is
     returned when it keeps the evaluated shell radius, whose periods it then
-    shares, and otherwise evaluated once more.  After NEWTON_STEPS without
-    convergence, bisects the bracket to its last bit."""
+    shares, and otherwise evaluated once more.  The shell radius
+    R2 + (R1 - R2) f is then within 4 ulps of its 50-digit root wherever the
+    rate is well conditioned in R (shells within 10% above 2M; see
+    solve_contour).  f itself is not bounded in its own ulps: when f is small,
+    ulp(f) is far below ulp(R) / (R1 - R2).  After NEWTON_STEPS without
+    convergence, bisects the bracket to its last bit (the guard then checks an
+    end the bisection ran into)."""
+    a, b = lo, hi  # the admissible ends, None once checked
     dR_df = R1 - config.R2
     f, settled = _seed(config, R1, rate2), False
     for _ in range(NEWTON_STEPS):
         if not lo < f < hi:
+            if f >= hi == b:
+                _check_end(config, R1, rate2, b, 1.0)
+                b = None
+            elif f <= lo == a:
+                _check_end(config, R1, rate2, a, -1.0)
+                a = None
             f = 0.5 * (lo + hi)
         R = shell_radius(config, R1, f)
         dt1, dtau1, slope = _one_shell_period(config, R)
         g = dtau1 / dt1 - rate2
-        lo, hi = (f, hi) if (g < 0.0) == rising else (lo, f)
+        lo, hi = (f, hi) if g < 0.0 else (lo, f)
         d = slope * dR_df
         step = g / d if d else math.inf
         if abs(step) <= 4.0 * math.ulp(f):
             if shell_radius(config, R1, f - step) == R:
-                return f - step, dt1, dtau1
+                f -= step
+                break
             if settled:
-                return f, dt1, dtau1
+                break
             settled = True
         f -= step
-    while lo < (f := 0.5 * (lo + hi)) < hi:
-        lo, hi = (f, hi) if (ratio_residual(R1, f, config, rate2) < 0.0) == rising else (lo, f)
-    return (f, *_one_shell_period(config, shell_radius(config, R1, f))[:2])
+    else:
+        while lo < (f := 0.5 * (lo + hi)) < hi:
+            lo, hi = (f, hi) if ratio_residual(R1, f, config, rate2) < 0.0 else (lo, f)
+        dt1, dtau1, _ = _one_shell_period(config, shell_radius(config, R1, f))
+    if a is not None and f - a <= END_GUARD:
+        _check_end(config, R1, rate2, a, -1.0)
+    if b is not None and b - f <= END_GUARD:
+        _check_end(config, R1, rate2, b, 1.0)
+    return f, dt1, dtau1
 
 
 def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
@@ -341,13 +389,16 @@ def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
     in closed form from the config's cached release (_two_shell_period), and
     only the one-shell branch varies with f.  The one-shell rate Dtau1/Dt1
     rises strictly in R (tests/test_search.py checks it at 50 digits), so the
-    root is unique.  The residual's signs at both ends of the whole admissible
-    interval decide whether there is one (a NaN or no sign change raises
-    NoSolutionAtRadius); safeguarded Newton on the closed-form rate slope then
-    solves f from the config's rate-table seed to within 4 ulps of the 50-digit
-    root (_contour_root).  On 30 benchmark-like geometries that takes 5.7
-    one-shell period evaluations per point, the two end checks included (14.4
-    with the full-interval brentq it replaces).  A pure function of its
+    root is unique, and there is one iff the residual is <= 0 at the lower end
+    of the admissible interval and >= 0 at the upper (else NoSolutionAtRadius).
+    Safeguarded Newton on the closed-form rate slope solves f from the config's
+    Hermite rate-table seed, and checks an end only where that decides the
+    outcome (_contour_root).  The shell radius R = R2 + (R1 - R2) f is within
+    4 ulps of its 50-digit root for shells within 10% above 2M (1.4 ulps worst
+    over 598 random points); farther out the rate flattens in R, and the
+    residual's rounding moves the root by more (8.8 ulps seen).  The grid-200
+    reference takes 2.5 one-shell evaluations per point and no end check (5.5
+    with the linear seed and two end checks).  A pure function of its
     arguments: the seed never comes from another point."""
     f_lo = (2.0 * config.M + F_MARGIN * R1 - config.R2) / (R1 - config.R2)
     if f_lo >= F_UPPER:
@@ -356,14 +407,7 @@ def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
         dt2, dtau2 = _two_shell_period(config, R1)
     except (GeometryError, GeodesicError) as exc:
         raise NoSolutionAtRadius(f"two-shell branch invalid at R1={R1}: {exc}") from exc
-    rate2 = dtau2 / dt2
-    lo, hi = max(f_lo, 0.0), F_UPPER
-    g_lo, g_hi = ratio_residual(R1, lo, config, rate2), ratio_residual(R1, hi, config, rate2)
-    if not (g_lo <= 0.0 <= g_hi or g_hi <= 0.0 <= g_lo):  # a NaN, or no sign change
-        raise NoSolutionAtRadius(
-            f"no sign change of the clock-rate residual in f at R1={R1}"
-        )
-    f_star, dt1, dtau1 = _contour_root(config, R1, rate2, lo, hi, g_lo < 0.0 or g_hi > 0.0)
+    f_star, dt1, dtau1 = _contour_root(config, R1, dtau2 / dt2, max(f_lo, 0.0), F_UPPER)
     return ContourPoint(R1, f_star, dt1, dtau1, dt2, dtau2)
 
 
@@ -399,9 +443,11 @@ def solve_switch_configuration(config: SearchConfig) -> SwitchSolution:
     p/q exactly once along the traced curve (a grid point on p/q counts once);
     more crossings raise MultipleCrossingsError with every bracket, none
     raises UnattainableRatioError.  R1 is solved by brentq to root_tol in that
-    bracket; each contour point's f to within 4 ulps (solve_contour).  The
-    grid-200 reference solve evaluates the one-shell period 1,152 times over
-    its 203 contour points, the seed table's 33 rows included."""
+    bracket; each contour point's shell radius to within 4 ulps
+    (solve_contour).  The grid-200 reference solve evaluates the one-shell
+    period 545 times over its 203 contour points, the seed table's 33 rows
+    included, and evaluates no end of an f interval (1,152 and 406 with a
+    linear seed and two end checks per point)."""
     curve = period_ratio_curve(config)
     if len(curve) < 2:
         raise SearchError(

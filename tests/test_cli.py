@@ -246,6 +246,16 @@ class TestSearch:
         assert err.startswith("INPUT ERROR: search config: ") and field in err
         assert calls == []
 
+    def test_grid_inside_exterior_horizon_exits_1(self, tmp_path, capsys, monkeypatch):
+        # R1_max = 5.9 <= 2M = 6: every grid point used to fail, and the search exited 3
+        calls = []
+        monkeypatch.setattr(shellswitch.search, "solve_contour", lambda *a: calls.append(a))
+        cfg = write(tmp_path, "search.json", dict(SEARCH, R1_min=4.5, R1_max=5.9))
+        assert main(["search", "--config", cfg]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "INPUT ERROR: search config: R1_max=5.9 must exceed the exterior horizon 2M=6.0\n")
+        assert calls == []
+
     @pytest.mark.parametrize("field", ["M", "tol"])
     def test_string_float_field_exits_1(self, tmp_path, capsys, monkeypatch, field):
         # "M": "3" used to be converted and solved; a string is not a number
@@ -525,6 +535,21 @@ class TestUsage:
         assert exc.value.code == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "stress", "search", "trace", "period",
+                                         "lightray", "switch"])
+    def test_empty_out_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        # --out "" used to mean stdout to search, the working directory to trace
+        # and an unwritable path to the rest
+        cfg = write(tmp_path, "cfg.json", SEARCH)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", ""])
+        assert exc.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "argument --out: expected a path, got ''" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     @pytest.mark.parametrize("argv", [["--help"], ["trace", "--help"]])
     def test_help_exits_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -544,7 +569,7 @@ class TestUnwritableOutput:
         ("validate", ONE_SHELL, lambda tmp: str(tmp / "missing" / "x.json")),
         ("stress", ONE_SHELL, lambda tmp: str(tmp / "missing" / "x.json")),
         ("period", ONE_SHELL, lambda tmp: str(tmp / "missing" / "x.json")),
-        ("period", ONE_SHELL, lambda tmp: ""),  # the working directory itself
+        ("period", ONE_SHELL, lambda tmp: "."),  # the working directory itself
         ("lightray", dict(ONE_SHELL, r_a=7.0, r_b=12.0), lambda tmp: str(tmp / "missing" / "x.json")),
         ("switch", PAULI, lambda tmp: str(tmp / "missing" / "x.json")),
         ("search", SEARCH, lambda tmp: str(tmp / "missing" / "x.json")),

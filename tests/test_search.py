@@ -89,6 +89,13 @@ class TestConfig:
         with pytest.raises(SearchError, match=r"M=1e-17 .* r_i=12\.0"):
             SearchConfig(**dict(REFERENCE, M=1e-17))
 
+    @pytest.mark.parametrize("R1_max", [5.9, 6.0])
+    def test_grid_must_reach_past_exterior_horizon(self, R1_max):
+        # 2M = 6: every grid point used to fail (the search exited 3), and
+        # solve_contour raised ValueError from the seed table's log(R1_max - 2M)
+        with pytest.raises(SearchError, match=rf"R1_max={R1_max} .* 2M=6\.0"):
+            SearchConfig(**dict(REFERENCE, R1_min=4.5, R1_max=R1_max))
+
     @pytest.mark.parametrize("R1_min", [4.0, 3.5])
     def test_outer_shell_must_clear_inner(self, R1_min):
         # R1_min == R2 used to reach a division by R1 - R2 in the f bracket
@@ -161,6 +168,13 @@ def period_rate(config, R1, f, rate2):
     return dtau / dt - rate2
 
 
+def grid_interval(M, R2, r_i):
+    """An R1 grid interval SearchConfig accepts, above R2 and 2M and below r_i;
+    the period properties below never trace it."""
+    R1_max = 0.5 * (r_i + max(R2, 2.0 * M))
+    return dict(R1_min=0.5 * (R2 + R1_max), R1_max=R1_max)
+
+
 @st.composite
 def residual_inputs(draw):
     """(config, R1, f, rate2) with R anywhere from inside the exterior horizon
@@ -168,10 +182,8 @@ def residual_inputs(draw):
     M = draw(st.floats(0.5, 5.0))
     r_i = 2.0 * M * draw(st.floats(1.001, 4.0))
     R2 = r_i * draw(st.floats(0.05, 0.9))
-    config = SearchConfig(
-        m=R2 / 2.5, M=M, R2=R2, r_i=r_i, p=9, q=10,
-        R1_min=R2 + 0.25 * (r_i - R2), R1_max=R2 + 0.5 * (r_i - R2),
-    )
+    config = SearchConfig(m=R2 / 2.5, M=M, R2=R2, r_i=r_i, p=9, q=10,
+                          **grid_interval(M, R2, r_i))
     R1 = R2 * draw(st.floats(1.001, 1.5)) + (r_i - R2) * draw(st.floats(0.0, 1.5))
     grazing = 2.0 * M / (1.0 - DEFAULT_HORIZON_MARGIN * draw(st.floats(0.999, 1.001)))
     near_release = r_i * (1.0 - draw(st.floats(1e-15, 1e-6)))
@@ -238,7 +250,7 @@ def two_shell_inputs(draw):
     R2 = r_i * draw(st.floats(0.05, 0.9))
     config = SearchConfig(
         m=0.5 * R2 * (1.0 - 10.0 ** draw(st.floats(-8.9, -0.1))), M=M, R2=R2, r_i=r_i,
-        p=9, q=10, R1_min=R2 + 0.25 * (r_i - R2), R1_max=R2 + 0.5 * (r_i - R2),
+        p=9, q=10, **grid_interval(M, R2, r_i),
     )
     margin = DEFAULT_HORIZON_MARGIN
     R1 = draw(st.one_of(
@@ -294,16 +306,24 @@ def test_hoisted_work_per_contour_point(monkeypatch):
     assert counts["build_spacetime"] == 0
 
 
-def test_one_shell_evaluations_per_solve(monkeypatch):
-    """The grid-200 reference solve evaluates the one-shell period at most
-    1,500 times (it made 1,152: ~5.5 per contour point, the two end checks
-    included, plus the seed table's 33 rows), and builds the table once."""
-    evaluations, tables = [], []
-    period, table = shellswitch.search._one_shell_period, SearchConfig.rate_table
+def count_calls(monkeypatch, name):
+    """A list that grows by one at each call of shellswitch.search.<name>."""
+    calls, original = [], getattr(shellswitch.search, name)
 
-    def counted_period(*args):
-        evaluations.append(None)
-        return period(*args)
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(shellswitch.search, name, counted)
+    return calls
+
+
+def test_one_shell_evaluations_per_solve(monkeypatch):
+    """The grid-200 reference solve evaluates the one-shell period at most 560
+    times (it makes 545: ~2.5 per contour point over 203 points, plus the seed
+    table's 33 rows; 1,152 with a linear seed and two end checks per point),
+    and builds the table once."""
+    tables, table = [], SearchConfig.rate_table
 
     def counted_table(config):
         tables.append(None)
@@ -311,11 +331,43 @@ def test_one_shell_evaluations_per_solve(monkeypatch):
 
     counted = cached_property(counted_table)
     counted.__set_name__(SearchConfig, "rate_table")
-    monkeypatch.setattr(shellswitch.search, "_one_shell_period", counted_period)
+    evaluations = count_calls(monkeypatch, "_one_shell_period")
     monkeypatch.setattr(SearchConfig, "rate_table", counted)
     solve_switch_configuration(SearchConfig(grid=200, **REFERENCE))
     assert len(tables) == 1
-    assert len(evaluations) <= 1500
+    assert len(evaluations) <= 560
+
+
+def test_end_checks_per_solve(monkeypatch):
+    """An end of the admissible f interval is evaluated only where it decides
+    whether a point has a root: the grid-200 reference solve, whose 203
+    contour points all have one, makes no end check (it made 406)."""
+    points = count_calls(monkeypatch, "solve_contour")
+    end_checks = count_calls(monkeypatch, "ratio_residual")
+    solve_switch_configuration(SearchConfig(grid=200, **REFERENCE))
+    assert len(points) == 203
+    assert len(end_checks) <= 2
+
+
+@pytest.mark.parametrize("m, R1, evaluations", [
+    # R2 1e-8 relative above its horizon: the two-shell clock is so slow that
+    # the shell would sit below 2M + F_MARGIN R1, and the seed leaves the
+    # bracket through the lower end
+    (2.0 * (1.0 - 1e-8), 10.0, 1),
+    # a near-flat middle patch with its outer shell at r_i: the two-shell clock
+    # outruns every admissible shell, and the first step leaves through the upper end
+    (1e-10, 12.0, 2),
+])
+def test_rootless_point_checks_one_end(monkeypatch, m, R1, evaluations):
+    """A point with no root costs one end check, made as soon as the seed or a
+    step leaves the bracket through that end, not a Newton run into it."""
+    config = SearchConfig(**dict(REFERENCE, m=m))
+    config.rate_table
+    one_shell = count_calls(monkeypatch, "_one_shell_period")
+    end_checks = count_calls(monkeypatch, "ratio_residual")
+    with pytest.raises(NoSolutionAtRadius, match="no sign change"):
+        solve_contour(R1, config)
+    assert (len(end_checks), len(one_shell)) == (1, evaluations)
 
 
 @st.composite
@@ -347,37 +399,83 @@ def expected_contour_root(config, R1):
     return ends if lo <= 0.0 <= hi or hi <= 0.0 <= lo else None
 
 
-def fifty_digit_f(config, point):
-    """f of the 50-digit root of mp_rate((0, M), (R,), r_i) = Dtau2/Dt2, the
+def fifty_digit_R(config, point):
+    """The 50-digit root R of mp_rate((0, M), (R,), r_i) = Dtau2/Dt2, the
     two-shell rate of the point, bracketed 1e-12 relative around its R."""
     R = shell_radius(config, point.R1, point.f)
     with mp.workdps(DPS):
         rate2 = mp.mpf(point.dtau2) / mp.mpf(point.dt2)
-        root = _bracketed_root(lambda x: mp_rate((0.0, config.M), (x,), config.r_i) - rate2,
+        return _bracketed_root(lambda x: mp_rate((0.0, config.M), (x,), config.r_i) - rate2,
                                R * (1.0 - 1e-12), R * (1.0 + 1e-12))
-        return (root - mp.mpf(config.R2)) / (mp.mpf(point.R1) - mp.mpf(config.R2))
+
+
+def fifty_digit_f(config, point):
+    """f of fifty_digit_R."""
+    with mp.workdps(DPS):
+        R2 = mp.mpf(config.R2)
+        return (fifty_digit_R(config, point) - R2) / (mp.mpf(point.R1) - R2)
+
+
+def assert_root_or_no_sign_change(config, R1):
+    """solve_contour raises NoSolutionAtRadius exactly where the residual has
+    no sign change across the admissible interval; else it returns f inside
+    it, with the shell radius R within 4 ulps of the 50-digit root.  Returns
+    the point, or None."""
+    ends = expected_contour_root(config, R1)
+    if ends is None:
+        with pytest.raises(NoSolutionAtRadius):
+            solve_contour(R1, config)
+        return None
+    point = solve_contour(R1, config)
+    assert ends[0] <= point.f <= ends[1]
+    R_star = float(fifty_digit_R(config, point))
+    assert abs(shell_radius(config, R1, point.f) - R_star) <= 4 * math.ulp(R_star)
+    return point
+
+
+# a near-reference geometry of contour_inputs
+NEAR_REFERENCE = SearchConfig(m=1.9766306075809594, M=3.0248335429174165, R2=3.9550801030965967,
+                              r_i=12.099786187127252, p=9, q=10, R1_min=9.0, R1_max=11.5)
+
+
+@st.composite
+def small_f_inputs(draw):
+    """(config, R1) near the reference geometry, but with R2 from 1e-6 to 1e-2
+    relative below the exterior horizon 2M and m from 1e-7 to 1e-3 relative
+    below R2 / 2, so that the contour's shell sits just above R2: f from ~4e-6
+    to ~2e-2 where there is a root, and about a third of the draws have none."""
+    M = draw(st.floats(2.9, 3.1))
+    R2 = 2.0 * M * (1.0 - 10.0 ** draw(st.floats(-6.0, -2.0)))
+    config = SearchConfig(m=0.5 * R2 * (1.0 - 10.0 ** draw(st.floats(-7.0, -3.0))), M=M, R2=R2,
+                          r_i=draw(st.floats(11.8, 12.2)), p=9, q=10, R1_min=9.0, R1_max=11.5)
+    return config, draw(st.floats(9.0, 11.5))
 
 
 class TestContourPrecision:
-    """solve_contour's f lies within 4 ulps of the 50-digit root, and it
-    raises NoSolutionAtRadius exactly where brentq's end check used to."""
+    """solve_contour's shell radius R = R2 + (R1 - R2) f lies within 4 ulps of
+    the 50-digit root, and it raises NoSolutionAtRadius exactly where the
+    residual's signs at the two ends of the admissible interval (the old
+    unconditional end checks) have no sign change."""
 
     @given(contour_inputs())
-    @example((SearchConfig(m=1.9766306075809594, M=3.0248335429174165, R2=3.9550801030965967,
-                           r_i=12.099786187127252, p=9, q=10, R1_min=9.0, R1_max=11.5),
-              8.431232201003974))  # the evaluated f at its last Newton step is 4.04 ulps off
+    @example((NEAR_REFERENCE, 8.431232201003974))  # the evaluated f at its last Newton step is 4.04 ulps off
+    @example((NEAR_REFERENCE, NEAR_REFERENCE.r_i))  # R1 at the release radius
+    @example((NEAR_REFERENCE, 2.0 * NEAR_REFERENCE.M * (1.0 + 1e-12)))  # R1 just outside 2M
     @settings(max_examples=300, deadline=None)
     def test_fifty_digit_root_or_no_sign_change(self, inputs):
         config, R1 = inputs
-        ends = expected_contour_root(config, R1)
-        if ends is None:
-            with pytest.raises(NoSolutionAtRadius):
-                solve_contour(R1, config)
-            return
-        point = solve_contour(R1, config)
-        assert ends[0] <= point.f <= ends[1]
-        f_star = fifty_digit_f(config, point)
-        assert abs(point.f - f_star) <= 4 * math.ulp(float(f_star))
+        point = assert_root_or_no_sign_change(config, R1)
+        if point is not None:
+            # near the reference (R1 - R2) ulp(f) stays below ulp(R), so f holds 4 ulps too
+            f_star = fifty_digit_f(config, point)
+            assert abs(point.f - f_star) <= 4 * math.ulp(float(f_star))
+
+    @given(small_f_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_small_f_shell_radius(self, inputs):
+        # f ~ 1e-4 has an ulp ~1e-4 of ulp(R) / (R1 - R2): R's own rounding puts
+        # f hundreds of its ulps off, so the bound is stated on R
+        assert_root_or_no_sign_change(*inputs)
 
     @pytest.mark.parametrize("R1", [9.0, 10.072, 11.5])
     def test_bisection_fallback(self, monkeypatch, R1):
@@ -472,8 +570,9 @@ class TestSolution:
         assert not (lo <= 0.5 <= hi)
 
     def test_untraceable_contour_counts_dropped_points(self):
-        # 2M = 6: no R1 in [4.5, 6] admits a shell above the exterior horizon
-        cfg = SearchConfig(**dict(REFERENCE, R1_min=4.5, R1_max=6.0), grid=8)
+        # 2M = 6: no R1 in [4.5, 2M + 1e-6] admits a shell F_MARGIN * R1 above
+        # the exterior horizon (an R1_max at or below 2M is an input error)
+        cfg = SearchConfig(**dict(REFERENCE, R1_min=4.5, R1_max=6.000001), grid=8)
         with pytest.raises(SearchError, match="8 of 8 grid points have no contour root"):
             solve_switch_configuration(cfg)
 
