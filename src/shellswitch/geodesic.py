@@ -61,8 +61,12 @@ class CycloidParams:
         mass, r_apo = self.mass, self.r_apo
         if not mass > 0.0:
             raise NoRestoringForceError(f"a cycloid needs mass > 0, got mass={mass}")
-        self.t_scale = self.energy * math.sqrt(r_apo**3 / (2.0 * mass))
-        self.tau_scale = math.sqrt(r_apo**3 / (8.0 * mass))
+        try:
+            cube = r_apo**3
+        except OverflowError:
+            raise GeodesicError(f"apoapsis r_apo={r_apo} is too large: r_apo**3 overflows") from None
+        self.t_scale = self.energy * math.sqrt(cube / (2.0 * mass))
+        self.tau_scale = math.sqrt(cube / (8.0 * mass))
         self.u_scale = math.sqrt(2.0 * mass / r_apo)
         self.one_minus_E2 = 2.0 * mass / r_apo
         self.tan_h = math.sqrt((r_apo - 2.0 * mass) / (2.0 * mass))
@@ -266,13 +270,13 @@ def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, fl
 # ---------------------------------------------------------------------------
 # Trajectory sampling in global time
 
-def _solve_eta(params: CycloidParams, lo, hi, eta, t0, t_local_target) -> float:
+def _solve_eta(params: CycloidParams, lo, hi, eta, t0, t_local_target) -> tuple[float, float | None]:
     """Root of t(eta) - t0 = t_local_target in its sign bracket [lo, hi], by
     Newton from eta safeguarded by bisection (rtsafe, Numerical Recipes 9.4):
     steps are taken in s = log(eta_horizon - eta) so that near-horizon legs
     converge fast too, and a step that leaves the bracket bisects it.  Returns
-    the converged step; after NEWTON_STEPS without convergence, bisects the
-    bracket to its last bit."""
+    the converged step and dt/deta at the last iterate; after NEWTON_STEPS
+    without convergence, the bracket bisected to its last bit and None."""
     eta_h, two_m, scale = params.eta_horizon, 2.0 * params.mass, params.energy * params.tau_scale
     for _ in range(NEWTON_STEPS):
         r = radius(params, eta)
@@ -281,11 +285,11 @@ def _solve_eta(params: CycloidParams, lo, hi, eta, t0, t_local_target) -> float:
         dt_deta = scale * r / (r - two_m) * (1.0 + math.cos(eta))
         new = eta - (eta_h - eta) * math.expm1(min(g / (dt_deta * (eta_h - eta)), 1.0))
         if abs(new - eta) <= NEWTON_TOL:
-            return new
+            return new, dt_deta
         eta = new if lo < new < hi else 0.5 * (lo + hi)
     while lo < (eta := 0.5 * (lo + hi)) < hi:
         lo, hi = (eta, hi) if coordinate_time(params, eta) - t0 < t_local_target else (lo, eta)
-    return eta
+    return eta, None
 
 
 def _leg_origin(leg: Leg) -> tuple[float, float] | None:
@@ -295,34 +299,28 @@ def _leg_origin(leg: Leg) -> tuple[float, float] | None:
         coordinate_time(params, eta, leg.r_outer), proper_time(params, eta))
 
 
-def _invert_leg(leg: Leg, origin: tuple[float, float] | None, t_in_leg: float) -> tuple[float, float]:
-    """(r, tau elapsed within leg) at global-time offset t_in_leg from leg start."""
+def _invert_leg(leg: Leg, origin: tuple[float, float] | None, t_in_leg: float, seed=None):
+    """(r, tau elapsed within leg, seed) at global-time offset t_in_leg from leg
+    start.  seed, (eta, local target, dt/deta) at the previous root in the leg or
+    None after a bisection, is moved along its tangent to start the Newton solve."""
     if t_in_leg <= 0.0:
-        return leg.r_outer, 0.0
+        return leg.r_outer, 0.0, None
     if t_in_leg >= leg.dt_global:
-        return leg.r_inner, leg.dtau
+        return leg.r_inner, leg.dtau, None
     if leg.cycloid is None:
         # flat patch: r and tau are linear in t
         frac = t_in_leg / leg.dt_global
-        return leg.r_outer + frac * (leg.r_inner - leg.r_outer), frac * leg.dtau
+        return leg.r_outer + frac * (leg.r_inner - leg.r_outer), frac * leg.dtau, None
     params, (t0, tau0) = leg.cycloid, origin
     t_local_target = t_in_leg / (leg.dt_global / leg.dt_local)
     # t(eta) is strictly increasing on the inbound branch
     lo, hi = leg.eta_entry, leg.eta_exit
-    guess = lo + (hi - lo) * t_in_leg / leg.dt_global
-    eta = _solve_eta(params, lo, hi, guess, t0, t_local_target)
-    return radius(params, eta), proper_time(params, eta) - tau0
-
-
-def _quarter_sample(legs: list[Leg], origins: list, t_quarter_offset: float) -> tuple[float, float]:
-    """(r, tau) within the inbound quarter at global-time offset from release."""
-    t0 = 0.0
-    for leg, origin in zip(legs, origins):
-        if t_quarter_offset <= t0 + leg.dt_global or leg is legs[-1]:
-            r, dtau = _invert_leg(leg, origin, t_quarter_offset - t0)
-            return r, leg.tau + dtau
-        t0 += leg.dt_global
-    raise AssertionError("unreachable")
+    guess = seed[0] + (t_local_target - seed[1]) / seed[2] if seed else lo
+    if not lo < guess < hi:  # no seed, or its prediction leaves the leg
+        guess = lo + (hi - lo) * t_in_leg / leg.dt_global
+    eta, slope = _solve_eta(params, lo, hi, guess, t0, t_local_target)
+    return (radius(params, eta), proper_time(params, eta) - tau0,
+            None if slope is None else (eta, t_local_target, slope))
 
 
 def trajectory(
@@ -331,15 +329,14 @@ def trajectory(
     """Uniform global-time samples (t_global, r, tau) of the oscillating drop.
 
     Each sample time is reduced to an offset in the inbound quarter, rem or
-    t_half - rem after divmod(t, t_half), and each distinct offset is solved
-    once per call: samples one period apart, and mirrored samples in the two
-    quarters of a half period, often give the same float.  The reuse is keyed
-    by the exact offset (only 0.0 and -0.0 compare equal with different bits,
-    and both solve to the same bits), so every row is what a solve per sample
-    gives.  Over two periods of configs/two_shell_spacetime.json, 4,001
-    samples (a grid aligned to the period) hit 1,711 distinct offsets and take
-    1.24 us/sample, 1.88 without the reuse; 4,000 samples hit 3,437 and take
-    1.79 us/sample, 1.75 without (Python 3.11.7, 2 shared cores).
+    t_half - rem after divmod(t, t_half), and the distinct offsets are swept
+    in ascending order with a cursor over the quarter's legs, each solved once:
+    samples one period apart, and mirrored samples in a half period, often
+    share an offset.  A Schwarzschild solve starts from the previous root in
+    its leg, moved along its tangent: about 1.35 evaluations of t(eta) per
+    solve, where the linear guess across the leg took 3.47.  So a row's last
+    bits can depend on the call's other samples; the same arguments give the
+    same rows, and equal offsets in one call share their bits.
     """
     if sample_count <= 0:
         raise GeodesicError("sample_count must be positive")
@@ -350,21 +347,28 @@ def trajectory(
             f"sample times must be finite: t_global_max={t_global_max} over {sample_count} samples"
         )
     dt_period, dtau_period, legs = oscillation_period(spacetime, r_i)
-    origins = [_leg_origin(leg) for leg in legs]
     t_quarter, t_half, tau_half = dt_period / 4.0, dt_period / 2.0, dtau_period / 2.0
 
-    samples, solved = [], {}  # exact quarter offset -> (r, tau_q)
+    rows, solved = [], {}  # rows hold (t, n_half, inbound, offset) until solved
     for i in range(sample_count):
         t = t_global_max * i / (sample_count - 1) if sample_count > 1 else 0.0
         n_half, rem = divmod(t, t_half)
         inbound = rem <= t_quarter
         offset = rem if inbound else t_half - rem
-        if (hit := solved.get(offset)) is None:
-            hit = solved[offset] = _quarter_sample(legs, origins, offset)
-        r, tau_q = hit
-        tau = n_half * tau_half + tau_q if inbound else (n_half + 1.0) * tau_half - tau_q
-        samples.append((t, r, tau))
-    return samples
+        solved[offset] = None
+        rows.append((t, n_half, inbound, offset))
+    k, t0, seed, origin = 0, 0.0, None, _leg_origin(legs[0])
+    for offset in sorted(solved):
+        # the leg holding offset: the first that ends at or after it, else the last
+        while offset > t0 + legs[k].dt_global and k < len(legs) - 1:
+            t0 += legs[k].dt_global
+            k, seed, origin = k + 1, None, _leg_origin(legs[k + 1])
+        r, dtau, seed = _invert_leg(legs[k], origin, offset - t0, seed)
+        solved[offset] = r, legs[k].tau + dtau
+    for i, (t, n_half, inbound, offset) in enumerate(rows):
+        r, tau_q = solved[offset]
+        rows[i] = t, r, n_half * tau_half + tau_q if inbound else (n_half + 1.0) * tau_half - tau_q
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,10 @@ class SearchConfig:
             raise SearchError(f"r_i={self.r_i} must exceed 2M and R1_max={self.R1_max}")
         if metric_factor(self.M, self.r_i) == 1.0:  # 2M/r_i rounds to 0: E = 1, unbound
             raise SearchError(f"M={self.M} is too small for a bound release from r_i={self.r_i}")
+        try:
+            self.release  # built here once, and cached for the search
+        except GeodesicError as exc:  # r_i**3 overflows, from r_i ~ 5.6e102 up
+            raise SearchError(f"no release cycloid for M={self.M} and r_i={self.r_i}: {exc}") from None
 
     @property
     def target_ratio(self) -> float:

@@ -412,6 +412,32 @@ class TestLightray:
         assert "INPUT ERROR" in capsys.readouterr().err
 
 
+class TestOverflowingCycloid:
+    """A cycloid whose r_apo**3 overflows a float (r_apo above ~5.6e102) ended
+    in an OverflowError traceback."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("search", []), ("trace", ["--samples", "4"]), ("lightray", []),
+    ])
+    def test_search_release_exits_1(self, tmp_path, capsys, command, flags):
+        doc = dict(SEARCH, M=1e300, r_i=1e301, R1_max=2.5e300, r_a=1e300, r_b=1e301)
+        cfg = write(tmp_path, "huge.json", doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "INPUT ERROR: search config: no release cycloid for M=1e+300 and r_i=1e+301: ")
+
+    def test_stack_cycloid_exits_2(self, tmp_path, capsys):
+        doc = {"patches": [{"mass": 0.0, "r_min": 0.0, "r_max": 1e150},
+                           {"mass": 1e149, "r_min": 1e150, "r_max": None}], "r_i": 1e151}
+        cfg = write(tmp_path, "huge.json", doc)
+        assert main(["period", "--config", cfg]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ERROR: apoapsis r_apo=1e+151 is too large: r_apo**3 overflows\n"
+
+
 class TestSwitch:
     def test_pauli_probabilities(self, tmp_path, capsys):
         cfg = write(tmp_path, "sw.json", PAULI)

@@ -31,7 +31,6 @@ from shellswitch.geodesic import (
     _invert_leg,
     _leg_origin,
     _minkowski_span,
-    _quarter_sample,
     _release_u_t,
     _schwarzschild_span,
     _shell_transfer,
@@ -107,6 +106,15 @@ class TestCycloid:
         # has no cycloid, and says so instead of dividing by zero
         with pytest.raises(NoRestoringForceError):
             CycloidParams(mass=mass, r_apo=12.0, energy=0.5)
+
+    @pytest.mark.parametrize("build", [
+        lambda: CycloidParams.from_rest(1e149, 1e151),
+        lambda: CycloidParams.from_state(1e149, 1e151, 0.0),
+    ])
+    def test_overflowing_apoapsis_rejected(self, build):
+        # r_apo**3 overflows above r_apo ~ 5.6e102: it raised OverflowError
+        with pytest.raises(GeodesicError, match=r"r_apo=1e\+151 is too large"):
+            build()
 
     def test_factors_outside_equality_and_repr(self):
         params = CycloidParams.from_rest(3.0, 12.0)
@@ -360,15 +368,17 @@ def count_t_calls(monkeypatch) -> list:
     return calls
 
 
-def record_quarter_samples(monkeypatch) -> list:
-    """One (offset, (r, tau)) entry per quarter offset the sampler solves."""
+def record_leg_solves(monkeypatch) -> list:
+    """One (leg, t_in_leg, seed, (r, tau)) entry per quarter offset the
+    sampler solves."""
     solved = []
 
-    def recorded(legs, origins, offset):
-        solved.append((offset, _quarter_sample(legs, origins, offset)))
-        return solved[-1][1]
+    def recorded(leg, origin, t_in_leg, seed=None):
+        out = _invert_leg(leg, origin, t_in_leg, seed)
+        solved.append((leg, t_in_leg, seed, out[:2]))
+        return out
 
-    monkeypatch.setattr(geodesic, "_quarter_sample", recorded)
+    monkeypatch.setattr(geodesic, "_invert_leg", recorded)
     return solved
 
 
@@ -406,36 +416,47 @@ class TestTrajectory:
             trajectory(m2_reference(), 12.0, t_max, sample_count)
 
     def test_coordinate_time_calls_per_offset(self, monkeypatch):
-        """Work pin: the safeguarded Newton solve evaluates t(eta) about 4
-        times per distinct quarter offset it solves in a Schwarzschild leg.
-        On this grid, aligned to the period, 501 samples hit 150 such offsets;
-        solving every sample would cost about 9 evaluations per offset."""
+        """Work pin: each Schwarzschild solve starts from the previous root in
+        its leg, moved along its tangent, and evaluates t(eta) about 1.5 times
+        (a linear guess across the leg cost about 4).  On this grid, aligned
+        to the period, 501 samples hit 150 such solves and 232 evaluations,
+        6 of them the period's spans and the legs' origins; solving every
+        sample from a linear guess would cost about 9 evaluations per solve."""
         st_ = build_spacetime([
             PatchSpec(0.0, 0.0, 4.0), PatchSpec(1.9, 4.0, 9.0), PatchSpec(3.0, 9.0, None),
         ])
         dt, _, _ = oscillation_period(st_, 12.0)
-        solved = record_quarter_samples(monkeypatch)
+        solved = record_leg_solves(monkeypatch)
         calls = count_t_calls(monkeypatch)
         trajectory(st_, 12.0, 2.0 * dt, 501)
-        inverted = {offset for offset, (r, _) in solved if 4.0 < r < 12.0}
+        inverted = [t for leg, t, _, _ in solved if leg.cycloid is not None and 0.0 < t < leg.dt_global]
         assert len(inverted) > 140
-        assert len(calls) <= 6 * len(inverted)
+        assert len(calls) <= 1.6 * len(inverted)
 
     def test_each_distinct_offset_solved_once(self, monkeypatch):
         """Work pin: on a grid aligned to the period, samples one period apart
         and mirrored samples in a half period share their quarter offset, and
-        each distinct offset is solved once."""
+        each distinct offset is solved once, in one sweep: the legs outermost
+        first, the offsets ascending within each.  The first solve in a leg
+        has no seed; each later one in a Schwarzschild leg starts from the
+        root before it."""
         doc = json.loads((CONFIGS / "two_shell_spacetime.json").read_text())
         st_, r_i = spacetime_from_config(doc), doc["r_i"]
         dt, _, _ = oscillation_period(st_, r_i)
-        solved = record_quarter_samples(monkeypatch)
+        solved = record_leg_solves(monkeypatch)
         trajectory(st_, r_i, 2.0 * dt, 4001)
         offsets = set()
         for i in range(4001):
             rem = divmod(2.0 * dt * i / 4000, dt / 2.0)[1]
             offsets.add(rem if rem <= dt / 4.0 else dt / 2.0 - rem)
-        assert sorted(offset for offset, _ in solved) == sorted(offsets)
-        assert len(offsets) < 4001 / 2
+        assert len(solved) == len(offsets) < 4001 / 2
+        order = [(-leg.r_outer, t) for leg, t, _, _ in solved]
+        assert order == sorted(order)
+        for before, (leg, _, seed, _) in zip([None, *solved], solved):
+            if before is None or before[0] is not leg:
+                assert seed is None
+            elif leg.cycloid is not None and before[1] > 0.0:
+                assert seed is not None
 
 
 def leg_from(mass, r_apo, r_entry, r_exit, lapse):
@@ -479,11 +500,16 @@ def assert_matches_fifty_digits(leg, t, got):
 class TestNewtonSampling:
     """The safeguarded Newton solve against a 50-digit inversion of the same leg."""
 
-    @given(legs())
+    @given(legs(), st.floats(1e-6, 1.0))
     @settings(max_examples=400, deadline=None)
-    def test_matches_fifty_digit_inversion(self, drawn):
+    def test_matches_fifty_digit_inversion(self, drawn, back):
+        """From the linear guess across the leg, and from the seed of an
+        earlier solve in the same leg, a fraction back of the way to its start."""
         leg, t = drawn
-        assert_matches_fifty_digits(leg, t, _invert_leg(leg, _leg_origin(leg), t))
+        origin = _leg_origin(leg)
+        assert_matches_fifty_digits(leg, t, _invert_leg(leg, origin, t)[:2])
+        seed = _invert_leg(leg, origin, t * (1.0 - back))[2]
+        assert_matches_fifty_digits(leg, t, _invert_leg(leg, origin, t, seed)[:2])
 
     @pytest.mark.parametrize("r_exit", [6.000000011999999, 9.0])
     def test_bisection_fallback(self, monkeypatch, r_exit):
@@ -496,9 +522,30 @@ class TestNewtonSampling:
         for frac in (1e-6, 0.01, 0.3, 0.7, 0.999, 1.0 - 1e-6):
             t = frac * leg.dt_global
             calls.clear()
-            got = _invert_leg(leg, origin, t)
+            got = _invert_leg(leg, origin, t)[:2]
             assert len(calls) > 40
             assert_matches_fifty_digits(leg, t, got)
+
+    def test_trajectory_bisection_fallback(self, monkeypatch):
+        """With no Newton step every solve of a whole trajectory bisects and
+        hands on no seed, so the next solve in its leg starts from the linear
+        guess again.  The rows hold the same bounds over the outer leg of
+        this stack, which ends 2e-9 above its horizon."""
+        shell = 6.000000011999999
+        st_ = build_spacetime([PatchSpec(0.0, 0.0, shell), PatchSpec(3.0, shell, None)])
+        t_max = oscillation_period(st_, 12.0)[2][0].dt_global  # the outer leg
+        newton = trajectory(st_, 12.0, t_max, 61)
+        monkeypatch.setattr(geodesic, "NEWTON_STEPS", 0)
+        solved = record_leg_solves(monkeypatch)
+        rows = trajectory(st_, 12.0, t_max, 61)
+        inverted = [(leg, t, got) for leg, t, _, got in solved
+                    if leg.cycloid is not None and 0.0 < t < leg.dt_global]
+        assert len(inverted) > 20
+        assert all(seed is None for _, _, seed, _ in solved)
+        for leg, t, got in inverted[::4]:
+            assert_matches_fifty_digits(leg, t, got)
+        for (t, r, _), (t_newton, r_newton, _) in zip(rows, newton, strict=True):
+            assert t == t_newton and abs(r - r_newton) <= 2e-13 * r_newton
 
 
 class TestNullRays:

@@ -6,8 +6,11 @@ period, search or sampling paths keeps these outputs to the last bit.  A
 string in place of the two periods names the exception that stack raises.
 """
 
+import math
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shellswitch import (
@@ -19,10 +22,12 @@ from shellswitch import (
     solve_switch_configuration,
     trajectory,
 )
-from shellswitch.geodesic import _leg_origin, _quarter_sample
+from shellswitch import geodesic
+from shellswitch.geodesic import proper_time
 from shellswitch.search import one_shell_spacetime, two_shell_spacetime
 
 from conftest import REFERENCE
+from oracles import mp_invert_leg
 
 # (masses center-out, shells, r_i, (dt.hex(), dtau.hex()) or exception name):
 # both reference branches, shells 1e-6 and 2e-9 above a horizon, a flat
@@ -111,23 +116,28 @@ TRAJECTORY = [
 # (PERIODS row, t_max.hex(), {row: (t_global, r, tau)}) of 64-sample
 # trajectories: the outer leg of the 6.000000011999999 shell, which ends 2e-9
 # above its horizon, and 1.5 periods of a 4- and a 6-shell stack.  Recorded
-# from the safeguarded Newton sampler, which put every r and tau here within
-# 2e-15 relative of the 50-digit inversion of its leg (oracles.mp_invert_leg).
+# from the sweep that seeds each Newton solve from the previous root in its
+# leg, which puts every r and tau here within 2e-15 relative of the 50-digit
+# inversion of its leg (oracles.mp_invert_leg).  Four rows moved from the
+# linear-guess sampler; relative distance from the 50-digit value, old -> new:
+# row 4/10 tau 1.4e-17 -> 1.0e-16; row 14/3 tau 7.1e-17 -> 1.2e-16; row 14/6
+# r 3.1e-16 -> 3.0e-16, tau 3.4e-16 -> 1.1e-16; row 18/2 r 6.4e-17 -> 8.0e-17,
+# tau 2.7e-17 -> 1.8e-16.
 STACK_TRAJECTORIES = [
     (4, '0x1.2a60d870cd14bp+7', {
-        10: ('0x1.7ae4a111456fap+4', '0x1.2c2c0665226bap+3', '0x1.e857d69dee4f0p+3'),
+        10: ('0x1.7ae4a111456fap+4', '0x1.2c2c0665226bap+3', '0x1.e857d69dee4f1p+3'),
         40: ('0x1.7ae4a111456fap+6', '0x1.8001b8c16d509p+2', '0x1.5d053fd45e968p+4'),
         60: ('0x1.1c2b78ccf413bp+7', '0x1.8000002a1a218p+2', '0x1.5d05db9a79646p+4'),
         62: ('0x1.25a4633a2f69bp+7', '0x1.800000131eba4p+2', '0x1.5d05dba2997d5p+4'),
     }),
     (14, '0x1.1355e76272853p+8', {
-        3: ('0x1.a38f1771718dfp+3', '0x1.c757aa8f2112fp+2', '0x1.2962ecae40fc3p+3'),
-        6: ('0x1.a38f1771718dfp+4', '0x1.16dd1e136a2e5p+2', '0x1.f2ce422b2c5eap+3'),
+        3: ('0x1.a38f1771718dfp+3', '0x1.c757aa8f2112fp+2', '0x1.2962ecae40fc4p+3'),
+        6: ('0x1.a38f1771718dfp+4', '0x1.16dd1e136a2e8p+2', '0x1.f2ce422b2c5e8p+3'),
         16: ('0x1.17b4ba4ba1095p+6', '0x1.5059e575c9547p+2', '0x1.65a5095e2bbc3p+4'),
         44: ('0x1.80988027fd6cdp+7', '0x1.f1fecb39abcabp+2', '0x1.3c81ba52c970ep+6'),
     }),
     (18, '0x1.844aab8ade636p+6', {
-        2: ('0x1.8a747d80e1eb1p+1', '0x1.8b4639931e4bfp+1', '0x1.1a4030db308ebp+1'),
+        2: ('0x1.8a747d80e1eb1p+1', '0x1.8b4639931e4bep+1', '0x1.1a4030db308ecp+1'),
         5: ('0x1.ed119ce11a65dp+2', '0x1.27153693ff51ep+1', '0x1.4f68ac99acbf9p+2'),
         8: ('0x1.8a747d80e1eb1p+3', '0x1.2b61b85bc957ep+0', '0x1.e390a52510991p+2'),
         45: ('0x1.1559e83e9ed94p+6', '0x1.70eb4d95d0cc8p+1', '0x1.2ab77aca384bfp+5'),
@@ -207,22 +217,25 @@ SAMPLED_STACKS = [
 ]
 
 
-def solve_per_sample(spacetime, r_i, t_max, sample_count):
-    """trajectory's rows with one _quarter_sample call per sample."""
-    dt, dtau, legs = oscillation_period(spacetime, r_i)
-    origins = [_leg_origin(leg) for leg in legs]
-    t_quarter, t_half, tau_half = dt / 4.0, dt / 2.0, dtau / 2.0
-    rows = []
+def quarter_offsets(spacetime, r_i, t_max, sample_count):
+    """(n_half, inbound, offset) of each sample, reduced as trajectory does."""
+    dt = oscillation_period(spacetime, r_i)[0]
+    t_quarter, t_half = dt / 4.0, dt / 2.0
+    reduced = []
     for i in range(sample_count):
-        t = t_max * i / (sample_count - 1)
-        n_half, rem = divmod(t, t_half)
-        if rem <= t_quarter:
-            r, tau_q = _quarter_sample(legs, origins, rem)
-            rows.append((t, r, n_half * tau_half + tau_q))
-        else:
-            r, tau_q = _quarter_sample(legs, origins, t_half - rem)
-            rows.append((t, r, (n_half + 1.0) * tau_half - tau_q))
-    return rows
+        n_half, rem = divmod(t_max * i / (sample_count - 1), t_half)
+        reduced.append((n_half, rem <= t_quarter, rem if rem <= t_quarter else t_half - rem))
+    return reduced
+
+
+def quarter_leg(legs, offset):
+    """(leg, t_in_leg) of a quarter offset: the first leg that ends at or
+    after it, else the last."""
+    t0 = 0.0
+    for leg in legs:
+        if offset <= t0 + leg.dt_global or leg is legs[-1]:
+            return leg, offset - t0
+        t0 += leg.dt_global
 
 
 @st.composite
@@ -239,15 +252,70 @@ def sample_grids(draw):
     return spacetime, r_i, period * draw(st.floats(-6.0, 6.0)), draw(st.integers(2, 600))
 
 
+# the outer leg of PERIODS row 4, which ends 2e-9 above its horizon, at the
+# STACK_TRAJECTORIES grid
+NEAR_HORIZON_GRID = (stack(*PERIODS[4][:2]), PERIODS[4][2], float.fromhex(STACK_TRAJECTORIES[0][1]), 64)
+
+
+@given(sample_grids(), st.randoms(use_true_random=False))
+@example(NEAR_HORIZON_GRID, random.Random(4))
+@settings(max_examples=100, deadline=None)
+def test_rows_within_fifty_digit_bounds(grid, rng):
+    """Up to 4 random rows per grid that fall inside a Schwarzschild leg: r
+    within 1e-13 relative of the 50-digit inversion of that leg
+    (oracles.mp_invert_leg), and tau within 1e-14 of the proper time since
+    the cycloid's rest plus 2M/E, plus the few ulps of composing the row's
+    tau from the half periods."""
+    spacetime, r_i, t_max, sample_count = grid
+    rows = trajectory(spacetime, r_i, t_max, sample_count)
+    _, dtau, legs = oscillation_period(spacetime, r_i)
+    tau_half = dtau / 2.0
+    inside = []
+    for row, (n_half, inbound, offset) in zip(rows, quarter_offsets(*grid)):
+        leg, t = quarter_leg(legs, offset)
+        if leg.cycloid is not None and 0.0 < t < leg.dt_global:
+            inside.append((row, n_half, inbound, leg, t))
+    for (_, r, tau), n_half, inbound, leg, t in rng.sample(inside, min(4, len(inside))):
+        r_mp, dtau_mp = mp_invert_leg(leg, t)
+        tau_q = leg.tau + float(dtau_mp)
+        expected = n_half * tau_half + tau_q if inbound else (n_half + 1.0) * tau_half - tau_q
+        params = leg.cycloid
+        scale = float(dtau_mp) + proper_time(params, leg.eta_entry) + 2.0 * params.mass / params.energy
+        assert abs(r - r_mp) <= 1e-13 * r_mp
+        assert abs(tau - expected) <= 1e-14 * scale + 4.0 * math.ulp(max(abs(tau), abs(expected), tau_half))
+
+
 @given(st.lists(sample_grids(), min_size=2, max_size=2))
 @settings(max_examples=150, deadline=None)
-def test_offset_reuse_keeps_every_bit(grids):
-    """trajectory solves each distinct quarter offset once per call; its rows
-    are those of a solve per sample, to the last bit.  Two calls per example,
-    so that reuse across calls shows too: offset 0.0 recurs in every call."""
+def test_equal_offsets_share_bits(grids):
+    """trajectory solves each distinct quarter offset once, in ascending
+    order, and every row with that offset is formed from the one (r, tau_q)
+    it gave.  A repeated call, after a call on another grid, gives the same
+    rows to the last bit."""
+    invert_leg, first = geodesic._invert_leg, []
     for spacetime, r_i, t_max, sample_count in grids:
-        got = trajectory(spacetime, r_i, t_max, sample_count)
-        expected = solve_per_sample(spacetime, r_i, t_max, sample_count)
-        assert [tuple(x.hex() for x in row) for row in got] == [
-            tuple(x.hex() for x in row) for row in expected
+        solved = []  # (tau_q, r) per solve, in the order solved
+
+        def recorded(leg, origin, t_in_leg, seed=None):
+            out = invert_leg(leg, origin, t_in_leg, seed)
+            solved.append((leg.tau + out[1], out[0]))
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geodesic, "_invert_leg", recorded)
+            rows = trajectory(spacetime, r_i, t_max, sample_count)
+        reduced = quarter_offsets(spacetime, r_i, t_max, sample_count)
+        offsets = sorted({offset for _, _, offset in reduced})
+        assert len(solved) == len(offsets)
+        by_offset = dict(zip(offsets, solved))
+        tau_half = oscillation_period(spacetime, r_i)[1] / 2.0
+        for (t, r, tau), (n_half, inbound, offset) in zip(rows, reduced, strict=True):
+            tau_q, r_q = by_offset[offset]
+            tau_row = n_half * tau_half + tau_q if inbound else (n_half + 1.0) * tau_half - tau_q
+            assert (r.hex(), tau.hex()) == (r_q.hex(), tau_row.hex())
+        first.append(rows)
+    for (spacetime, r_i, t_max, sample_count), rows in zip(grids, first):
+        again = trajectory(spacetime, r_i, t_max, sample_count)
+        assert [tuple(x.hex() for x in row) for row in again] == [
+            tuple(x.hex() for x in row) for row in rows
         ]

@@ -40,7 +40,9 @@ from shellswitch.search import (
 from shellswitch.spacetime import DEFAULT_HORIZON_MARGIN, metric_factor
 
 from conftest import REFERENCE
-from oracles import DPS, _bracketed_root, mp_period, mp_quad_period, mp_rate, mp_switch_root
+from oracles import (
+    DPS, _bracketed_root, mp_contour_ratio, mp_period, mp_quad_period, mp_rate, mp_switch_root,
+)
 
 
 class TestConfig:
@@ -88,6 +90,12 @@ class TestConfig:
         # and every grid point failed on it (the search exited 3)
         with pytest.raises(SearchError, match=r"M=1e-17 .* r_i=12\.0"):
             SearchConfig(**dict(REFERENCE, M=1e-17))
+
+    def test_release_whose_cube_overflows(self):
+        # the release cycloid forms r_i**3, which overflows at r_i = 1e301:
+        # the search ended in an OverflowError traceback
+        with pytest.raises(SearchError, match=r"M=1e\+300 and r_i=1e\+301: .* overflows"):
+            SearchConfig(**dict(REFERENCE, M=1e300, r_i=1e301, R1_max=2.5e300))
 
     @pytest.mark.parametrize("R1_max", [5.9, 6.0])
     def test_grid_must_reach_past_exterior_horizon(self, R1_max):
@@ -634,6 +642,17 @@ def one_shell_radii(draw):
     return r_i, lo + (hi - lo) * w
 
 
+@st.composite
+def benchmark_geometries(draw):
+    """(m, M, R2, r_i, R1): a geometry as the solve_geometries benchmark draws
+    it, R2 1e-5 to 1e-2 relative above its horizon 2m, and R1 anywhere in the
+    R1 interval it searches."""
+    R2 = draw(st.floats(3.95, 4.05))
+    m = 0.5 * R2 * (1.0 - 10.0 ** draw(st.floats(-5.0, -2.0)))
+    M, r_i = draw(st.floats(2.9, 3.1)), draw(st.floats(11.8, 12.2))
+    return m, M, R2, r_i, draw(st.floats(REFERENCE["R1_min"], REFERENCE["R1_max"]))
+
+
 class TestFiftyDigitOracle:
     """The 50-digit closed forms of tests/oracles.py: tanh-sinh quadrature
     agrees with them, the float periods match them, and the one-shell clock
@@ -683,6 +702,15 @@ class TestFiftyDigitOracle:
         r_i, R = radii
         with mp.workdps(DPS):
             assert mp.diff(lambda x: mp_rate((0.0, 0.5), (x,), r_i), mp.mpf(R)) > 0
+
+    @given(benchmark_geometries())
+    @settings(max_examples=80, deadline=None)
+    def test_contour_ratio_falls_in_R1(self, drawn):
+        # Dt1/Dt2 along the contour falls strictly in R1, so the period-ratio
+        # condition has one root in R1; one mp.diff (~40 ms) per draw
+        m, M, R2, r_i, R1 = drawn
+        with mp.workdps(DPS):
+            assert mp.diff(lambda x: mp_contour_ratio(m, M, R2, r_i, x), mp.mpf(R1)) < 0
 
     @pytest.mark.parametrize("geometry, digits", ROOT_GEOMETRIES)
     def test_switch_roots(self, geometry, digits):
