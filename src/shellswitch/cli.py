@@ -15,8 +15,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import GeometryError, InputError, SearchError, ShellSwitchError
-from .fields import amplitude, finite, real
+from .errors import GeometryError, InputError, MissingKeyError, SearchError, ShellSwitchError
+from .fields import amplitude, finite, real, required
 from .geodesic import (
     diametral_crossing_time,
     null_crossing_time,
@@ -234,15 +234,15 @@ def cmd_lightray(args) -> int:
 
 def cmd_switch(args) -> int:
     doc = _load_json(args.config)
-    B = sw.OperatorSpec.from_json(doc["B"], name="B")
-    psi = [amplitude(z, f"psi[{i}]") for i, z in enumerate(doc["psi"])]
+    B = sw.OperatorSpec.from_json(required(doc, "B"), name="B")
+    psi = [amplitude(z, f"psi[{i}]") for i, z in enumerate(required(doc, "psi"))]
     if "C" in doc and "D" in doc:
-        C = sw.OperatorSpec.from_json(doc["C"], name="C")
-        D = sw.OperatorSpec.from_json(doc["D"], name="D")
+        C = sw.OperatorSpec.from_json(required(doc, "C"), name="C")
+        D = sw.OperatorSpec.from_json(required(doc, "D"), name="D")
         slots = sw.broken_switch_slots(C, D, B)
         orders = {"M1": ["B", "C"], "M2": ["D", "B"]}
     else:
-        slots = sw.switch_slots(sw.OperatorSpec.from_json(doc["A"], name="A"), B)
+        slots = sw.switch_slots(sw.OperatorSpec.from_json(required(doc, "A"), name="A"), B)
         o1, o2 = sw.SWITCH_ORDERS
         orders = {"M1": list(o1), "M2": list(o2)}
     joint = sw.run_general_protocol(slots, psi)
@@ -364,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return SUBCOMMANDS[args.command][0](args)
+    except MissingKeyError as exc:
+        print(f"INPUT ERROR: {exc} in {args.config}", file=sys.stderr)
+        return EXIT_INPUT
     except InputError as exc:
         print(f"INPUT ERROR: {exc}", file=sys.stderr)
         return EXIT_INPUT

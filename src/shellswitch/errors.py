@@ -9,6 +9,14 @@ class InputError(ShellSwitchError, ValueError):
     """Malformed input: an unreadable file, a wrong type or a non-finite number."""
 
 
+class MissingKeyError(InputError):
+    """A config lacks a required key; the CLI names its file."""
+
+    def __init__(self, key):
+        self.key = key
+        super().__init__(f"missing key {key!r}")
+
+
 class GeometryError(ShellSwitchError, ValueError):
     """Invalid spacetime geometry (bad patches, shells, or radii)."""
 

@@ -1,9 +1,10 @@
 """Numeric fields of the JSON configs, under one rule: a field holds a JSON
-number.  A boolean, a string, NaN or an infinity is rejected, never coerced."""
+number.  A boolean, a string, NaN or an infinity is rejected, never coerced,
+and a missing key is an input error naming it."""
 
 import sys
 
-from .errors import InputError
+from .errors import InputError, MissingKeyError
 
 FLOAT_MAX = sys.float_info.max
 
@@ -16,9 +17,17 @@ def finite(value, name: str, error: type[Exception] = InputError) -> float:
     return float(value)
 
 
+def required(doc: dict, key: str):
+    """doc[key], whatever its type; a missing key is a MissingKeyError."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise MissingKeyError(key) from None
+
+
 def real(doc: dict, key: str, error: type[Exception] = InputError) -> float:
     """A finite float field."""
-    return finite(doc[key], key, error)
+    return finite(required(doc, key), key, error)
 
 
 def amplitude(pair, name: str) -> complex:
@@ -29,7 +38,7 @@ def amplitude(pair, name: str) -> complex:
 
 def integer(doc: dict, key: str, error: type[Exception] = InputError) -> int:
     """An integer field; a fractional number is rejected, not truncated."""
-    value = doc[key]
+    value = required(doc, key)
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
         raise error(f"{key} must be an integer, got {value!r}")
     return int(value)

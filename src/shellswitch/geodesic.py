@@ -15,6 +15,7 @@ where the naive tan-difference form loses most of its digits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 # Unused here, and kept: the benchmark's tracer (bench/tracer.py) wraps and
 # counts geodesic.replace, so the name must stay a module attribute.
@@ -65,6 +66,8 @@ class CycloidParams:
             cube = r_apo**3
         except OverflowError:
             raise GeodesicError(f"apoapsis r_apo={r_apo} is too large: r_apo**3 overflows") from None
+        if cube < sys.float_info.min:  # the closed forms lose bits, or divide by 0
+            raise GeodesicError(f"apoapsis r_apo={r_apo} is too small: r_apo**3 underflows")
         self.t_scale = self.energy * math.sqrt(cube / (2.0 * mass))
         self.tau_scale = math.sqrt(cube / (8.0 * mass))
         self.u_scale = math.sqrt(2.0 * mass / r_apo)

@@ -91,7 +91,7 @@ class SearchConfig:
             raise SearchError(f"M={self.M} is too small for a bound release from r_i={self.r_i}")
         try:
             self.release  # built here once, and cached for the search
-        except GeodesicError as exc:  # r_i**3 overflows, from r_i ~ 5.6e102 up
+        except GeodesicError as exc:  # r_i**3 overflows (r_i ~ 5.6e102 up) or underflows
             raise SearchError(f"no release cycloid for M={self.M} and r_i={self.r_i}: {exc}") from None
 
     @property

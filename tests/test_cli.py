@@ -438,6 +438,67 @@ class TestOverflowingCycloid:
         assert captured.err == "ERROR: apoapsis r_apo=1e+151 is too large: r_apo**3 overflows\n"
 
 
+class TestTinyCycloid:
+    """A cycloid whose r_apo**3 is below the normal floats (r_apo under about
+    2^-344 times the reference scale) gave a silently wrong period, and
+    further down a ZeroDivisionError traceback."""
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-300])
+    def test_stack_cycloid_exits_2(self, tmp_path, capsys, scale):
+        # at 1e-150 the period's dt_global was 1.645e-149, not 2.2278e-149
+        doc = {"patches": [{"mass": 0.0, "r_min": 0.0, "r_max": scale},
+                           {"mass": 0.3 * scale, "r_min": scale, "r_max": None}], "r_i": 1.2 * scale}
+        cfg = write(tmp_path, "tiny.json", doc)
+        assert main(["period", "--config", cfg]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ERROR: apoapsis r_apo={1.2 * scale!r} is too small: r_apo**3 underflows\n"
+
+    def test_search_release_exits_1(self, tmp_path, capsys):
+        # the scaled reference search exited 3 with a spurious attainable interval
+        lengths = ("m", "M", "R2", "r_i", "R1_min", "R1_max", "tol")
+        doc = json.loads((CONFIGS / "reference_search.json").read_text())
+        cfg = write(tmp_path, "tiny.json", {k: v * 1e-150 if k in lengths else v for k, v in doc.items()})
+        assert main(["search", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("INPUT ERROR: search config: no release cycloid for M=3e-150 "
+                                       "and r_i=1.2e-149: apoapsis r_apo=1.2e-149 is too small")
+
+
+def without(doc, *path):
+    """A deep copy of doc with the key at the end of path removed."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    inner = doc
+    for step in parents:
+        inner = inner[step]
+    del inner[key]
+    return doc
+
+
+class TestMissingKey:
+    """A missing key is an input error naming the key and the config file; it
+    used to print the bare KeyError, say `INPUT ERROR: 'r_a'`."""
+
+    @pytest.mark.parametrize("command, doc, key", [
+        ("validate", without(ONE_SHELL, "patches", 1, "mass"), "mass"),
+        ("stress", without(ONE_SHELL, "patches", 0, "r_min"), "r_min"),
+        ("period", without(ONE_SHELL, "r_i"), "r_i"),
+        ("search", without(SEARCH, "M"), "M"),
+        ("trace", without(SEARCH, "q"), "q"),
+        ("lightray", json.loads((CONFIGS / "reference_search.json").read_text()), "r_a"),
+        ("switch", without(PAULI, "psi"), "psi"),
+    ])
+    def test_names_key_and_file(self, tmp_path, capsys, command, doc, key):
+        cfg = write(tmp_path, "config.json", doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"INPUT ERROR: missing key {key!r} in {cfg}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestSwitch:
     def test_pauli_probabilities(self, tmp_path, capsys):
         cfg = write(tmp_path, "sw.json", PAULI)
