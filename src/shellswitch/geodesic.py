@@ -340,7 +340,15 @@ def trajectory(
     solve, where the linear guess across the leg took 3.47.  So a row's last
     bits can depend on the call's other samples; the same arguments give the
     same rows, and equal offsets in one call share their bits.
+
+    The sample times, their reduction and the rows' assembly are numpy array
+    operations, each a basic IEEE operation (numpy's divmod is CPython's
+    fmod-based one), so rows keep the bits of per-sample Python arithmetic on
+    every SIMD level; the solves stay in math.  numpy is imported here, not
+    at module scope, so that only sampling pays its import.
     """
+    import numpy as np
+
     if sample_count <= 0:
         raise GeodesicError("sample_count must be positive")
     # NaN and inf t_global_max, and a finite one whose t_global_max * i
@@ -352,26 +360,24 @@ def trajectory(
     dt_period, dtau_period, legs = oscillation_period(spacetime, r_i)
     t_quarter, t_half, tau_half = dt_period / 4.0, dt_period / 2.0, dtau_period / 2.0
 
-    rows, solved = [], {}  # rows hold (t, n_half, inbound, offset) until solved
-    for i in range(sample_count):
-        t = t_global_max * i / (sample_count - 1) if sample_count > 1 else 0.0
-        n_half, rem = divmod(t, t_half)
-        inbound = rem <= t_quarter
-        offset = rem if inbound else t_half - rem
-        solved[offset] = None
-        rows.append((t, n_half, inbound, offset))
+    t = (t_global_max * np.arange(sample_count, dtype=float) / (sample_count - 1)
+         if sample_count > 1 else np.zeros(1))
+    n_half, rem = np.divmod(t, t_half)
+    inbound = rem <= t_quarter
+    offsets, solve_of = np.unique(np.where(inbound, rem, t_half - rem), return_inverse=True)
+    r_solved, tau_solved = [], []  # of each distinct offset, ascending
     k, t0, seed, origin = 0, 0.0, None, _leg_origin(legs[0])
-    for offset in sorted(solved):
+    for offset in offsets.tolist():
         # the leg holding offset: the first that ends at or after it, else the last
         while offset > t0 + legs[k].dt_global and k < len(legs) - 1:
             t0 += legs[k].dt_global
             k, seed, origin = k + 1, None, _leg_origin(legs[k + 1])
         r, dtau, seed = _invert_leg(legs[k], origin, offset - t0, seed)
-        solved[offset] = r, legs[k].tau + dtau
-    for i, (t, n_half, inbound, offset) in enumerate(rows):
-        r, tau_q = solved[offset]
-        rows[i] = t, r, n_half * tau_half + tau_q if inbound else (n_half + 1.0) * tau_half - tau_q
-    return rows
+        r_solved.append(r)
+        tau_solved.append(legs[k].tau + dtau)
+    r, tau_q = np.array(r_solved)[solve_of], np.array(tau_solved)[solve_of]
+    tau = np.where(inbound, n_half * tau_half + tau_q, (n_half + 1.0) * tau_half - tau_q)
+    return list(zip(t.tolist(), r.tolist(), tau.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 from pathlib import Path
@@ -414,6 +415,19 @@ class TestTrajectory:
         # each would put NaN in the rows: NaN and inf, and a t_max whose t_max * i overflows
         with pytest.raises(GeodesicError, match="sample times must be finite"):
             trajectory(m2_reference(), 12.0, t_max, sample_count)
+
+    def test_numpy_not_imported_at_module_scope(self):
+        """trajectory imports numpy itself: importing geodesic, as period,
+        search and validate do, must not."""
+        tree = ast.parse(Path(geodesic.__file__).read_text())
+        modules = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                modules.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module.split(".")[0])
+        assert "math" in modules
+        assert "numpy" not in modules
 
     def test_coordinate_time_calls_per_offset(self, monkeypatch):
         """Work pin: each Schwarzschild solve starts from the previous root in

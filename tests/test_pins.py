@@ -23,7 +23,7 @@ from shellswitch import (
     trajectory,
 )
 from shellswitch import geodesic
-from shellswitch.geodesic import proper_time
+from shellswitch.geodesic import _invert_leg, _leg_origin, proper_time
 from shellswitch.search import one_shell_spacetime, two_shell_spacetime
 
 from conftest import REFERENCE
@@ -319,3 +319,54 @@ def test_equal_offsets_share_bits(grids):
         assert [tuple(x.hex() for x in row) for row in again] == [
             tuple(x.hex() for x in row) for row in rows
         ]
+
+
+def two_loop_trajectory(spacetime, r_i, t_global_max, sample_count):
+    """trajectory's rows as two per-sample Python loops formed them before
+    the reduction and the assembly moved onto numpy arrays: the reference
+    the array operations must match to the last bit."""
+    dt_period, dtau_period, legs = oscillation_period(spacetime, r_i)
+    t_quarter, t_half, tau_half = dt_period / 4.0, dt_period / 2.0, dtau_period / 2.0
+    rows, solved = [], {}  # rows hold (t, n_half, inbound, offset) until solved
+    for i in range(sample_count):
+        t = t_global_max * i / (sample_count - 1) if sample_count > 1 else 0.0
+        n_half, rem = divmod(t, t_half)
+        inbound = rem <= t_quarter
+        offset = rem if inbound else t_half - rem
+        solved[offset] = None
+        rows.append((t, n_half, inbound, offset))
+    k, t0, seed, origin = 0, 0.0, None, _leg_origin(legs[0])
+    for offset in sorted(solved):
+        while offset > t0 + legs[k].dt_global and k < len(legs) - 1:
+            t0 += legs[k].dt_global
+            k, seed, origin = k + 1, None, _leg_origin(legs[k + 1])
+        r, dtau, seed = _invert_leg(legs[k], origin, offset - t0, seed)
+        solved[offset] = r, legs[k].tau + dtau
+    for i, (t, n_half, inbound, offset) in enumerate(rows):
+        r, tau_q = solved[offset]
+        rows[i] = t, r, n_half * tau_half + tau_q if inbound else (n_half + 1.0) * tau_half - tau_q
+    return rows
+
+
+# the reference two-shell branch of PERIODS and its pinned period
+REFERENCE_STACK = stack(*PERIODS[1][:2]), PERIODS[1][2]
+REFERENCE_PERIOD = float.fromhex(PERIODS[1][3][0])
+
+
+@given(sample_grids())
+@example((*REFERENCE_STACK, 100.0, 1))  # one sample, at t = 0
+@example((*REFERENCE_STACK, 0.0, 5))  # t_max = 0: every offset is 0.0
+@example((*REFERENCE_STACK, -2.5 * REFERENCE_PERIOD, 64))  # a negative t_max
+# t_max = -0.0: every sample time and n_half is -0.0, and the offset +0.0
+@example((*REFERENCE_STACK, -0.0, 3))
+# a negative t_max aligned to the half period: the offset 0.0 comes from
+# t = -0.0 and from whole half periods, mirrored offsets repeat
+@example((*REFERENCE_STACK, -2.0 * REFERENCE_PERIOD, 9))
+@settings(max_examples=100, deadline=None)
+def test_rows_match_two_loop_reference(grid):
+    """The array reduction and assembly give the two loops' rows bit for bit."""
+    rows = trajectory(*grid)
+    assert all(type(x) is float for row in rows for x in row)
+    assert [tuple(x.hex() for x in row) for row in rows] == [
+        tuple(x.hex() for x in row) for row in two_loop_trajectory(*grid)
+    ]
