@@ -237,8 +237,8 @@ def cmd_switch(args) -> int:
     B = sw.OperatorSpec.from_json(required(doc, "B"), name="B")
     psi = [amplitude(z, f"psi[{i}]") for i, z in enumerate(required(doc, "psi"))]
     if "C" in doc and "D" in doc:
-        C = sw.OperatorSpec.from_json(required(doc, "C"), name="C")
-        D = sw.OperatorSpec.from_json(required(doc, "D"), name="D")
+        C = sw.OperatorSpec.from_json(doc["C"], name="C")
+        D = sw.OperatorSpec.from_json(doc["D"], name="D")
         slots = sw.broken_switch_slots(C, D, B)
         orders = {"M1": ["B", "C"], "M2": ["D", "B"]}
     else:

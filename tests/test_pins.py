@@ -354,7 +354,7 @@ REFERENCE_PERIOD = float.fromhex(PERIODS[1][3][0])
 
 
 @given(sample_grids())
-@example((*REFERENCE_STACK, 100.0, 1))  # one sample, at t = 0
+@example((*REFERENCE_STACK, -100.0, 1))  # one sample, at t = +0.0 for any t_max
 @example((*REFERENCE_STACK, 0.0, 5))  # t_max = 0: every offset is 0.0
 @example((*REFERENCE_STACK, -2.5 * REFERENCE_PERIOD, 64))  # a negative t_max
 # t_max = -0.0: every sample time and n_half is -0.0, and the offset +0.0
