@@ -4,11 +4,11 @@ text, and each written file by SHA-256."""
 
 import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
-from test_cli import ROOT
-
+ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("golden", ROOT / "scripts" / "golden.py")
 golden = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(golden)
