@@ -39,6 +39,7 @@ from .geodesic import (
     coordinate_time,
     eta_of_radius,
     proper_time,
+    radius,
     tangent,
 )
 from .spacetime import (
@@ -509,29 +510,26 @@ def _validate_solution(sol: SwitchSolution) -> None:
 def find_meeting_radius(solution: SwitchSolution, config: SearchConfig) -> MeetingEvent:
     """Radius where the two branch geodesics cross at equal proper time.
 
-    On the first far-side excursion the one-shell branch is past its turning
-    point (inbound) and the two-shell branch is still outbound; in the shared
-    exterior both are time-shifted copies of the same rest-release cycloid, so
-    the crossing condition reduces to a bracketed root in r on (R1, r_i).
+    On the first far-side excursion the one-shell branch is inbound and the
+    two-shell branch still outbound, both on the shared exterior's rest-release
+    cycloid (config.release), where tau = tau_scale (eta + sin eta).  Equal
+    proper time is then eta + sin eta = x, x = (dtau2 - dtau1) / (4 tau_scale),
+    in eta between the images of r_i (1 - 1e-12) and R1 (1 + 1e-12); the left
+    side rises in eta, so a crossing needs x strictly between its end values
+    (else NoMeetingError).  brentq stops at 8.9e-16 relative in eta, which is
+    dimensionless and at least ~2e-6 here, so the tiny xtol never governs.
     """
-    half_tau_1, half_tau_2 = solution.dtau1 / 2.0, solution.dtau2 / 2.0
-    half_t_1, half_t_2 = solution.dt1 / 2.0, solution.dt2 / 2.0
-
-    def tau_gap(r: float) -> float:
-        tau_e = _exterior_leg(config, r)[1]
-        return (half_tau_1 + tau_e) - (half_tau_2 - tau_e)
-
-    r_lo = solution.R1 * (1.0 + 1e-12)
-    r_hi = config.r_i * (1.0 - 1e-12)
-    g_lo, g_hi = tau_gap(r_lo), tau_gap(r_hi)
-    if g_lo * g_hi >= 0.0:
-        raise NoMeetingError(
-            "proper-time curves do not cross transversally on (R1, r_i)"
-        )
-    r_t = brentq(tau_gap, r_lo, r_hi, xtol=1e-12, rtol=8.9e-16)
+    params = config.release[0]
+    x = (solution.dtau2 - solution.dtau1) / (4.0 * params.tau_scale)
+    lo = eta_of_radius(params, config.r_i * (1.0 - 1e-12))
+    hi = eta_of_radius(params, solution.R1 * (1.0 + 1e-12))
+    if not lo + math.sin(lo) < x < hi + math.sin(hi):
+        raise NoMeetingError("proper-time curves do not cross transversally on (R1, r_i)")
+    eta = brentq(lambda eta: eta + math.sin(eta) - x, lo, hi, xtol=1e-300, rtol=8.9e-16)
+    r_t = radius(params, eta)
     t_e, tau_e = _exterior_leg(config, r_t)[:2]
-    t_A1 = half_t_1 + t_e
-    t_A2 = half_t_2 - t_e
+    t_A1 = solution.dt1 / 2.0 + t_e
+    t_A2 = solution.dt2 / 2.0 - t_e
     if not t_A1 < t_A2:
         raise NoMeetingError(f"crossing found but t_A1={t_A1} >= t_A2={t_A2}")
-    return MeetingEvent(r_t=r_t, tau_A=half_tau_1 + tau_e, t_A1=t_A1, t_A2=t_A2)
+    return MeetingEvent(r_t=r_t, tau_A=solution.dtau1 / 2.0 + tau_e, t_A1=t_A1, t_A2=t_A2)

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 from collections import Counter
 from functools import cached_property
@@ -20,13 +22,14 @@ from shellswitch.errors import (
     GeodesicError,
     GeometryError,
     MultipleCrossingsError,
+    NoMeetingError,
     NoSolutionAtRadius,
     SearchError,
     UnattainableRatioError,
 )
 import shellswitch.geodesic
 import shellswitch.spacetime
-from shellswitch.geodesic import oscillation_period
+from shellswitch.geodesic import oscillation_period, trajectory
 from shellswitch.search import (
     F_MARGIN,
     F_UPPER,
@@ -798,6 +801,55 @@ class TestMeeting:
         again = find_meeting_radius(ref_solution, ref_config)
         assert again.r_t == ref_meeting.r_t
         assert again.t_A1 == ref_meeting.t_A1
+
+    def test_equal_periods_never_meet(self, ref_solution, ref_config):
+        # x = 0 lies below the interval: gamma1 is ahead at every far-side radius
+        same = dataclasses.replace(ref_solution, dtau2=ref_solution.dtau1)
+        with pytest.raises(NoMeetingError):
+            find_meeting_radius(same, ref_config)
+
+    def test_gap_beyond_the_far_apoapsis_never_meets(self, ref_solution, ref_config):
+        # x = pi is eta + sin(eta) at the far apoapsis, above the interval's
+        # top at R1: gamma2 lags at every far-side radius
+        tau_scale = ref_config.release[0].tau_scale
+        late = dataclasses.replace(ref_solution,
+                                   dtau2=ref_solution.dtau1 + 4.0 * math.pi * tau_scale)
+        with pytest.raises(NoMeetingError):
+            find_meeting_radius(late, ref_config)
+
+
+@functools.cache
+def scaled_run(k: int) -> tuple[list[float], list[float]]:
+    """The grid-24 reference at 9/10 with every length and root_tol scaled by
+    2^k: (its length and time outputs -- R1, R, the four periods, the
+    meeting's r_t, tau_A, t_A1 and t_A2, and the rows of both branches'
+    33-sample trajectories over q * dt1 -- and its dimensionless outputs)."""
+    doc = dict(REFERENCE, grid=24, root_tol=math.ldexp(1e-10, k))
+    for key in ("m", "M", "R2", "r_i", "R1_min", "R1_max"):
+        doc[key] = math.ldexp(doc[key], k)
+    config = SearchConfig(**doc)
+    sol = solve_switch_configuration(config)
+    meeting = find_meeting_radius(sol, config)
+    branches = (one_shell_spacetime(config, sol.R), two_shell_spacetime(config, sol.R1))
+    rows = [v for st in branches
+            for row in trajectory(st, config.r_i, config.q * sol.dt1, 33) for v in row]
+    lengths = [sol.R1, sol.R, sol.dt1, sol.dtau1, sol.dt2, sol.dtau2,
+               meeting.r_t, meeting.tau_A, meeting.t_A1, meeting.t_A2, *rows]
+    return lengths, [sol.f, sol.achieved_ratio, sol.clock_residual, sol.ratio_residual]
+
+
+@given(st.integers(-300, 300))
+@example(-40)
+@settings(max_examples=100, deadline=None)
+def test_search_is_scale_covariant(k):
+    """G = c = 1 leaves one length scale, and scaling by 2^k is exact, so
+    every length and time output scales by exactly 2^k and every
+    dimensionless one stays: no absolute constant hides in the pipeline.
+    An xtol of 1e-12 in r would put r_t 0.52% off at k = -40."""
+    lengths, ratios = scaled_run(k)
+    unscaled_lengths, unscaled_ratios = scaled_run(0)
+    assert lengths == [math.ldexp(v, k) for v in unscaled_lengths]
+    assert ratios == unscaled_ratios
 
 
 class TestDeterminism:
