@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GeometryError, HorizonViolation
-from .fields import real
+from .fields import real, required
 
 DEFAULT_HORIZON_MARGIN = 1e-9
 
@@ -197,17 +197,13 @@ def shell_stress(spacetime: ShellSpacetime, shell_index: int) -> SurfaceStress:
 
 def patches_from_config(doc: dict) -> list[PatchSpec]:
     """Parse the {"patches": [{"mass", "r_min", "r_max"}]} document."""
-    try:
-        raw = doc["patches"]
-    except (KeyError, TypeError):
-        raise GeometryError("config must contain a 'patches' list")
     return [
         PatchSpec(
             mass=real(entry, "mass"),
             r_min=real(entry, "r_min"),
             r_max=None if entry.get("r_max") is None else real(entry, "r_max"),
         )
-        for entry in raw
+        for entry in required(doc, "patches")
     ]
 
 

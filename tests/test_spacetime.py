@@ -11,7 +11,7 @@ from shellswitch import (
     induced_metric_gap,
     shell_stress,
 )
-from shellswitch.errors import GeometryError, HorizonViolation
+from shellswitch.errors import GeometryError, HorizonViolation, MissingKeyError
 from shellswitch.spacetime import metric_factor, patches_from_config, stress_report
 
 
@@ -258,7 +258,7 @@ class TestConfig:
         assert st_.shells == (4.0, 10.072)
 
     def test_missing_patches_key(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(MissingKeyError, match="'patches'"):
             patches_from_config({"nope": []})
 
     def test_stress_report_keys(self):
