@@ -1,8 +1,7 @@
 import dataclasses
-import functools
 import math
 from collections import Counter
-from functools import cached_property
+from functools import cache, cached_property
 
 import mpmath as mp
 import pytest
@@ -818,7 +817,7 @@ class TestMeeting:
             find_meeting_radius(late, ref_config)
 
 
-@functools.cache
+@cache
 def scaled_run(k: int) -> tuple[list[float], list[float]]:
     """The grid-24 reference at 9/10 with every length and root_tol scaled by
     2^k: (its length and time outputs -- R1, R, the four periods, the
