@@ -224,6 +224,11 @@ def cmd_lightray(args) -> int:
         result["dt_global"] = fn(st, r_a, r_b)
     else:
         # branch delays for a solved two-branch configuration
+        if args.horizon_margin != DEFAULT_HORIZON_MARGIN:
+            raise InputError(
+                f"--horizon-margin {args.horizon_margin!r} applies only to a config with "
+                f"patches; the search holds its shells to {DEFAULT_HORIZON_MARGIN}"
+            )
         config = _search_config(doc)
         solution = solve_switch_configuration(config)
         result["dt_branch1"] = fn(one_shell_spacetime(config, solution.R), r_a, r_b)
@@ -239,19 +244,17 @@ def cmd_switch(args) -> int:
     if "C" in doc and "D" in doc:
         C = sw.OperatorSpec.from_json(doc["C"], name="C")
         D = sw.OperatorSpec.from_json(doc["D"], name="D")
-        slots = sw.broken_switch_slots(C, D, B)
-        orders = {"M1": ["B", "C"], "M2": ["D", "B"]}
+        branches, orders = sw.broken_switch_slots(C, D, B), sw.BROKEN_ORDERS
     else:
-        slots = sw.switch_slots(sw.OperatorSpec.from_json(required(doc, "A"), name="A"), B)
-        o1, o2 = sw.SWITCH_ORDERS
-        orders = {"M1": list(o1), "M2": list(o2)}
-    joint = sw.run_general_protocol(slots, psi)
+        A = sw.OperatorSpec.from_json(required(doc, "A"), name="A")
+        branches, orders = sw.switch_slots(A, B), sw.SWITCH_ORDERS
+    joint = sw.run_general_protocol(branches, psi)
     plus = sw.measure_control_diagonal(joint, +1)
     minus = sw.measure_control_diagonal(joint, -1)
     _dump_json(
         {
             "joint_state": [[z.real, z.imag] for z in joint.amplitudes],
-            "branch_orders": orders,
+            "branch_orders": {"M1": orders[0], "M2": orders[1]},
             "measurement": {
                 "plus": {"probability": plus.probability,
                          "target": [[z.real, z.imag] for z in plus.target]},

@@ -345,7 +345,8 @@ def trajectory(
     operations, each a basic IEEE operation (numpy's divmod is CPython's
     fmod-based one), so rows keep the bits of per-sample Python arithmetic on
     every SIMD level; the solves stay in math.  numpy is imported here, not
-    at module scope, so that only sampling pays its import.
+    at module scope, so geodesic's own imports hold no numpy; importing the
+    module still loads numpy, through the package __init__ (switch).
     """
     import numpy as np
 

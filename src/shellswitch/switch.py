@@ -26,6 +26,9 @@ UNITARITY_TOL = 1e-12
 # operator labels in application order for (branch M1, branch M2); the
 # schedule's ordering t_A1 < t_B < t_A2 fixes them
 SWITCH_ORDERS = (("A", "B"), ("B", "A"))
+# the broken switch: an A-operation C or D chosen by a branch-distinguishing
+# reading, after B in M1 and before it in M2
+BROKEN_ORDERS = (("B", "C"), ("D", "B"))
 
 
 @dataclass(frozen=True)
@@ -49,36 +52,27 @@ class EventSchedule:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Dense complex operator with an optional unitarity requirement."""
+    """Dense complex unitary operator."""
 
     matrix: np.ndarray
-    unitary: bool = True
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"operator must be square, got {m.shape}")
         object.__setattr__(self, "matrix", m)
-        if self.unitary:
-            defect = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-            if defect > UNITARITY_TOL:
-                raise DimensionMismatchError(
-                    f"operator flagged unitary has defect {defect:.3e}"
-                )
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
+        defect = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
+        if defect > UNITARITY_TOL:
+            raise DimensionMismatchError(
+                f"operator flagged unitary has defect {defect:.3e}"
+            )
 
     @classmethod
-    def from_json(cls, entries: list, unitary: bool = True, name: str = "operator") -> "OperatorSpec":
+    def from_json(cls, entries: list, name: str = "operator") -> "OperatorSpec":
         """Entries as nested [[ [re, im], ... ], ...] of finite numbers."""
         m = np.array([[amplitude(z, f"{name}[{i}][{j}]") for j, z in enumerate(row)]
                       for i, row in enumerate(entries)])
-        return cls(matrix=m, unitary=unitary)
-
-    def to_json(self) -> list:
-        return [[[z.real, z.imag] for z in row] for row in self.matrix]
+        return cls(matrix=m)
 
 
 @dataclass(frozen=True)
@@ -93,46 +87,24 @@ class JointState:
             raise DimensionMismatchError(f"joint vector length {v.size} is not 2*d")
         object.__setattr__(self, "amplitudes", v)
 
-    @property
-    def target_dim(self) -> int:
-        return self.amplitudes.size // 2
-
     def branch(self, index: int) -> np.ndarray:
-        d = self.target_dim
+        d = self.amplitudes.size // 2
         return self.amplitudes[index * d:(index + 1) * d]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True)
 class MeasurementResult:
     target: np.ndarray
     probability: float
-    zero_probability: bool = False
 
 
-def schedule(
-    solution: SwitchSolution,
-    meeting: MeetingEvent,
-    t_B: float | None = None,
-) -> EventSchedule:
-    """Assemble the event schedule; default policy puts t_B at the midpoint."""
-    if t_B is None:
-        t_B = 0.5 * (meeting.t_A1 + meeting.t_A2)
+def schedule(solution: SwitchSolution, meeting: MeetingEvent) -> EventSchedule:
+    """Assemble the event schedule, with t_B midway between t_A1 and t_A2."""
+    t_B = 0.5 * (meeting.t_A1 + meeting.t_A2)
     t_f = solution.config.q * solution.dt1
     # a static observer at r_t ages sqrt(1 - 2M/r_t) per unit global time
     tau_B = math.sqrt(metric_factor(solution.config.M, meeting.r_t)) * t_B
-    return EventSchedule(
-        tau_A=meeting.tau_A,
-        t_A1=meeting.t_A1,
-        t_A2=meeting.t_A2,
-        t_B=t_B,
-        t_f=t_f,
-        tau_B=tau_B,
-        r_t=meeting.r_t,
-    )
+    return EventSchedule(meeting.tau_A, meeting.t_A1, meeting.t_A2, t_B, t_f, tau_B, meeting.r_t)
 
 
 def run_switch(
@@ -141,7 +113,7 @@ def run_switch(
     """Evolve (|M1> + |M2>)/sqrt(2) x psi through the scheduled operations.
 
     sched is not read: building it checked t_A1 < t_B < t_A2, the ordering
-    whose layers switch_slots applies.
+    that SWITCH_ORDERS records.
     """
     return run_general_protocol(switch_slots(A, B), psi)
 
@@ -157,58 +129,48 @@ def measure_control_diagonal(joint: JointState, sign: int) -> MeasurementResult:
     # pair of outcome probabilities sums to one exactly
     prob = raw / (raw + float(np.vdot(other, other).real))
     if prob < 1e-30:
-        return MeasurementResult(
-            target=np.zeros_like(amp), probability=0.0, zero_probability=True
-        )
+        return MeasurementResult(target=np.zeros_like(amp), probability=0.0)
     return MeasurementResult(target=amp / math.sqrt(prob), probability=prob)
 
 
-@dataclass(frozen=True)
-class ControlledSlot:
-    """One layer of the protocol circuit: the operator applied in each branch."""
+def run_general_protocol(branches, psi) -> JointState:
+    """Apply each branch's operators to psi in their listed order.
 
-    on_m1: np.ndarray
-    on_m2: np.ndarray
-
-
-def run_general_protocol(slots: list[ControlledSlot], psi) -> JointState:
-    """Apply branch-controlled layers in time order.
-
-    With layers [(1, D), (B, B), (C, 1)] this realizes the broken-switch
-    pattern (C B psi x |M1> + B D psi x |M2>)/sqrt(2); with C = D = A it
-    gives the plain switch output with the branch labels swapped,
-    (A B psi x |M1> + B A psi x |M2>)/sqrt(2).
+    branches holds one sequence of matrices per control state, (M1, M2).
+    With BROKEN_ORDERS, ((B, C), (D, B)), this realizes the broken-switch
+    state (C B psi x |M1> + B D psi x |M2>)/sqrt(2); with SWITCH_ORDERS,
+    ((A, B), (B, A)), the plain switch (B A psi x |M1> + A B psi x |M2>)/sqrt(2).
     """
-    if not slots:
-        raise DimensionMismatchError("at least one slot is required")
-    d = np.asarray(slots[0].on_m1).shape[0]
+    branches = [[np.asarray(m, dtype=complex) for m in ops] for ops in branches]
+    mats = [m for ops in branches for m in ops]
+    if len(branches) != 2 or not mats:
+        raise DimensionMismatchError("one operator sequence per branch is required")
+    d = mats[0].shape[0]
     psi = _as_state(psi, d)
-    psi_1, psi_2 = psi.copy(), psi.copy()
-    for slot in slots:
-        m1 = np.asarray(slot.on_m1, dtype=complex)
-        m2 = np.asarray(slot.on_m2, dtype=complex)
-        if m1.shape != (d, d) or m2.shape != (d, d):
-            raise DimensionMismatchError("slot operator dimensions inconsistent")
-        psi_1 = m1 @ psi_1
-        psi_2 = m2 @ psi_2
-    return JointState(np.concatenate([psi_1, psi_2]) / math.sqrt(2.0))
+    if any(m.shape != (d, d) for m in mats):
+        raise DimensionMismatchError("slot operator dimensions inconsistent")
+    outs = []
+    for ops in branches:
+        v = psi
+        for m in ops:
+            v = m @ v
+        outs.append(v)
+    return JointState(np.concatenate(outs) / math.sqrt(2.0))
 
 
-def switch_slots(A: OperatorSpec, B: OperatorSpec) -> list[ControlledSlot]:
-    """Layers of the plain switch: A then B in branch M1, B then A in M2."""
-    ops = {"A": A.matrix, "B": B.matrix}
-    return [ControlledSlot(ops[a], ops[b]) for a, b in zip(*SWITCH_ORDERS)]
+def _branches(orders, **ops: OperatorSpec) -> tuple:
+    """Each branch's matrices, in the application order that orders lists."""
+    return tuple(tuple(ops[label].matrix for label in order) for order in orders)
 
 
-def broken_switch_slots(C: OperatorSpec, D: OperatorSpec, B: OperatorSpec) -> list[ControlledSlot]:
-    """Layers for an A-operation that depends on a branch-distinguishing reading."""
-    d = B.dimension
-    eye = np.eye(d, dtype=complex)
-    return [
-        ControlledSlot(eye, D.matrix),
-        ControlledSlot(B.matrix, B.matrix),
-        ControlledSlot(C.matrix, eye),
-    ]
+def switch_slots(A: OperatorSpec, B: OperatorSpec) -> tuple:
+    """The plain switch's branches: A then B in M1, B then A in M2."""
+    return _branches(SWITCH_ORDERS, A=A, B=B)
+
+
+def broken_switch_slots(C: OperatorSpec, D: OperatorSpec, B: OperatorSpec) -> tuple:
+    """The broken switch's branches: B then C in M1, D then B in M2."""
+    return _branches(BROKEN_ORDERS, B=B, C=C, D=D)
 
 
 def _as_state(psi, d: int) -> np.ndarray:

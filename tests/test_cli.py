@@ -406,6 +406,18 @@ class TestLightray:
         assert captured.err == f"INPUT ERROR: {field} must be >= 0, got -5.0\n"
         assert solves == []
 
+    def test_branch_mode_rejects_horizon_margin(self, monkeypatch, capsys):
+        # the solved shells are built by the search, which does not read the
+        # flag: parsed and then ignored, the margin would exit 0 unchecked
+        solves = []
+        monkeypatch.setattr(shellswitch.cli, "solve_switch_configuration", solves.append)
+        cfg = str(CONFIGS / "lightray_branches.json")
+        assert main(["lightray", "--config", cfg, "--horizon-margin", "0.9"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("INPUT ERROR: --horizon-margin 0.9 applies only")
+        assert solves == []
+
     def test_branch_mode_bad_config_exits_1(self, tmp_path, capsys):
         cfg = write(tmp_path, "ray.json", dict(SEARCH, q=0, r_a=12.0, r_b=12.0))
         assert main(["lightray", "--config", cfg]) == EXIT_INPUT
@@ -518,6 +530,26 @@ class TestSwitch:
         assert main(["switch", "--config", cfg]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["branch_orders"] == {"M1": ["B", "C"], "M2": ["D", "B"]}
+
+    @pytest.mark.parametrize("config", ["pauli_switch.json", "broken_switch.json"])
+    def test_joint_state_follows_printed_orders(self, config, capsys):
+        # each branch applies its operators in the order branch_orders names
+        doc = json.loads((CONFIGS / config).read_text())
+        assert main(["switch", "--config", str(CONFIGS / config)]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+
+        def vector(entries):
+            return np.array([complex(re, im) for re, im in entries])
+
+        psi = vector(doc["psi"])
+        want = []
+        for branch in ("M1", "M2"):
+            v = psi
+            for label in out["branch_orders"][branch]:
+                v = np.array([vector(row) for row in doc[label]]) @ v
+            want.append(v)
+        want = np.concatenate(want) / math.sqrt(2.0)
+        assert np.allclose(vector(out["joint_state"]), want, rtol=0.0, atol=1e-15)
 
     def test_broken_switch_needs_no_A(self, tmp_path, capsys):
         doc = json.loads((CONFIGS / "broken_switch.json").read_text())

@@ -417,8 +417,9 @@ class TestTrajectory:
             trajectory(m2_reference(), 12.0, t_max, sample_count)
 
     def test_numpy_not_imported_at_module_scope(self):
-        """trajectory imports numpy itself: importing geodesic, as period,
-        search and validate do, must not."""
+        """trajectory imports numpy itself; geodesic's module scope does not.
+        (The package __init__ imports switch and search, so importing
+        shellswitch.geodesic still loads numpy and scipy.optimize.)"""
         tree = ast.parse(Path(geodesic.__file__).read_text())
         modules = set()
         for node in tree.body:

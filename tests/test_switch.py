@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shellswitch import (
     EventSchedule,
@@ -13,7 +15,12 @@ from shellswitch import (
     schedule,
 )
 from shellswitch.errors import DimensionMismatchError, ScheduleError
-from shellswitch.switch import SWITCH_ORDERS, ControlledSlot, broken_switch_slots
+from shellswitch.switch import (
+    BROKEN_ORDERS,
+    SWITCH_ORDERS,
+    broken_switch_slots,
+    switch_slots,
+)
 
 from oracles import random_state, random_unitary
 
@@ -49,6 +56,7 @@ class TestSchedule:
 
     def test_branch_orders(self):
         assert SWITCH_ORDERS == (("A", "B"), ("B", "A"))
+        assert BROKEN_ORDERS == (("B", "C"), ("D", "B"))
 
     def test_misordered_schedule_rejected(self):
         with pytest.raises(ScheduleError):
@@ -56,10 +64,6 @@ class TestSchedule:
                 tau_A=0.0, t_A1=2.0, t_A2=0.5, t_B=1.0, t_f=3.0,
                 tau_B=0.8, r_t=10.0,
             )
-
-    def test_explicit_t_B_outside_window(self, ref_solution, ref_meeting):
-        with pytest.raises(ScheduleError):
-            schedule(ref_solution, ref_meeting, t_B=ref_meeting.t_A2 + 1.0)
 
 
 class TestOperatorSpec:
@@ -70,14 +74,6 @@ class TestOperatorSpec:
     def test_non_unitary_rejected(self):
         with pytest.raises(DimensionMismatchError):
             OperatorSpec(np.array([[1.0, 0.0], [0.0, 2.0]]))
-
-    def test_non_unitary_allowed_when_flagged(self):
-        spec = OperatorSpec(np.array([[1.0, 0.0], [0.0, 2.0]]), unitary=False)
-        assert spec.dimension == 2
-
-    def test_json_round_trip(self):
-        again = OperatorSpec.from_json(Y.to_json())
-        assert np.array_equal(again.matrix, Y.matrix)
 
 
 class TestJointState:
@@ -97,14 +93,14 @@ class TestSwitch:
         joint = run_switch(X, Z, KET0, STUB)
         want = np.array([0.0, -1.0, 0.0, 1.0]) / math.sqrt(2.0)
         assert np.allclose(joint.amplitudes, want, atol=1e-15)
-        assert joint.norm == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(joint.amplitudes) == pytest.approx(1.0, abs=1e-15)
 
     def test_pauli_measurement_is_deterministic(self):
         joint = run_switch(X, Z, KET0, STUB)
         plus = measure_control_diagonal(joint, +1)
         minus = measure_control_diagonal(joint, -1)
         assert plus.probability == 0.0
-        assert plus.zero_probability
+        assert np.array_equal(plus.target, [0.0, 0.0])
         assert minus.probability == pytest.approx(1.0, abs=1e-15)
         assert np.allclose(minus.target, [0.0, -1.0], atol=1e-15)
 
@@ -220,6 +216,35 @@ class TestGeneralProtocol:
             run_general_protocol([], KET0)
 
     def test_inconsistent_slot_dimensions(self):
-        bad = [ControlledSlot(np.eye(2, dtype=complex), np.eye(3, dtype=complex))]
+        bad = ((np.eye(2, dtype=complex),), (np.eye(3, dtype=complex),))
         with pytest.raises(DimensionMismatchError):
             run_general_protocol(bad, KET0)
+
+
+def layered(layers, psi):
+    """The layered evaluation the order tables replaced: one (M1, M2) pair of
+    matrices per time layer, the identity where a branch idles."""
+    psi_1, psi_2 = psi.copy(), psi.copy()
+    for on_m1, on_m2 in layers:
+        psi_1 = on_m1 @ psi_1
+        psi_2 = on_m2 @ psi_2
+    return np.concatenate([psi_1, psi_2]) / math.sqrt(2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4))
+def test_order_tables_match_layered_evaluation(seed, d):
+    # dropping an identity product can flip only the sign of a zero, which
+    # elementwise == does not see
+    rng = np.random.default_rng(seed)
+    A, B, C, D = (OperatorSpec(random_unitary(rng, d)) for _ in range(4))
+    psi = random_state(rng, d)
+    eye = np.eye(d, dtype=complex)
+    cases = [
+        (switch_slots(A, B), [(A.matrix, B.matrix), (B.matrix, A.matrix)]),
+        (broken_switch_slots(C, D, B),
+         [(eye, D.matrix), (B.matrix, B.matrix), (C.matrix, eye)]),
+    ]
+    for branches, layers in cases:
+        joint = run_general_protocol(branches, psi)
+        assert (joint.amplitudes == layered(layers, psi)).all()
