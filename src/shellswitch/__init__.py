@@ -11,7 +11,6 @@ from .spacetime import (
 )
 from .geodesic import (
     CycloidParams,
-    drop_energy,
     null_crossing_time,
     oscillation_period,
     static_exchange,

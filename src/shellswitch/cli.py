@@ -48,12 +48,16 @@ EXIT_INFEASIBLE = 3
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: line {exc.lineno} col {exc.colno}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}")
+    except RecursionError:
+        raise InputError(f"invalid JSON in {path}: nested deeper than the parser's recursion limit")
 
 
 @contextmanager

@@ -22,7 +22,7 @@ class GeometryError(ShellSwitchError, ValueError):
 
 
 class HorizonViolation(GeometryError):
-    """A shell or release radius sits at or inside the relevant horizon."""
+    """A shell or a radius sits at or inside the relevant horizon."""
 
 
 class GeodesicError(ShellSwitchError, ValueError):

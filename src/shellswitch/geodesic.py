@@ -79,10 +79,6 @@ class CycloidParams:
         return 2.0 * math.asin(self.energy)
 
     @classmethod
-    def from_rest(cls, mass: float, r_apo: float) -> "CycloidParams":
-        return cls(mass=mass, r_apo=r_apo, energy=drop_energy(mass, r_apo))
-
-    @classmethod
     def from_state(cls, mass: float, r: float, u_r: float) -> "CycloidParams":
         """Extend a mid-flight state (r, dr/dtau) to its fictitious rest-release
         geodesic in a single metric of this mass."""
@@ -99,15 +95,6 @@ class CycloidParams:
             # 1 - E^2 = 2*mass/r - u_r^2, formed without subtracting near-unity terms
             r_apo = 2.0 * mass / (2.0 * mass / r - u_r * u_r)
         return cls(mass=mass, r_apo=r_apo, energy=math.sqrt(E_sq))
-
-
-def drop_energy(mass: float, r_i: float) -> float:
-    """Conserved energy of a body released from rest at r_i."""
-    if r_i <= 2.0 * mass:
-        raise HorizonViolation(
-            f"release radius r_i={r_i} at or inside the horizon 2*mass={2.0 * mass}"
-        )
-    return math.sqrt(metric_factor(mass, r_i))
 
 
 def eta_of_radius(params: CycloidParams, r: float) -> float:
@@ -170,7 +157,8 @@ def tangent(params: CycloidParams, eta: float, r: float | None = None) -> tuple[
 
 def _schwarzschild_span(mass: float, r: float, u_r: float, r_exit: float):
     """Motion from r (radial velocity u_r) to r_exit in one Schwarzschild patch:
-    (dt_local, dtau, u_r, u_t at r_exit, cycloid, eta_entry, eta_exit).
+    (dt_local, dtau, u_r, u_t at r_exit, cycloid, eta_entry, eta_exit, and the
+    cycloid's (t, tau) at entry).
 
     The motion is a piece of the fictitious rest-release cycloid through the
     entry state; outbound pieces use the time-reflection of the inbound branch,
@@ -183,11 +171,12 @@ def _schwarzschild_span(mass: float, r: float, u_r: float, r_exit: float):
         )
     eta_a = eta_of_radius(params, r)
     eta_b = eta_of_radius(params, r_exit)
-    dt = abs(coordinate_time(params, eta_b, r_exit) - coordinate_time(params, eta_a, r))
-    dtau = abs(proper_time(params, eta_b) - proper_time(params, eta_a))
+    t_a, tau_a = coordinate_time(params, eta_a, r), proper_time(params, eta_a)
+    dt = abs(coordinate_time(params, eta_b, r_exit) - t_a)
+    dtau = abs(proper_time(params, eta_b) - tau_a)
     sign = 1.0 if r_exit > r else (-1.0 if r_exit < r else math.copysign(1.0, u_r))
     U0, U1 = tangent(params, eta_b, r_exit)
-    return dt, dtau, sign * abs(U1), U0, params, eta_a, eta_b
+    return dt, dtau, sign * abs(U1), U0, params, eta_a, eta_b, (t_a, tau_a)
 
 
 def _minkowski_span(r: float, u_r: float, u_t: float, r_exit: float) -> tuple[float, float]:
@@ -213,9 +202,9 @@ def _shell_transfer(mu_in: float, mu_out: float, R: float) -> float:
 @dataclass(slots=True)
 class Leg:
     """One patch traversal of the inbound quarter oscillation: spans from r_outer
-    down to r_inner, the entry state (u_r = dr/dtau and u_t = dt_local/dtau in
-    the patch's coordinates, tau since release) and, in a Schwarzschild patch,
-    the cycloid and its eta range (None in a flat patch)."""
+    down to r_inner, the proper time since release at entry and, in a
+    Schwarzschild patch, the cycloid, its eta range and its (t, tau) at entry,
+    the origin that trajectory's solves measure from (None in a flat patch)."""
 
     patch_index: int
     r_outer: float
@@ -223,21 +212,11 @@ class Leg:
     dt_local: float
     dt_global: float
     dtau: float
-    u_r: float
-    u_t: float
     tau: float
     cycloid: CycloidParams | None
     eta_entry: float | None
     eta_exit: float | None
-
-
-def _release_u_t(mass: float, r_min: float, r_i: float) -> float:
-    """dt/dtau at rest at r_i in the outermost patch (mass, from r_min)."""
-    if mass <= 0.0:
-        raise NoRestoringForceError("outermost patch is flat: nothing pulls the body back")
-    if r_i < r_min:
-        raise GeodesicError(f"release radius {r_i} below the outermost patch")
-    return drop_energy(mass, r_i) / metric_factor(mass, r_i)
+    origin: tuple[float, float] | None
 
 
 def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, float, list[Leg]]:
@@ -253,7 +232,12 @@ def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, fl
     patches, lapses = spacetime.patches, spacetime.lapses
     if patches[0].mass != 0.0:
         raise NoRestoringForceError("oscillation through the center requires a flat core")
-    r, u_r, u_t, tau = r_i, 0.0, _release_u_t(patches[-1].mass, patches[-1].r_min, r_i), 0.0
+    if patches[-1].mass <= 0.0:
+        raise NoRestoringForceError("outermost patch is flat: nothing pulls the body back")
+    if r_i < patches[-1].r_min:
+        raise GeodesicError(f"release radius {r_i} below the outermost patch")
+    # the outermost patch is Schwarzschild, whose span reads no u_t
+    r, u_r, u_t, tau = r_i, 0.0, None, 0.0
     legs = []
     for k in range(len(patches) - 1, -1, -1):
         mass, r_target = patches[k].mass, patches[k].r_min  # r_min is 0 for the core
@@ -261,8 +245,8 @@ def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, fl
             dt, dtau, u_r_out, u_t_out, *arc = _schwarzschild_span(mass, r, u_r, r_target)
         else:
             dt, dtau = _minkowski_span(r, u_r, u_t, r_target)
-            u_r_out, u_t_out, arc = u_r, u_t, (None, None, None)
-        legs.append(Leg(k, r, r_target, dt, lapses[k] * dt, dtau, u_r, u_t, tau, *arc))
+            u_r_out, u_t_out, arc = u_r, u_t, (None, None, None, None)
+        legs.append(Leg(k, r, r_target, dt, lapses[k] * dt, dtau, tau, *arc))
         r, u_r, u_t, tau = r_target, u_r_out, u_t_out, tau + dtau
         if k > 0:
             kappa = _shell_transfer(patches[k - 1].mass, mass, r)
@@ -295,14 +279,7 @@ def _solve_eta(params: CycloidParams, lo, hi, eta, t0, t_local_target) -> tuple[
     return eta, None
 
 
-def _leg_origin(leg: Leg) -> tuple[float, float] | None:
-    """(t, tau) of a Schwarzschild leg's cycloid at its entry; None if flat."""
-    params, eta = leg.cycloid, leg.eta_entry
-    return None if params is None else (
-        coordinate_time(params, eta, leg.r_outer), proper_time(params, eta))
-
-
-def _invert_leg(leg: Leg, origin: tuple[float, float] | None, t_in_leg: float, seed=None):
+def _invert_leg(leg: Leg, t_in_leg: float, seed=None):
     """(r, tau elapsed within leg, seed) at global-time offset t_in_leg from leg
     start.  seed, (eta, local target, dt/deta) at the previous root in the leg or
     None after a bisection, is moved along its tangent to start the Newton solve."""
@@ -314,7 +291,7 @@ def _invert_leg(leg: Leg, origin: tuple[float, float] | None, t_in_leg: float, s
         # flat patch: r and tau are linear in t
         frac = t_in_leg / leg.dt_global
         return leg.r_outer + frac * (leg.r_inner - leg.r_outer), frac * leg.dtau, None
-    params, (t0, tau0) = leg.cycloid, origin
+    params, (t0, tau0) = leg.cycloid, leg.origin
     t_local_target = t_in_leg / (leg.dt_global / leg.dt_local)
     # t(eta) is strictly increasing on the inbound branch
     lo, hi = leg.eta_entry, leg.eta_exit
@@ -367,13 +344,13 @@ def trajectory(
     inbound = rem <= t_quarter
     offsets, solve_of = np.unique(np.where(inbound, rem, t_half - rem), return_inverse=True)
     r_solved, tau_solved = [], []  # of each distinct offset, ascending
-    k, t0, seed, origin = 0, 0.0, None, _leg_origin(legs[0])
+    k, t0, seed = 0, 0.0, None
     for offset in offsets.tolist():
         # the leg holding offset: the first that ends at or after it, else the last
         while offset > t0 + legs[k].dt_global and k < len(legs) - 1:
             t0 += legs[k].dt_global
-            k, seed, origin = k + 1, None, _leg_origin(legs[k + 1])
-        r, dtau, seed = _invert_leg(legs[k], origin, offset - t0, seed)
+            k, seed = k + 1, None
+        r, dtau, seed = _invert_leg(legs[k], offset - t0, seed)
         r_solved.append(r)
         tau_solved.append(legs[k].tau + dtau)
     r, tau_q = np.array(r_solved)[solve_of], np.array(tau_solved)[solve_of]

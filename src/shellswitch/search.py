@@ -22,15 +22,13 @@ from scipy.optimize import brentq
 
 from .errors import (
     GeodesicError,
-    GeometryError,
-    HorizonViolation,
     MultipleCrossingsError,
     NoMeetingError,
     NoSolutionAtRadius,
     SearchError,
     UnattainableRatioError,
 )
-from .fields import integer, real
+from .fields import FLOAT_MAX, integer, real
 from .geodesic import (
     NEWTON_STEPS,
     CycloidParams,
@@ -75,6 +73,9 @@ class SearchConfig:
                               f"by the relative margin {DEFAULT_HORIZON_MARGIN}")
         if self.p <= 0 or self.q <= 0:
             raise SearchError("p and q must be positive integers")
+        for key in ("p", "q", "grid"):  # each enters float arithmetic
+            if getattr(self, key) > FLOAT_MAX:
+                raise SearchError(f"{key} must be at most {FLOAT_MAX!r}: it is too large for a float")
         if self.R1_min <= self.R2:
             raise SearchError(f"R1_min={self.R1_min} must exceed R2={self.R2}")
         if self.R1_min >= self.R1_max:
@@ -102,7 +103,7 @@ class SearchConfig:
     @cached_property
     def release(self) -> tuple[CycloidParams, float]:
         """The exterior cycloid from rest at r_i and its coordinate time there."""
-        params = CycloidParams.from_rest(self.M, self.r_i)
+        params = CycloidParams.from_state(self.M, self.r_i, 0.0)
         return params, coordinate_time(params, 0.0, self.r_i)
 
     @cached_property
@@ -185,15 +186,13 @@ class MeetingEvent:
     tau_A: float
     t_A1: float
     t_A2: float
-    gamma1_direction: str = "inbound"
-    gamma2_direction: str = "outbound"
 
     def as_dict(self) -> dict:
         return {
             "r_t": self.r_t, "tau_A": self.tau_A,
             "t_A1": self.t_A1, "t_A2": self.t_A2,
-            "gamma1_direction": self.gamma1_direction,
-            "gamma2_direction": self.gamma2_direction,
+            "gamma1_direction": "inbound",
+            "gamma2_direction": "outbound",
         }
 
 
@@ -220,9 +219,10 @@ def shell_radius(config: SearchConfig, R1: float, f: float) -> float:
 def _exterior_leg(config: SearchConfig, r: float) -> tuple[float, float, float, float]:
     """(t, tau, u_t, u_r) at r on the shared exterior's cycloid from rest at r_i
     (config.release): coordinate time (the release's own t not subtracted) and
-    proper time since rest, and the inbound tangent.  from_state(M, r_i, 0.0),
-    which the walk builds, is from_rest(M, r_i) bit for bit, and proper_time
-    at the rest is 0.0, so these are the walk's exterior-leg operations."""
+    proper time since rest, and the inbound tangent.  config.release is the
+    cycloid the walk's exterior span builds, from_state(M, r_i, 0.0), and
+    proper_time at the rest is 0.0, so these are the walk's exterior-leg
+    operations."""
     params = config.release[0]
     eta = eta_of_radius(params, r)
     return (coordinate_time(params, eta, r), proper_time(params, eta), *tangent(params, eta, r))
@@ -257,22 +257,13 @@ def _one_shell_period(config: SearchConfig, R: float) -> tuple[float, float, flo
 
 def _two_shell_period(config: SearchConfig, R1: float) -> tuple[float, float]:
     """(Dt, Dtau) of oscillation_period(two_shell_spacetime(config, R1), r_i), bit
-    for bit, raising the exception class it raises: the walk's legs in its order
-    (the exterior leg to R1, the tangent transfer at R1, the Schwarzschild span
-    of mass m down to R2, the transfer at R2, the flat core), with the lapses
-    folded as build_spacetime folds them and the four-quarter sums as
-    oscillation_period sums them.
-    Only the checks that depend on R1 are made; SearchConfig made the others."""
-    m, M, R2, r_i = config.m, config.M, config.R2, config.r_i
-    if not R1 > R2:
-        raise GeometryError(f"patch needs r_min < r_max, got [{R2}, {R1}]")
-    if R1 <= 2.0 * M or metric_factor(M, R1) < DEFAULT_HORIZON_MARGIN:
-        raise HorizonViolation(
-            f"shell at R={R1} at or inside the outer-patch horizon 2*mass={2.0 * M} "
-            f"(relative margin {DEFAULT_HORIZON_MARGIN})"
-        )
-    if R1 > r_i:
-        raise GeodesicError(f"release radius {r_i} below the outermost patch")
+    for bit, and the walk's exception class wherever it fails, on solve_contour's
+    domain: the walk's legs in its order (the exterior leg to R1, the tangent
+    transfer at R1, the Schwarzschild span of mass m down to R2, the transfer at
+    R2, the flat core), with the lapses folded as build_spacetime folds them and
+    the four-quarter sums as oscillation_period sums them.
+    It makes no check: SearchConfig and solve_contour made them."""
+    m, M, R2 = config.m, config.M, config.R2
     f_out, f_mid = metric_factor(M, R1), metric_factor(m, R1)
     t, dtau_out, _, u_r = _exterior_leg(config, R1)
     dt_out = abs(t - config.release[1])
@@ -392,7 +383,9 @@ def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
     """Both branch periods at the root in f of the equal-clock-rate residual at
     fixed R1.  The two-shell period depends on R1 alone, so it is computed once,
     in closed form from the config's cached release (_two_shell_period), and
-    only the one-shell branch varies with f.  The one-shell rate Dtau1/Dt1
+    only the one-shell branch varies with f.  The domain is R2 < R1 <= r_i with
+    a non-empty admissible f interval, which puts R1 above 2M / (1 - 1e-6);
+    elsewhere NoSolutionAtRadius is raised.  The one-shell rate Dtau1/Dt1
     rises strictly in R (tests/test_search.py checks it at 50 digits), so the
     root is unique, and there is one iff the residual is <= 0 at the lower end
     of the admissible interval and >= 0 at the upper (else NoSolutionAtRadius).
@@ -405,12 +398,14 @@ def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
     reference takes 2.5 one-shell evaluations per point and no end check (5.5
     with the linear seed and two end checks).  A pure function of its
     arguments: the seed never comes from another point."""
+    if not config.R2 < R1 <= config.r_i:
+        raise NoSolutionAtRadius(f"R1={R1} outside (R2, r_i] = ({config.R2}, {config.r_i}]")
     f_lo = (2.0 * config.M + F_MARGIN * R1 - config.R2) / (R1 - config.R2)
     if f_lo >= F_UPPER:
         raise NoSolutionAtRadius(f"no admissible f interval at R1={R1}")
     try:
         dt2, dtau2 = _two_shell_period(config, R1)
-    except (GeometryError, GeodesicError) as exc:
+    except GeodesicError as exc:
         raise NoSolutionAtRadius(f"two-shell branch invalid at R1={R1}: {exc}") from exc
     f_star, dt1, dtau1 = _contour_root(config, R1, dtau2 / dt2, max(f_lo, 0.0), F_UPPER)
     return ContourPoint(R1, f_star, dt1, dtau1, dt2, dtau2)

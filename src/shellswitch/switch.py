@@ -41,7 +41,6 @@ class EventSchedule:
     t_B: float
     t_f: float
     tau_B: float
-    r_t: float
 
     def __post_init__(self):
         if not self.t_A1 < self.t_B < self.t_A2:
@@ -104,7 +103,7 @@ def schedule(solution: SwitchSolution, meeting: MeetingEvent) -> EventSchedule:
     t_f = solution.config.q * solution.dt1
     # a static observer at r_t ages sqrt(1 - 2M/r_t) per unit global time
     tau_B = math.sqrt(metric_factor(solution.config.M, meeting.r_t)) * t_B
-    return EventSchedule(meeting.tau_A, meeting.t_A1, meeting.t_A2, t_B, t_f, tau_B, meeting.r_t)
+    return EventSchedule(meeting.tau_A, meeting.t_A1, meeting.t_A2, t_B, t_f, tau_B)
 
 
 def run_switch(

@@ -39,9 +39,7 @@ from shellswitch.switch import EventSchedule, broken_switch_slots
 from conftest import REFERENCE
 from oracles import quad_spans, random_state, random_unitary
 
-SCHED = EventSchedule(
-    tau_A=0.0, t_A1=0.0, t_A2=2.0, t_B=1.0, t_f=3.0, tau_B=0.8, r_t=10.0
-)
+SCHED = EventSchedule(tau_A=0.0, t_A1=0.0, t_A2=2.0, t_B=1.0, t_f=3.0, tau_B=0.8)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -141,7 +139,7 @@ def test_criterion_4_invariant_suite(ref_solution):
     checks.append(("energy", worst_energy, 1e-10))
 
     # finite-difference vs analytic (U0, U1) within 1e-6
-    params = CycloidParams.from_rest(config.M, config.r_i)
+    params = CycloidParams.from_state(config.M, config.r_i, 0.0)
     worst_fd = 0.0
     h = 1e-5
     # stay on the exterior-patch side of the horizon value eta_H = pi/2
@@ -168,7 +166,7 @@ def test_criterion_4_invariant_suite(ref_solution):
         r_entry = rng.uniform(2.5 * mass, 0.98 * r_apo)
         r_exit = rng.uniform(2.2 * mass, r_entry)
         E = math.sqrt(1.0 - 2.0 * mass / r_apo)
-        cp = CycloidParams.from_rest(mass, r_apo)
+        cp = CycloidParams.from_state(mass, r_apo, 0.0)
         _, u_r = tangent(cp, eta_of_radius(cp, r_entry))
         dt, dtau, *_ = _schwarzschild_span(mass, r_entry, u_r, r_exit)
         dt_o, dtau_o = quad_spans(mass, E, r_entry, r_exit)

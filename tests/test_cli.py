@@ -87,6 +87,21 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == EXIT_INPUT
         assert "INPUT ERROR" in capsys.readouterr().err
 
+    def test_deeply_nested_json_exits_1(self, tmp_path, capsys):
+        # nesting past the parser's recursion limit ended in a RecursionError traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["validate", "--config", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"INPUT ERROR: invalid JSON in {path}: nested deeper than the parser's recursion limit\n")
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        # the decode error was reported without naming the file
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"patches": [], "note": "\xff"}')
+        assert main(["validate", "--config", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"INPUT ERROR: {path} is not UTF-8 text: ")
+
     def test_missing_file_exits_1(self, capsys):
         assert main(["validate", "--config", "/nonexistent.json"]) == EXIT_INPUT
 
@@ -265,6 +280,26 @@ class TestSearch:
         assert main(["search", "--config", cfg]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"INPUT ERROR: search config: {field} must be a finite number, got '3'" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("field", ["p", "q", "grid"])
+    def test_integer_too_large_for_a_float_exits_1(self, tmp_path, capsys, monkeypatch, field):
+        # p = 10**400 raised OverflowError from p / q once the whole contour was
+        # traced, and such a grid raised it in period_ratio_curve
+        calls = []
+        monkeypatch.setattr(shellswitch.search, "solve_contour", lambda *a: calls.append(a))
+        cfg = write(tmp_path, "search.json", dict(SEARCH, **{field: 10**400}))
+        assert main(["search", "--config", cfg]) == EXIT_INPUT
+        assert capsys.readouterr().err == (f"INPUT ERROR: search config: {field} must be at most "
+                                           "1.7976931348623157e+308: it is too large for a float\n")
+        assert calls == []
+
+    def test_ratio_too_large_for_a_float_exits_1(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(shellswitch.search, "solve_contour", lambda *a: calls.append(a))
+        cfg = write(tmp_path, "search.json", SEARCH)
+        assert main(["search", "--config", cfg, "--ratio", "1" + "0" * 400 + "/1"]) == EXIT_INPUT
+        assert "INPUT ERROR: search config: p must be at most" in capsys.readouterr().err
         assert calls == []
 
     def test_zero_tol_flag_exits_1(self, tmp_path, capsys):

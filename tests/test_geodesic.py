@@ -6,14 +6,13 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shellswitch import (
     CycloidParams,
     PatchSpec,
     build_spacetime,
-    drop_energy,
     null_crossing_time,
     oscillation_period,
     static_exchange,
@@ -21,7 +20,6 @@ from shellswitch import (
 )
 from shellswitch.errors import (
     GeodesicError,
-    HorizonViolation,
     NoRestoringForceError,
     UnboundGeodesicError,
     UnreachableRadiusError,
@@ -30,9 +28,7 @@ from shellswitch import geodesic
 from shellswitch.geodesic import (
     Leg,
     _invert_leg,
-    _leg_origin,
     _minkowski_span,
-    _release_u_t,
     _schwarzschild_span,
     _shell_transfer,
     coordinate_time,
@@ -61,21 +57,15 @@ def m2_reference(R1=10.072):
     ])
 
 
-class TestDropEnergy:
-    def test_half_schwarzschild(self):
-        assert drop_energy(3.0, 12.0) == pytest.approx(math.sqrt(0.5), rel=1e-15)
-
-    def test_flat_limit(self):
-        assert drop_energy(0.0, 17.0) == 1.0
-
-    def test_horizon_release(self):
-        with pytest.raises(HorizonViolation):
-            drop_energy(3.0, 6.0)
-
-
 class TestCycloid:
+    def test_rest_release_energy(self):
+        # E = sqrt(1 - 2M/r_apo) of a body released from rest at r_apo
+        params = CycloidParams.from_state(3.0, 12.0, 0.0)
+        assert params.energy == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert params.r_apo == 12.0
+
     def test_rest_at_apoapsis(self):
-        params = CycloidParams.from_rest(3.0, 12.0)
+        params = CycloidParams.from_state(3.0, 12.0, 0.0)
         r = radius(params, 0.0)
         U0, U1 = tangent(params, 0.0, r)
         t, tau = coordinate_time(params, 0.0, r), proper_time(params, 0.0)
@@ -83,20 +73,20 @@ class TestCycloid:
         assert U0 == pytest.approx(1.0 / params.energy, rel=1e-14)
 
     def test_quarter_parameter(self):
-        params = CycloidParams.from_rest(3.0, 12.0)
+        params = CycloidParams.from_state(3.0, 12.0, 0.0)
         r, tau = radius(params, math.pi / 2), proper_time(params, math.pi / 2)
         assert r == pytest.approx(6.0, rel=1e-14)
         assert tau == pytest.approx(math.sqrt(72.0) * (math.pi / 2 + 1.0), rel=1e-14)
 
     def test_center_limit_proper_time(self):
-        params = CycloidParams.from_rest(3.0, 12.0)
+        params = CycloidParams.from_state(3.0, 12.0, 0.0)
         assert proper_time(params, math.pi) == pytest.approx(
             math.sqrt(72.0) * math.pi, rel=1e-14
         )
         assert radius(params, math.pi) == pytest.approx(0.0, abs=1e-25)
 
     def test_coordinate_time_diverges_at_horizon(self):
-        params = CycloidParams.from_rest(3.0, 12.0)
+        params = CycloidParams.from_state(3.0, 12.0, 0.0)
         eta_h = params.eta_horizon
         with pytest.raises(GeodesicError):
             coordinate_time(params, eta_h + 1e-3)
@@ -109,7 +99,7 @@ class TestCycloid:
             CycloidParams(mass=mass, r_apo=12.0, energy=0.5)
 
     @pytest.mark.parametrize("build", [
-        lambda: CycloidParams.from_rest(1e149, 1e151),
+        lambda: CycloidParams(1e149, 1e151, 0.5),
         lambda: CycloidParams.from_state(1e149, 1e151, 0.0),
     ])
     def test_overflowing_apoapsis_rejected(self, build):
@@ -118,13 +108,13 @@ class TestCycloid:
             build()
 
     def test_factors_outside_equality_and_repr(self):
-        params = CycloidParams.from_rest(3.0, 12.0)
+        params = CycloidParams.from_state(3.0, 12.0, 0.0)
         assert params == CycloidParams(3.0, 12.0, params.energy)
         assert repr(params) == f"CycloidParams(mass=3.0, r_apo=12.0, energy={params.energy!r})"
 
     @pytest.mark.parametrize("eta", [0.1, 0.5, 1.0, 1.4])
     def test_finite_difference_tangent(self, eta):
-        params = CycloidParams.from_rest(3.0, 12.0)
+        params = CycloidParams.from_state(3.0, 12.0, 0.0)
         h = 1e-4
         dr = radius(params, eta + h) - radius(params, eta - h)
         dt = coordinate_time(params, eta + h) - coordinate_time(params, eta - h)
@@ -154,7 +144,7 @@ class TestSegments:
             _schwarzschild_span(3.0, 12.0, 0.0, 6.0)
 
     def test_zero_length_segment(self):
-        dt, dtau, u_r, _, _, eta_entry, eta_exit = _schwarzschild_span(3.0, 12.0, 0.0, 12.0)
+        dt, dtau, u_r, _, _, eta_entry, eta_exit, _ = _schwarzschild_span(3.0, 12.0, 0.0, 12.0)
         assert (dt, dtau, u_r) == (0.0, 0.0, 0.0)
         assert eta_entry == eta_exit == 0.0
 
@@ -178,7 +168,7 @@ class TestSegments:
         # entry at the outer shell of the two-shell reference geometry
         _, _, legs = oscillation_period(m2_reference(), 12.0)
         leg = legs[1]  # intermediate patch
-        E_loc = math.sqrt(leg.u_r**2 + metric_factor(1.9999, leg.r_outer))
+        E_loc = leg.cycloid.energy  # sqrt(u_r^2 + f) of the entry state
         dt_oracle, dtau_oracle = quad_spans(1.9999, E_loc, leg.r_outer, leg.r_inner)
         assert leg.dt_local == pytest.approx(abs(dt_oracle), rel=1e-8)
         assert leg.dtau == pytest.approx(abs(dtau_oracle), rel=1e-8)
@@ -218,14 +208,34 @@ class TestSegments:
             lo = 2.0 * mass * 1.05
             r_from = rng.uniform(lo, r_apo)
             r_to = rng.uniform(lo, r_from)
-            E = drop_energy(mass, r_apo)
-            params = CycloidParams.from_rest(mass, r_apo)
+            params = CycloidParams.from_state(mass, r_apo, 0.0)
+            E = params.energy
             ea, eb = eta_of_radius(params, r_from), eta_of_radius(params, r_to)
             dt = coordinate_time(params, eb, r_to) - coordinate_time(params, ea, r_from)
             dtau = proper_time(params, eb) - proper_time(params, ea)
             dt_o, dtau_o = quad_spans(mass, E, r_from, r_to)
             assert dt == pytest.approx(abs(dt_o), rel=1e-8)
             assert dtau == pytest.approx(abs(dtau_o), rel=1e-8)
+
+
+def entry_tangents(spacetime, legs):
+    """(u_r, u_t) at each leg's entry, carried as the walk carries them: from
+    rest at the release, through each Schwarzschild patch by
+    _schwarzschild_span's exit tangent (a flat patch keeps it), and across
+    each shell by _shell_transfer."""
+    masses = [patch.mass for patch in spacetime.patches]
+    first = legs[0]
+    u_r, u_t = 0.0, tangent(first.cycloid, first.eta_entry, first.r_outer)[0]
+    states = []
+    for leg, inner in zip(legs, [*legs[1:], None]):
+        states.append((u_r, u_t))
+        mass = masses[leg.patch_index]
+        if leg.cycloid is not None:
+            u_r, u_t = _schwarzschild_span(mass, leg.r_outer, u_r, leg.r_inner)[2:4]
+        if inner is not None:
+            k = _shell_transfer(masses[inner.patch_index], mass, leg.r_inner)
+            u_r, u_t = u_r / k, u_t * k
+    return states
 
 
 def cross(mu_in, mu_out, R, u_r, u_t, inward=True):
@@ -310,7 +320,8 @@ class TestOscillation:
         M, r_i, R = 3.0749440709202327, 11.977602456133065, 7.0
         leg = oscillation_period(one_shell(M, R), r_i)[2][0]
         assert leg.eta_entry == 0.0
-        params = CycloidParams.from_rest(M, r_i)
+        params = CycloidParams.from_state(M, r_i, 0.0)
+        assert params.r_apo == r_i
         assert leg.dtau == proper_time(params, eta_of_radius(params, R))
 
     def test_norm_along_quarter(self):
@@ -318,9 +329,9 @@ class TestOscillation:
         st_ = m2_reference()
         _, _, legs = oscillation_period(st_, 12.0)
         checked = 0
-        for leg in legs:
+        for leg, (u_r, u_t) in zip(legs, entry_tangents(st_, legs), strict=True):
             mass = st_.patches[leg.patch_index].mass
-            assert norm_defect(mass, leg.r_outer, leg.u_r, leg.u_t) < 1e-9
+            assert norm_defect(mass, leg.r_outer, u_r, u_t) < 1e-9
             checked += 1
             if leg.cycloid is None:
                 continue
@@ -339,22 +350,57 @@ class TestOscillation:
         st_ = m2_reference()
         _, _, legs = oscillation_period(st_, 12.0)
         mass = [p.mass for p in st_.patches]
+        states = entry_tangents(st_, legs)
         assert [leg.patch_index for leg in legs] == [2, 1, 0]
-        assert (legs[0].r_outer, legs[0].u_r, legs[0].tau) == (12.0, 0.0, 0.0)
-        assert legs[0].u_t == _release_u_t(3.0, 10.072, 12.0)
-        for outer, inner in zip(legs, legs[1:]):
+        assert (legs[0].r_outer, legs[0].tau, states[0][0]) == (12.0, 0.0, 0.0)
+        for outer, inner, (u_r, _) in zip(legs, legs[1:], states):
             assert inner.r_outer == outer.r_inner
             assert inner.tau == outer.tau + outer.dtau
             assert inner.dt_global == st_.lapses[inner.patch_index] * inner.dt_local
-            span = _schwarzschild_span(mass[outer.patch_index], outer.r_outer, outer.u_r,
-                                       outer.r_inner)
-            k = _shell_transfer(mass[inner.patch_index], mass[outer.patch_index], inner.r_outer)
+            span = _schwarzschild_span(mass[outer.patch_index], outer.r_outer, u_r, outer.r_inner)
             assert (outer.dt_local, outer.dtau) == span[:2]
-            assert (outer.cycloid, outer.eta_entry, outer.eta_exit) == span[4:]
-            assert (inner.u_r, inner.u_t) == (span[2] / k, span[3] * k)
+            assert (outer.cycloid, outer.eta_entry, outer.eta_exit, outer.origin) == span[4:]
         core = legs[-1]
-        assert (core.r_inner, core.cycloid) == (0.0, None)
-        assert (core.dt_local, core.dtau) == _minkowski_span(core.r_outer, core.u_r, core.u_t, 0.0)
+        assert (core.r_inner, core.cycloid, core.origin) == (0.0, None, None)
+        assert (core.dt_local, core.dtau) == _minkowski_span(core.r_outer, *states[-1], 0.0)
+
+
+def leg_origin(leg):
+    """The reference for Leg.origin: (t, tau) of a Schwarzschild leg's cycloid
+    at its entry, recomputed from the leg's cycloid and eta range; None if flat."""
+    params, eta = leg.cycloid, leg.eta_entry
+    return None if params is None else (
+        coordinate_time(params, eta, leg.r_outer), proper_time(params, eta))
+
+
+@st.composite
+def released_stacks(draw):
+    """(spacetime, r_i): 1 to 5 shells, masses rising outward, each shell 1.3e-9
+    to 2 relative above the horizon of the patch outside it (or above the shell
+    inside it), and the release above the outermost shell, up to twice it."""
+    masses = sorted(draw(st.lists(st.floats(0.1, 3.0), min_size=1, max_size=5)))
+    shells, r = [], 0.0
+    for mass in masses:
+        r = max(r, 2.0 * mass) * (1.0 + 10.0 ** draw(st.floats(-8.9, 0.3)))
+        shells.append(r)
+    bounds = (0.0, *shells, None)
+    patches = [PatchSpec(mass, bounds[k], bounds[k + 1]) for k, mass in enumerate((0.0, *masses))]
+    return build_spacetime(patches), r * draw(st.floats(1.0, 2.0, exclude_min=True))
+
+
+class TestLegOrigin:
+    @given(released_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_origin_is_the_entry_time(self, drawn):
+        """Each leg's origin is the (t, tau) that recomputing it from the
+        leg's cycloid at eta_entry gives, bit for bit."""
+        spacetime, r_i = drawn
+        try:
+            legs = oscillation_period(spacetime, r_i)[2]
+        except UnboundGeodesicError:  # a shell near its horizon can unbind the fall
+            assume(False)
+        for leg in legs:
+            assert leg.origin == leg_origin(leg)
 
 
 def count_t_calls(monkeypatch) -> list:
@@ -374,8 +420,8 @@ def record_leg_solves(monkeypatch) -> list:
     sampler solves."""
     solved = []
 
-    def recorded(leg, origin, t_in_leg, seed=None):
-        out = _invert_leg(leg, origin, t_in_leg, seed)
+    def recorded(leg, t_in_leg, seed=None):
+        out = _invert_leg(leg, t_in_leg, seed)
         solved.append((leg, t_in_leg, seed, out[:2]))
         return out
 
@@ -434,8 +480,9 @@ class TestTrajectory:
         """Work pin: each Schwarzschild solve starts from the previous root in
         its leg, moved along its tangent, and evaluates t(eta) about 1.5 times
         (a linear guess across the leg cost about 4).  On this grid, aligned
-        to the period, 501 samples hit 150 such solves and 232 evaluations,
-        6 of them the period's spans and the legs' origins; solving every
+        to the period, 501 samples hit 150 such solves and 230 evaluations,
+        4 of them the period's spans, which record the legs' origins too
+        (recomputing the origins took 2 more); solving every
         sample from a linear guess would cost about 9 evaluations per solve."""
         st_ = build_spacetime([
             PatchSpec(0.0, 0.0, 4.0), PatchSpec(1.9, 4.0, 9.0), PatchSpec(3.0, 9.0, None),
@@ -477,10 +524,10 @@ class TestTrajectory:
 def leg_from(mass, r_apo, r_entry, r_exit, lapse):
     """The Schwarzschild leg from r_entry down to r_exit on the rest-release
     cycloid from r_apo, with global time lapse * local time."""
-    params = CycloidParams.from_rest(mass, r_apo)
-    U0, U1 = tangent(params, eta_of_radius(params, r_entry), r_entry)
-    dt, dtau, _, _, cycloid, eta_entry, eta_exit = _schwarzschild_span(mass, r_entry, U1, r_exit)
-    return Leg(1, r_entry, r_exit, dt, lapse * dt, dtau, U1, U0, 0.0, cycloid, eta_entry, eta_exit)
+    params = CycloidParams.from_state(mass, r_apo, 0.0)
+    U1 = tangent(params, eta_of_radius(params, r_entry), r_entry)[1]
+    dt, dtau, _, _, *arc = _schwarzschild_span(mass, r_entry, U1, r_exit)
+    return Leg(1, r_entry, r_exit, dt, lapse * dt, dtau, 0.0, *arc)
 
 
 @st.composite
@@ -521,23 +568,21 @@ class TestNewtonSampling:
         """From the linear guess across the leg, and from the seed of an
         earlier solve in the same leg, a fraction back of the way to its start."""
         leg, t = drawn
-        origin = _leg_origin(leg)
-        assert_matches_fifty_digits(leg, t, _invert_leg(leg, origin, t)[:2])
-        seed = _invert_leg(leg, origin, t * (1.0 - back))[2]
-        assert_matches_fifty_digits(leg, t, _invert_leg(leg, origin, t, seed)[:2])
+        assert_matches_fifty_digits(leg, t, _invert_leg(leg, t)[:2])
+        seed = _invert_leg(leg, t * (1.0 - back))[2]
+        assert_matches_fifty_digits(leg, t, _invert_leg(leg, t, seed)[:2])
 
     @pytest.mark.parametrize("r_exit", [6.000000011999999, 9.0])
     def test_bisection_fallback(self, monkeypatch, r_exit):
         """With no Newton step the bracket is bisected to its last bit, which
         holds the same bounds."""
         leg = leg_from(3.0, 12.0, 12.0, r_exit, 1.0)
-        origin = _leg_origin(leg)
         monkeypatch.setattr(geodesic, "NEWTON_STEPS", 0)
         calls = count_t_calls(monkeypatch)
         for frac in (1e-6, 0.01, 0.3, 0.7, 0.999, 1.0 - 1e-6):
             t = frac * leg.dt_global
             calls.clear()
-            got = _invert_leg(leg, origin, t)[:2]
+            got = _invert_leg(leg, t)[:2]
             assert len(calls) > 40
             assert_matches_fifty_digits(leg, t, got)
 
@@ -610,7 +655,11 @@ class TestStaticExchange:
 
 class TestReleaseState:
     def test_norm(self):
-        u_t = _release_u_t(3.0, 10.072, 12.0)
-        assert norm_defect(3.0, 12.0, 0.0, u_t) < 1e-12
-        leg = oscillation_period(m2_reference(), 12.0)[2][0]
-        assert (leg.u_r, leg.u_t) == (0.0, u_t)
+        # the walk releases from rest at r_i: its exterior cycloid has its
+        # apoapsis there, and the 4-velocity at entry is (1/sqrt(f), 0)
+        st_ = m2_reference()
+        legs = oscillation_period(st_, 12.0)[2]
+        u_r, u_t = entry_tangents(st_, legs)[0]
+        assert (u_r, legs[0].eta_entry, legs[0].cycloid.r_apo) == (0.0, 0.0, 12.0)
+        assert u_t == pytest.approx(1.0 / math.sqrt(metric_factor(3.0, 12.0)), rel=1e-15)
+        assert norm_defect(3.0, 12.0, u_r, u_t) < 1e-12

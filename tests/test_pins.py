@@ -23,7 +23,7 @@ from shellswitch import (
     trajectory,
 )
 from shellswitch import geodesic
-from shellswitch.geodesic import _invert_leg, _leg_origin, proper_time
+from shellswitch.geodesic import _invert_leg, proper_time
 from shellswitch.search import one_shell_spacetime, two_shell_spacetime
 
 from conftest import REFERENCE
@@ -296,8 +296,8 @@ def test_equal_offsets_share_bits(grids):
     for spacetime, r_i, t_max, sample_count in grids:
         solved = []  # (tau_q, r) per solve, in the order solved
 
-        def recorded(leg, origin, t_in_leg, seed=None):
-            out = invert_leg(leg, origin, t_in_leg, seed)
+        def recorded(leg, t_in_leg, seed=None):
+            out = invert_leg(leg, t_in_leg, seed)
             solved.append((leg.tau + out[1], out[0]))
             return out
 
@@ -335,12 +335,13 @@ def two_loop_trajectory(spacetime, r_i, t_global_max, sample_count):
         offset = rem if inbound else t_half - rem
         solved[offset] = None
         rows.append((t, n_half, inbound, offset))
-    k, t0, seed, origin = 0, 0.0, None, _leg_origin(legs[0])
+    k, t0, seed = 0, 0.0, None
     for offset in sorted(solved):
         while offset > t0 + legs[k].dt_global and k < len(legs) - 1:
             t0 += legs[k].dt_global
-            k, seed, origin = k + 1, None, _leg_origin(legs[k + 1])
-        r, dtau, seed = _invert_leg(legs[k], origin, offset - t0, seed)
+            k, seed = k + 1, None
+        # each solve measures from its leg's origin, the (t, tau) at entry
+        r, dtau, seed = _invert_leg(legs[k], offset - t0, seed)
         solved[offset] = r, legs[k].tau + dtau
     for i, (t, n_half, inbound, offset) in enumerate(rows):
         r, tau_q = solved[offset]

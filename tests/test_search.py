@@ -1,11 +1,12 @@
 import dataclasses
 import math
 from collections import Counter
+from fractions import Fraction
 from functools import cache, cached_property
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import shellswitch.search
@@ -162,6 +163,16 @@ class TestContour:
         with pytest.raises(NoSolutionAtRadius):
             solve_contour(6.0 + 1e-5, ref_config)
 
+    @pytest.mark.parametrize("R1", [
+        4.0,                             # R1 == R2: the f interval divided by zero
+        3.0,                             # R1 < R2
+        math.nextafter(12.0, math.inf),  # an ulp above r_i: released inside the outer shell
+        12.5,
+    ])
+    def test_outside_domain(self, ref_config, R1):
+        with pytest.raises(NoSolutionAtRadius, match=r"outside \(R2, r_i\]"):
+            solve_contour(R1, ref_config)
+
 
 def general_period(config, R):
     """One-shell (Dt, Dtau) through the general walk; (NaN, NaN) where it raises."""
@@ -249,12 +260,20 @@ def outcome(period):
     return dt.hex(), dtau.hex()
 
 
+def in_contour_domain(config, R1):
+    """Whether solve_contour evaluates the two-shell period at R1: R2 < R1 <= r_i
+    with a non-empty admissible f interval."""
+    if not config.R2 < R1 <= config.r_i:
+        return False
+    return (2.0 * config.M + F_MARGIN * R1 - config.R2) / (R1 - config.R2) < F_UPPER
+
+
 @st.composite
 def two_shell_inputs(draw):
-    """(config, R1) with R1 across (R2, r_i] and just outside it: at or below
-    R2, at 2M (1 +- the horizon margin), grazing that margin, at r_i, an ulp
-    either side of r_i, and beyond r_i.  R2 clears its horizon 2m by 1.3e-9
-    to 0.8 relative, as SearchConfig requires."""
+    """(config, R1) with R1 across solve_contour's domain: above R2 and above
+    the 2M / (1 - 1e-6) that a non-empty f interval needs, an ulp above that
+    floor, at r_i and an ulp below it.  R2 clears its horizon 2m by 1.3e-9 to
+    0.8 relative, as SearchConfig requires."""
     M = draw(st.floats(0.5, 5.0))
     r_i = 2.0 * M * draw(st.floats(1.001, 4.0))
     R2 = r_i * draw(st.floats(0.05, 0.9))
@@ -262,27 +281,24 @@ def two_shell_inputs(draw):
         m=0.5 * R2 * (1.0 - 10.0 ** draw(st.floats(-8.9, -0.1))), M=M, R2=R2, r_i=r_i,
         p=9, q=10, **grid_interval(M, R2, r_i),
     )
-    margin = DEFAULT_HORIZON_MARGIN
+    floor = max(R2, 2.0 * M / (1.0 - F_MARGIN))
     R1 = draw(st.one_of(
-        st.floats(0.0, 1.0).map(lambda w: R2 + (r_i - R2) * w),
-        st.floats(0.5, 1.0).map(lambda w: R2 * w),
-        st.floats(-2.0, 2.0).map(lambda x: 2.0 * M * (1.0 + margin * x)),
-        st.floats(0.999, 1.001).map(lambda x: 2.0 * M / (1.0 - margin * x)),
-        st.floats(1.0, 1.1).map(lambda w: r_i * w),
-        st.sampled_from([r_i, math.nextafter(r_i, 0.0), math.nextafter(r_i, math.inf)]),
+        st.floats(0.0, 1.0).map(lambda w: floor + (r_i - floor) * w),
+        st.floats(-12.0, 0.0).map(lambda x: floor + (r_i - floor) * 10.0 ** x),
+        st.sampled_from([math.nextafter(floor, math.inf), r_i, math.nextafter(r_i, 0.0)]),
     ))
+    assume(in_contour_domain(config, R1))
     return config, R1
 
 
 class TestTwoShellClosedForm:
     """The search computes the two-shell period in closed form from the config's
-    release; it must be the general walk's (Dt, Dtau) bit for bit, and raise
-    the exception class that the walk raises wherever it raises."""
+    release; on solve_contour's domain it must be the general walk's (Dt, Dtau)
+    bit for bit, and raise the exception class that the walk raises wherever
+    it raises.  test_outside_domain covers R1 outside it."""
 
     @given(two_shell_inputs())
-    @example((SearchConfig(**REFERENCE), 4.0))    # R1 == R2: GeometryError
-    @example((SearchConfig(**REFERENCE), 6.0))    # R1 == 2M: HorizonViolation
-    @example((SearchConfig(**REFERENCE), 12.5))   # R1 > r_i: GeodesicError
+    @example((SearchConfig(**REFERENCE), 12.0))   # R1 == r_i: the release rests at the shell
     @settings(max_examples=500, deadline=None)
     def test_matches_oscillation_period(self, inputs):
         config, R1 = inputs
@@ -793,8 +809,8 @@ class TestMeeting:
         assert ref_meeting.tau_A == pytest.approx(tau_gamma1, rel=1e-12)
 
     def test_branch_directions(self, ref_meeting):
-        assert ref_meeting.gamma1_direction == "inbound"
-        assert ref_meeting.gamma2_direction == "outbound"
+        doc = ref_meeting.as_dict()
+        assert (doc["gamma1_direction"], doc["gamma2_direction"]) == ("inbound", "outbound")
 
     def test_deterministic(self, ref_solution, ref_config, ref_meeting):
         again = find_meeting_radius(ref_solution, ref_config)
@@ -815,6 +831,40 @@ class TestMeeting:
                                    dtau2=ref_solution.dtau1 + 4.0 * math.pi * tau_scale)
         with pytest.raises(NoMeetingError):
             find_meeting_radius(late, ref_config)
+
+
+@st.composite
+def solved_geometries(draw):
+    """(config, solution) drawn as the solve_geometries benchmark draws them:
+    R2, m, M and r_i near the reference, grids 24 to 64, and p/q with q <= 24
+    in the middle half of the ratio range the contour spans over the R1 grid."""
+    R2 = draw(st.floats(3.95, 4.05))
+    config = SearchConfig(**dict(
+        REFERENCE, R2=R2, m=0.5 * R2 * (1.0 - 10.0 ** draw(st.floats(-5.0, -2.0))),
+        M=draw(st.floats(2.9, 3.1)), r_i=draw(st.floats(11.8, 12.2)),
+    ), grid=draw(st.integers(24, 64)))
+    lo, hi = sorted(solve_contour(R1, config).ratio for R1 in (config.R1_min, config.R1_max))
+    ratio = Fraction(lo + (hi - lo) * draw(st.floats(0.25, 0.75))).limit_denominator(24)
+    assume(lo < ratio < hi)
+    config = dataclasses.replace(config, p=ratio.numerator, q=ratio.denominator)
+    return config, solve_switch_configuration(config)
+
+
+class TestMeetingPrecision:
+    @given(solved_geometries())
+    @settings(max_examples=60, deadline=None)
+    def test_radius_matches_fifty_digit_inversion(self, drawn):
+        """r_t within 4 ulps of r_i cos^2(eta / 2), eta the 50-digit root of
+        eta + sin(eta) = (dtau2 - dtau1) / (4 tau_scale) at the solution's
+        dtaus, tau_scale = sqrt(r_i^3 / (8 M)): 1.46 ulps worst over 180 such draws."""
+        config, solution = drawn
+        r_t = find_meeting_radius(solution, config).r_t
+        with mp.workdps(DPS):
+            M, r_i = mp.mpf(config.M), mp.mpf(config.r_i)
+            x = (mp.mpf(solution.dtau2) - mp.mpf(solution.dtau1)) / (4 * mp.sqrt(r_i**3 / (8 * M)))
+            eta = _bracketed_root(lambda eta: eta + mp.sin(eta) - x, 0, mp.pi)
+            r_mp = r_i * mp.cos(eta / 2) ** 2
+            assert abs(mp.mpf(r_t) - r_mp) <= 4 * math.ulp(float(r_mp))
 
 
 @cache

@@ -29,9 +29,7 @@ Y = OperatorSpec(np.array([[0, -1j], [1j, 0]]))
 Z = OperatorSpec(np.array([[1, 0], [0, -1]], dtype=complex))
 KET0 = np.array([1.0, 0.0], dtype=complex)
 
-STUB = EventSchedule(
-    tau_A=0.0, t_A1=0.0, t_A2=2.0, t_B=1.0, t_f=3.0, tau_B=0.8, r_t=10.0
-)
+STUB = EventSchedule(tau_A=0.0, t_A1=0.0, t_A2=2.0, t_B=1.0, t_f=3.0, tau_B=0.8)
 
 
 class TestSchedule:
@@ -50,7 +48,7 @@ class TestSchedule:
 
     def test_static_clock_runs_slow(self, ref_solution, ref_meeting):
         sched = schedule(ref_solution, ref_meeting)
-        want = math.sqrt(1.0 - 2.0 * ref_solution.config.M / sched.r_t)
+        want = math.sqrt(1.0 - 2.0 * ref_solution.config.M / ref_meeting.r_t)
         assert sched.tau_B == pytest.approx(want * sched.t_B, rel=1e-12)
         assert sched.tau_B < sched.t_B
 
@@ -60,10 +58,7 @@ class TestSchedule:
 
     def test_misordered_schedule_rejected(self):
         with pytest.raises(ScheduleError):
-            EventSchedule(
-                tau_A=0.0, t_A1=2.0, t_A2=0.5, t_B=1.0, t_f=3.0,
-                tau_B=0.8, r_t=10.0,
-            )
+            EventSchedule(tau_A=0.0, t_A1=2.0, t_A2=0.5, t_B=1.0, t_f=3.0, tau_B=0.8)
 
 
 class TestOperatorSpec:
