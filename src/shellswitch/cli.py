@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import GeometryError, InputError, MissingKeyError, SearchError, ShellSwitchError
-from .fields import amplitude, finite, real, required
+from .fields import amplitude, real, required
 from .geodesic import (
     diametral_crossing_time,
     null_crossing_time,
@@ -32,7 +32,6 @@ from .search import (
     two_shell_spacetime,
 )
 from .spacetime import (
-    DEFAULT_HORIZON_MARGIN,
     induced_metric_gap,
     shell_stress,
     spacetime_from_config,
@@ -49,7 +48,7 @@ EXIT_INFEASIBLE = 3
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -58,6 +57,9 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not UTF-8 text: {exc}")
     except RecursionError:
         raise InputError(f"invalid JSON in {path}: nested deeper than the parser's recursion limit")
+    if not isinstance(doc, dict):
+        raise InputError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 @contextmanager
@@ -93,9 +95,8 @@ def _write_csv(path: Path, header: str, rows) -> None:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_validate(args) -> int:
-    doc = _load_json(args.config)
-    st = spacetime_from_config(doc, horizon_margin=args.horizon_margin)
+def cmd_validate(doc, args) -> int:
+    st = spacetime_from_config(doc)
     shells = []
     for j, R in enumerate(st.shells):
         stress = shell_stress(st, j)
@@ -117,15 +118,13 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def cmd_stress(args) -> int:
-    doc = _load_json(args.config)
-    st = spacetime_from_config(doc, horizon_margin=args.horizon_margin)
-    _dump_json(stress_report(st), args.out)
+def cmd_stress(doc, args) -> int:
+    _dump_json(stress_report(spacetime_from_config(doc)), args.out)
     return EXIT_OK
 
 
-def cmd_search(args) -> int:
-    config = _search_config(_load_json(args.config), args.ratio, args.tol)
+def cmd_search(doc, args) -> int:
+    config = _search_config(doc, args.ratio)
     solution = solve_switch_configuration(config)
     _dump_json(solution.as_dict(), args.out)
     if args.out is not None:
@@ -134,10 +133,10 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(doc, args) -> int:
     if args.samples < 2:
         raise InputError("sample count must be at least 2")
-    config = _search_config(_load_json(args.config), args.ratio, args.tol)
+    config = _search_config(doc, args.ratio)
     solution = solve_switch_configuration(config)
     meeting = find_meeting_radius(solution, config)
     outdir = Path(args.out or ".")
@@ -186,9 +185,8 @@ def _far_side_tables(outdir: Path, config, solution, samples: int) -> None:
         _write_csv(outdir / f"farside_{name}.csv", "t_global,r,tau", rows)
 
 
-def cmd_period(args) -> int:
-    doc = _load_json(args.config)
-    st = spacetime_from_config(doc, horizon_margin=args.horizon_margin)
+def cmd_period(doc, args) -> int:
+    st = spacetime_from_config(doc)
     r_i = real(doc, "r_i")
     dt, dtau, legs = oscillation_period(st, r_i)
     _dump_json(
@@ -212,8 +210,7 @@ def cmd_period(args) -> int:
     return EXIT_OK
 
 
-def cmd_lightray(args) -> int:
-    doc = _load_json(args.config)
+def cmd_lightray(doc, args) -> int:
     r_a, r_b = real(doc, "r_a"), real(doc, "r_b")
     for key, r in (("r_a", r_a), ("r_b", r_b)):
         if r < 0.0:
@@ -224,15 +221,9 @@ def cmd_lightray(args) -> int:
     fn = diametral_crossing_time if diametral else null_crossing_time
     result = {}
     if "patches" in doc:
-        st = spacetime_from_config(doc, horizon_margin=args.horizon_margin)
-        result["dt_global"] = fn(st, r_a, r_b)
+        result["dt_global"] = fn(spacetime_from_config(doc), r_a, r_b)
     else:
         # branch delays for a solved two-branch configuration
-        if args.horizon_margin != DEFAULT_HORIZON_MARGIN:
-            raise InputError(
-                f"--horizon-margin {args.horizon_margin!r} applies only to a config with "
-                f"patches; the search holds its shells to {DEFAULT_HORIZON_MARGIN}"
-            )
         config = _search_config(doc)
         solution = solve_switch_configuration(config)
         result["dt_branch1"] = fn(one_shell_spacetime(config, solution.R), r_a, r_b)
@@ -241,8 +232,7 @@ def cmd_lightray(args) -> int:
     return EXIT_OK
 
 
-def cmd_switch(args) -> int:
-    doc = _load_json(args.config)
+def cmd_switch(doc, args) -> int:
     B = sw.OperatorSpec.from_json(required(doc, "B"), name="B")
     psi = [amplitude(z, f"psi[{i}]") for i, z in enumerate(required(doc, "psi"))]
     if "C" in doc and "D" in doc:
@@ -271,17 +261,13 @@ def cmd_switch(args) -> int:
     return EXIT_OK
 
 
-def _search_config(
-    doc: dict, ratio: tuple[int, int] | None = None, tol: float | None = None
-) -> SearchConfig:
-    """Search config from a document plus the --ratio/--tol overrides.
+def _search_config(doc: dict, ratio: tuple[int, int] | None = None) -> SearchConfig:
+    """Search config from a document plus the --ratio override.
 
     A config the search rejects is an input error, not an infeasible search.
     """
     if ratio is not None:
         doc = {**doc, "p": ratio[0], "q": ratio[1]}
-    if tol is not None:
-        doc = {**doc, "tol": tol}
     try:
         return SearchConfig.from_dict(doc)
     except SearchError as exc:
@@ -296,13 +282,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
-
-
-def margin(text: str) -> float:
-    """A --horizon-margin value: a finite number (the fields rule), not negative."""
-    if finite(float(text), "the margin", argparse.ArgumentTypeError) < 0.0:
-        raise argparse.ArgumentTypeError(f"the margin must be >= 0, got {text}")
-    return float(text)
 
 
 def out_path(text: str) -> str:
@@ -323,24 +302,18 @@ def ratio(text: str) -> tuple[int, int]:
 
 
 FLAGS = {
-    "--horizon-margin": dict(
-        type=margin, default=DEFAULT_HORIZON_MARGIN,
-        help="relative shell-horizon clearance required at validation",
-    ),
     "--ratio": dict(type=ratio, default=None, help="target ratio as p/q"),
-    "--tol": dict(type=float, default=None, help="root tolerance override"),
     "--samples": dict(type=int, default=512, help="rows per trajectory table, at least 2"),
 }
-SEARCH_FLAGS = ("--ratio", "--tol")
 
 # name: (handler, help, flags it reads beyond --config and --out)
 SUBCOMMANDS = {
-    "validate": (cmd_validate, "check a spacetime config", ("--horizon-margin",)),
-    "stress": (cmd_stress, "shell surface stress-energy report", ("--horizon-margin",)),
-    "search": (cmd_search, "solve the switch geometry conditions", SEARCH_FLAGS),
-    "trace": (cmd_trace, "trajectories and meeting event", SEARCH_FLAGS + ("--samples",)),
-    "period": (cmd_period, "oscillation period for a spacetime", ("--horizon-margin",)),
-    "lightray": (cmd_lightray, "radial null crossing times", ("--horizon-margin",)),
+    "validate": (cmd_validate, "check a spacetime config", ()),
+    "stress": (cmd_stress, "shell surface stress-energy report", ()),
+    "search": (cmd_search, "solve the switch geometry conditions", ("--ratio",)),
+    "trace": (cmd_trace, "trajectories and meeting event", ("--ratio", "--samples")),
+    "period": (cmd_period, "oscillation period for a spacetime", ()),
+    "lightray": (cmd_lightray, "radial null crossing times", ()),
     "switch": (cmd_switch, "quantum switch state evolution", ()),
 }
 
@@ -370,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return SUBCOMMANDS[args.command][0](args)
+        return SUBCOMMANDS[args.command][0](_load_json(args.config), args)
     except MissingKeyError as exc:
         print(f"INPUT ERROR: {exc} in {args.config}", file=sys.stderr)
         return EXIT_INPUT

@@ -165,10 +165,6 @@ def _schwarzschild_span(mass: float, r: float, u_r: float, r_exit: float):
     so both spans are absolute values of parametric differences.
     """
     params = CycloidParams.from_state(mass, r, u_r)
-    if r_exit > params.r_apo * (1.0 + APOAPSIS_CLAMP):
-        raise UnreachableRadiusError(
-            f"exit radius {r_exit} beyond fictitious apoapsis {params.r_apo}"
-        )
     eta_a = eta_of_radius(params, r)
     eta_b = eta_of_radius(params, r_exit)
     t_a, tau_a = coordinate_time(params, eta_a, r), proper_time(params, eta_a)
@@ -314,7 +310,7 @@ def trajectory(
     samples one period apart, and mirrored samples in a half period, often
     share an offset.  A Schwarzschild solve starts from the previous root in
     its leg, moved along its tangent: about 1.35 evaluations of t(eta) per
-    solve, where the linear guess across the leg took 3.47.  So a row's last
+    solve.  So a row's last
     bits can depend on the call's other samples; the same arguments give the
     same rows, and equal offsets in one call share their bits.
 

@@ -291,8 +291,8 @@ def _seed(config: SearchConfig, R1: float, rate2: float) -> float:
     """f where config.rate_table, inverted by cubic Hermite interpolation of s
     in L = log rate (clamped to the table's rows), puts the one-shell rate at
     rate2; NaN if the table has fewer than two rows.  On the reference the
-    seed's R - 2M is ~2.5e-7 relative off the root (~8e-4 by linear
-    interpolation), so Newton needs ~2.5 evaluations where it needed ~3.9."""
+    seed's R - 2M is ~2.5e-7 relative off the root, so Newton needs ~2.5
+    evaluations."""
     log_rates, s_values, ds_dL = config.rate_table
     if len(log_rates) < 2:
         return math.nan
@@ -395,9 +395,8 @@ def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
     4 ulps of its 50-digit root for shells within 10% above 2M (1.4 ulps worst
     over 598 random points); farther out the rate flattens in R, and the
     residual's rounding moves the root by more (8.8 ulps seen).  The grid-200
-    reference takes 2.5 one-shell evaluations per point and no end check (5.5
-    with the linear seed and two end checks).  A pure function of its
-    arguments: the seed never comes from another point."""
+    reference takes 2.5 one-shell evaluations per point and no end check.  A
+    pure function of its arguments: the seed never comes from another point."""
     if not config.R2 < R1 <= config.r_i:
         raise NoSolutionAtRadius(f"R1={R1} outside (R2, r_i] = ({config.R2}, {config.r_i}]")
     f_lo = (2.0 * config.M + F_MARGIN * R1 - config.R2) / (R1 - config.R2)
@@ -446,8 +445,7 @@ def solve_switch_configuration(config: SearchConfig) -> SwitchSolution:
     bracket; each contour point's shell radius to within 4 ulps
     (solve_contour).  The grid-200 reference solve evaluates the one-shell
     period 545 times over its 203 contour points, the seed table's 33 rows
-    included, and evaluates no end of an f interval (1,152 and 406 with a
-    linear seed and two end checks per point)."""
+    included, and evaluates no end of an f interval."""
     curve = period_ratio_curve(config)
     if len(curve) < 2:
         raise SearchError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GeometryError, HorizonViolation
+from .errors import GeometryError, HorizonViolation, InputError
 from .fields import real, required
 
 DEFAULT_HORIZON_MARGIN = 1e-9
@@ -94,6 +94,9 @@ def build_spacetime(
     Checks adjacency (no gaps/overlaps), shell-horizon clearance with the given
     relative margin, and the flat-core requirement for multi-patch stacks.
     Lapses are cumulative products of the per-shell time-identification factors.
+    Configs are always checked at DEFAULT_HORIZON_MARGIN; a smaller margin is
+    for library callers that study a shell closer to its horizon, such as the
+    pressure's growth 1e-10 above 2M in acceptance criterion 5.
     """
     patches = tuple(patches)
     if not patches:
@@ -197,18 +200,23 @@ def shell_stress(spacetime: ShellSpacetime, shell_index: int) -> SurfaceStress:
 
 def patches_from_config(doc: dict) -> list[PatchSpec]:
     """Parse the {"patches": [{"mass", "r_min", "r_max"}]} document."""
-    return [
-        PatchSpec(
+    entries = required(doc, "patches")
+    if not isinstance(entries, list):
+        raise InputError(f"patches must be a list of objects, got {entries!r}")
+    specs = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise InputError(f"patches[{i}] must be an object, got {entry!r}")
+        specs.append(PatchSpec(
             mass=real(entry, "mass"),
             r_min=real(entry, "r_min"),
             r_max=None if entry.get("r_max") is None else real(entry, "r_max"),
-        )
-        for entry in required(doc, "patches")
-    ]
+        ))
+    return specs
 
 
-def spacetime_from_config(doc: dict, horizon_margin: float = DEFAULT_HORIZON_MARGIN) -> ShellSpacetime:
-    return build_spacetime(patches_from_config(doc), horizon_margin=horizon_margin)
+def spacetime_from_config(doc: dict) -> ShellSpacetime:
+    return build_spacetime(patches_from_config(doc))
 
 
 def stress_report(spacetime: ShellSpacetime) -> dict:

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import shellswitch.cli
 import shellswitch.search
-from shellswitch.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_INVALID, EXIT_OK, main
+from shellswitch.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_INVALID, EXIT_OK, build_parser, main
 from shellswitch.errors import NoSolutionAtRadius
 
 from conftest import REFERENCE
@@ -65,21 +66,18 @@ class TestValidate:
         assert main(["validate", "--config", cfg]) == EXIT_INVALID
         assert "INVALID" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("margin", ["nan", "inf", "-1"])
-    def test_margin_must_be_finite_and_not_negative(self, tmp_path, capsys, margin):
-        # a shell 1e-12 above 2M = 6 fails the default margin; no flag value
-        # may switch that check off
+    def test_default_margin_rejects_shell_near_horizon(self, tmp_path, capsys):
+        # a shell 1e-12 above 2M = 6 fails the 1e-9 margin every config is held to
         near = {"patches": [
             {"mass": 0.0, "r_min": 0.0, "r_max": 6.000000000006},
             {"mass": 3.0, "r_min": 6.000000000006, "r_max": None},
         ]}
         cfg = write(tmp_path, "near.json", near)
         assert main(["validate", "--config", cfg]) == EXIT_INVALID
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(["validate", "--config", cfg, "--horizon-margin", margin])
-        assert exc.value.code == EXIT_INPUT
-        assert "--horizon-margin" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("INVALID: shell at R=6.000000000006 at or inside the outer-patch "
+                                "horizon 2*mass=6.0 (relative margin 1e-09)\n")
 
     def test_truncated_json_exits_1(self, tmp_path, capsys):
         path = tmp_path / "trunc.json"
@@ -302,9 +300,9 @@ class TestSearch:
         assert "INPUT ERROR: search config: p must be at most" in capsys.readouterr().err
         assert calls == []
 
-    def test_zero_tol_flag_exits_1(self, tmp_path, capsys):
-        cfg = write(tmp_path, "search.json", SEARCH)
-        assert main(["search", "--config", cfg, "--tol", "0"]) == EXIT_INPUT
+    def test_zero_tol_exits_1(self, tmp_path, capsys):
+        cfg = write(tmp_path, "search.json", dict(SEARCH, tol=0))
+        assert main(["search", "--config", cfg]) == EXIT_INPUT
         assert "tol=0.0 must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["", "9/10/3", "9/x", "0.9"])
@@ -441,18 +439,6 @@ class TestLightray:
         assert captured.err == f"INPUT ERROR: {field} must be >= 0, got -5.0\n"
         assert solves == []
 
-    def test_branch_mode_rejects_horizon_margin(self, monkeypatch, capsys):
-        # the solved shells are built by the search, which does not read the
-        # flag: parsed and then ignored, the margin would exit 0 unchecked
-        solves = []
-        monkeypatch.setattr(shellswitch.cli, "solve_switch_configuration", solves.append)
-        cfg = str(CONFIGS / "lightray_branches.json")
-        assert main(["lightray", "--config", cfg, "--horizon-margin", "0.9"]) == EXIT_INPUT
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("INPUT ERROR: --horizon-margin 0.9 applies only")
-        assert solves == []
-
     def test_branch_mode_bad_config_exits_1(self, tmp_path, capsys):
         cfg = write(tmp_path, "ray.json", dict(SEARCH, q=0, r_a=12.0, r_b=12.0))
         assert main(["lightray", "--config", cfg]) == EXIT_INPUT
@@ -544,6 +530,32 @@ class TestMissingKey:
         assert captured.out == ""
         assert captured.err == f"INPUT ERROR: missing key {key!r} in {cfg}\n"
         assert not (tmp_path / "out").exists()
+
+
+class TestConfigShape:
+    """A config that is not an object, or whose patches are not a list of
+    objects, printed only the bare Python message, say `INPUT ERROR: list
+    indices must be integers or slices, not str`."""
+
+    @pytest.mark.parametrize("command", ["validate", "search"])
+    @pytest.mark.parametrize("doc, kind", [([], "list"), ("x", "str")])
+    def test_top_level_must_be_an_object(self, tmp_path, capsys, command, doc, kind):
+        cfg = write(tmp_path, "config.json", doc)
+        assert main([command, "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"INPUT ERROR: {cfg} must hold a JSON object, got {kind}\n"
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"patches": 5}, "patches must be a list of objects, got 5"),
+        ({"patches": [1]}, "patches[0] must be an object, got 1"),
+    ])
+    def test_patches_must_be_a_list_of_objects(self, tmp_path, capsys, doc, message):
+        cfg = write(tmp_path, "config.json", doc)
+        assert main(["validate", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"INPUT ERROR: {message}\n"
 
 
 class TestSwitch:
@@ -688,6 +700,42 @@ class TestUsage:
             main([cfg if arg == "CFG" else arg for arg in argv])
         assert exc.value.code == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        *((command, "--horizon-margin", "1e-9")
+          for command in ("validate", "stress", "period", "lightray")),
+        ("search", "--tol", "1e-10"),
+        ("trace", "--tol", "1e-10"),
+    ])
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, command, flag, value):
+        # every patch stack is checked at the 1e-9 margin, and the root
+        # tolerance is the config's tol key
+        cfg = write(tmp_path, "cfg.json", SEARCH)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(out), flag, value])
+        assert exc.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+        assert not out.exists()
+
+    def test_readme_flag_table_matches_parser(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parsed = {
+            name: {flag for action in p._actions for flag in action.option_strings}
+            - {"-h", "--help", "--config", "--out"}
+            for name, p in sub.choices.items()
+        }
+        readme = (ROOT / "README.md").read_text().split("| subcommand | flags besides")[1]
+        documented = {}
+        for row in readme.split("\n\n")[0].splitlines()[2:]:
+            names, flags = row.strip("|").split("|")
+            for name in re.findall(r"`([a-z]+)`", names):
+                assert name not in documented, f"{name} listed twice"
+                documented[name] = set(re.findall(r"`(--[a-z-]+)`", flags))
+        assert documented == parsed
 
     @pytest.mark.parametrize("command", ["validate", "stress", "search", "trace", "period",
                                          "lightray", "switch"])
