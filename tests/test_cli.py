@@ -66,8 +66,10 @@ class TestValidate:
         assert main(["validate", "--config", cfg]) == EXIT_INVALID
         assert "INVALID" in capsys.readouterr().err
 
-    def test_default_margin_rejects_shell_near_horizon(self, tmp_path, capsys):
-        # a shell 1e-12 above 2M = 6 fails the 1e-9 margin every config is held to
+    @pytest.mark.parametrize("margin", ["nan", "inf", "-1"])
+    def test_margin_must_be_finite_and_not_negative(self, tmp_path, capsys, margin):
+        # a shell 1e-12 above 2M = 6 fails the 1e-9 margin every config is
+        # held to; no flag value may switch that check off
         near = {"patches": [
             {"mass": 0.0, "r_min": 0.0, "r_max": 6.000000000006},
             {"mass": 3.0, "r_min": 6.000000000006, "r_max": None},
@@ -78,6 +80,10 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err == ("INVALID: shell at R=6.000000000006 at or inside the outer-patch "
                                 "horizon 2*mass=6.0 (relative margin 1e-09)\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--config", cfg, "--horizon-margin", margin])
+        assert exc.value.code == EXIT_INPUT
+        assert f"unrecognized arguments: --horizon-margin {margin}" in capsys.readouterr().err
 
     def test_truncated_json_exits_1(self, tmp_path, capsys):
         path = tmp_path / "trunc.json"
