@@ -40,7 +40,7 @@ from shellswitch.geodesic import (
 )
 from shellswitch.spacetime import metric_factor, spacetime_from_config
 
-from oracles import DPS, _cycloid_at, mp_invert_leg, norm_defect, quad_spans
+from oracles import DPS, _cycloid_at, mp_invert_leg, mp_period, norm_defect, quad_spans
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -307,6 +307,16 @@ class TestOscillation:
     def test_positive_finite(self):
         dt, dtau, _ = oscillation_period(m2_reference(), 12.0)
         assert 0 < dtau < dt < math.inf
+
+    def test_flat_middle_patch(self):
+        # a flat patch between two shells: the walk's Minkowski span between
+        # shell transfers, which no search geometry reaches
+        doc = json.loads((CONFIGS / "flat_middle_spacetime.json").read_text())
+        dt, dtau, _ = oscillation_period(spacetime_from_config(doc), doc["r_i"])
+        with mp.workdps(DPS):
+            want = mp_period((0.0, 1.9, 0.0, 3.0), (4.0, 6.0, 9.0), 12.0)
+            for got, exact in zip((dt, dtau), want):
+                assert abs(got / exact - 1) < 1e-15
 
     def test_all_flat_error(self):
         st_ = build_spacetime([PatchSpec(0.0, 0.0, None)])
