@@ -16,8 +16,9 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import GeometryError, InputError, MissingKeyError, SearchError, ShellSwitchError
-from .fields import amplitude, real, required
+from .fields import amplitudes, real, required
 from .geodesic import (
+    _exterior_leg,
     diametral_crossing_time,
     null_crossing_time,
     oscillation_period,
@@ -25,7 +26,6 @@ from .geodesic import (
 )
 from .search import (
     SearchConfig,
-    _exterior_leg,
     find_meeting_radius,
     one_shell_spacetime,
     solve_switch_configuration,
@@ -171,7 +171,7 @@ def _far_side_tables(outdir: Path, config, solution, samples: int) -> None:
     r_lo = solution.R1
     radii = [r_lo + (config.r_i - r_lo) * i / (samples - 1) for i in range(samples)]
     passes = ((-1, radii), (+1, [config.r_i - (r - r_lo) for r in radii[1:]]))
-    legs = {r: _exterior_leg(config, r)[:2] for r in {r for _, rs in passes for r in rs}}
+    legs = {r: _exterior_leg(config.release[0], r)[:2] for r in {r for _, rs in passes for r in rs}}
     spans = [(sign, r, *legs[r]) for sign, rs in passes for r in rs]
     halves = {
         "gamma1": (solution.dt1 / 2.0, solution.dtau1 / 2.0),
@@ -234,7 +234,7 @@ def cmd_lightray(doc, args) -> int:
 
 def cmd_switch(doc, args) -> int:
     B = sw.OperatorSpec.from_json(required(doc, "B"), name="B")
-    psi = [amplitude(z, f"psi[{i}]") for i, z in enumerate(required(doc, "psi"))]
+    psi = amplitudes(required(doc, "psi"), "psi")
     if "C" in doc and "D" in doc:
         C = sw.OperatorSpec.from_json(doc["C"], name="C")
         D = sw.OperatorSpec.from_json(doc["D"], name="D")

@@ -32,8 +32,17 @@ def real(doc: dict, key: str, error: type[Exception] = InputError) -> float:
 
 def amplitude(pair, name: str) -> complex:
     """A complex number given as a [re, im] pair of finite numbers."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise InputError(f"{name} must be a [re, im] pair, got {pair!r}")
     re, im = pair
     return complex(finite(re, f"{name}[0]"), finite(im, f"{name}[1]"))
+
+
+def amplitudes(values, name: str) -> list[complex]:
+    """A list of complex numbers, each a [re, im] pair."""
+    if not isinstance(values, list):
+        raise InputError(f"{name} must be a list of [re, im] pairs, got {values!r}")
+    return [amplitude(z, f"{name}[{i}]") for i, z in enumerate(values)]
 
 
 def integer(doc: dict, key: str, error: type[Exception] = InputError) -> int:

@@ -187,12 +187,6 @@ def _minkowski_span(r: float, u_r: float, u_t: float, r_exit: float) -> tuple[fl
     return u_t * dtau, dtau
 
 
-def _shell_transfer(mu_in: float, mu_out: float, R: float) -> float:
-    """k = sqrt(f_out / f_in) at the shell at R:
-    u_r(out) = k * u_r(in) and u_t(out) = u_t(in) / k."""
-    return math.sqrt(metric_factor(mu_out, R) / metric_factor(mu_in, R))
-
-
 # slotted for trajectory's attribute reads (a NamedTuple field reads ~3x slower);
 # not frozen, which would cost ~3 us per leg to build
 @dataclass(slots=True)
@@ -215,39 +209,76 @@ class Leg:
     origin: tuple[float, float] | None
 
 
-def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, float, list[Leg]]:
-    """(Dt_global, Dtau, inbound quarter legs) for one full radial oscillation.
+def _exterior_leg(release: CycloidParams, r: float) -> tuple[float, float, float, float, float]:
+    """(t, tau, u_t, u_r, eta) at r on the exterior cycloid from rest at r_i:
+    t (the release's own not subtracted) and tau since rest, the inbound
+    tangent and eta.  The walk, the meeting and the far-side tables read it."""
+    eta = eta_of_radius(release, r)
+    u_t, u_r = tangent(release, eta, r)
+    return coordinate_time(release, eta, r), proper_time(release, eta), u_t, u_r, eta
 
-    The quarter oscillation from rest at r_i down to the center is walked one
-    patch at a time, outermost first: each patch is crossed by
-    _schwarzschild_span or _minkowski_span, and each shell, at the r_min of
-    the patch just crossed, rescales (u_r, u_t) by its _shell_transfer factor;
-    proper time runs on across it.  The motion through the center is time
-    symmetric, so the period is exactly four mirrored quarters.
-    """
-    patches, lapses = spacetime.patches, spacetime.lapses
+
+def _walk(release: tuple[CycloidParams, float], R: float, layers, legs: list | None = None):
+    """(Dt, Dtau, u_r, u_t, dt_core, dtau_core): the one path that computes
+    every period.  release is the exterior cycloid from rest at r_i and its t
+    there (as SearchConfig.release), R the exterior's shell, and layers the
+    (mass, r_min) of each patch between it and the flat core, outermost first.
+    The walk: the exterior leg to R; at each shell the tangent transfer
+    u_r / k, u_t * k, k = sqrt(f_out / f_in), and the running lapse times
+    sqrt(f_in / f_out); each patch's span to its r_min; last, the core (f_in
+    exactly 1.0) to the center; four mirrored quarters.  (u_r, u_t) is the
+    exterior's exit tangent and (dt_core, dtau_core) the core's global spans,
+    for the one-shell rate slope.  An empty list legs gets one Leg per patch."""
+    cycloid, t_release = release
+    t, dtau, u_t_ext, u_r_ext, eta = _exterior_leg(cycloid, R)
+    dt = abs(t - t_release)
+    if legs is not None:
+        legs.append(Leg(len(layers) + 1, cycloid.r_apo, R, dt, dt, dtau, 0.0,
+                        cycloid, 0.0, eta, (t_release, 0.0)))
+    u_r, u_t, mass_out, lapse = u_r_ext, u_t_ext, cycloid.mass, 1.0
+    for mass, r_min in layers:
+        f_out, f_in = metric_factor(mass_out, R), metric_factor(mass, R)
+        k = math.sqrt(f_out / f_in)
+        lapse *= math.sqrt(f_in / f_out)
+        if mass > 0.0:  # the span reads no u_t
+            span_t, span_tau, u_r, u_t, params, eta_a, eta_b, origin = _schwarzschild_span(
+                mass, R, u_r / k, r_min)
+        else:
+            u_r, u_t = u_r / k, u_t * k
+            span_t, span_tau = _minkowski_span(R, u_r, u_t, r_min)
+            params = eta_a = eta_b = origin = None
+        if legs is not None:
+            legs.append(Leg(len(layers) + 1 - len(legs), R, r_min, span_t, lapse * span_t,
+                            span_tau, dtau, params, eta_a, eta_b, origin))
+        dt, dtau, R, mass_out = dt + lapse * span_t, dtau + span_tau, r_min, mass
+    # the flat core: _minkowski_span to the center, inline
+    f_out = metric_factor(mass_out, R)
+    k = math.sqrt(f_out)
+    lapse *= math.sqrt(1.0 / f_out)
+    if u_r == 0.0:
+        raise GeodesicError("stationary particle cannot reach a different radius")
+    dtau_core = abs(R / (u_r / k))
+    span_t = u_t * k * dtau_core
+    if legs is not None:
+        legs.append(Leg(0, R, 0.0, span_t, lapse * span_t, dtau_core, dtau, None, None, None, None))
+    dt_core = lapse * span_t
+    return 4.0 * (dt + dt_core), 4.0 * (dtau + dtau_core), u_r_ext, u_t_ext, dt_core, dtau_core
+
+
+def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, float, list[Leg]]:
+    """(Dt_global, Dtau, inbound quarter legs) of one oscillation from rest at r_i."""
+    patches = spacetime.patches
     if patches[0].mass != 0.0:
         raise NoRestoringForceError("oscillation through the center requires a flat core")
     if patches[-1].mass <= 0.0:
         raise NoRestoringForceError("outermost patch is flat: nothing pulls the body back")
     if r_i < patches[-1].r_min:
         raise GeodesicError(f"release radius {r_i} below the outermost patch")
-    # the outermost patch is Schwarzschild, whose span reads no u_t
-    r, u_r, u_t, tau = r_i, 0.0, None, 0.0
+    release = CycloidParams.from_state(patches[-1].mass, r_i, 0.0)
+    layers = [(patch.mass, patch.r_min) for patch in reversed(patches[1:-1])]
     legs = []
-    for k in range(len(patches) - 1, -1, -1):
-        mass, r_target = patches[k].mass, patches[k].r_min  # r_min is 0 for the core
-        if mass > 0.0:
-            dt, dtau, u_r_out, u_t_out, *arc = _schwarzschild_span(mass, r, u_r, r_target)
-        else:
-            dt, dtau = _minkowski_span(r, u_r, u_t, r_target)
-            u_r_out, u_t_out, arc = u_r, u_t, (None, None, None, None)
-        legs.append(Leg(k, r, r_target, dt, lapses[k] * dt, dtau, tau, *arc))
-        r, u_r, u_t, tau = r_target, u_r_out, u_t_out, tau + dtau
-        if k > 0:
-            kappa = _shell_transfer(patches[k - 1].mass, mass, r)
-            u_r, u_t = u_r / kappa, u_t * kappa
-    return 4.0 * sum(leg.dt_global for leg in legs), 4.0 * sum(leg.dtau for leg in legs), legs
+    dt, dtau, *_ = _walk((release, coordinate_time(release, 0.0, r_i)), patches[-1].r_min, layers, legs)
+    return dt, dtau, legs
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,11 @@ from .fields import FLOAT_MAX, integer, real
 from .geodesic import (
     NEWTON_STEPS,
     CycloidParams,
-    _minkowski_span,
-    _schwarzschild_span,
+    _exterior_leg,
+    _walk,
     coordinate_time,
     eta_of_radius,
-    proper_time,
     radius,
-    tangent,
 )
 from .spacetime import (
     DEFAULT_HORIZON_MARGIN, PatchSpec, ShellSpacetime, build_spacetime, metric_factor,
@@ -216,68 +214,29 @@ def shell_radius(config: SearchConfig, R1: float, f: float) -> float:
     return config.R2 + (R1 - config.R2) * f
 
 
-def _exterior_leg(config: SearchConfig, r: float) -> tuple[float, float, float, float]:
-    """(t, tau, u_t, u_r) at r on the shared exterior's cycloid from rest at r_i
-    (config.release): coordinate time (the release's own t not subtracted) and
-    proper time since rest, and the inbound tangent.  config.release is the
-    cycloid the walk's exterior span builds, from_state(M, r_i, 0.0), and
-    proper_time at the rest is 0.0, so these are the walk's exterior-leg
-    operations."""
-    params = config.release[0]
-    eta = eta_of_radius(params, r)
-    return (coordinate_time(params, eta, r), proper_time(params, eta), *tangent(params, eta, r))
-
-
 def _one_shell_period(config: SearchConfig, R: float) -> tuple[float, float, float]:
-    """(Dt, Dtau) of oscillation_period(one_shell_spacetime(config, R), r_i), bit for
-    bit: its operations in their order (exterior leg from rest at r_i to R, tangent
-    transfer by k = sqrt(f(M, R)), core leg times the core lapse sqrt(1 / f(M, R)),
-    4 x the legs' sum) without the spacetime; then the slope d(Dtau/Dt)/dR of the
-    clock rate in closed form.  (NaN, NaN, NaN) exactly where the period raises."""
+    """(Dt, Dtau) of oscillation_period(one_shell_spacetime(config, R), r_i), by
+    _walk from the config's cached release, and the rate slope d(Dtau/Dt)/dR in
+    closed form; (NaN, NaN, NaN) exactly where oscillation_period raises."""
     M, r_i = config.M, config.r_i
     # at R == r_i the particle rests at the shell and never reaches the core
-    if not 0.0 < R < r_i or metric_factor(M, R) < DEFAULT_HORIZON_MARGIN:
+    if not 0.0 < R < r_i or (f := metric_factor(M, R)) < DEFAULT_HORIZON_MARGIN:
         return math.nan, math.nan, math.nan
-    f_out = metric_factor(M, R)
-    t, dtau_out, u_t, u_r = _exterior_leg(config, R)
-    dt_out = abs(t - config.release[1])
-    k = math.sqrt(f_out)
-    dtau_core = R / (abs(u_r) / k)
-    dt_core = math.sqrt(1.0 / f_out) * (u_t * k * dtau_core)
-    dt, dtau = 4.0 * (dt_out + dt_core), 4.0 * (dtau_out + dtau_core)
+    dt, dtau, u_r, u_t, dt_core, dtau_core = _walk(config.release, R, ())
     # Per unit R the exterior spans shrink by 1/|u_r| (tau) and u_t/|u_r| (t);
     # the core spans R sqrt(f)/|u_r| and E R/(sqrt(f) |u_r|), with |u_r|^2 =
     # E^2 - f and f' = 2M/R^2, have log-derivatives 1/R + f'/(2 u_r^2) +- f'/(2f).
     df = 2.0 * M / (R * R)
-    shared, lapse = 1.0 / R + df / (2.0 * u_r * u_r), df / (2.0 * f_out)
+    shared, lapse = 1.0 / R + df / (2.0 * u_r * u_r), df / (2.0 * f)
     ddtau = dtau_core * (shared + lapse) - 1.0 / abs(u_r)
     ddt = dt_core * (shared - lapse) - u_t / abs(u_r)
     return dt, dtau, 4.0 * (ddtau - dtau / dt * ddt) / dt
 
 
 def _two_shell_period(config: SearchConfig, R1: float) -> tuple[float, float]:
-    """(Dt, Dtau) of oscillation_period(two_shell_spacetime(config, R1), r_i), bit
-    for bit, and the walk's exception class wherever it fails, on solve_contour's
-    domain: the walk's legs in its order (the exterior leg to R1, the tangent
-    transfer at R1, the Schwarzschild span of mass m down to R2, the transfer at
-    R2, the flat core), with the lapses folded as build_spacetime folds them and
-    the four-quarter sums as oscillation_period sums them.
-    It makes no check: SearchConfig and solve_contour made them."""
-    m, M, R2 = config.m, config.M, config.R2
-    f_out, f_mid = metric_factor(M, R1), metric_factor(m, R1)
-    t, dtau_out, _, u_r = _exterior_leg(config, R1)
-    dt_out = abs(t - config.release[1])
-    # the span reads u_r only squared and through u_r == 0, so its sign is moot
-    k = math.sqrt(f_out / f_mid)
-    dt_mid, dtau_mid, u_r, u_t, *_ = _schwarzschild_span(m, R1, u_r / k, R2)
-    # at R2 the flat core's f is exactly 1.0
-    f_shell = metric_factor(m, R2)
-    k = math.sqrt(f_shell)
-    dt_core, dtau_core = _minkowski_span(R2, u_r / k, u_t * k, 0.0)
-    lapse_mid = math.sqrt(f_mid / f_out)
-    lapse_core = lapse_mid * math.sqrt(1.0 / f_shell)
-    return (4.0 * (dt_out + lapse_mid * dt_mid + lapse_core * dt_core),
-            4.0 * (dtau_out + dtau_mid + dtau_core))
+    """(Dt, Dtau) of oscillation_period(two_shell_spacetime(config, R1), r_i), by
+    _walk from the config's cached release; SearchConfig and solve_contour check."""
+    return _walk(config.release, R1, ((config.m, config.R2),))[:2]
 
 
 def ratio_residual(R1: float, f: float, config: SearchConfig, rate2: float) -> float:
@@ -381,9 +340,9 @@ def _contour_root(config: SearchConfig, R1: float, rate2: float,
 
 def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
     """Both branch periods at the root in f of the equal-clock-rate residual at
-    fixed R1.  The two-shell period depends on R1 alone, so it is computed once,
-    in closed form from the config's cached release (_two_shell_period), and
-    only the one-shell branch varies with f.  The domain is R2 < R1 <= r_i with
+    fixed R1.  The two-shell period depends on R1 alone, so it is walked once,
+    from the config's cached release (_two_shell_period), and only the
+    one-shell branch varies with f.  The domain is R2 < R1 <= r_i with
     a non-empty admissible f interval, which puts R1 above 2M / (1 - 1e-6);
     elsewhere NoSolutionAtRadius is raised.  The one-shell rate Dtau1/Dt1
     rises strictly in R (tests/test_search.py checks it at 50 digits), so the
@@ -520,7 +479,7 @@ def find_meeting_radius(solution: SwitchSolution, config: SearchConfig) -> Meeti
         raise NoMeetingError("proper-time curves do not cross transversally on (R1, r_i)")
     eta = brentq(lambda eta: eta + math.sin(eta) - x, lo, hi, xtol=1e-300, rtol=8.9e-16)
     r_t = radius(params, eta)
-    t_e, tau_e = _exterior_leg(config, r_t)[:2]
+    t_e, tau_e = _exterior_leg(params, r_t)[:2]
     t_A1 = solution.dt1 / 2.0 + t_e
     t_A2 = solution.dt2 / 2.0 - t_e
     if not t_A1 < t_A2:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ScheduleError
-from .fields import amplitude
+from .errors import DimensionMismatchError, InputError, ScheduleError
+from .fields import amplitudes
 from .search import MeetingEvent, SwitchSolution
 from .spacetime import metric_factor
 
@@ -69,9 +69,9 @@ class OperatorSpec:
     @classmethod
     def from_json(cls, entries: list, name: str = "operator") -> "OperatorSpec":
         """Entries as nested [[ [re, im], ... ], ...] of finite numbers."""
-        m = np.array([[amplitude(z, f"{name}[{i}][{j}]") for j, z in enumerate(row)]
-                      for i, row in enumerate(entries)])
-        return cls(matrix=m)
+        if not isinstance(entries, list):
+            raise InputError(f"{name} must be a list of rows of [re, im] pairs, got {entries!r}")
+        return cls(matrix=np.array([amplitudes(row, f"{name}[{i}]") for i, row in enumerate(entries)]))
 
 
 @dataclass(frozen=True)

@@ -67,9 +67,9 @@ def test_criterion_1_golden_reproduction():
 
 
 def test_criterion_2_meeting_radius(ref_solution, ref_meeting):
-    from shellswitch.search import _exterior_leg
+    from shellswitch.geodesic import _exterior_leg
 
-    tau_e = _exterior_leg(ref_solution.config, ref_meeting.r_t)[1]
+    tau_e = _exterior_leg(ref_solution.config.release[0], ref_meeting.r_t)[1]
     tau_1 = ref_solution.dtau1 / 2.0 + tau_e
     tau_2 = ref_solution.dtau2 / 2.0 - tau_e
     ok = (

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shellswitch.cli
+import shellswitch.geodesic
 import shellswitch.search
 from shellswitch.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_INVALID, EXIT_OK, build_parser, main
 from shellswitch.errors import NoSolutionAtRadius
@@ -634,6 +635,19 @@ class TestSwitch:
         name = field + "".join(f"[{i}]" for i in path)
         assert f"{name} must be a finite number" in captured.err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("psi", 5, "psi must be a list of [re, im] pairs, got 5"),
+        ("A", 5, "A must be a list of rows of [re, im] pairs, got 5"),
+        ("psi", [1, 0], "psi[0] must be a [re, im] pair, got 1"),
+        ("psi", [[1, 0, 3], [0, 0]], "psi[0] must be a [re, im] pair, got [1, 0, 3]"),
+    ])
+    def test_malformed_amplitudes_name_the_field(self, tmp_path, capsys, field, value, message):
+        # each reached main's bare TypeError/ValueError fallback, naming no field
+        cfg = write(tmp_path, "sw.json", dict(PAULI, **{field: value}))
+        assert main(["switch", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"INPUT ERROR: {message}\n")
+
     def test_output_json_is_finite(self, tmp_path, capsys, monkeypatch):
         # a non-finite number that reached the output would not be JSON
         monkeypatch.setattr(shellswitch.cli.sw, "measure_control_diagonal",
@@ -866,9 +880,9 @@ class TestOutputWriters:
         config, solution = ref_config, ref_solution
         radii = []
 
-        def counted(config, r):
+        def counted(release, r):
             radii.append(r)
-            return shellswitch.search._exterior_leg(config, r)
+            return shellswitch.geodesic._exterior_leg(release, r)
 
         monkeypatch.setattr(shellswitch.cli, "_exterior_leg", counted)
         shellswitch.cli._far_side_tables(tmp_path, config, solution, samples)
@@ -880,7 +894,7 @@ class TestOutputWriters:
         outbound = [r_lo + (config.r_i - r_lo) * i / (samples - 1) for i in range(samples)]
         inbound = [config.r_i - (r - r_lo) for r in outbound[1:]]
         assert set(radii) == set(outbound + inbound)
-        spans = [(sign, r, *shellswitch.search._exterior_leg(config, r)[:2])
+        spans = [(sign, r, *shellswitch.geodesic._exterior_leg(config.release[0], r)[:2])
                  for sign, rs in ((-1, outbound), (+1, inbound)) for r in rs]
         for name, t_half, tau_half in (
             ("gamma1", solution.dt1 / 2.0, solution.dtau1 / 2.0),

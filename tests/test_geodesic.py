@@ -30,7 +30,6 @@ from shellswitch.geodesic import (
     _invert_leg,
     _minkowski_span,
     _schwarzschild_span,
-    _shell_transfer,
     coordinate_time,
     diametral_crossing_time,
     eta_of_radius,
@@ -218,11 +217,18 @@ class TestSegments:
             assert dtau == pytest.approx(abs(dtau_o), rel=1e-8)
 
 
+def transfer(mu_in, mu_out, R):
+    """The walk's tangent transfer factor at the shell at R, k = sqrt(f_out / f_in):
+    u_r(out) = k * u_r(in) and u_t(out) = u_t(in) / k.
+    test_legs_are_the_walk_records holds the walk to it bit for bit."""
+    return math.sqrt(metric_factor(mu_out, R) / metric_factor(mu_in, R))
+
+
 def entry_tangents(spacetime, legs):
     """(u_r, u_t) at each leg's entry, carried as the walk carries them: from
     rest at the release, through each Schwarzschild patch by
     _schwarzschild_span's exit tangent (a flat patch keeps it), and across
-    each shell by _shell_transfer."""
+    each shell by transfer."""
     masses = [patch.mass for patch in spacetime.patches]
     first = legs[0]
     u_r, u_t = 0.0, tangent(first.cycloid, first.eta_entry, first.r_outer)[0]
@@ -233,14 +239,14 @@ def entry_tangents(spacetime, legs):
         if leg.cycloid is not None:
             u_r, u_t = _schwarzschild_span(mass, leg.r_outer, u_r, leg.r_inner)[2:4]
         if inner is not None:
-            k = _shell_transfer(masses[inner.patch_index], mass, leg.r_inner)
+            k = transfer(masses[inner.patch_index], mass, leg.r_inner)
             u_r, u_t = u_r / k, u_t * k
     return states
 
 
 def cross(mu_in, mu_out, R, u_r, u_t, inward=True):
     """(u_r, u_t) on the other side of the shell at R, by the walk's rule."""
-    k = _shell_transfer(mu_in, mu_out, R)
+    k = transfer(mu_in, mu_out, R)
     return (u_r / k, u_t * k) if inward else (u_r * k, u_t / k)
 
 
@@ -251,7 +257,7 @@ def on_shell_u_t(mass, r, u_r):
 
 
 class TestCrossShell:
-    """_shell_transfer: the tangent vector re-expressed across a shell."""
+    """The walk's transfer: the tangent vector re-expressed across a shell."""
 
     def test_identity_crossing(self):
         u_r, u_t = -0.5, on_shell_u_t(2.0, 20.0, -0.5)

@@ -175,7 +175,8 @@ class TestContour:
 
 
 def general_period(config, R):
-    """One-shell (Dt, Dtau) through the general walk; (NaN, NaN) where it raises."""
+    """One-shell (Dt, Dtau) by oscillation_period on the built spacetime; (NaN,
+    NaN) where it raises."""
     try:
         dt, dtau, _ = oscillation_period(one_shell_spacetime(config, R), config.r_i)
     except (GeometryError, GeodesicError):
@@ -184,7 +185,8 @@ def general_period(config, R):
 
 
 def period_rate(config, R1, f, rate2):
-    """Dtau1/Dt1 - rate2 through the general period path; NaN where it raises."""
+    """Dtau1/Dt1 - rate2 by oscillation_period on the built spacetime; NaN where
+    it raises."""
     dt, dtau = general_period(config, shell_radius(config, R1, f))
     return dtau / dt - rate2
 
@@ -214,8 +216,10 @@ def residual_inputs(draw):
 
 
 class TestClosedFormResidual:
-    """The search evaluates the one-shell period in closed form; it must be the
-    general walk's (Dt, Dtau) bit for bit, and NaN exactly where that raises."""
+    """The search walks the one-shell period from the config's cached release,
+    with no spacetime built; the walk set up from the config must give the
+    (Dt, Dtau) that it gives set up from the built spacetime by
+    oscillation_period, and NaN exactly where that raises."""
 
     @given(residual_inputs())
     @settings(max_examples=400, deadline=None)
@@ -292,10 +296,11 @@ def two_shell_inputs(draw):
 
 
 class TestTwoShellClosedForm:
-    """The search computes the two-shell period in closed form from the config's
-    release; on solve_contour's domain it must be the general walk's (Dt, Dtau)
-    bit for bit, and raise the exception class that the walk raises wherever
-    it raises.  test_outside_domain covers R1 outside it."""
+    """The search walks the two-shell period from the config's cached release,
+    with no spacetime built; on solve_contour's domain the walk set up from the
+    config must give the (Dt, Dtau) that it gives set up from the built
+    spacetime by oscillation_period, and raise the exception class that
+    raises wherever it raises.  test_outside_domain covers R1 outside it."""
 
     @given(two_shell_inputs())
     @example((SearchConfig(**REFERENCE), 12.0))   # R1 == r_i: the release rests at the shell
@@ -307,8 +312,8 @@ class TestTwoShellClosedForm:
 
 
 def test_hoisted_work_per_contour_point(monkeypatch):
-    """Each contour point computes its two-shell period once, in closed form,
-    and builds no spacetime; the outer root solves no point the curve or its
+    """Each contour point walks its two-shell period once, from the config's
+    cached release, and builds no spacetime; the outer root solves no point the curve or its
     own iterations already hold, so the grid-24 solve makes 24 + 4 points."""
     counts = Counter()
 
@@ -330,6 +335,51 @@ def test_hoisted_work_per_contour_point(monkeypatch):
     assert counts["_two_shell_period"] == 28
     assert counts["oscillation_period"] == 0
     assert counts["build_spacetime"] == 0
+
+
+class TestOneWalk:
+    """geodesic._walk is the one path that computes a period: each of the
+    search's two periods and oscillation_period calls it once per call, and
+    fails when it fails."""
+
+    @staticmethod
+    def periods(config):
+        return {
+            "one-shell": lambda: _one_shell_period(config, 7.0),
+            "two-shell": lambda: _two_shell_period(config, 10.0),
+            "oscillation_period": lambda: oscillation_period(
+                two_shell_spacetime(config, 10.0), config.r_i),
+        }
+
+    @staticmethod
+    def use_walk(monkeypatch, walk):
+        for module in (shellswitch.geodesic, shellswitch.search):
+            monkeypatch.setattr(module, "_walk", walk)
+
+    def test_each_period_walks_once(self, monkeypatch, ref_config):
+        calls, walk = [], shellswitch.geodesic._walk
+
+        def counted(*args):
+            calls.append(None)
+            return walk(*args)
+
+        self.use_walk(monkeypatch, counted)
+        for name, period in self.periods(ref_config).items():
+            calls.clear()
+            period()
+            assert len(calls) == 1, name
+
+    def test_a_failing_walk_fails_every_period(self, monkeypatch, ref_config):
+        class WalkFailed(Exception):
+            pass
+
+        def failing(*args):
+            raise WalkFailed
+
+        self.use_walk(monkeypatch, failing)
+        for name, period in self.periods(ref_config).items():
+            with pytest.raises(WalkFailed):
+                period()
 
 
 def count_calls(monkeypatch, name):
@@ -800,9 +850,9 @@ class TestMeeting:
         assert ref_meeting.t_A1 < ref_meeting.t_A2
 
     def test_equal_proper_time_on_both_branches(self, ref_solution, ref_meeting):
-        from shellswitch.search import _exterior_leg
+        from shellswitch.geodesic import _exterior_leg
 
-        tau_e = _exterior_leg(ref_solution.config, ref_meeting.r_t)[1]
+        tau_e = _exterior_leg(ref_solution.config.release[0], ref_meeting.r_t)[1]
         tau_gamma1 = ref_solution.dtau1 / 2.0 + tau_e
         tau_gamma2 = ref_solution.dtau2 / 2.0 - tau_e
         assert tau_gamma1 == pytest.approx(tau_gamma2, rel=1e-12)
