@@ -228,14 +228,15 @@ def _one_shell_period(config: SearchConfig, R: float) -> tuple[float, float, flo
     # E^2 - f and f' = 2M/R^2, have log-derivatives 1/R + f'/(2 u_r^2) +- f'/(2f).
     df = 2.0 * M / (R * R)
     shared, lapse = 1.0 / R + df / (2.0 * u_r * u_r), df / (2.0 * f)
-    ddtau = dtau_core * (shared + lapse) - 1.0 / abs(u_r)
-    ddt = dt_core * (shared - lapse) - u_t / abs(u_r)
+    speed = abs(u_r)
+    ddtau = dtau_core * (shared + lapse) - 1.0 / speed
+    ddt = dt_core * (shared - lapse) - u_t / speed
     return dt, dtau, 4.0 * (ddtau - dtau / dt * ddt) / dt
 
 
 def _two_shell_period(config: SearchConfig, R1: float) -> tuple[float, float]:
-    """(Dt, Dtau) of oscillation_period(two_shell_spacetime(config, R1), r_i), by
-    _walk from the config's cached release; SearchConfig and solve_contour check."""
+    """(Dt, Dtau) of oscillation_period(two_shell_spacetime(config, R1), r_i) by _walk
+    from the config's cached release, unchecked (SearchConfig and solve_contour check)."""
     return _walk(config.release, R1, ((config.m, config.R2),))[:2]
 
 
