@@ -218,15 +218,14 @@ def _exterior_leg(release: CycloidParams, r: float) -> tuple[float, float, float
 
 
 def _walk(release: tuple[CycloidParams, float], R: float, layers, legs: list | None = None):
-    """(Dt, Dtau, u_r, u_t, dt_core, dtau_core): the one path that computes
-    every period.  release is the exterior cycloid from rest at r_i and its t
-    there (as SearchConfig.release), R the exterior's shell, and layers the
-    (mass, r_min) of each patch between it and the flat core, outermost first.
-    The walk: the exterior leg to R; at each shell the tangent transfer
-    u_r / k, u_t * k, k = sqrt(f_out / f_in), and the running lapse times
-    sqrt(f_in / f_out); each patch's span to its r_min; last, the core (f_in
-    exactly 1.0) to the center; four mirrored quarters.  (u_r, u_t) is the
-    exterior's exit tangent and (dt_core, dtau_core) the core's global spans,
+    """(Dt, Dtau, u_r, u_t, dt_core, dtau_core): the one path that computes every
+    period.  release is the exterior cycloid from rest at r_i and its t there (as
+    SearchConfig.release), R the exterior's shell, layers the (mass, r_min) of each
+    patch between it and the flat core, outermost first.  The walk: the exterior leg
+    to R; at each shell the transfer u_r / k, u_t * k, k = sqrt(f_out / f_in), and
+    the running lapse times sqrt(f_in / f_out); each patch's span to its r_min; the
+    core (f_in exactly 1.0) to the center; four mirrored quarters.  (u_r, u_t) is
+    the exterior's exit tangent and (dt_core, dtau_core) the core's global spans,
     for the one-shell rate slope.  An empty list legs gets one Leg per patch."""
     cycloid, t_release = release
     t, dtau, u_t_ext, u_r_ext, eta = _exterior_leg(cycloid, R)
@@ -234,7 +233,8 @@ def _walk(release: tuple[CycloidParams, float], R: float, layers, legs: list | N
     if legs is not None:
         legs.append(Leg(len(layers) + 1, cycloid.r_apo, R, dt, dt, dtau, 0.0,
                         cycloid, 0.0, eta, (t_release, 0.0)))
-    u_r, u_t, mass_out, lapse = u_r_ext, u_t_ext, cycloid.mass, 1.0
+    u_r, u_t = u_r_ext, u_t_ext
+    mass_out, lapse = cycloid.mass, 1.0
     for mass, r_min in layers:
         f_out, f_in = metric_factor(mass_out, R), metric_factor(mass, R)
         k = math.sqrt(f_out / f_in)

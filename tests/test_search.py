@@ -300,7 +300,8 @@ class TestTwoShellClosedForm:
     with no spacetime built; on solve_contour's domain the walk set up from the
     config must give the (Dt, Dtau) that it gives set up from the built
     spacetime by oscillation_period, and raise the exception class that
-    raises wherever it raises.  test_outside_domain covers R1 outside it."""
+    oscillation_period raises wherever that raises.  test_outside_domain
+    covers R1 outside the domain."""
 
     @given(two_shell_inputs())
     @example((SearchConfig(**REFERENCE), 12.0))   # R1 == r_i: the release rests at the shell
@@ -313,8 +314,9 @@ class TestTwoShellClosedForm:
 
 def test_hoisted_work_per_contour_point(monkeypatch):
     """Each contour point walks its two-shell period once, from the config's
-    cached release, and builds no spacetime; the outer root solves no point the curve or its
-    own iterations already hold, so the grid-24 solve makes 24 + 4 points."""
+    cached release, and builds no spacetime; the outer root solves no point
+    the curve or its own iterations already hold, so the grid-24 solve makes
+    24 + 4 points."""
     counts = Counter()
 
     def count(module, name):
