@@ -211,29 +211,46 @@ class Leg:
 
 def _exterior_leg(release: CycloidParams, r: float) -> tuple[float, float, float, float, float]:
     """(t, tau, u_t, u_r, eta) at r on the exterior cycloid from rest at r_i, t with the
-    release's own t not subtracted; the walk, the meeting and the far-side tables read it."""
-    eta = eta_of_radius(release, r)
-    u_t, u_r = tangent(release, eta, r)
-    return coordinate_time(release, eta, r), proper_time(release, eta), u_t, u_r, eta
+    release's own t not subtracted; the walk, the search's two period kernels, the
+    meeting and the far-side tables read it.  One pass: eta_of_radius, tangent,
+    coordinate_time and proper_time inlined, in their order and with their checks,
+    sharing one tan(eta/2) and one sin(eta), so every output keeps their bits."""
+    mass, r_apo = release.mass, release.r_apo
+    x = r / r_apo
+    if x > 1.0:
+        if x - 1.0 > APOAPSIS_CLAMP:
+            raise UnreachableRadiusError(f"radius {r} beyond apoapsis {r_apo}")
+        x = 1.0
+    if x < 0.0:
+        raise GeodesicError(f"negative radius {r}")
+    eta = 2.0 * math.acos(math.sqrt(x))
+    u_t = release.energy * r / (r - 2.0 * mass)
+    if r <= 2.0 * mass:
+        raise GeodesicError(f"coordinate time diverges: r={r} at or inside horizon {2.0 * mass}")
+    tan_e, sin_e = math.tan(0.5 * eta), math.sin(eta)
+    t = (release.t_scale * (0.5 * (eta + sin_e) + release.one_minus_E2 * eta)
+         + 2.0 * mass * math.log((release.tan_h + tan_e) ** 2 * (2.0 * mass * r)
+                                 / (r_apo * (r - 2.0 * mass))))
+    return t, release.tau_scale * (eta + sin_e), u_t, -release.u_scale * tan_e, eta
 
 
 def _walk(release: tuple[CycloidParams, float], R: float, layers, legs: list | None = None):
-    """(Dt, Dtau, u_r, u_t, dt_core, dtau_core): the one path that computes every
-    period.  release is the exterior cycloid from rest at r_i and its t there (as
+    """(Dt, Dtau): the general path that computes a period, for oscillation_period
+    and the legs trajectory reads, and the reference the search's two straight-line
+    kernels (search._one_shell_period, search._two_shell_period) are held to bit for
+    bit.  release is the exterior cycloid from rest at r_i and its t there (as
     SearchConfig.release), R the exterior's shell, layers the (mass, r_min) of each
     patch between it and the flat core, outermost first.  The walk: the exterior leg
     to R; at each shell the transfer u_r / k, u_t * k, k = sqrt(f_out / f_in), and
     the running lapse times sqrt(f_in / f_out); each patch's span to its r_min; the
-    core (f_in exactly 1.0) to the center; four mirrored quarters.  (u_r, u_t) is
-    the exterior's exit tangent and (dt_core, dtau_core) the core's global spans,
-    for the one-shell rate slope.  An empty list legs gets one Leg per patch."""
+    core (f_in exactly 1.0) to the center; four mirrored quarters.  An empty list
+    legs gets one Leg per patch."""
     cycloid, t_release = release
-    t, dtau, u_t_ext, u_r_ext, eta = _exterior_leg(cycloid, R)
+    t, dtau, u_t, u_r, eta = _exterior_leg(cycloid, R)
     dt = abs(t - t_release)
     if legs is not None:
         legs.append(Leg(len(layers) + 1, cycloid.r_apo, R, dt, dt, dtau, 0.0,
                         cycloid, 0.0, eta, (t_release, 0.0)))
-    u_r, u_t = u_r_ext, u_t_ext
     mass_out, lapse = cycloid.mass, 1.0
     for mass, r_min in layers:
         f_out, f_in = metric_factor(mass_out, R), metric_factor(mass, R)
@@ -260,8 +277,7 @@ def _walk(release: tuple[CycloidParams, float], R: float, layers, legs: list | N
     span_t = u_t * k * dtau_core
     if legs is not None:
         legs.append(Leg(0, R, 0.0, span_t, lapse * span_t, dtau_core, dtau, None, None, None, None))
-    dt_core = lapse * span_t
-    return 4.0 * (dt + dt_core), 4.0 * (dtau + dtau_core), u_r_ext, u_t_ext, dt_core, dtau_core
+    return 4.0 * (dt + lapse * span_t), 4.0 * (dtau + dtau_core)
 
 
 def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, float, list[Leg]]:
@@ -276,7 +292,7 @@ def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, fl
     release = CycloidParams.from_state(patches[-1].mass, r_i, 0.0)
     layers = [(patch.mass, patch.r_min) for patch in reversed(patches[1:-1])]
     legs = []
-    dt, dtau, *_ = _walk((release, coordinate_time(release, 0.0, r_i)), patches[-1].r_min, layers, legs)
+    dt, dtau = _walk((release, coordinate_time(release, 0.0, r_i)), patches[-1].r_min, layers, legs)
     return dt, dtau, legs
 
 

@@ -14,6 +14,7 @@ proper time on their first far-side excursion.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,13 +28,15 @@ from .errors import (
     NoSolutionAtRadius,
     SearchError,
     UnattainableRatioError,
+    UnboundGeodesicError,
+    UnreachableRadiusError,
 )
 from .fields import FLOAT_MAX, integer, real
 from .geodesic import (
+    APOAPSIS_CLAMP,
     NEWTON_STEPS,
     CycloidParams,
     _exterior_leg,
-    _walk,
     coordinate_time,
     eta_of_radius,
     radius,
@@ -215,14 +218,24 @@ def shell_radius(config: SearchConfig, R1: float, f: float) -> float:
 
 
 def _one_shell_period(config: SearchConfig, R: float) -> tuple[float, float, float]:
-    """(Dt, Dtau) of oscillation_period(one_shell_spacetime(config, R), r_i), by
-    _walk from the config's cached release, and the rate slope d(Dtau/Dt)/dR in
-    closed form; (NaN, NaN, NaN) exactly where oscillation_period raises."""
+    """(Dt, Dtau) of oscillation_period(one_shell_spacetime(config, R), r_i), and the
+    rate slope d(Dtau/Dt)/dR in closed form; (NaN, NaN, NaN) exactly where
+    oscillation_period raises.  Straight-line code over locals, the contour's hot
+    kernel: geodesic._walk's one-shell case (the exterior leg from the config's
+    cached release, the transfer at R into the flat core, the core's span) with
+    every float operation in the walk's order, so every output has its bits.  f(M, R)
+    is formed once (metric_factor inlined), for the guard and the transfer."""
     M, r_i = config.M, config.r_i
     # at R == r_i the particle rests at the shell and never reaches the core
-    if not 0.0 < R < r_i or (f := metric_factor(M, R)) < DEFAULT_HORIZON_MARGIN:
+    if not 0.0 < R < r_i or (f := (R - 2.0 * M) / R) < DEFAULT_HORIZON_MARGIN:
         return math.nan, math.nan, math.nan
-    dt, dtau, u_r, u_t, dt_core, dtau_core = _walk(config.release, R, ())
+    cycloid, t_release = config.release
+    t, tau, u_t, u_r, _ = _exterior_leg(cycloid, R)
+    # R < r_i puts eta above 0 and u_r below 0: the walk's stationary check cannot fire
+    k = math.sqrt(f)
+    dtau_core = abs(R / (u_r / k))
+    dt_core = math.sqrt(1.0 / f) * (u_t * k * dtau_core)
+    dt, dtau = 4.0 * (abs(t - t_release) + dt_core), 4.0 * (tau + dtau_core)
     # Per unit R the exterior spans shrink by 1/|u_r| (tau) and u_t/|u_r| (t);
     # the core spans R sqrt(f)/|u_r| and E R/(sqrt(f) |u_r|), with |u_r|^2 =
     # E^2 - f and f' = 2M/R^2, have log-derivatives 1/R + f'/(2 u_r^2) +- f'/(2f).
@@ -235,9 +248,63 @@ def _one_shell_period(config: SearchConfig, R: float) -> tuple[float, float, flo
 
 
 def _two_shell_period(config: SearchConfig, R1: float) -> tuple[float, float]:
-    """(Dt, Dtau) of oscillation_period(two_shell_spacetime(config, R1), r_i) by _walk
-    from the config's cached release, unchecked (SearchConfig and solve_contour check)."""
-    return _walk(config.release, R1, ((config.m, config.R2),))[:2]
+    """(Dt, Dtau) of oscillation_period(two_shell_spacetime(config, R1), r_i), raising
+    the exception class that raises, on solve_contour's domain.  Straight-line code
+    over locals: geodesic._walk's two-shell case (the exterior leg from the config's
+    cached release to R1; the transfer at R1; the mass-m span to R2, with the
+    cycloid's scalars of CycloidParams.from_state kept as locals and its entry and
+    exit points inlined; the transfer at R2 and the flat core) with every float
+    operation in the walk's order, so both outputs have its bits, and no object
+    built.  Checks that SearchConfig and solve_contour make once are left out: m > 0,
+    R2 < R1 and R2 (so R1 too) clear of the horizon 2m."""
+    M, m, R2 = config.M, config.m, config.R2
+    cycloid, t_release = config.release
+    t, dtau, _, u_r, _ = _exterior_leg(cycloid, R1)
+    # the transfer at R1 into the mass-m patch, and that patch's rest-release
+    # cycloid; each metric_factor(mass, r) inlined as (r - 2 mass) / r
+    two_m = 2.0 * m
+    gap_a, gap_b = R1 - two_m, R2 - two_m
+    f_out, f_in = (R1 - 2.0 * M) / R1, gap_a / R1
+    u_r /= math.sqrt(f_out / f_in)
+    lapse = math.sqrt(f_in / f_out)
+    E_sq = u_r * u_r + f_in
+    if not E_sq < 1.0:  # E_sq > 0: f_in > 0
+        raise UnboundGeodesicError(f"local energy E={math.sqrt(E_sq):.12g} >= 1 at r={R1}")
+    r_apo = R1 if u_r == 0.0 else two_m / (two_m / R1 - u_r * u_r)
+    E = math.sqrt(E_sq)
+    try:
+        cube = r_apo**3
+    except OverflowError:
+        raise GeodesicError(f"apoapsis r_apo={r_apo} is too large: r_apo**3 overflows") from None
+    if cube < sys.float_info.min:
+        raise GeodesicError(f"apoapsis r_apo={r_apo} is too small: r_apo**3 underflows")
+    t_scale, tau_scale = E * math.sqrt(cube / two_m), math.sqrt(cube / (8.0 * m))
+    tan_h = math.sqrt((r_apo - two_m) / two_m)
+    # entry at R1 and exit at R2 (R2 / r_apo <= R1 / r_apo: one apoapsis check)
+    x_a, x_b = R1 / r_apo, R2 / r_apo
+    if x_a - 1.0 > APOAPSIS_CLAMP:
+        raise UnreachableRadiusError(f"radius {R1} beyond apoapsis {r_apo}")
+    eta_a = 2.0 * math.acos(math.sqrt(1.0 if x_a > 1.0 else x_a))
+    eta_b = 2.0 * math.acos(math.sqrt(1.0 if x_b > 1.0 else x_b))
+    sin_a, sin_b = math.sin(eta_a), math.sin(eta_b)
+    one_minus_E2 = two_m / r_apo
+    t_a = (t_scale * (0.5 * (eta_a + sin_a) + one_minus_E2 * eta_a)
+           + two_m * math.log((tan_h + math.tan(0.5 * eta_a)) ** 2 * (two_m * R1)
+                              / (r_apo * gap_a)))
+    tan_b = math.tan(0.5 * eta_b)
+    t_b = (t_scale * (0.5 * (eta_b + sin_b) + one_minus_E2 * eta_b)
+           + two_m * math.log((tan_h + tan_b) ** 2 * (two_m * R2) / (r_apo * gap_b)))
+    dt = abs(t - t_release) + lapse * abs(t_b - t_a)
+    dtau += abs(tau_scale * (eta_b + sin_b) - tau_scale * (eta_a + sin_a))
+    # the exit tangent at R2, the transfer into the flat core and the core's span
+    u_r = -math.sqrt(one_minus_E2) * tan_b
+    if u_r == 0.0:
+        raise GeodesicError("stationary particle cannot reach a different radius")
+    f_core = gap_b / R2
+    k = math.sqrt(f_core)
+    dtau_core = abs(R2 / (u_r / k))
+    dt_core = lapse * math.sqrt(1.0 / f_core) * (E * R2 / gap_b * k * dtau_core)
+    return 4.0 * (dt + dt_core), 4.0 * (dtau + dtau_core)
 
 
 def ratio_residual(R1: float, f: float, config: SearchConfig, rate2: float) -> float:
@@ -341,9 +408,11 @@ def _contour_root(config: SearchConfig, R1: float, rate2: float,
 
 def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
     """Both branch periods at the root in f of the equal-clock-rate residual at
-    fixed R1.  The two-shell period depends on R1 alone, so it is walked once,
-    from the config's cached release (_two_shell_period), and only the
-    one-shell branch varies with f.  The domain is R2 < R1 <= r_i with
+    fixed R1.  The two-shell period depends on R1 alone, so it is computed once
+    (_two_shell_period), and only the one-shell branch (_one_shell_period)
+    varies with f: both straight-line kernels from the config's cached release,
+    which build no object, each the bits of geodesic._walk on the built branch
+    spacetime.  The domain is R2 < R1 <= r_i with
     a non-empty admissible f interval, which puts R1 above 2M / (1 - 1e-6);
     elsewhere NoSolutionAtRadius is raised.  The one-shell rate Dtau1/Dt1
     rises strictly in R (tests/test_search.py checks it at 50 digits), so the

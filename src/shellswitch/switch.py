@@ -68,10 +68,16 @@ class OperatorSpec:
 
     @classmethod
     def from_json(cls, entries: list, name: str = "operator") -> "OperatorSpec":
-        """Entries as nested [[ [re, im], ... ], ...] of finite numbers."""
+        """Entries as nested [[ [re, im], ... ], ...] of finite numbers, as many
+        pairs in each row as there are rows."""
         if not isinstance(entries, list):
             raise InputError(f"{name} must be a list of rows of [re, im] pairs, got {entries!r}")
-        return cls(matrix=np.array([amplitudes(row, f"{name}[{i}]") for i, row in enumerate(entries)]))
+        rows = [amplitudes(row, f"{name}[{i}]") for i, row in enumerate(entries)]
+        for i, row in enumerate(rows):
+            if len(row) != len(rows):
+                raise InputError(f"{name}[{i}] must hold {len(rows)} [re, im] pairs, "
+                                 f"one per row of {name}, got {len(row)}")
+        return cls(matrix=np.array(rows))
 
 
 @dataclass(frozen=True)

@@ -640,9 +640,14 @@ class TestSwitch:
         ("A", 5, "A must be a list of rows of [re, im] pairs, got 5"),
         ("psi", [1, 0], "psi[0] must be a [re, im] pair, got 1"),
         ("psi", [[1, 0, 3], [0, 0]], "psi[0] must be a [re, im] pair, got [1, 0, 3]"),
+        ("A", [[[1, 0]], [[0, 0], [1, 0]]], "A[0] must hold 2 [re, im] pairs, one per row of A, got 1"),
+        ("A", [[[0, 0], [1, 0]], [[1, 0]]], "A[1] must hold 2 [re, im] pairs, one per row of A, got 1"),
+        ("B", [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]],
+         "B[0] must hold 2 [re, im] pairs, one per row of B, got 3"),
     ])
     def test_malformed_amplitudes_name_the_field(self, tmp_path, capsys, field, value, message):
-        # each reached main's bare TypeError/ValueError fallback, naming no field
+        # each reached main's bare TypeError/ValueError fallback, naming no
+        # field; a ragged operator failed inside np.array with numpy's message
         cfg = write(tmp_path, "sw.json", dict(PAULI, **{field: value}))
         assert main(["switch", "--config", cfg]) == EXIT_INPUT
         captured = capsys.readouterr()

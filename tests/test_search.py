@@ -216,10 +216,10 @@ def residual_inputs(draw):
 
 
 class TestClosedFormResidual:
-    """The search walks the one-shell period from the config's cached release,
-    with no spacetime built; the walk set up from the config must give the
-    (Dt, Dtau) that it gives set up from the built spacetime by
-    oscillation_period, and NaN exactly where that raises."""
+    """The search's one-shell kernel starts from the config's cached release,
+    with no spacetime built; it must give the (Dt, Dtau) that geodesic._walk
+    gives set up from the built spacetime by oscillation_period, bit for bit,
+    and NaN exactly where that raises.  CI reruns it under five seeds."""
 
     @given(residual_inputs())
     @settings(max_examples=400, deadline=None)
@@ -296,12 +296,12 @@ def two_shell_inputs(draw):
 
 
 class TestTwoShellClosedForm:
-    """The search walks the two-shell period from the config's cached release,
-    with no spacetime built; on solve_contour's domain the walk set up from the
-    config must give the (Dt, Dtau) that it gives set up from the built
-    spacetime by oscillation_period, and raise the exception class that
+    """The search's two-shell kernel starts from the config's cached release,
+    with no spacetime built; on solve_contour's domain it must give the
+    (Dt, Dtau) that geodesic._walk gives set up from the built spacetime by
+    oscillation_period, bit for bit, and raise the exception class that
     oscillation_period raises wherever that raises.  test_outside_domain
-    covers R1 outside the domain."""
+    covers R1 outside the domain.  CI reruns it under five seeds."""
 
     @given(two_shell_inputs())
     @example((SearchConfig(**REFERENCE), 12.0))   # R1 == r_i: the release rests at the shell
@@ -313,10 +313,11 @@ class TestTwoShellClosedForm:
 
 
 def test_hoisted_work_per_contour_point(monkeypatch):
-    """Each contour point walks its two-shell period once, from the config's
+    """Each contour point computes its two-shell period once, from the config's
     cached release, and builds no spacetime; the outer root solves no point
     the curve or its own iterations already hold, so the grid-24 solve makes
-    24 + 4 points."""
+    24 + 4 points.  Both period kernels are straight-line code: the solve
+    never calls geodesic._walk, and builds one CycloidParams, the release."""
     counts = Counter()
 
     def count(module, name):
@@ -332,31 +333,29 @@ def test_hoisted_work_per_contour_point(monkeypatch):
         count(shellswitch.search, name)
     count(shellswitch.spacetime, "build_spacetime")
     count(shellswitch.geodesic, "oscillation_period")
+    count(shellswitch.geodesic, "_walk")
+    assert not hasattr(shellswitch.search, "_walk")  # a reference the count would miss
+    # the dataclass __init__ looks __post_init__ up on the class at each build
+    count(shellswitch.geodesic.CycloidParams, "__post_init__")
     solve_switch_configuration(SearchConfig(grid=24, **REFERENCE))
     assert counts["solve_contour"] == 28
     assert counts["_two_shell_period"] == 28
     assert counts["oscillation_period"] == 0
     assert counts["build_spacetime"] == 0
+    assert counts["_walk"] == 0
+    assert counts["__post_init__"] == 1
 
 
 class TestOneWalk:
-    """geodesic._walk is the one path that computes a period: each of the
-    search's two periods and oscillation_period calls it once per call, and
-    fails when it fails."""
+    """geodesic._walk is the general path that computes a period:
+    oscillation_period calls it once per call, and fails when it fails.  The
+    search's two kernels do not call it; TestClosedFormResidual and
+    TestTwoShellClosedForm hold them to it bit for bit and exception class
+    for exception class."""
 
     @staticmethod
-    def periods(config):
-        return {
-            "one-shell": lambda: _one_shell_period(config, 7.0),
-            "two-shell": lambda: _two_shell_period(config, 10.0),
-            "oscillation_period": lambda: oscillation_period(
-                two_shell_spacetime(config, 10.0), config.r_i),
-        }
-
-    @staticmethod
-    def use_walk(monkeypatch, walk):
-        for module in (shellswitch.geodesic, shellswitch.search):
-            monkeypatch.setattr(module, "_walk", walk)
+    def period(config):
+        return oscillation_period(two_shell_spacetime(config, 10.0), config.r_i)
 
     def test_each_period_walks_once(self, monkeypatch, ref_config):
         calls, walk = [], shellswitch.geodesic._walk
@@ -365,11 +364,9 @@ class TestOneWalk:
             calls.append(None)
             return walk(*args)
 
-        self.use_walk(monkeypatch, counted)
-        for name, period in self.periods(ref_config).items():
-            calls.clear()
-            period()
-            assert len(calls) == 1, name
+        monkeypatch.setattr(shellswitch.geodesic, "_walk", counted)
+        self.period(ref_config)
+        assert len(calls) == 1
 
     def test_a_failing_walk_fails_every_period(self, monkeypatch, ref_config):
         class WalkFailed(Exception):
@@ -378,10 +375,9 @@ class TestOneWalk:
         def failing(*args):
             raise WalkFailed
 
-        self.use_walk(monkeypatch, failing)
-        for name, period in self.periods(ref_config).items():
-            with pytest.raises(WalkFailed):
-                period()
+        monkeypatch.setattr(shellswitch.geodesic, "_walk", failing)
+        with pytest.raises(WalkFailed):
+            self.period(ref_config)
 
 
 def count_calls(monkeypatch, name):
