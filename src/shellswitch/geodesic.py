@@ -5,7 +5,7 @@ cycloid parametrization r = r_apo * cos^2(eta/2).  Segments in flat patches are
 straight lines.  Crossing a shell transfers the tangent vector between the two
 patch descriptions while keeping proper time and global coordinate time
 continuous; a full oscillation is composed out of quarter-oscillation legs with
-the per-patch lapse factors applied.
+the spacetime's per-patch lapse factors applied.
 
 The coordinate-time log term is evaluated through (r - 2*mass)/r expressions:
 the configurations of interest place shells within ~1e-4 of their horizons,
@@ -38,7 +38,7 @@ NEWTON_STEPS, NEWTON_TOL = 30, 1e-9
 # Single-patch cycloid kinematics
 
 # slotted and not frozen, as Leg: a frozen build, through object.__setattr__,
-# took about twice as long, and the search builds one per two-shell period
+# took about twice as long, and the walk builds one per Schwarzschild patch
 @dataclass(slots=True)
 class CycloidParams:
     """Bound radial geodesic in one Schwarzschild patch of the given mass,
@@ -161,18 +161,16 @@ def _schwarzschild_span(mass: float, r: float, u_r: float, r_exit: float):
     cycloid's (t, tau) at entry).
 
     The motion is a piece of the fictitious rest-release cycloid through the
-    entry state; outbound pieces use the time-reflection of the inbound branch,
-    so both spans are absolute values of parametric differences.
+    entry state, both ends read by _exterior_leg; outbound pieces use the
+    time-reflection of the inbound branch, so both spans are absolute values of
+    parametric differences.
     """
     params = CycloidParams.from_state(mass, r, u_r)
-    eta_a = eta_of_radius(params, r)
-    eta_b = eta_of_radius(params, r_exit)
-    t_a, tau_a = coordinate_time(params, eta_a, r), proper_time(params, eta_a)
-    dt = abs(coordinate_time(params, eta_b, r_exit) - t_a)
-    dtau = abs(proper_time(params, eta_b) - tau_a)
+    t_a, tau_a, _, _, eta_a = _exterior_leg(params, r)
+    t_b, tau_b, u_t, u_r_b, eta_b = _exterior_leg(params, r_exit)
     sign = 1.0 if r_exit > r else (-1.0 if r_exit < r else math.copysign(1.0, u_r))
-    U0, U1 = tangent(params, eta_b, r_exit)
-    return dt, dtau, sign * abs(U1), U0, params, eta_a, eta_b, (t_a, tau_a)
+    return (abs(t_b - t_a), abs(tau_b - tau_a), sign * abs(u_r_b), u_t,
+            params, eta_a, eta_b, (t_a, tau_a))
 
 
 def _minkowski_span(r: float, u_r: float, u_t: float, r_exit: float) -> tuple[float, float]:
@@ -210,11 +208,11 @@ class Leg:
 
 
 def _exterior_leg(release: CycloidParams, r: float) -> tuple[float, float, float, float, float]:
-    """(t, tau, u_t, u_r, eta) at r on the exterior cycloid from rest at r_i, t with the
-    release's own t not subtracted; the walk, the search's two period kernels, the
-    meeting and the far-side tables read it.  One pass: eta_of_radius, tangent,
-    coordinate_time and proper_time inlined, in their order and with their checks,
-    sharing one tan(eta/2) and one sin(eta), so every output keeps their bits."""
+    """(t, tau, u_t, u_r, eta) at r on the cycloid from rest at release.r_apo, t with
+    the release's own t not subtracted; the walk's spans, the search's two period
+    kernels, the meeting and the far-side tables read it.  One pass: eta_of_radius,
+    coordinate_time, proper_time and tangent inlined, in their order and with their
+    checks, sharing one tan(eta/2) and one sin(eta), so every output keeps their bits."""
     mass, r_apo = release.mass, release.r_apo
     x = r / r_apo
     if x > 1.0:
@@ -224,9 +222,9 @@ def _exterior_leg(release: CycloidParams, r: float) -> tuple[float, float, float
     if x < 0.0:
         raise GeodesicError(f"negative radius {r}")
     eta = 2.0 * math.acos(math.sqrt(x))
-    u_t = release.energy * r / (r - 2.0 * mass)
     if r <= 2.0 * mass:
         raise GeodesicError(f"coordinate time diverges: r={r} at or inside horizon {2.0 * mass}")
+    u_t = release.energy * r / (r - 2.0 * mass)
     tan_e, sin_e = math.tan(0.5 * eta), math.sin(eta)
     t = (release.t_scale * (0.5 * (eta + sin_e) + release.one_minus_E2 * eta)
          + 2.0 * mass * math.log((release.tan_h + tan_e) ** 2 * (2.0 * mass * r)
@@ -234,66 +232,40 @@ def _exterior_leg(release: CycloidParams, r: float) -> tuple[float, float, float
     return t, release.tau_scale * (eta + sin_e), u_t, -release.u_scale * tan_e, eta
 
 
-def _walk(release: tuple[CycloidParams, float], R: float, layers, legs: list | None = None):
-    """(Dt, Dtau): the general path that computes a period, for oscillation_period
-    and the legs trajectory reads, and the reference the search's two straight-line
-    kernels (search._one_shell_period, search._two_shell_period) are held to bit for
-    bit.  release is the exterior cycloid from rest at r_i and its t there (as
-    SearchConfig.release), R the exterior's shell, layers the (mass, r_min) of each
-    patch between it and the flat core, outermost first.  The walk: the exterior leg
-    to R; at each shell the transfer u_r / k, u_t * k, k = sqrt(f_out / f_in), and
-    the running lapse times sqrt(f_in / f_out); each patch's span to its r_min; the
-    core (f_in exactly 1.0) to the center; four mirrored quarters.  An empty list
-    legs gets one Leg per patch."""
-    cycloid, t_release = release
-    t, dtau, u_t, u_r, eta = _exterior_leg(cycloid, R)
-    dt = abs(t - t_release)
-    if legs is not None:
-        legs.append(Leg(len(layers) + 1, cycloid.r_apo, R, dt, dt, dtau, 0.0,
-                        cycloid, 0.0, eta, (t_release, 0.0)))
-    mass_out, lapse = cycloid.mass, 1.0
-    for mass, r_min in layers:
-        f_out, f_in = metric_factor(mass_out, R), metric_factor(mass, R)
-        k = math.sqrt(f_out / f_in)
-        lapse *= math.sqrt(f_in / f_out)
-        if mass > 0.0:  # the span reads no u_t
-            span_t, span_tau, u_r, u_t, params, eta_a, eta_b, origin = _schwarzschild_span(
-                mass, R, u_r / k, r_min)
-        else:
-            u_r, u_t = u_r / k, u_t * k
-            span_t, span_tau = _minkowski_span(R, u_r, u_t, r_min)
-            params = eta_a = eta_b = origin = None
-        if legs is not None:
-            legs.append(Leg(len(layers) + 1 - len(legs), R, r_min, span_t, lapse * span_t,
-                            span_tau, dtau, params, eta_a, eta_b, origin))
-        dt, dtau, R, mass_out = dt + lapse * span_t, dtau + span_tau, r_min, mass
-    # the flat core: _minkowski_span inlined (a call costs ~5% of a one-shell period)
-    f_out = metric_factor(mass_out, R)
-    k = math.sqrt(f_out)
-    lapse *= math.sqrt(1.0 / f_out)
-    if u_r == 0.0:
-        raise GeodesicError("stationary particle cannot reach a different radius")
-    dtau_core = abs(R / (u_r / k))
-    span_t = u_t * k * dtau_core
-    if legs is not None:
-        legs.append(Leg(0, R, 0.0, span_t, lapse * span_t, dtau_core, dtau, None, None, None, None))
-    return 4.0 * (dt + lapse * span_t), 4.0 * (dtau + dtau_core)
-
-
 def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, float, list[Leg]]:
-    """(Dt_global, Dtau, inbound quarter legs) of one oscillation from rest at r_i."""
-    patches = spacetime.patches
+    """(Dt_global, Dtau, inbound quarter legs) of one oscillation from rest at r_i.
+
+    The walk, one leg per patch, outermost first: the exterior's span from rest
+    at r_i down to its shell; at each shell the transfer u_r / k, u_t * k, with
+    k = sqrt(f_out / f_in); each patch's span down to its r_min, the flat core's
+    to the center, in global time by the patch's spacetime.lapses entry; four
+    mirrored quarters.  The search's two straight-line kernels
+    (search._one_shell_period, search._two_shell_period) are held to it bit for bit.
+    """
+    patches, lapses = spacetime.patches, spacetime.lapses
     if patches[0].mass != 0.0:
         raise NoRestoringForceError("oscillation through the center requires a flat core")
     if patches[-1].mass <= 0.0:
         raise NoRestoringForceError("outermost patch is flat: nothing pulls the body back")
     if r_i < patches[-1].r_min:
         raise GeodesicError(f"release radius {r_i} below the outermost patch")
-    release = CycloidParams.from_state(patches[-1].mass, r_i, 0.0)
-    layers = [(patch.mass, patch.r_min) for patch in reversed(patches[1:-1])]
-    legs = []
-    dt, dtau = _walk((release, coordinate_time(release, 0.0, r_i)), patches[-1].r_min, layers, legs)
-    return dt, dtau, legs
+    legs, dt, dtau, r, u_r, u_t = [], 0.0, 0.0, r_i, 0.0, None
+    for index in range(len(patches) - 1, -1, -1):
+        mass, r_min = patches[index].mass, patches[index].r_min
+        if legs:  # the shell at r
+            k = math.sqrt(metric_factor(patches[index + 1].mass, r) / metric_factor(mass, r))
+            u_r, u_t = u_r / k, u_t * k
+        if mass > 0.0:
+            span_t, span_tau, u_r, u_t, params, eta_a, eta_b, origin = _schwarzschild_span(
+                mass, r, u_r, r_min)
+        else:
+            span_t, span_tau = _minkowski_span(r, u_r, u_t, r_min)
+            params = eta_a = eta_b = origin = None
+        span_global = lapses[index] * span_t
+        legs.append(Leg(index, r, r_min, span_t, span_global, span_tau, dtau,
+                        params, eta_a, eta_b, origin))
+        dt, dtau, r = dt + span_global, dtau + span_tau, r_min
+    return 4.0 * dt, 4.0 * dtau, legs
 
 
 # ---------------------------------------------------------------------------

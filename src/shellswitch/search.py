@@ -221,7 +221,7 @@ def _one_shell_period(config: SearchConfig, R: float) -> tuple[float, float, flo
     """(Dt, Dtau) of oscillation_period(one_shell_spacetime(config, R), r_i), and the
     rate slope d(Dtau/Dt)/dR in closed form; (NaN, NaN, NaN) exactly where
     oscillation_period raises.  Straight-line code over locals, the contour's hot
-    kernel: geodesic._walk's one-shell case (the exterior leg from the config's
+    kernel: oscillation_period's one-shell walk (the exterior leg from the config's
     cached release, the transfer at R into the flat core, the core's span) with
     every float operation in the walk's order, so every output has its bits.  f(M, R)
     is formed once (metric_factor inlined), for the guard and the transfer."""
@@ -250,7 +250,7 @@ def _one_shell_period(config: SearchConfig, R: float) -> tuple[float, float, flo
 def _two_shell_period(config: SearchConfig, R1: float) -> tuple[float, float]:
     """(Dt, Dtau) of oscillation_period(two_shell_spacetime(config, R1), r_i), raising
     the exception class that raises, on solve_contour's domain.  Straight-line code
-    over locals: geodesic._walk's two-shell case (the exterior leg from the config's
+    over locals: oscillation_period's two-shell walk (the exterior leg from the config's
     cached release to R1; the transfer at R1; the mass-m span to R2, with the
     cycloid's scalars of CycloidParams.from_state kept as locals and its entry and
     exit points inlined; the transfer at R2 and the flat core) with every float
@@ -411,8 +411,8 @@ def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
     fixed R1.  The two-shell period depends on R1 alone, so it is computed once
     (_two_shell_period), and only the one-shell branch (_one_shell_period)
     varies with f: both straight-line kernels from the config's cached release,
-    which build no object, each the bits of geodesic._walk on the built branch
-    spacetime.  The domain is R2 < R1 <= r_i with
+    which build no object, each the bits of geodesic.oscillation_period on the
+    built branch spacetime.  The domain is R2 < R1 <= r_i with
     a non-empty admissible f interval, which puts R1 above 2M / (1 - 1e-6);
     elsewhere NoSolutionAtRadius is raised.  The one-shell rate Dtau1/Dt1
     rises strictly in R (tests/test_search.py checks it at 50 digits), so the

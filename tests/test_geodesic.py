@@ -27,6 +27,7 @@ from shellswitch.errors import (
 from shellswitch import geodesic
 from shellswitch.geodesic import (
     Leg,
+    _exterior_leg,
     _invert_leg,
     _minkowski_span,
     _schwarzschild_span,
@@ -142,6 +143,11 @@ class TestSegments:
         with pytest.raises(GeodesicError):
             _schwarzschild_span(3.0, 12.0, 0.0, 6.0)
 
+    def test_cycloid_point_at_horizon_rejected(self):
+        # the horizon check comes before u_t = E r / (r - 2M) divides by zero
+        with pytest.raises(GeodesicError, match="at or inside horizon"):
+            _exterior_leg(CycloidParams.from_state(3.0, 12.0, 0.0), 6.0)
+
     def test_zero_length_segment(self):
         dt, dtau, u_r, _, _, eta_entry, eta_exit, _ = _schwarzschild_span(3.0, 12.0, 0.0, 12.0)
         assert (dt, dtau, u_r) == (0.0, 0.0, 0.0)
@@ -220,7 +226,7 @@ class TestSegments:
 def transfer(mu_in, mu_out, R):
     """The walk's tangent transfer factor at the shell at R, k = sqrt(f_out / f_in):
     u_r(out) = k * u_r(in) and u_t(out) = u_t(in) / k.
-    test_legs_are_the_walk_records holds the walk to it bit for bit."""
+    check_walk_records holds the walk to it bit for bit."""
     return math.sqrt(metric_factor(mu_out, R) / metric_factor(mu_in, R))
 
 
@@ -360,33 +366,54 @@ class TestOscillation:
         assert checked > 100
 
     def test_legs_are_the_walk_records(self):
-        # one Leg per patch, outermost first, holding its patch's span; each
-        # leg starts where the one outside it ended, with the exit tangent
-        # rescaled at the shell between them and tau running on across it
-        st_ = m2_reference()
-        _, _, legs = oscillation_period(st_, 12.0)
-        mass = [p.mass for p in st_.patches]
-        states = entry_tangents(st_, legs)
-        assert [leg.patch_index for leg in legs] == [2, 1, 0]
-        assert (legs[0].r_outer, legs[0].tau, states[0][0]) == (12.0, 0.0, 0.0)
-        for outer, inner, (u_r, _) in zip(legs, legs[1:], states):
-            assert inner.r_outer == outer.r_inner
-            assert inner.tau == outer.tau + outer.dtau
-            assert inner.dt_global == st_.lapses[inner.patch_index] * inner.dt_local
-            span = _schwarzschild_span(mass[outer.patch_index], outer.r_outer, u_r, outer.r_inner)
-            assert (outer.dt_local, outer.dtau) == span[:2]
-            assert (outer.cycloid, outer.eta_entry, outer.eta_exit, outer.origin) == span[4:]
-        core = legs[-1]
-        assert (core.r_inner, core.cycloid, core.origin) == (0.0, None, None)
-        assert (core.dt_local, core.dtau) == _minkowski_span(core.r_outer, *states[-1], 0.0)
+        assert check_walk_records(m2_reference(), 12.0) == 0
+
+    def test_flat_middle_legs_are_the_walk_records(self):
+        doc = json.loads((CONFIGS / "flat_middle_spacetime.json").read_text())
+        assert check_walk_records(spacetime_from_config(doc), doc["r_i"]) == 1
 
 
-def leg_origin(leg):
-    """The reference for Leg.origin: (t, tau) of a Schwarzschild leg's cycloid
-    at its entry, recomputed from the leg's cycloid and eta range; None if flat."""
-    params, eta = leg.cycloid, leg.eta_entry
-    return None if params is None else (
-        coordinate_time(params, eta, leg.r_outer), proper_time(params, eta))
+def check_walk_records(spacetime, r_i):
+    """One Leg per patch, outermost first, holding its patch's span; each leg
+    starts where the one outside it ended, with the exit tangent rescaled at
+    the shell between them and tau running on across it.  Returns the number
+    of flat patches between two shells, whose legs hold _minkowski_span's."""
+    _, _, legs = oscillation_period(spacetime, r_i)
+    mass = [p.mass for p in spacetime.patches]
+    states = entry_tangents(spacetime, legs)
+    assert [leg.patch_index for leg in legs] == list(range(len(mass) - 1, -1, -1))
+    assert (legs[0].r_outer, legs[0].tau, states[0][0]) == (r_i, 0.0, 0.0)
+    flat_middles = 0
+    for outer, inner, (u_r, u_t) in zip(legs, legs[1:], states):
+        assert inner.r_outer == outer.r_inner
+        assert inner.tau == outer.tau + outer.dtau
+        assert inner.dt_global == spacetime.lapses[inner.patch_index] * inner.dt_local
+        if outer.cycloid is None:
+            assert (outer.dt_local, outer.dtau) == _minkowski_span(outer.r_outer, u_r, u_t, outer.r_inner)
+            assert (outer.eta_entry, outer.eta_exit, outer.origin) == (None, None, None)
+            flat_middles += 1
+            continue
+        span = _schwarzschild_span(mass[outer.patch_index], outer.r_outer, u_r, outer.r_inner)
+        assert (outer.dt_local, outer.dtau) == span[:2]
+        assert (outer.cycloid, outer.eta_entry, outer.eta_exit, outer.origin) == span[4:]
+    core = legs[-1]
+    assert (core.r_inner, core.cycloid, core.origin) == (0.0, None, None)
+    assert (core.dt_local, core.dtau) == _minkowski_span(core.r_outer, *states[-1], 0.0)
+    return flat_middles
+
+
+def leg_reference(leg):
+    """The reference for a leg's (dt_local, dtau, eta_entry, eta_exit, origin):
+    in a Schwarzschild leg, its cycloid's eta at r_outer and r_inner by
+    eta_of_radius, the differences of coordinate_time and proper_time between
+    them, and their values at entry; in a flat leg, the spans and four Nones."""
+    params = leg.cycloid
+    if params is None:
+        return leg.dt_local, leg.dtau, None, None, None
+    eta_a, eta_b = eta_of_radius(params, leg.r_outer), eta_of_radius(params, leg.r_inner)
+    t_a, tau_a = coordinate_time(params, eta_a, leg.r_outer), proper_time(params, eta_a)
+    return (abs(coordinate_time(params, eta_b, leg.r_inner) - t_a),
+            abs(proper_time(params, eta_b) - tau_a), eta_a, eta_b, (t_a, tau_a))
 
 
 @st.composite
@@ -408,15 +435,20 @@ class TestLegOrigin:
     @given(released_stacks())
     @settings(max_examples=200, deadline=None)
     def test_origin_is_the_entry_time(self, drawn):
-        """Each leg's origin is the (t, tau) that recomputing it from the
-        leg's cycloid at eta_entry gives, bit for bit."""
+        """A Schwarzschild leg's spans, eta range and origin are those that
+        eta_of_radius, coordinate_time and proper_time recompute from its
+        cycloid, bit for bit, and each leg's global span is its local span
+        times its patch's lapse from the spacetime.  This holds the walk's
+        one-pass cycloid points to the separate kernel functions; CI reruns
+        it under five seeds."""
         spacetime, r_i = drawn
         try:
             legs = oscillation_period(spacetime, r_i)[2]
         except UnboundGeodesicError:  # a shell near its horizon can unbind the fall
             assume(False)
         for leg in legs:
-            assert leg.origin == leg_origin(leg)
+            assert (leg.dt_local, leg.dtau, leg.eta_entry, leg.eta_exit, leg.origin) == leg_reference(leg)
+            assert leg.dt_global == spacetime.lapses[leg.patch_index] * leg.dt_local
 
 
 def count_t_calls(monkeypatch) -> list:
@@ -496,9 +528,9 @@ class TestTrajectory:
         """Work pin: each Schwarzschild solve starts from the previous root in
         its leg, moved along its tangent, and evaluates t(eta) about 1.5 times
         (a linear guess across the leg cost about 4).  On this grid, aligned
-        to the period, 501 samples hit 150 such solves and 230 evaluations,
-        4 of them the period's spans, which record the legs' origins too
-        (recomputing the origins took 2 more); solving every
+        to the period, 501 samples hit 150 such solves and 226 evaluations;
+        the period's spans, which record the legs' origins too, make none, as
+        they read their cycloid points through _exterior_leg; solving every
         sample from a linear guess would cost about 9 evaluations per solve."""
         st_ = build_spacetime([
             PatchSpec(0.0, 0.0, 4.0), PatchSpec(1.9, 4.0, 9.0), PatchSpec(3.0, 9.0, None),

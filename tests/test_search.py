@@ -217,9 +217,9 @@ def residual_inputs(draw):
 
 class TestClosedFormResidual:
     """The search's one-shell kernel starts from the config's cached release,
-    with no spacetime built; it must give the (Dt, Dtau) that geodesic._walk
-    gives set up from the built spacetime by oscillation_period, bit for bit,
-    and NaN exactly where that raises.  CI reruns it under five seeds."""
+    with no spacetime built; it must give the (Dt, Dtau) that
+    oscillation_period walks on the built spacetime, bit for bit, and NaN
+    exactly where that raises.  CI reruns it under five seeds."""
 
     @given(residual_inputs())
     @settings(max_examples=400, deadline=None)
@@ -298,9 +298,9 @@ def two_shell_inputs(draw):
 class TestTwoShellClosedForm:
     """The search's two-shell kernel starts from the config's cached release,
     with no spacetime built; on solve_contour's domain it must give the
-    (Dt, Dtau) that geodesic._walk gives set up from the built spacetime by
-    oscillation_period, bit for bit, and raise the exception class that
-    oscillation_period raises wherever that raises.  test_outside_domain
+    (Dt, Dtau) that oscillation_period walks on the built spacetime, bit for
+    bit, and raise the exception class that oscillation_period raises
+    wherever that raises.  test_outside_domain
     covers R1 outside the domain.  CI reruns it under five seeds."""
 
     @given(two_shell_inputs())
@@ -317,7 +317,7 @@ def test_hoisted_work_per_contour_point(monkeypatch):
     cached release, and builds no spacetime; the outer root solves no point
     the curve or its own iterations already hold, so the grid-24 solve makes
     24 + 4 points.  Both period kernels are straight-line code: the solve
-    never calls geodesic._walk, and builds one CycloidParams, the release."""
+    never calls the walk's spans, and builds one CycloidParams, the release."""
     counts = Counter()
 
     def count(module, name):
@@ -333,8 +333,8 @@ def test_hoisted_work_per_contour_point(monkeypatch):
         count(shellswitch.search, name)
     count(shellswitch.spacetime, "build_spacetime")
     count(shellswitch.geodesic, "oscillation_period")
-    count(shellswitch.geodesic, "_walk")
-    assert not hasattr(shellswitch.search, "_walk")  # a reference the count would miss
+    count(shellswitch.geodesic, "_schwarzschild_span")
+    assert not hasattr(shellswitch.search, "_schwarzschild_span")  # a reference the count would miss
     # the dataclass __init__ looks __post_init__ up on the class at each build
     count(shellswitch.geodesic.CycloidParams, "__post_init__")
     solve_switch_configuration(SearchConfig(grid=24, **REFERENCE))
@@ -342,42 +342,8 @@ def test_hoisted_work_per_contour_point(monkeypatch):
     assert counts["_two_shell_period"] == 28
     assert counts["oscillation_period"] == 0
     assert counts["build_spacetime"] == 0
-    assert counts["_walk"] == 0
+    assert counts["_schwarzschild_span"] == 0
     assert counts["__post_init__"] == 1
-
-
-class TestOneWalk:
-    """geodesic._walk is the general path that computes a period:
-    oscillation_period calls it once per call, and fails when it fails.  The
-    search's two kernels do not call it; TestClosedFormResidual and
-    TestTwoShellClosedForm hold them to it bit for bit and exception class
-    for exception class."""
-
-    @staticmethod
-    def period(config):
-        return oscillation_period(two_shell_spacetime(config, 10.0), config.r_i)
-
-    def test_each_period_walks_once(self, monkeypatch, ref_config):
-        calls, walk = [], shellswitch.geodesic._walk
-
-        def counted(*args):
-            calls.append(None)
-            return walk(*args)
-
-        monkeypatch.setattr(shellswitch.geodesic, "_walk", counted)
-        self.period(ref_config)
-        assert len(calls) == 1
-
-    def test_a_failing_walk_fails_every_period(self, monkeypatch, ref_config):
-        class WalkFailed(Exception):
-            pass
-
-        def failing(*args):
-            raise WalkFailed
-
-        monkeypatch.setattr(shellswitch.geodesic, "_walk", failing)
-        with pytest.raises(WalkFailed):
-            self.period(ref_config)
 
 
 def count_calls(monkeypatch, name):
