@@ -143,15 +143,6 @@ def coordinate_time(params: CycloidParams, eta: float, r: float | None = None) -
     return poly + log_term
 
 
-def tangent(params: CycloidParams, eta: float, r: float | None = None) -> tuple[float, float]:
-    """(U^0, U^1) = (dt/dtau, dr/dtau) on the inbound branch."""
-    if r is None:
-        r = radius(params, eta)
-    U0 = params.energy * r / (r - 2.0 * params.mass)
-    U1 = -params.u_scale * math.tan(0.5 * eta)
-    return U0, U1
-
-
 # ---------------------------------------------------------------------------
 # Patch spans, shell crossings and the full oscillation
 
@@ -210,9 +201,11 @@ class Leg:
 def _exterior_leg(release: CycloidParams, r: float) -> tuple[float, float, float, float, float]:
     """(t, tau, u_t, u_r, eta) at r on the cycloid from rest at release.r_apo, t with
     the release's own t not subtracted; the walk's spans, the search's two period
-    kernels, the meeting and the far-side tables read it.  One pass: eta_of_radius,
-    coordinate_time, proper_time and tangent inlined, in their order and with their
-    checks, sharing one tan(eta/2) and one sin(eta), so every output keeps their bits."""
+    kernels, the meeting and the far-side tables read it, and it is the program's
+    one source of a 4-velocity, (u_t, u_r) = (dt/dtau, dr/dtau) on the inbound
+    branch.  One pass: eta_of_radius, coordinate_time and proper_time inlined, in
+    their order and with their checks, sharing one tan(eta/2) and one sin(eta),
+    so t, tau and eta keep their bits."""
     mass, r_apo = release.mass, release.r_apo
     x = r / r_apo
     if x > 1.0:
@@ -271,32 +264,17 @@ def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, fl
 # ---------------------------------------------------------------------------
 # Trajectory sampling in global time
 
-def _solve_eta(params: CycloidParams, lo, hi, eta, t0, t_local_target) -> tuple[float, float | None]:
-    """Root of t(eta) - t0 = t_local_target in its sign bracket [lo, hi], by
-    Newton from eta safeguarded by bisection (rtsafe, Numerical Recipes 9.4):
-    steps are taken in s = log(eta_horizon - eta) so that near-horizon legs
-    converge fast too, and a step that leaves the bracket bisects it.  Returns
-    the converged step and dt/deta at the last iterate; after NEWTON_STEPS
-    without convergence, the bracket bisected to its last bit and None."""
-    eta_h, two_m, scale = params.eta_horizon, 2.0 * params.mass, params.energy * params.tau_scale
-    for _ in range(NEWTON_STEPS):
-        r = radius(params, eta)
-        g = coordinate_time(params, eta, r) - t0 - t_local_target
-        lo, hi = (eta, hi) if g < 0.0 else (lo, eta)
-        dt_deta = scale * r / (r - two_m) * (1.0 + math.cos(eta))
-        new = eta - (eta_h - eta) * math.expm1(min(g / (dt_deta * (eta_h - eta)), 1.0))
-        if abs(new - eta) <= NEWTON_TOL:
-            return new, dt_deta
-        eta = new if lo < new < hi else 0.5 * (lo + hi)
-    while lo < (eta := 0.5 * (lo + hi)) < hi:
-        lo, hi = (eta, hi) if coordinate_time(params, eta) - t0 < t_local_target else (lo, eta)
-    return eta, None
-
-
 def _invert_leg(leg: Leg, t_in_leg: float, seed=None):
     """(r, tau elapsed within leg, seed) at global-time offset t_in_leg from leg
     start.  seed, (eta, local target, dt/deta) at the previous root in the leg or
-    None after a bisection, is moved along its tangent to start the Newton solve."""
+    None after a bisection, is moved along its tangent to start the solve.
+
+    The solve finds the root of t(eta) - t0 = t_local_target in its sign bracket
+    [eta_entry, eta_exit], by Newton safeguarded by bisection (rtsafe, Numerical
+    Recipes 9.4): steps are taken in s = log(eta_horizon - eta) so that
+    near-horizon legs converge fast too, and a step that leaves the bracket
+    bisects it.  After NEWTON_STEPS without convergence the bracket is bisected
+    to its last bit, and the returned seed is None."""
     if t_in_leg <= 0.0:
         return leg.r_outer, 0.0, None
     if t_in_leg >= leg.dt_global:
@@ -309,12 +287,22 @@ def _invert_leg(leg: Leg, t_in_leg: float, seed=None):
     t_local_target = t_in_leg / (leg.dt_global / leg.dt_local)
     # t(eta) is strictly increasing on the inbound branch
     lo, hi = leg.eta_entry, leg.eta_exit
-    guess = seed[0] + (t_local_target - seed[1]) / seed[2] if seed else lo
-    if not lo < guess < hi:  # no seed, or its prediction leaves the leg
-        guess = lo + (hi - lo) * t_in_leg / leg.dt_global
-    eta, slope = _solve_eta(params, lo, hi, guess, t0, t_local_target)
-    return (radius(params, eta), proper_time(params, eta) - tau0,
-            None if slope is None else (eta, t_local_target, slope))
+    eta = seed[0] + (t_local_target - seed[1]) / seed[2] if seed else lo
+    if not lo < eta < hi:  # no seed, or its prediction leaves the leg
+        eta = lo + (hi - lo) * t_in_leg / leg.dt_global
+    eta_h, two_m, scale = params.eta_horizon, 2.0 * params.mass, params.energy * params.tau_scale
+    for _ in range(NEWTON_STEPS):
+        r = radius(params, eta)
+        g = coordinate_time(params, eta, r) - t0 - t_local_target
+        lo, hi = (eta, hi) if g < 0.0 else (lo, eta)
+        dt_deta = scale * r / (r - two_m) * (1.0 + math.cos(eta))
+        new = eta - (eta_h - eta) * math.expm1(min(g / (dt_deta * (eta_h - eta)), 1.0))
+        if abs(new - eta) <= NEWTON_TOL:
+            return radius(params, new), proper_time(params, new) - tau0, (new, t_local_target, dt_deta)
+        eta = new if lo < new < hi else 0.5 * (lo + hi)
+    while lo < (eta := 0.5 * (lo + hi)) < hi:
+        lo, hi = (eta, hi) if coordinate_time(params, eta) - t0 < t_local_target else (lo, eta)
+    return radius(params, eta), proper_time(params, eta) - tau0, None
 
 
 def trajectory(

@@ -25,13 +25,12 @@ from shellswitch import (
 from shellswitch.cli import main
 from shellswitch.geodesic import (
     CycloidParams,
+    _exterior_leg,
     _schwarzschild_span,
     coordinate_time,
-    eta_of_radius,
     oscillation_period,
     proper_time,
     radius,
-    tangent,
 )
 from shellswitch.search import SearchConfig, one_shell_spacetime, two_shell_spacetime
 from shellswitch.switch import EventSchedule, broken_switch_slots
@@ -67,8 +66,6 @@ def test_criterion_1_golden_reproduction():
 
 
 def test_criterion_2_meeting_radius(ref_solution, ref_meeting):
-    from shellswitch.geodesic import _exterior_leg
-
     tau_e = _exterior_leg(ref_solution.config.release[0], ref_meeting.r_t)[1]
     tau_1 = ref_solution.dtau1 / 2.0 + tau_e
     tau_2 = ref_solution.dtau2 / 2.0 - tau_e
@@ -101,7 +98,8 @@ def test_criterion_4_invariant_suite(ref_solution):
     config = ref_solution.config
     checks = []
 
-    # 4-velocity norm within 1e-9 at >= 1000 points per branch trajectory
+    # 4-velocity norm within 1e-9 at >= 1000 points per branch trajectory, each
+    # (u_t, u_r) the program's own, from _exterior_leg
     worst_norm = 0.0
     for st in (one_shell_spacetime(config, ref_solution.R),
                two_shell_spacetime(config, ref_solution.R1)):
@@ -113,9 +111,9 @@ def test_criterion_4_invariant_suite(ref_solution):
             mass = st.patches[leg.patch_index].mass
             e0, e1 = leg.eta_entry, leg.eta_exit
             for i in range(per_leg):
-                eta = e0 + (e1 - e0) * (i + 0.5) / per_leg
-                u_t, u_r = tangent(params, eta)
-                f = 1.0 - 2.0 * mass / radius(params, eta)
+                r = radius(params, e0 + (e1 - e0) * (i + 0.5) / per_leg)
+                u_t, u_r = _exterior_leg(params, r)[2:4]
+                f = 1.0 - 2.0 * mass / r
                 worst_norm = max(worst_norm, abs(-f * u_t**2 + u_r**2 / f + 1.0))
     checks.append(("norm", worst_norm, 1e-9))
 
@@ -132,13 +130,13 @@ def test_criterion_4_invariant_suite(ref_solution):
             e0, e1 = leg.eta_entry, leg.eta_exit
             energies = []
             for i in range(16):
-                eta = e0 + (e1 - e0) * (i + 0.5) / 16
-                u_t, _ = tangent(params, eta)
-                energies.append((1.0 - 2.0 * mass / radius(params, eta)) * u_t)
+                r = radius(params, e0 + (e1 - e0) * (i + 0.5) / 16)
+                energies.append((1.0 - 2.0 * mass / r) * _exterior_leg(params, r)[2])
             worst_energy = max(worst_energy, max(energies) - min(energies))
     checks.append(("energy", worst_energy, 1e-10))
 
-    # finite-difference vs analytic (U0, U1) within 1e-6
+    # finite differences of the parametric t(eta), tau(eta), r(eta) vs
+    # _exterior_leg's (u_t, u_r) at r(eta), within 1e-6
     params = CycloidParams.from_state(config.M, config.r_i, 0.0)
     worst_fd = 0.0
     h = 1e-5
@@ -147,7 +145,7 @@ def test_criterion_4_invariant_suite(ref_solution):
         t_m, tau_m = coordinate_time(params, eta - h), proper_time(params, eta - h)
         t_p, tau_p = coordinate_time(params, eta + h), proper_time(params, eta + h)
         r_m, r_p = radius(params, eta - h), radius(params, eta + h)
-        u_t, u_r = tangent(params, eta)
+        u_t, u_r = _exterior_leg(params, radius(params, eta))[2:4]
         worst_fd = max(
             worst_fd,
             abs((t_p - t_m) / (tau_p - tau_m) - u_t) / abs(u_t),
@@ -167,7 +165,7 @@ def test_criterion_4_invariant_suite(ref_solution):
         r_exit = rng.uniform(2.2 * mass, r_entry)
         E = math.sqrt(1.0 - 2.0 * mass / r_apo)
         cp = CycloidParams.from_state(mass, r_apo, 0.0)
-        _, u_r = tangent(cp, eta_of_radius(cp, r_entry))
+        u_r = _exterior_leg(cp, r_entry)[3]
         dt, dtau, *_ = _schwarzschild_span(mass, r_entry, u_r, r_exit)
         dt_o, dtau_o = quad_spans(mass, E, r_entry, r_exit)
         worst_quad = max(

@@ -36,7 +36,6 @@ from shellswitch.geodesic import (
     eta_of_radius,
     proper_time,
     radius,
-    tangent,
 )
 from shellswitch.spacetime import metric_factor, spacetime_from_config
 
@@ -67,9 +66,8 @@ class TestCycloid:
     def test_rest_at_apoapsis(self):
         params = CycloidParams.from_state(3.0, 12.0, 0.0)
         r = radius(params, 0.0)
-        U0, U1 = tangent(params, 0.0, r)
-        t, tau = coordinate_time(params, 0.0, r), proper_time(params, 0.0)
-        assert (r, t, tau, U1) == (12.0, 0.0, 0.0, 0.0)
+        t, tau, U0, U1, eta = _exterior_leg(params, r)
+        assert (r, t, tau, U1, eta) == (12.0, 0.0, 0.0, 0.0, 0.0)
         assert U0 == pytest.approx(1.0 / params.energy, rel=1e-14)
 
     def test_quarter_parameter(self):
@@ -119,7 +117,7 @@ class TestCycloid:
         dr = radius(params, eta + h) - radius(params, eta - h)
         dt = coordinate_time(params, eta + h) - coordinate_time(params, eta - h)
         dtau = proper_time(params, eta + h) - proper_time(params, eta - h)
-        U0, U1 = tangent(params, eta)
+        U0, U1 = _exterior_leg(params, radius(params, eta))[2:4]
         assert dr / dtau == pytest.approx(U1, rel=1e-6, abs=1e-6)
         assert dt / dtau == pytest.approx(U0, rel=1e-6)
 
@@ -237,7 +235,7 @@ def entry_tangents(spacetime, legs):
     each shell by transfer."""
     masses = [patch.mass for patch in spacetime.patches]
     first = legs[0]
-    u_r, u_t = 0.0, tangent(first.cycloid, first.eta_entry, first.r_outer)[0]
+    u_r, u_t = 0.0, _exterior_leg(first.cycloid, first.r_outer)[2]
     states = []
     for leg, inner in zip(legs, [*legs[1:], None]):
         states.append((u_r, u_t))
@@ -360,7 +358,7 @@ class TestOscillation:
             for k in range(50):
                 eta = leg.eta_entry + (leg.eta_exit - leg.eta_entry) * k / 49
                 r = radius(leg.cycloid, eta)
-                U0, U1 = tangent(leg.cycloid, eta, r)
+                U0, U1 = _exterior_leg(leg.cycloid, r)[2:4]
                 assert norm_defect(mass, r, U1, U0) < 1e-9
                 checked += 1
         assert checked > 100
@@ -573,7 +571,7 @@ def leg_from(mass, r_apo, r_entry, r_exit, lapse):
     """The Schwarzschild leg from r_entry down to r_exit on the rest-release
     cycloid from r_apo, with global time lapse * local time."""
     params = CycloidParams.from_state(mass, r_apo, 0.0)
-    U1 = tangent(params, eta_of_radius(params, r_entry), r_entry)[1]
+    U1 = _exterior_leg(params, r_entry)[3]
     dt, dtau, _, _, *arc = _schwarzschild_span(mass, r_entry, U1, r_exit)
     return Leg(1, r_entry, r_exit, dt, lapse * dt, dtau, 0.0, *arc)
 
