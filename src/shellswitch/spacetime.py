@@ -14,6 +14,7 @@ evaluations are at the equatorial plane.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import GeometryError, HorizonViolation, InputError
@@ -65,9 +66,27 @@ class ShellSpacetime:
     lapses: tuple[float, ...]
     warnings: tuple[str, ...] = ()
 
-    def shell_masses(self, shell_index: int) -> tuple[float, float]:
-        """(inner mass, outer mass) on either side of shell shell_index."""
-        return (self.patches[shell_index].mass, self.patches[shell_index + 1].mass)
+    def __post_init__(self):
+        count = len(self.patches)
+        if len(self.shells) != count - 1:
+            raise GeometryError(
+                f"shells must hold {count - 1} radii for {count} patches, got {len(self.shells)}")
+        if len(self.lapses) != count:
+            raise GeometryError(
+                f"lapses must hold {count} values, one per patch, got {len(self.lapses)}")
+        for k, lapse in enumerate(self.lapses):
+            if not 0.0 < lapse < math.inf:
+                raise GeometryError(f"lapses[{k}] must be finite and > 0, got {lapse!r}")
+
+    def shell(self, shell_index: int) -> tuple[float, float, float]:
+        """(R, inner mass, outer mass) of shell shell_index.  The junction gap
+        and the stress hold R * R, and the stress divides by it: a subnormal
+        R * R loses bits, and 0 or inf keeps none."""
+        R = self.shells[shell_index]
+        if not sys.float_info.min <= R * R < math.inf:
+            raise GeometryError(
+                f"shell {shell_index} at R={R!r}: R*R={R * R!r} is not a normal float")
+        return R, self.patches[shell_index].mass, self.patches[shell_index + 1].mass
 
 
 @dataclass(frozen=True)
@@ -150,8 +169,7 @@ def induced_metric_gap(spacetime: ShellSpacetime, shell_index: int) -> float:
     by the spacetime's actual lapse ratio, so a tampered time identification
     shows up as a nonzero gap).  Components (t, theta, phi) at the equator.
     """
-    R = spacetime.shells[shell_index]
-    mu_in, mu_out = spacetime.shell_masses(shell_index)
+    R, mu_in, mu_out = spacetime.shell(shell_index)
     f_in = metric_factor(mu_in, R)
     f_out = metric_factor(mu_out, R)
     # t_in_local = (lapse_out / lapse_in) * t_out_local
@@ -168,8 +186,7 @@ def shell_stress(spacetime: ShellSpacetime, shell_index: int) -> SurfaceStress:
     density and with the tangential unit vectors for the pressure.  The radial
     pressure vanishes identically for these shells.
     """
-    R = spacetime.shells[shell_index]
-    mu_in, mu_out = spacetime.shell_masses(shell_index)
+    R, mu_in, mu_out = spacetime.shell(shell_index)
     f_in = metric_factor(mu_in, R)
     f_out = metric_factor(mu_out, R)
     if f_out <= 0.0:

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -504,6 +506,94 @@ class TestTinyCycloid:
         assert captured.out == ""
         assert captured.err.startswith("INPUT ERROR: search config: no release cycloid for M=3e-150 "
                                        "and r_i=1.2e-149: apoapsis r_apo=1.2e-149 is too small")
+
+
+TWO_SHELL = json.loads((CONFIGS / "two_shell_spacetime.json").read_text())
+
+
+def scaled_two_shell(k):
+    """configs/two_shell_spacetime.json with every length times 2^k, exactly."""
+    def scale(v):
+        return None if v is None else math.ldexp(v, k)
+
+    return {
+        "patches": [{key: scale(v) for key, v in patch.items()} for patch in TWO_SHELL["patches"]],
+        "r_i": scale(TWO_SHELL["r_i"]),
+    }
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of main(argv); an uncaught exception
+    propagates, as it would print a traceback from the entry point."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def scaled_validate(report, k):
+    """The k = 0 validate report as it must read at scale 2^k: lengths times
+    2^k, densities and pressures times 2^-k, lapses and gaps unchanged."""
+    def by(v, power):
+        return None if v is None else math.ldexp(v, power * k)
+
+    return {
+        "patches": [{key: by(v, 1) for key, v in patch.items()} for patch in report["patches"]],
+        "shells": [{"radius": by(s["radius"], 1), "junction_gap": s["junction_gap"],
+                    "rho": by(s["rho"], -1), "P_tangential": by(s["P_tangential"], -1)}
+                   for s in report["shells"]],
+        "lapses": report["lapses"],
+        "warnings": report["warnings"],
+    }
+
+
+def scaled_stress(report, k):
+    """The k = 0 stress report at scale 2^k: the (t, theta, phi) components of
+    K_jump and S go as 2^-k, 2^k, 2^k, rho and both pressures as 2^-k."""
+    records = {}
+    for record in report.values():
+        R = math.ldexp(record["shell_radius"], k)
+        records[repr(R)] = {
+            "shell_radius": R,
+            **{key: [math.ldexp(c, p * k) for c, p in zip(record[key], (-1, 1, 1))]
+               for key in ("K_jump", "S")},
+            **{key: math.ldexp(record[key], -k) for key in ("rho", "P_tangential", "P_radial")},
+        }
+    return records
+
+
+@pytest.fixture(scope="module")
+def band_config(tmp_path_factory):
+    return tmp_path_factory.mktemp("band") / "scaled.json"
+
+
+class TestScaleBand:
+    """validate and stress on the two-shell stack scaled by 2^k.  Below
+    k = -539 a ZeroDivisionError and from k = 509 an OverflowError ended in a
+    traceback; from -539 to -516 the outer shell's rho, P_tangential, K_jump[0]
+    and S[0] were up to 5.7e-2 off, as its R * R was subnormal."""
+
+    @given(st.integers(-1100, 1020))
+    @example(-540)
+    @example(-539)
+    @example(-516)
+    @example(-515)
+    @example(508)
+    @example(509)
+    @settings(max_examples=150)
+    def test_scaled_bits_or_exit_2(self, band_config, k):
+        band_config.write_text(json.dumps(scaled_two_shell(k)))
+        for command, expect in (("validate", scaled_validate), ("stress", scaled_stress)):
+            code, out, err = run_in_process([command, "--config", str(band_config)])
+            assert "Traceback" not in err
+            if code == EXIT_INVALID:
+                assert out == "" and err.startswith(("INVALID: ", "ERROR: "))
+                continue
+            assert code == EXIT_OK, err
+            base = run_in_process([command, "--config", str(CONFIGS / "two_shell_spacetime.json")])[1]
+            want = expect(json.loads(base), k)
+            # json.dumps writes each float's repr: equal text is equal bits, -0.0 included
+            assert json.dumps(json.loads(out), sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def without(doc, *path):

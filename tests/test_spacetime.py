@@ -159,6 +159,43 @@ class TestInducedMetric:
         assert induced_metric_gap(broken, 0) > 1e-3
 
 
+class TestShape:
+    """A ShellSpacetime built directly, not by build_spacetime, is checked too:
+    a short lapses tuple ended in a bare IndexError in oscillation_period and
+    null_crossing_time, a NaN lapse gave Dt = nan, and a lapse of -1 or 0 a
+    finite, wrong period."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("lapses", (1.0,), "lapses must hold 3 values, one per patch, got 1"),
+        ("lapses", (1.0, 1.0, 1.0, 1.0), "lapses must hold 3 values, one per patch, got 4"),
+        ("lapses", (math.nan, 1.0, 1.0), "lapses[0] must be finite and > 0, got nan"),
+        ("lapses", (1.0, math.inf, 1.0), "lapses[1] must be finite and > 0, got inf"),
+        ("lapses", (-1.0, 1.0, 1.0), "lapses[0] must be finite and > 0, got -1.0"),
+        ("lapses", (0.0, 1.0, 1.0), "lapses[0] must be finite and > 0, got 0.0"),
+        ("shells", (4.0,), "shells must hold 2 radii for 3 patches, got 1"),
+        ("shells", (4.0, 10.072, 12.0), "shells must hold 2 radii for 3 patches, got 3"),
+    ])
+    def test_malformed_field_rejected(self, field, value, message):
+        with pytest.raises(GeometryError) as exc:
+            replace(m2_reference(), **{field: value})
+        assert str(exc.value) == message
+
+    def test_tampered_lapse_of_valid_form_builds(self):
+        # TestInducedMetric's broken time identification must stay constructible
+        assert replace(one_shell(3.0, 6.00057), lapses=(1.0, 1.0)).lapses == (1.0, 1.0)
+
+    @pytest.mark.parametrize("fn", [shell_stress, induced_metric_gap])
+    @pytest.mark.parametrize("k, square", [(-520, "3.58617288673e-312"), (-560, "0.0"), (520, "inf")])
+    def test_shell_square_outside_normal_floats_rejected(self, fn, k, square):
+        # R * R subnormal put rho up to 5.7e-2 off; 0 raised ZeroDivisionError
+        # and R**2 past the largest float OverflowError
+        R = math.ldexp(6.5, k)
+        st_ = one_shell(math.ldexp(3.0, k), R)
+        with pytest.raises(GeometryError) as exc:
+            fn(st_, 0)
+        assert str(exc.value) == f"shell 0 at R={R!r}: R*R={square} is not a normal float"
+
+
 class TestStress:
     def test_large_radius_limit_single_shell(self):
         # rho coefficient at R=100, M=3 approaches M/(4 pi R^2) within 2%
