@@ -180,15 +180,11 @@ class TestShape:
             replace(m2_reference(), **{field: value})
         assert str(exc.value) == message
 
-    def test_tampered_lapse_of_valid_form_builds(self):
-        # TestInducedMetric's broken time identification must stay constructible
-        assert replace(one_shell(3.0, 6.00057), lapses=(1.0, 1.0)).lapses == (1.0, 1.0)
-
     @pytest.mark.parametrize("fn", [shell_stress, induced_metric_gap])
     @pytest.mark.parametrize("k, square", [(-520, "3.58617288673e-312"), (-560, "0.0"), (520, "inf")])
     def test_shell_square_outside_normal_floats_rejected(self, fn, k, square):
-        # R * R subnormal put rho up to 5.7e-2 off; 0 raised ZeroDivisionError
-        # and R**2 past the largest float OverflowError
+        # in shell_stress, a subnormal R * R put rho up to 5.7e-2 off, 0 raised
+        # ZeroDivisionError, and R**2 past the largest float OverflowError
         R = math.ldexp(6.5, k)
         st_ = one_shell(math.ldexp(3.0, k), R)
         with pytest.raises(GeometryError) as exc:
