@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 # Unused here, and kept: the benchmark's tracer (bench/tracer.py) wraps and
 # counts geodesic.replace, so the name must stay a module attribute.
@@ -52,7 +53,7 @@ class CycloidParams:
     tau_scale: float = field(init=False, repr=False, compare=False)  # sqrt(r_apo^3/(8M))
     u_scale: float = field(init=False, repr=False, compare=False)  # sqrt(2M/r_apo)
     one_minus_E2: float = field(init=False, repr=False, compare=False)  # 2M/r_apo
-    tan_h: float = field(init=False, repr=False, compare=False)  # tan(eta_horizon/2)
+    tan_h: float = field(init=False, repr=False, compare=False)  # tan(eta_h/2), eta_h = 2 asin(E)
 
     def __post_init__(self):
         if not 0.0 < self.energy < 1.0:
@@ -73,10 +74,6 @@ class CycloidParams:
         self.u_scale = math.sqrt(2.0 * mass / r_apo)
         self.one_minus_E2 = 2.0 * mass / r_apo
         self.tan_h = math.sqrt((r_apo - 2.0 * mass) / (2.0 * mass))
-
-    @property
-    def eta_horizon(self) -> float:
-        return 2.0 * math.asin(self.energy)
 
     @classmethod
     def from_state(cls, mass: float, r: float, u_r: float) -> "CycloidParams":
@@ -264,45 +261,86 @@ def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, fl
 # ---------------------------------------------------------------------------
 # Trajectory sampling in global time
 
-def _invert_leg(leg: Leg, t_in_leg: float, seed=None):
-    """(r, tau elapsed within leg, seed) at global-time offset t_in_leg from leg
-    start.  seed, (eta, local target, dt/deta) at the previous root in the leg or
-    None after a bisection, is moved along its tangent to start the solve.
+def _solve_leg(leg: Leg, t_in_legs: list[float]) -> tuple[list[float], list[float], int]:
+    """(r, tau elapsed within leg) at each of the ascending global-time offsets
+    t_in_legs from leg start, and the number of evaluations of t(eta) made.
 
-    The solve finds the root of t(eta) - t0 = t_local_target in its sign bracket
-    [eta_entry, eta_exit], by Newton safeguarded by bisection (rtsafe, Numerical
-    Recipes 9.4): steps are taken in s = log(eta_horizon - eta) so that
-    near-horizon legs converge fast too, and a step that leaves the bracket
-    bisects it.  After NEWTON_STEPS without convergence the bracket is bisected
-    to its last bit, and the returned seed is None."""
-    if t_in_leg <= 0.0:
-        return leg.r_outer, 0.0, None
-    if t_in_leg >= leg.dt_global:
-        return leg.r_inner, leg.dtau, None
-    if leg.cycloid is None:
-        # flat patch: r and tau are linear in t
-        frac = t_in_leg / leg.dt_global
-        return leg.r_outer + frac * (leg.r_inner - leg.r_outer), frac * leg.dtau, None
-    params, (t0, tau0) = leg.cycloid, leg.origin
-    t_local_target = t_in_leg / (leg.dt_global / leg.dt_local)
-    # t(eta) is strictly increasing on the inbound branch
-    lo, hi = leg.eta_entry, leg.eta_exit
-    eta = seed[0] + (t_local_target - seed[1]) / seed[2] if seed else lo
-    if not lo < eta < hi:  # no seed, or its prediction leaves the leg
-        eta = lo + (hi - lo) * t_in_leg / leg.dt_global
-    eta_h, two_m, scale = params.eta_horizon, 2.0 * params.mass, params.energy * params.tau_scale
-    for _ in range(NEWTON_STEPS):
-        r = radius(params, eta)
-        g = coordinate_time(params, eta, r) - t0 - t_local_target
-        lo, hi = (eta, hi) if g < 0.0 else (lo, eta)
-        dt_deta = scale * r / (r - two_m) * (1.0 + math.cos(eta))
-        new = eta - (eta_h - eta) * math.expm1(min(g / (dt_deta * (eta_h - eta)), 1.0))
-        if abs(new - eta) <= NEWTON_TOL:
-            return radius(params, new), proper_time(params, new) - tau0, (new, t_local_target, dt_deta)
-        eta = new if lo < new < hi else 0.5 * (lo + hi)
-    while lo < (eta := 0.5 * (lo + hi)) < hi:
-        lo, hi = (eta, hi) if coordinate_time(params, eta) - t0 < t_local_target else (lo, eta)
-    return radius(params, eta), proper_time(params, eta) - tau0, None
+    Each Schwarzschild solve finds the root of t(eta) - t0 = t_local_target in
+    its sign bracket [eta_entry, eta_exit], by Newton safeguarded by bisection
+    (rtsafe, Numerical Recipes 9.4): steps are taken in s = log(eta_h - eta),
+    eta_h = 2 asin(E) at the horizon, so that near-horizon legs converge fast
+    too, and a step that leaves the bracket bisects it.  A solve starts from
+    the previous root in the leg, moved along its tangent, or from the linear
+    guess across the leg: for the first solve, after a leg-end or bisected
+    one, and where the prediction leaves the leg.  After NEWTON_STEPS without
+    convergence the bracket is bisected to its last bit.
+
+    One sweep per leg: the leg's and cycloid's invariants are read once, the
+    seed stays in locals, and radius, coordinate_time and proper_time are
+    inlined in the Newton loop in their float order and with their checks, so
+    each root has the bits of a solve through those functions."""
+    r_outer, r_inner, dt_global, leg_dtau = leg.r_outer, leg.r_inner, leg.dt_global, leg.dtau
+    params = leg.cycloid
+    if params is not None:
+        mass, r_apo, tan_h, t_scale = params.mass, params.r_apo, params.tan_h, params.t_scale
+        one_minus_E2, tau_scale = params.one_minus_E2, params.tau_scale
+        eta_h, two_m, scale = 2.0 * math.asin(params.energy), 2.0 * mass, params.energy * tau_scale
+        (t0, tau0), entry, exit_ = leg.origin, leg.eta_entry, leg.eta_exit
+        t_per_local = dt_global / leg.dt_local
+    cos, sin, tan, log, expm1 = math.cos, math.sin, math.tan, math.log, math.expm1
+    rs, dtaus, evals, steps = [], [], 0, NEWTON_STEPS
+    add_r, add_dtau = rs.append, dtaus.append
+    seed_eta = seed_target = seed_slope = None  # at the previous root in the leg
+    for t_in_leg in t_in_legs:
+        if t_in_leg <= 0.0:
+            add_r(r_outer)
+            add_dtau(0.0)
+            seed_eta = None
+            continue
+        if t_in_leg >= dt_global:
+            add_r(r_inner)
+            add_dtau(leg_dtau)
+            seed_eta = None
+            continue
+        if params is None:
+            # flat patch: r and tau are linear in t
+            frac = t_in_leg / dt_global
+            add_r(r_outer + frac * (r_inner - r_outer))
+            add_dtau(frac * leg_dtau)
+            continue
+        target = t_in_leg / t_per_local
+        # t(eta) is strictly increasing on the inbound branch
+        lo, hi = entry, exit_
+        eta = lo if seed_eta is None else seed_eta + (target - seed_target) / seed_slope
+        if not lo < eta < hi:  # no seed, or its prediction leaves the leg
+            eta = lo + (hi - lo) * t_in_leg / dt_global
+        seed_eta = None
+        for _ in range(steps):
+            evals += 1
+            r = r_apo * cos(0.5 * eta) ** 2
+            if r <= two_m:
+                raise GeodesicError(f"coordinate time diverges: r={r} at or inside horizon {two_m}")
+            tan_e = tan(0.5 * eta)
+            g = (t_scale * (0.5 * (eta + sin(eta)) + one_minus_E2 * eta)
+                 + two_m * log((tan_h + tan_e) ** 2 * (two_m * r) / (r_apo * (r - two_m)))
+                 - t0 - target)
+            lo, hi = (eta, hi) if g < 0.0 else (lo, eta)
+            dt_deta = scale * r / (r - two_m) * (1.0 + cos(eta))
+            s_step = g / (dt_deta * (eta_h - eta))
+            new = eta - (eta_h - eta) * expm1(1.0 if s_step > 1.0 else s_step)  # min(s_step, 1.0), no call
+            if abs(new - eta) <= NEWTON_TOL:
+                add_r(r_apo * cos(0.5 * new) ** 2)
+                add_dtau(tau_scale * (new + sin(new)) - tau0)
+                seed_eta, seed_target, seed_slope = new, target, dt_deta
+                break
+            eta = new if lo < new < hi else 0.5 * (lo + hi)
+        else:
+            while lo < (eta := 0.5 * (lo + hi)) < hi:
+                evals += 1
+                lo, hi = (eta, hi) if coordinate_time(params, eta) - t0 < target else (lo, eta)
+            add_r(radius(params, eta))
+            add_dtau(proper_time(params, eta) - tau0)
+    return rs, dtaus, evals
 
 
 def trajectory(
@@ -312,18 +350,21 @@ def trajectory(
 
     Each sample time is reduced to an offset in the inbound quarter, rem or
     t_half - rem after divmod(t, t_half), and the distinct offsets are swept
-    in ascending order with a cursor over the quarter's legs, each solved once:
-    samples one period apart, and mirrored samples in a half period, often
-    share an offset.  A Schwarzschild solve starts from the previous root in
-    its leg, moved along its tangent: about 1.35 evaluations of t(eta) per
-    solve.  So a row's last
-    bits can depend on the call's other samples; the same arguments give the
-    same rows, and equal offsets in one call share their bits.
+    in ascending order, each solved once: samples one period apart, and
+    mirrored samples in a half period, often share an offset.  The offsets
+    are split among the quarter's legs, each going to the first leg that ends
+    at or after it (else the last), and each leg's share is solved in one
+    _solve_leg sweep, with no Python call per offset.  A Schwarzschild solve
+    starts from the previous root in its leg, moved along its tangent: about
+    1.35 evaluations of t(eta) per solve.  So a row's last bits can depend on
+    the call's other samples; the same arguments give the same rows, and
+    equal offsets in one call share their bits.
 
-    The sample times, their reduction and the rows' assembly are numpy array
-    operations, each a basic IEEE operation (numpy's divmod is CPython's
-    fmod-based one), so rows keep the bits of per-sample Python arithmetic on
-    every SIMD level; the solves stay in math.  numpy is imported here, not
+    The sample times, their reduction, each leg's offsets from its start and
+    the rows' assembly are numpy array operations, each a basic IEEE
+    operation (numpy's divmod is CPython's fmod-based one), so rows keep the
+    bits of per-sample Python arithmetic on every SIMD level; the solves stay
+    in math.  numpy is imported here, not
     at module scope, so geodesic's own imports hold no numpy; importing the
     module still loads numpy, through the package __init__ (switch).
     """
@@ -345,17 +386,20 @@ def trajectory(
     n_half, rem = np.divmod(t, t_half)
     inbound = rem <= t_quarter
     offsets, solve_of = np.unique(np.where(inbound, rem, t_half - rem), return_inverse=True)
-    r_solved, tau_solved = [], []  # of each distinct offset, ascending
-    k, t0, seed = 0, 0.0, None
-    for offset in offsets.tolist():
-        # the leg holding offset: the first that ends at or after it, else the last
-        while offset > t0 + legs[k].dt_global and k < len(legs) - 1:
-            t0 += legs[k].dt_global
-            k, seed = k + 1, None
-        r, dtau, seed = _invert_leg(legs[k], offset - t0, seed)
-        r_solved.append(r)
-        tau_solved.append(legs[k].tau + dtau)
-    r, tau_q = np.array(r_solved)[solve_of], np.array(tau_solved)[solve_of]
+    ascending = offsets.tolist()
+    r_solved, dtau_solved, tau_entry = [], [], []  # of each distinct offset, ascending
+    start, t0, last = 0, 0.0, len(legs) - 1
+    for k, leg in enumerate(legs):
+        # the leg holding an offset: the first that ends at or after it, else the last
+        end = len(ascending) if k == last else bisect_right(ascending, t0 + leg.dt_global, start)
+        if end > start:
+            rs, dtaus, _ = _solve_leg(leg, (offsets[start:end] - t0).tolist())
+            r_solved += rs
+            dtau_solved += dtaus
+            tau_entry += [leg.tau] * (end - start)
+        start, t0 = end, t0 + leg.dt_global
+    r = np.array(r_solved)[solve_of]
+    tau_q = (np.array(tau_entry) + np.array(dtau_solved))[solve_of]
     tau = np.where(inbound, n_half * tau_half + tau_q, (n_half + 1.0) * tau_half - tau_q)
     return list(zip(t.tolist(), r.tolist(), tau.tolist()))
 

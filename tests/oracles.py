@@ -3,10 +3,11 @@
 The quadrature oracle integrates dt/dr and dtau/dr for bound radial motion of
 local energy E in a single Schwarzschild metric; it shares no code with the
 parametric closed forms it validates.  The 4-velocity norm is the
-invariant every propagated state keeps.  The mp_* closed forms give the
-periods, the contour, the switch root and the trajectory samples of a leg
-(mp_invert_leg) at DPS digits; tanh-sinh quadrature (mp_quad_period) checks the
-closed forms.
+invariant every propagated state keeps.  The per-offset solve (invert_leg)
+is the reference that trajectory's per-leg sweep must reproduce to the last
+bit.  The mp_* closed forms give the periods, the contour, the switch root and
+the trajectory samples of a leg (mp_invert_leg) at DPS digits; tanh-sinh
+quadrature (mp_quad_period) checks the closed forms.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
+from shellswitch.geodesic import NEWTON_STEPS, NEWTON_TOL, coordinate_time, proper_time, radius
 from shellswitch.spacetime import metric_factor
 
 DPS = 50  # working digits of the mp_* oracles
@@ -42,6 +44,43 @@ def norm_defect(mass: float, r: float, u_r: float, u_t: float) -> float:
     4-velocity (u_t, u_r) at r in a patch of this mass is from norm -1."""
     f = metric_factor(mass, r)
     return abs(-f * u_t**2 + u_r**2 / f + 1.0)
+
+
+def invert_leg(leg, t_in_leg: float, seed=None):
+    """(r, tau elapsed within leg, seed) at global-time offset t_in_leg from
+    leg start: the sampler's solve of one offset before the per-leg sweep
+    (geodesic._solve_leg), kept verbatim but for eta_horizon, now formed in
+    place as 2 asin(E).  seed, (eta, local target, dt/deta) at the previous
+    root in the leg or None after a bisection, is moved along its tangent to
+    start the solve."""
+    if t_in_leg <= 0.0:
+        return leg.r_outer, 0.0, None
+    if t_in_leg >= leg.dt_global:
+        return leg.r_inner, leg.dtau, None
+    if leg.cycloid is None:
+        # flat patch: r and tau are linear in t
+        frac = t_in_leg / leg.dt_global
+        return leg.r_outer + frac * (leg.r_inner - leg.r_outer), frac * leg.dtau, None
+    params, (t0, tau0) = leg.cycloid, leg.origin
+    t_local_target = t_in_leg / (leg.dt_global / leg.dt_local)
+    # t(eta) is strictly increasing on the inbound branch
+    lo, hi = leg.eta_entry, leg.eta_exit
+    eta = seed[0] + (t_local_target - seed[1]) / seed[2] if seed else lo
+    if not lo < eta < hi:  # no seed, or its prediction leaves the leg
+        eta = lo + (hi - lo) * t_in_leg / leg.dt_global
+    eta_h, two_m, scale = 2.0 * math.asin(params.energy), 2.0 * params.mass, params.energy * params.tau_scale
+    for _ in range(NEWTON_STEPS):
+        r = radius(params, eta)
+        g = coordinate_time(params, eta, r) - t0 - t_local_target
+        lo, hi = (eta, hi) if g < 0.0 else (lo, eta)
+        dt_deta = scale * r / (r - two_m) * (1.0 + math.cos(eta))
+        new = eta - (eta_h - eta) * math.expm1(min(g / (dt_deta * (eta_h - eta)), 1.0))
+        if abs(new - eta) <= NEWTON_TOL:
+            return radius(params, new), proper_time(params, new) - tau0, (new, t_local_target, dt_deta)
+        eta = new if lo < new < hi else 0.5 * (lo + hi)
+    while lo < (eta := 0.5 * (lo + hi)) < hi:
+        lo, hi = (eta, hi) if coordinate_time(params, eta) - t0 < t_local_target else (lo, eta)
+    return radius(params, eta), proper_time(params, eta) - tau0, None
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -28,9 +28,9 @@ from shellswitch import geodesic
 from shellswitch.geodesic import (
     Leg,
     _exterior_leg,
-    _invert_leg,
     _minkowski_span,
     _schwarzschild_span,
+    _solve_leg,
     coordinate_time,
     diametral_crossing_time,
     eta_of_radius,
@@ -39,7 +39,8 @@ from shellswitch.geodesic import (
 )
 from shellswitch.spacetime import metric_factor, spacetime_from_config
 
-from oracles import DPS, _cycloid_at, mp_invert_leg, mp_period, norm_defect, quad_spans
+import oracles
+from oracles import DPS, _cycloid_at, invert_leg, mp_invert_leg, mp_period, norm_defect, quad_spans
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -85,7 +86,7 @@ class TestCycloid:
 
     def test_coordinate_time_diverges_at_horizon(self):
         params = CycloidParams.from_state(3.0, 12.0, 0.0)
-        eta_h = params.eta_horizon
+        eta_h = 2.0 * math.asin(params.energy)
         with pytest.raises(GeodesicError):
             coordinate_time(params, eta_h + 1e-3)
 
@@ -449,30 +450,24 @@ class TestLegOrigin:
             assert leg.dt_global == spacetime.lapses[leg.patch_index] * leg.dt_local
 
 
-def count_t_calls(monkeypatch) -> list:
-    """One entry per coordinate_time call the sampler makes from here on."""
-    calls = []
+def record_leg_sweeps(monkeypatch) -> list:
+    """One (leg, t_in_legs, rows, evaluations of t(eta)) entry per leg the
+    sampler sweeps, rows the (r, tau) of each offset."""
+    swept = []
 
-    def counted(*args):
-        calls.append(None)
-        return coordinate_time(*args)
+    def recorded(leg, t_in_legs):
+        rs, dtaus, evals = _solve_leg(leg, t_in_legs)
+        swept.append((leg, t_in_legs, list(zip(rs, dtaus)), evals))
+        return rs, dtaus, evals
 
-    monkeypatch.setattr(geodesic, "coordinate_time", counted)
-    return calls
+    monkeypatch.setattr(geodesic, "_solve_leg", recorded)
+    return swept
 
 
-def record_leg_solves(monkeypatch) -> list:
-    """One (leg, t_in_leg, seed, (r, tau)) entry per quarter offset the
-    sampler solves."""
-    solved = []
-
-    def recorded(leg, t_in_leg, seed=None):
-        out = _invert_leg(leg, t_in_leg, seed)
-        solved.append((leg, t_in_leg, seed, out[:2]))
-        return out
-
-    monkeypatch.setattr(geodesic, "_invert_leg", recorded)
-    return solved
+def solves_root(leg, t_in_leg) -> bool:
+    """Whether a sweep solves t(eta) for a root at this offset: one strictly
+    inside a Schwarzschild leg."""
+    return leg.cycloid is not None and 0.0 < t_in_leg < leg.dt_global
 
 
 class TestTrajectory:
@@ -526,45 +521,43 @@ class TestTrajectory:
         """Work pin: each Schwarzschild solve starts from the previous root in
         its leg, moved along its tangent, and evaluates t(eta) about 1.5 times
         (a linear guess across the leg cost about 4).  On this grid, aligned
-        to the period, 501 samples hit 150 such solves and 226 evaluations;
-        the period's spans, which record the legs' origins too, make none, as
-        they read their cycloid points through _exterior_leg; solving every
-        sample from a linear guess would cost about 9 evaluations per solve."""
+        to the period, 501 samples hit 150 such solves and 226 evaluations,
+        as the sweeps count them, at least one each; the period's spans,
+        which record the legs' origins too, make none, as they read their
+        cycloid points through _exterior_leg; solving every sample from a
+        linear guess would cost about 9 evaluations per solve."""
         st_ = build_spacetime([
             PatchSpec(0.0, 0.0, 4.0), PatchSpec(1.9, 4.0, 9.0), PatchSpec(3.0, 9.0, None),
         ])
         dt, _, _ = oscillation_period(st_, 12.0)
-        solved = record_leg_solves(monkeypatch)
-        calls = count_t_calls(monkeypatch)
+        swept = record_leg_sweeps(monkeypatch)
         trajectory(st_, 12.0, 2.0 * dt, 501)
-        inverted = [t for leg, t, _, _ in solved if leg.cycloid is not None and 0.0 < t < leg.dt_global]
+        inverted = [t for leg, t_in_legs, _, _ in swept for t in t_in_legs if solves_root(leg, t)]
+        evals = sum(evals for _, _, _, evals in swept)
         assert len(inverted) > 140
-        assert len(calls) <= 1.6 * len(inverted)
+        assert len(inverted) <= evals <= 1.6 * len(inverted)
 
     def test_each_distinct_offset_solved_once(self, monkeypatch):
         """Work pin: on a grid aligned to the period, samples one period apart
         and mirrored samples in a half period share their quarter offset, and
-        each distinct offset is solved once, in one sweep: the legs outermost
-        first, the offsets ascending within each.  The first solve in a leg
-        has no seed; each later one in a Schwarzschild leg starts from the
-        root before it."""
+        each distinct offset is solved once, in one sweep per leg that holds
+        offsets: the legs outermost first, the offsets ascending within each.
+        Each sweep returns one row per offset."""
         doc = json.loads((CONFIGS / "two_shell_spacetime.json").read_text())
         st_, r_i = spacetime_from_config(doc), doc["r_i"]
         dt, _, _ = oscillation_period(st_, r_i)
-        solved = record_leg_solves(monkeypatch)
+        swept = record_leg_sweeps(monkeypatch)
         trajectory(st_, r_i, 2.0 * dt, 4001)
         offsets = set()
         for i in range(4001):
             rem = divmod(2.0 * dt * i / 4000, dt / 2.0)[1]
             offsets.add(rem if rem <= dt / 4.0 else dt / 2.0 - rem)
+        solved = [(leg, t) for leg, t_in_legs, _, _ in swept for t in t_in_legs]
         assert len(solved) == len(offsets) < 4001 / 2
-        order = [(-leg.r_outer, t) for leg, t, _, _ in solved]
+        order = [(-leg.r_outer, t) for leg, t in solved]
         assert order == sorted(order)
-        for before, (leg, _, seed, _) in zip([None, *solved], solved):
-            if before is None or before[0] is not leg:
-                assert seed is None
-            elif leg.cycloid is not None and before[1] > 0.0:
-                assert seed is not None
+        assert len({id(leg) for leg, _, _, _ in swept}) == len(swept) > 1
+        assert all(len(rows) == len(t_in_legs) > 0 for _, t_in_legs, rows, _ in swept)
 
 
 def leg_from(mass, r_apo, r_entry, r_exit, lapse):
@@ -605,6 +598,25 @@ def assert_matches_fifty_digits(leg, t, got):
     assert abs(tau - tau_mp) <= 1e-14 * scale
 
 
+@st.composite
+def swept_legs(draw):
+    """(leg, t_in_legs, NEWTON_STEPS): a legs() leg or a flat one, and 1 to 40
+    ascending offsets that may repeat and may be the leg's two ends or past
+    its end, as trajectory's last leg gets them; NEWTON_STEPS 0 to 3, where
+    solves bisect and hand on no seed, or the module's own."""
+    if draw(st.booleans()):
+        leg = draw(legs())[0]
+    else:
+        r_outer, dt = draw(st.floats(0.1, 50.0)), draw(st.floats(0.01, 100.0))
+        leg = Leg(0, r_outer, r_outer * draw(st.floats(0.0, 0.99)), dt,
+                  dt * draw(st.floats(0.01, 100.0)), draw(st.floats(0.01, 100.0)),
+                  draw(st.floats(0.0, 100.0)), None, None, None, None)
+    t = st.one_of(st.floats(0.0, 1.0).map(lambda u: leg.dt_global * u),
+                  st.sampled_from([0.0, leg.dt_global, 1.25 * leg.dt_global]))
+    t_in_legs = sorted(draw(st.lists(t, min_size=1, max_size=40)))
+    return leg, t_in_legs, draw(st.sampled_from([0, 1, 2, 3, geodesic.NEWTON_STEPS]))
+
+
 class TestNewtonSampling:
     """The safeguarded Newton solve against a 50-digit inversion of the same leg."""
 
@@ -612,11 +624,37 @@ class TestNewtonSampling:
     @settings(max_examples=400, deadline=None)
     def test_matches_fifty_digit_inversion(self, drawn, back):
         """From the linear guess across the leg, and from the seed of an
-        earlier solve in the same leg, a fraction back of the way to its start."""
+        earlier solve in the same sweep, a fraction back of the way to its start."""
         leg, t = drawn
-        assert_matches_fifty_digits(leg, t, _invert_leg(leg, t)[:2])
-        seed = _invert_leg(leg, t * (1.0 - back))[2]
-        assert_matches_fifty_digits(leg, t, _invert_leg(leg, t, seed)[:2])
+        rs, dtaus, _ = _solve_leg(leg, [t])
+        assert_matches_fifty_digits(leg, t, (rs[0], dtaus[0]))
+        rs, dtaus, _ = _solve_leg(leg, [t * (1.0 - back), t])
+        assert_matches_fifty_digits(leg, t, (rs[1], dtaus[1]))
+
+    @given(swept_legs())
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_matches_per_offset_reference(self, drawn):
+        """A leg's sweep gives the rows of the per-offset solve it replaced
+        (oracles.invert_leg), each seeded from the one before it, bit for bit,
+        and counts the reference's evaluations of t(eta)."""
+        leg, t_in_legs, steps = drawn
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return coordinate_time(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geodesic, "NEWTON_STEPS", steps)
+            patch.setattr(oracles, "NEWTON_STEPS", steps)
+            patch.setattr(oracles, "coordinate_time", counted)
+            rs, dtaus, evals = _solve_leg(leg, t_in_legs)
+            seed, want = None, []
+            for t in t_in_legs:
+                r, dtau, seed = invert_leg(leg, t, seed)
+                want.append((r.hex(), dtau.hex()))
+        assert [(r.hex(), dtau.hex()) for r, dtau in zip(rs, dtaus, strict=True)] == want
+        assert evals == len(calls)
 
     @pytest.mark.parametrize("r_exit", [6.000000011999999, 9.0])
     def test_bisection_fallback(self, monkeypatch, r_exit):
@@ -624,30 +662,29 @@ class TestNewtonSampling:
         holds the same bounds."""
         leg = leg_from(3.0, 12.0, 12.0, r_exit, 1.0)
         monkeypatch.setattr(geodesic, "NEWTON_STEPS", 0)
-        calls = count_t_calls(monkeypatch)
         for frac in (1e-6, 0.01, 0.3, 0.7, 0.999, 1.0 - 1e-6):
             t = frac * leg.dt_global
-            calls.clear()
-            got = _invert_leg(leg, t)[:2]
-            assert len(calls) > 40
-            assert_matches_fifty_digits(leg, t, got)
+            rs, dtaus, evals = _solve_leg(leg, [t])
+            assert evals > 40
+            assert_matches_fifty_digits(leg, t, (rs[0], dtaus[0]))
 
     def test_trajectory_bisection_fallback(self, monkeypatch):
-        """With no Newton step every solve of a whole trajectory bisects and
-        hands on no seed, so the next solve in its leg starts from the linear
-        guess again.  The rows hold the same bounds over the outer leg of
-        this stack, which ends 2e-9 above its horizon."""
+        """With no Newton step every solve of a whole trajectory bisects, at
+        more than 40 evaluations of t(eta) each.  The rows hold the same
+        bounds over the outer leg of this stack, which ends 2e-9 above its
+        horizon."""
         shell = 6.000000011999999
         st_ = build_spacetime([PatchSpec(0.0, 0.0, shell), PatchSpec(3.0, shell, None)])
         t_max = oscillation_period(st_, 12.0)[2][0].dt_global  # the outer leg
         newton = trajectory(st_, 12.0, t_max, 61)
         monkeypatch.setattr(geodesic, "NEWTON_STEPS", 0)
-        solved = record_leg_solves(monkeypatch)
+        swept = record_leg_sweeps(monkeypatch)
         rows = trajectory(st_, 12.0, t_max, 61)
-        inverted = [(leg, t, got) for leg, t, _, got in solved
-                    if leg.cycloid is not None and 0.0 < t < leg.dt_global]
+        inverted = [(leg, t, got) for leg, t_in_legs, solved, _ in swept
+                    for t, got in zip(t_in_legs, solved) if solves_root(leg, t)]
         assert len(inverted) > 20
-        assert all(seed is None for _, _, seed, _ in solved)
+        for leg, t_in_legs, _, evals in swept:
+            assert evals > 40 * sum(solves_root(leg, t) for t in t_in_legs)
         for leg, t, got in inverted[::4]:
             assert_matches_fifty_digits(leg, t, got)
         for (t, r, _), (t_newton, r_newton, _) in zip(rows, newton, strict=True):

@@ -23,11 +23,11 @@ from shellswitch import (
     trajectory,
 )
 from shellswitch import geodesic
-from shellswitch.geodesic import _invert_leg, proper_time
+from shellswitch.geodesic import proper_time
 from shellswitch.search import one_shell_spacetime, two_shell_spacetime
 
 from conftest import REFERENCE
-from oracles import mp_invert_leg
+from oracles import invert_leg, mp_invert_leg
 
 # (masses center-out, shells, r_i, (dt.hex(), dtau.hex()) or exception name):
 # both reference branches, shells 1e-6 and 2e-9 above a horizon, a flat
@@ -289,24 +289,28 @@ def test_rows_within_fifty_digit_bounds(grid, rng):
 @settings(max_examples=150, deadline=None)
 def test_equal_offsets_share_bits(grids):
     """trajectory solves each distinct quarter offset once, in ascending
-    order, and every row with that offset is formed from the one (r, tau_q)
+    order, in one sweep per leg that holds offsets, the legs outermost
+    first, and every row with that offset is formed from the one (r, tau_q)
     it gave.  A repeated call, after a call on another grid, gives the same
     rows to the last bit."""
-    invert_leg, first = geodesic._invert_leg, []
+    solve_leg, first = geodesic._solve_leg, []
     for spacetime, r_i, t_max, sample_count in grids:
-        solved = []  # (tau_q, r) per solve, in the order solved
+        # (tau_q, r) and (-r_outer, t_in_leg) per solve, in the order solved
+        solved, order = [], []
 
-        def recorded(leg, t_in_leg, seed=None):
-            out = invert_leg(leg, t_in_leg, seed)
-            solved.append((leg.tau + out[1], out[0]))
-            return out
+        def recorded(leg, t_in_legs):
+            rs, dtaus, evals = solve_leg(leg, t_in_legs)
+            solved.extend((leg.tau + dtau, r) for r, dtau in zip(rs, dtaus, strict=True))
+            order.extend((-leg.r_outer, t) for t in t_in_legs)
+            return rs, dtaus, evals
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(geodesic, "_invert_leg", recorded)
+            patch.setattr(geodesic, "_solve_leg", recorded)
             rows = trajectory(spacetime, r_i, t_max, sample_count)
         reduced = quarter_offsets(spacetime, r_i, t_max, sample_count)
         offsets = sorted({offset for _, _, offset in reduced})
         assert len(solved) == len(offsets)
+        assert order == sorted(order)
         by_offset = dict(zip(offsets, solved))
         tau_half = oscillation_period(spacetime, r_i)[1] / 2.0
         for (t, r, tau), (n_half, inbound, offset) in zip(rows, reduced, strict=True):
@@ -323,8 +327,10 @@ def test_equal_offsets_share_bits(grids):
 
 def two_loop_trajectory(spacetime, r_i, t_global_max, sample_count):
     """trajectory's rows as two per-sample Python loops formed them before
-    the reduction and the assembly moved onto numpy arrays: the reference
-    the array operations must match to the last bit."""
+    the reduction and the assembly moved onto numpy arrays, each offset
+    solved by the per-offset solve (oracles.invert_leg) before the per-leg
+    sweep: the reference the array operations and the sweeps must match to
+    the last bit."""
     dt_period, dtau_period, legs = oscillation_period(spacetime, r_i)
     t_quarter, t_half, tau_half = dt_period / 4.0, dt_period / 2.0, dtau_period / 2.0
     rows, solved = [], {}  # rows hold (t, n_half, inbound, offset) until solved
@@ -341,7 +347,7 @@ def two_loop_trajectory(spacetime, r_i, t_global_max, sample_count):
             t0 += legs[k].dt_global
             k, seed = k + 1, None
         # each solve measures from its leg's origin, the (t, tau) at entry
-        r, dtau, seed = _invert_leg(legs[k], offset - t0, seed)
+        r, dtau, seed = invert_leg(legs[k], offset - t0, seed)
         solved[offset] = r, legs[k].tau + dtau
     for i, (t, n_half, inbound, offset) in enumerate(rows):
         r, tau_q = solved[offset]
@@ -365,7 +371,8 @@ REFERENCE_PERIOD = float.fromhex(PERIODS[1][3][0])
 @example((*REFERENCE_STACK, -2.0 * REFERENCE_PERIOD, 9))
 @settings(max_examples=100, deadline=None)
 def test_rows_match_two_loop_reference(grid):
-    """The array reduction and assembly give the two loops' rows bit for bit."""
+    """The array reduction, the per-leg sweeps and the assembly give the two
+    loops' rows bit for bit."""
     rows = trajectory(*grid)
     assert all(type(x) is float for row in rows for x in row)
     assert [tuple(x.hex() for x in row) for row in rows] == [
