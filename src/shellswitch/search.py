@@ -220,11 +220,13 @@ def shell_radius(config: SearchConfig, R1: float, f: float) -> float:
 def _one_shell_period(config: SearchConfig, R: float) -> tuple[float, float, float]:
     """(Dt, Dtau) of oscillation_period(one_shell_spacetime(config, R), r_i), and the
     rate slope d(Dtau/Dt)/dR in closed form; (NaN, NaN, NaN) exactly where
-    oscillation_period raises.  Straight-line code over locals, the contour's hot
-    kernel: oscillation_period's one-shell walk (the exterior leg from the config's
-    cached release, the transfer at R into the flat core, the core's span) with
-    every float operation in the walk's order, so every output has its bits.  f(M, R)
-    is formed once (metric_factor inlined), for the guard and the transfer."""
+    oscillation_period raises.  Straight-line code over locals, inlined in
+    _contour_points' Newton loop and called for the rate table, the end checks
+    and the bisection fallback: oscillation_period's one-shell walk (the exterior
+    leg from the config's cached release, the transfer at R into the flat core,
+    the core's span) with every float operation in the walk's order, so every
+    output has its bits.  f(M, R) is formed once (metric_factor inlined), for the
+    guard and the transfer."""
     M, r_i = config.M, config.r_i
     # at R == r_i the particle rests at the shell and never reaches the core
     if not 0.0 < R < r_i or (f := (R - 2.0 * M) / R) < DEFAULT_HORIZON_MARGIN:
@@ -255,7 +257,7 @@ def _two_shell_period(config: SearchConfig, R1: float) -> tuple[float, float]:
     cycloid's scalars of CycloidParams.from_state kept as locals and its entry and
     exit points inlined; the transfer at R2 and the flat core) with every float
     operation in the walk's order, so both outputs have its bits, and no object
-    built.  Checks that SearchConfig and solve_contour make once are left out: m > 0,
+    built.  Checks that SearchConfig and _contour_points make once are left out: m > 0,
     R2 < R1 and R2 (so R1 too) clear of the horizon 2m."""
     M, m, R2 = config.M, config.m, config.R2
     cycloid, t_release = config.release
@@ -314,25 +316,6 @@ def ratio_residual(R1: float, f: float, config: SearchConfig, rate2: float) -> f
     return dtau1 / dt1 - rate2
 
 
-def _seed(config: SearchConfig, R1: float, rate2: float) -> float:
-    """f where config.rate_table, inverted by cubic Hermite interpolation of s
-    in L = log rate (clamped to the table's rows), puts the one-shell rate at
-    rate2; NaN if the table has fewer than two rows.  On the reference the
-    seed's R - 2M is ~2.5e-7 relative off the root, so Newton needs ~2.5
-    evaluations."""
-    log_rates, s_values, ds_dL = config.rate_table
-    if len(log_rates) < 2:
-        return math.nan
-    x = min(max(math.log(rate2), log_rates[0]), log_rates[-1])
-    i = min(bisect(log_rates, x), len(log_rates) - 1)
-    h = log_rates[i] - log_rates[i - 1]
-    t = (x - log_rates[i - 1]) / h
-    u = 1.0 - t
-    s = (u * u * ((1.0 + 2.0 * t) * s_values[i - 1] + t * h * ds_dL[i - 1])
-         + t * t * ((3.0 - 2.0 * t) * s_values[i] - u * h * ds_dL[i]))
-    return (2.0 * config.M + math.exp(s) - config.R2) / (R1 - config.R2)
-
-
 def _check_end(config: SearchConfig, R1: float, rate2: float, end: float, side: float) -> None:
     """Raise NoSolutionAtRadius unless the clock-rate residual at an end of the
     admissible f interval lies on the root's side of 0: side -1.0 at the lower
@@ -341,116 +324,181 @@ def _check_end(config: SearchConfig, R1: float, rate2: float, end: float, side: 
         raise NoSolutionAtRadius(f"no sign change of the clock-rate residual in f at R1={R1}")
 
 
-def _contour_root(config: SearchConfig, R1: float, rate2: float,
-                  lo: float, hi: float) -> tuple[float, float, float]:
-    """(f, Dt1, Dtau1) at the root of the clock-rate residual g in the
-    admissible interval [lo, hi], by Newton from the rate table's Hermite seed
-    safeguarded by bisection (rtsafe, Numerical Recipes 9.4): g' is the
-    closed-form rate slope times dR/df = R1 - R2, and a step that leaves the
-    sign bracket bisects it.  The one-shell rate rises strictly in R, so g
-    rises in f and has a root iff g(lo) <= 0 <= g(hi).
+def _contour_points(config: SearchConfig, R1s) -> tuple[list, int]:
+    """For each R1 in R1s, the contour point (R1, f, Dt1, Dtau1, Dt2, Dtau2) at the
+    root in f of the clock-rate residual g = Dtau1/Dt1 - Dtau2/Dt2, or the
+    NoSolutionAtRadius that solve_contour raises there; and the number of
+    one-shell periods evaluated (the config's rate table not included).  The one
+    code path that solves a contour point: solve_contour runs it on one R1,
+    period_ratio_curve on the whole grid.
 
-    Neither end is evaluated up front.  An end is checked (_check_end) only
-    when the seed or a Newton step leaves the bracket through it, or when the
-    returned f lies within END_GUARD of it, far beyond the residual's rounding
-    noise in f.  Elsewhere the root found, an interior zero of the rising g,
-    already implies both signs, so NoSolutionAtRadius is raised exactly where
-    checks of both ends would raise.  On the grid-200 reference no end is
-    evaluated.
+    Per point: the domain checks; the two-shell period (_two_shell_period, once);
+    then Newton from the rate table's Hermite seed, safeguarded by bisection
+    (rtsafe, Numerical Recipes 9.4).  The seed inverts the table's s(L) by cubic
+    Hermite interpolation (L = log rate clamped to the table's rows, R = 2M + e^s);
+    on the reference its R - 2M is ~2.5e-7 relative off the root, so Newton needs
+    ~2.5 evaluations.  g' is the closed-form rate slope times dR/df = R1 - R2, and
+    a step that leaves the sign bracket bisects it.  The one-shell rate rises
+    strictly in R, so g rises in f and has a root iff g(lo) <= 0 <= g(hi).
+
+    Neither end is evaluated up front.  An end is checked (_check_end) only when
+    the seed or a Newton step leaves the bracket through it, or when the returned
+    f lies within END_GUARD of it, far beyond the residual's rounding noise in f.
+    Elsewhere the root found, an interior zero of the rising g, already implies
+    both signs, so NoSolutionAtRadius is raised exactly where checks of both ends
+    would raise.  On the grid-200 reference no end is evaluated.
 
     Stops once a Newton step is at most 4 ulps of f, brentq's relative floor.
     f itself can then be up to that step plus half an ulp of R (in f) off the
     root, while f - step is off by the half ulp of R alone; so f - step is
     returned when it keeps the evaluated shell radius, whose periods it then
-    shares, and otherwise evaluated once more.  The shell radius
-    R2 + (R1 - R2) f is then within 4 ulps of its 50-digit root wherever the
-    rate is well conditioned in R (shells within 10% above 2M; see
-    solve_contour).  f itself is not bounded in its own ulps: when f is small,
-    ulp(f) is far below ulp(R) / (R1 - R2).  After NEWTON_STEPS without
-    convergence, bisects the bracket to its last bit (the guard then checks an
-    end the bisection ran into)."""
-    a, b = lo, hi  # the admissible ends, None once checked
-    dR_df = R1 - config.R2
-    f, settled = _seed(config, R1, rate2), False
-    for _ in range(NEWTON_STEPS):
-        if not lo < f < hi:
-            if f >= hi == b:
-                _check_end(config, R1, rate2, b, 1.0)
-                b = None
-            elif f <= lo == a:
-                _check_end(config, R1, rate2, a, -1.0)
-                a = None
-            f = 0.5 * (lo + hi)
-        R = shell_radius(config, R1, f)
-        dt1, dtau1, slope = _one_shell_period(config, R)
-        g = dtau1 / dt1 - rate2
-        lo, hi = (f, hi) if g < 0.0 else (lo, f)
-        d = slope * dR_df
-        step = g / d if d else math.inf
-        if abs(step) <= 4.0 * math.ulp(f):
-            if shell_radius(config, R1, f - step) == R:
+    shares, and otherwise evaluated once more.  f is not bounded in its own
+    ulps: when f is small, ulp(f) is far below ulp(R) / (R1 - R2).  After
+    NEWTON_STEPS without convergence, bisects the bracket to its last bit (the
+    guard then checks an end the bisection ran into).
+
+    One sweep: the config's and the release cycloid's invariants are read once,
+    and the seed, shell_radius and _one_shell_period with its _exterior_leg are
+    inlined in the Newton loop in their float order, so every point has the bits
+    of a solve through those functions.  The end checks, the bisection fallback
+    and the table stay calls (_one_shell_period is their kernel)."""
+    R2, r_i, two_M = config.R2, config.r_i, 2.0 * config.M
+    cycloid, t_release = config.release  # from rest at r_i in the mass-M exterior
+    r_apo, energy = cycloid.r_apo, cycloid.energy
+    t_scale, one_minus_E2, tan_h = cycloid.t_scale, cycloid.one_minus_E2, cycloid.tan_h
+    tau_scale, u_scale = cycloid.tau_scale, cycloid.u_scale
+    log_rates, s_values, ds_dL = config.rate_table
+    last = len(log_rates) - 1
+    two_shell, steps = _two_shell_period, NEWTON_STEPS
+    acos, sin, sqrt, tan, log, exp, ulp = (
+        math.acos, math.sin, math.sqrt, math.tan, math.log, math.exp, math.ulp)
+    points, evals = [], 0
+    add = points.append
+    for R1 in R1s:
+        try:
+            if not R2 < R1 <= r_i:
+                raise NoSolutionAtRadius(f"R1={R1} outside (R2, r_i] = ({R2}, {r_i}]")
+            dR_df = R1 - R2
+            f_lo = (two_M + F_MARGIN * R1 - R2) / dR_df
+            if f_lo >= F_UPPER:
+                raise NoSolutionAtRadius(f"no admissible f interval at R1={R1}")
+            try:
+                dt2, dtau2 = two_shell(config, R1)
+            except GeodesicError as exc:
+                raise NoSolutionAtRadius(f"two-shell branch invalid at R1={R1}: {exc}") from exc
+            rate2 = dtau2 / dt2
+            # the seed: the rate table inverted at rate2, NaN with fewer than two rows
+            if last < 1:
+                f = math.nan
+            else:
+                x = min(max(log(rate2), log_rates[0]), log_rates[-1])
+                i = min(bisect(log_rates, x), last)
+                h = log_rates[i] - log_rates[i - 1]
+                t = (x - log_rates[i - 1]) / h
+                u = 1.0 - t
+                s = (u * u * ((1.0 + 2.0 * t) * s_values[i - 1] + t * h * ds_dL[i - 1])
+                     + t * t * ((3.0 - 2.0 * t) * s_values[i] - u * h * ds_dL[i]))
+                f = (two_M + exp(s) - R2) / dR_df
+            lo, hi = max(f_lo, 0.0), F_UPPER
+            a, b = lo, hi  # the admissible ends, None once checked
+            settled = False
+            for _ in range(steps):
+                if not lo < f < hi:
+                    if f >= hi == b:
+                        evals += 1
+                        _check_end(config, R1, rate2, b, 1.0)
+                        b = None
+                    elif f <= lo == a:
+                        evals += 1
+                        _check_end(config, R1, rate2, a, -1.0)
+                        a = None
+                    f = 0.5 * (lo + hi)
+                R = R2 + dR_df * f
+                evals += 1
+                # _one_shell_period(config, R); behind its guard x = R / r_apo lies
+                # in (0, 1] and R above 2M, so _exterior_leg's checks cannot fire
+                if not 0.0 < R < r_i or (f_R := (R - two_M) / R) < DEFAULT_HORIZON_MARGIN:
+                    dt1 = dtau1 = slope = math.nan
+                else:
+                    eta = 2.0 * acos(sqrt(R / r_apo))
+                    u_t = energy * R / (R - two_M)
+                    tan_e, sin_e = tan(0.5 * eta), sin(eta)
+                    t = (t_scale * (0.5 * (eta + sin_e) + one_minus_E2 * eta)
+                         + two_M * log((tan_h + tan_e) ** 2 * (two_M * R)
+                                          / (r_apo * (R - two_M))))
+                    u_r = -u_scale * tan_e
+                    k = sqrt(f_R)
+                    dtau_core = abs(R / (u_r / k))
+                    dt_core = sqrt(1.0 / f_R) * (u_t * k * dtau_core)
+                    dt1 = 4.0 * (abs(t - t_release) + dt_core)
+                    dtau1 = 4.0 * (tau_scale * (eta + sin_e) + dtau_core)
+                    df = two_M / (R * R)
+                    shared, lapse = 1.0 / R + df / (2.0 * u_r * u_r), df / (2.0 * f_R)
+                    speed = abs(u_r)
+                    ddtau = dtau_core * (shared + lapse) - 1.0 / speed
+                    ddt = dt_core * (shared - lapse) - u_t / speed
+                    slope = 4.0 * (ddtau - dtau1 / dt1 * ddt) / dt1
+                g = dtau1 / dt1 - rate2
+                lo, hi = (f, hi) if g < 0.0 else (lo, f)
+                d = slope * dR_df
+                step = g / d if d else math.inf
+                if abs(step) <= 4.0 * ulp(f):
+                    if R2 + dR_df * (f - step) == R:
+                        f -= step
+                        break
+                    if settled:
+                        break
+                    settled = True
                 f -= step
-                break
-            if settled:
-                break
-            settled = True
-        f -= step
-    else:
-        while lo < (f := 0.5 * (lo + hi)) < hi:
-            lo, hi = (f, hi) if ratio_residual(R1, f, config, rate2) < 0.0 else (lo, f)
-        dt1, dtau1, _ = _one_shell_period(config, shell_radius(config, R1, f))
-    if a is not None and f - a <= END_GUARD:
-        _check_end(config, R1, rate2, a, -1.0)
-    if b is not None and b - f <= END_GUARD:
-        _check_end(config, R1, rate2, b, 1.0)
-    return f, dt1, dtau1
+            else:
+                while lo < (f := 0.5 * (lo + hi)) < hi:
+                    evals += 1
+                    lo, hi = (f, hi) if ratio_residual(R1, f, config, rate2) < 0.0 else (lo, f)
+                evals += 1
+                dt1, dtau1, _ = _one_shell_period(config, R2 + dR_df * f)
+            if a is not None and f - a <= END_GUARD:
+                evals += 1
+                _check_end(config, R1, rate2, a, -1.0)
+            if b is not None and b - f <= END_GUARD:
+                evals += 1
+                _check_end(config, R1, rate2, b, 1.0)
+            add((R1, f, dt1, dtau1, dt2, dtau2))
+        except NoSolutionAtRadius as exc:
+            add(exc)
+    return points, evals
 
 
 def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
     """Both branch periods at the root in f of the equal-clock-rate residual at
-    fixed R1.  The two-shell period depends on R1 alone, so it is computed once
-    (_two_shell_period), and only the one-shell branch (_one_shell_period)
-    varies with f: both straight-line kernels from the config's cached release,
-    which build no object, each the bits of geodesic.oscillation_period on the
-    built branch spacetime.  The domain is R2 < R1 <= r_i with
-    a non-empty admissible f interval, which puts R1 above 2M / (1 - 1e-6);
-    elsewhere NoSolutionAtRadius is raised.  The one-shell rate Dtau1/Dt1
-    rises strictly in R (tests/test_search.py checks it at 50 digits), so the
-    root is unique, and there is one iff the residual is <= 0 at the lower end
-    of the admissible interval and >= 0 at the upper (else NoSolutionAtRadius).
-    Safeguarded Newton on the closed-form rate slope solves f from the config's
-    Hermite rate-table seed, and checks an end only where that decides the
-    outcome (_contour_root).  The shell radius R = R2 + (R1 - R2) f is within
-    4 ulps of its 50-digit root for shells within 10% above 2M (1.4 ulps worst
-    over 598 random points); farther out the rate flattens in R, and the
-    residual's rounding moves the root by more (8.8 ulps seen).  The grid-200
-    reference takes 2.5 one-shell evaluations per point and no end check.  A
-    pure function of its arguments: the seed never comes from another point."""
-    if not config.R2 < R1 <= config.r_i:
-        raise NoSolutionAtRadius(f"R1={R1} outside (R2, r_i] = ({config.R2}, {config.r_i}]")
-    f_lo = (2.0 * config.M + F_MARGIN * R1 - config.R2) / (R1 - config.R2)
-    if f_lo >= F_UPPER:
-        raise NoSolutionAtRadius(f"no admissible f interval at R1={R1}")
-    try:
-        dt2, dtau2 = _two_shell_period(config, R1)
-    except GeodesicError as exc:
-        raise NoSolutionAtRadius(f"two-shell branch invalid at R1={R1}: {exc}") from exc
-    f_star, dt1, dtau1 = _contour_root(config, R1, dtau2 / dt2, max(f_lo, 0.0), F_UPPER)
-    return ContourPoint(R1, f_star, dt1, dtau1, dt2, dtau2)
+    fixed R1: _contour_points on R1 alone, raising the NoSolutionAtRadius it
+    returns; the R1 root's refinements call it.  The domain is R2 < R1 <= r_i
+    with a non-empty admissible f interval, which puts R1 above
+    2M / (1 - 1e-6); elsewhere NoSolutionAtRadius is raised.  The one-shell rate
+    Dtau1/Dt1 rises strictly in R (tests/test_search.py checks it at 50 digits),
+    so the root is unique, and there is one iff the residual is <= 0 at the
+    lower end of the admissible interval and >= 0 at the upper (else
+    NoSolutionAtRadius).  The shell radius R = R2 + (R1 - R2) f is within 4 ulps
+    of its 50-digit root for shells within 10% above 2M (1.4 ulps worst over 598
+    random points); farther out the rate flattens in R, and the residual's
+    rounding moves the root by more (8.8 ulps seen).  A pure function of its
+    arguments: no point seeds another, so an R1 gets the same bits here as in
+    any sweep, period_ratio_curve's included."""
+    (point,), _ = _contour_points(config, (R1,))
+    if isinstance(point, NoSolutionAtRadius):
+        raise point
+    return ContourPoint(*point)
 
 
 def period_ratio_curve(config: SearchConfig) -> list[tuple[float, float, float]]:
     """(R1, f_star, Dt1/Dt2) along the contour over the configured R1 grid,
-    skipping grid points with no contour root."""
-    curve = []
-    for i in range(config.grid):
-        R1 = config.R1_min + (config.R1_max - config.R1_min) * i / (config.grid - 1)
-        try:
-            point = solve_contour(R1, config)
-        except NoSolutionAtRadius:
-            continue
-        curve.append((point.R1, point.f, point.ratio))
-    return curve
+    skipping grid points with no contour root.  One _contour_points sweep over
+    the grid, which builds no ContourPoint and makes no Python call per point
+    but the two-shell period (and an end check or the bisection fallback where
+    one runs)."""
+    grid, start, span = config.grid, config.R1_min, config.R1_max - config.R1_min
+    points, _ = _contour_points(config, [start + span * i / (grid - 1) for i in range(grid)])
+    return [(point[0], point[1], point[2] / point[4]) for point in points
+            if not isinstance(point, NoSolutionAtRadius)]
 
 
 def ratio_crossings(curve, target: float) -> list[tuple[float, float]]:
@@ -472,9 +520,11 @@ def solve_switch_configuration(config: SearchConfig) -> SwitchSolution:
     more crossings raise MultipleCrossingsError with every bracket, none
     raises UnattainableRatioError.  R1 is solved by brentq to root_tol in that
     bracket; each contour point's shell radius to within 4 ulps
-    (solve_contour).  The grid-200 reference solve evaluates the one-shell
-    period 545 times over its 203 contour points, the seed table's 33 rows
-    included, and evaluates no end of an f interval."""
+    (solve_contour).  The curve is one _contour_points sweep over the grid
+    (period_ratio_curve), and each of brentq's refinements solves one point
+    (solve_contour).  On the grid-200 reference the sweeps count 512 one-shell
+    evaluations over 203 contour points, 545 with the seed table's 33 rows,
+    and evaluate no end of an f interval."""
     curve = period_ratio_curve(config)
     if len(curve) < 2:
         raise SearchError(

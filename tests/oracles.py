@@ -5,21 +5,29 @@ local energy E in a single Schwarzschild metric; it shares no code with the
 parametric closed forms it validates.  The 4-velocity norm is the
 invariant every propagated state keeps.  The per-offset solve (invert_leg)
 is the reference that trajectory's per-leg sweep must reproduce to the last
-bit.  The mp_* closed forms give the periods, the contour, the switch root and
-the trajectory samples of a leg (mp_invert_leg) at DPS digits; tanh-sinh
-quadrature (mp_quad_period) checks the closed forms.
+bit, and the per-point contour solve (solve_contour, with _seed and
+_contour_root) the one that the search's contour sweep must.  The mp_* closed
+forms give the periods, the contour, the switch root and the trajectory
+samples of a leg (mp_invert_leg) at DPS digits; tanh-sinh quadrature
+(mp_quad_period) checks the closed forms.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
+from shellswitch.errors import GeodesicError, NoSolutionAtRadius
 from shellswitch.geodesic import NEWTON_STEPS, NEWTON_TOL, coordinate_time, proper_time, radius
+from shellswitch.search import (
+    END_GUARD, F_MARGIN, F_UPPER, ContourPoint, SearchConfig, _check_end, _one_shell_period,
+    _two_shell_period, ratio_residual, shell_radius,
+)
 from shellswitch.spacetime import metric_factor
 
 DPS = 50  # working digits of the mp_* oracles
@@ -81,6 +89,127 @@ def invert_leg(leg, t_in_leg: float, seed=None):
     while lo < (eta := 0.5 * (lo + hi)) < hi:
         lo, hi = (eta, hi) if coordinate_time(params, eta) - t0 < t_local_target else (lo, eta)
     return radius(params, eta), proper_time(params, eta) - tau0, None
+
+
+# The per-point contour solve that search._contour_points replaced, kept
+# verbatim as its bit-for-bit reference: _seed, _contour_root and solve_contour
+# as they stood before the sweep.
+
+def _seed(config: SearchConfig, R1: float, rate2: float) -> float:
+    """f where config.rate_table, inverted by cubic Hermite interpolation of s
+    in L = log rate (clamped to the table's rows), puts the one-shell rate at
+    rate2; NaN if the table has fewer than two rows.  On the reference the
+    seed's R - 2M is ~2.5e-7 relative off the root, so Newton needs ~2.5
+    evaluations."""
+    log_rates, s_values, ds_dL = config.rate_table
+    if len(log_rates) < 2:
+        return math.nan
+    x = min(max(math.log(rate2), log_rates[0]), log_rates[-1])
+    i = min(bisect(log_rates, x), len(log_rates) - 1)
+    h = log_rates[i] - log_rates[i - 1]
+    t = (x - log_rates[i - 1]) / h
+    u = 1.0 - t
+    s = (u * u * ((1.0 + 2.0 * t) * s_values[i - 1] + t * h * ds_dL[i - 1])
+         + t * t * ((3.0 - 2.0 * t) * s_values[i] - u * h * ds_dL[i]))
+    return (2.0 * config.M + math.exp(s) - config.R2) / (R1 - config.R2)
+
+
+def _contour_root(config: SearchConfig, R1: float, rate2: float,
+                  lo: float, hi: float) -> tuple[float, float, float]:
+    """(f, Dt1, Dtau1) at the root of the clock-rate residual g in the
+    admissible interval [lo, hi], by Newton from the rate table's Hermite seed
+    safeguarded by bisection (rtsafe, Numerical Recipes 9.4): g' is the
+    closed-form rate slope times dR/df = R1 - R2, and a step that leaves the
+    sign bracket bisects it.  The one-shell rate rises strictly in R, so g
+    rises in f and has a root iff g(lo) <= 0 <= g(hi).
+
+    Neither end is evaluated up front.  An end is checked (_check_end) only
+    when the seed or a Newton step leaves the bracket through it, or when the
+    returned f lies within END_GUARD of it, far beyond the residual's rounding
+    noise in f.  Elsewhere the root found, an interior zero of the rising g,
+    already implies both signs, so NoSolutionAtRadius is raised exactly where
+    checks of both ends would raise.  On the grid-200 reference no end is
+    evaluated.
+
+    Stops once a Newton step is at most 4 ulps of f, brentq's relative floor.
+    f itself can then be up to that step plus half an ulp of R (in f) off the
+    root, while f - step is off by the half ulp of R alone; so f - step is
+    returned when it keeps the evaluated shell radius, whose periods it then
+    shares, and otherwise evaluated once more.  The shell radius
+    R2 + (R1 - R2) f is then within 4 ulps of its 50-digit root wherever the
+    rate is well conditioned in R (shells within 10% above 2M; see
+    solve_contour).  f itself is not bounded in its own ulps: when f is small,
+    ulp(f) is far below ulp(R) / (R1 - R2).  After NEWTON_STEPS without
+    convergence, bisects the bracket to its last bit (the guard then checks an
+    end the bisection ran into)."""
+    a, b = lo, hi  # the admissible ends, None once checked
+    dR_df = R1 - config.R2
+    f, settled = _seed(config, R1, rate2), False
+    for _ in range(NEWTON_STEPS):
+        if not lo < f < hi:
+            if f >= hi == b:
+                _check_end(config, R1, rate2, b, 1.0)
+                b = None
+            elif f <= lo == a:
+                _check_end(config, R1, rate2, a, -1.0)
+                a = None
+            f = 0.5 * (lo + hi)
+        R = shell_radius(config, R1, f)
+        dt1, dtau1, slope = _one_shell_period(config, R)
+        g = dtau1 / dt1 - rate2
+        lo, hi = (f, hi) if g < 0.0 else (lo, f)
+        d = slope * dR_df
+        step = g / d if d else math.inf
+        if abs(step) <= 4.0 * math.ulp(f):
+            if shell_radius(config, R1, f - step) == R:
+                f -= step
+                break
+            if settled:
+                break
+            settled = True
+        f -= step
+    else:
+        while lo < (f := 0.5 * (lo + hi)) < hi:
+            lo, hi = (f, hi) if ratio_residual(R1, f, config, rate2) < 0.0 else (lo, f)
+        dt1, dtau1, _ = _one_shell_period(config, shell_radius(config, R1, f))
+    if a is not None and f - a <= END_GUARD:
+        _check_end(config, R1, rate2, a, -1.0)
+    if b is not None and b - f <= END_GUARD:
+        _check_end(config, R1, rate2, b, 1.0)
+    return f, dt1, dtau1
+
+
+def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
+    """Both branch periods at the root in f of the equal-clock-rate residual at
+    fixed R1.  The two-shell period depends on R1 alone, so it is computed once
+    (_two_shell_period), and only the one-shell branch (_one_shell_period)
+    varies with f: both straight-line kernels from the config's cached release,
+    which build no object, each the bits of geodesic.oscillation_period on the
+    built branch spacetime.  The domain is R2 < R1 <= r_i with
+    a non-empty admissible f interval, which puts R1 above 2M / (1 - 1e-6);
+    elsewhere NoSolutionAtRadius is raised.  The one-shell rate Dtau1/Dt1
+    rises strictly in R (tests/test_search.py checks it at 50 digits), so the
+    root is unique, and there is one iff the residual is <= 0 at the lower end
+    of the admissible interval and >= 0 at the upper (else NoSolutionAtRadius).
+    Safeguarded Newton on the closed-form rate slope solves f from the config's
+    Hermite rate-table seed, and checks an end only where that decides the
+    outcome (_contour_root).  The shell radius R = R2 + (R1 - R2) f is within
+    4 ulps of its 50-digit root for shells within 10% above 2M (1.4 ulps worst
+    over 598 random points); farther out the rate flattens in R, and the
+    residual's rounding moves the root by more (8.8 ulps seen).  The grid-200
+    reference takes 2.5 one-shell evaluations per point and no end check.  A
+    pure function of its arguments: the seed never comes from another point."""
+    if not config.R2 < R1 <= config.r_i:
+        raise NoSolutionAtRadius(f"R1={R1} outside (R2, r_i] = ({config.R2}, {config.r_i}]")
+    f_lo = (2.0 * config.M + F_MARGIN * R1 - config.R2) / (R1 - config.R2)
+    if f_lo >= F_UPPER:
+        raise NoSolutionAtRadius(f"no admissible f interval at R1={R1}")
+    try:
+        dt2, dtau2 = _two_shell_period(config, R1)
+    except GeodesicError as exc:
+        raise NoSolutionAtRadius(f"two-shell branch invalid at R1={R1}: {exc}") from exc
+    f_star, dt1, dtau1 = _contour_root(config, R1, dtau2 / dt2, max(f_lo, 0.0), F_UPPER)
+    return ContourPoint(R1, f_star, dt1, dtau1, dt2, dtau2)
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

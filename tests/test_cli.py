@@ -153,6 +153,18 @@ class TestPeriodStress:
         assert doc["6.00057"]["rho"] > 0
 
 
+def count_sweep_points(monkeypatch):
+    """A list that grows by the number of R1s of each shellswitch.search._contour_points sweep."""
+    sweeps, sweep = [], shellswitch.search._contour_points
+
+    def counted(config, R1s):
+        sweeps.append(len(R1s))
+        return sweep(config, R1s)
+
+    monkeypatch.setattr(shellswitch.search, "_contour_points", counted)
+    return sweeps
+
+
 class TestSearch:
     def test_search_writes_solution_and_curve(self, tmp_path):
         cfg = write(tmp_path, "search.json", SEARCH)
@@ -195,36 +207,27 @@ class TestSearch:
         assert err.startswith("INPUT ERROR: search config: M=1e-17 ") and "r_i=12.0" in err
 
     def test_contour_traced_once(self, tmp_path, monkeypatch):
-        calls = []
-        contour_point = shellswitch.search.solve_contour
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return contour_point(*args, **kwargs)
-
-        monkeypatch.setattr(shellswitch.search, "solve_contour", counted)
+        sweeps = count_sweep_points(monkeypatch)
         cfg = write(tmp_path, "search.json", SEARCH)
         out = tmp_path / "sol.json"
         assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        # one pass over the grid plus the R1 root refinement
-        assert len(calls) < 2 * SEARCH["grid"]
+        # one sweep over the grid, then one point per step of the R1 root refinement
+        assert sweeps[0] == SEARCH["grid"] and set(sweeps[1:]) == {1}
+        assert sum(sweeps) < 2 * SEARCH["grid"]
 
     def test_failed_refinement_point_exits_3(self, tmp_path, monkeypatch, capsys):
         # a contour point that fails inside the R1 root refinement is an
         # infeasible search, not a TypeError reported as an input error
-        calls = []
-        contour_point = shellswitch.search.solve_contour
+        sweeps, calls = count_sweep_points(monkeypatch), []
 
-        def failing_after_grid(R1, config):
+        def failing(R1, config):
             calls.append(R1)
-            if len(calls) > SEARCH["grid"]:
-                raise NoSolutionAtRadius(f"no contour root at R1={R1}")
-            return contour_point(R1, config)
+            raise NoSolutionAtRadius(f"no contour root at R1={R1}")
 
-        monkeypatch.setattr(shellswitch.search, "solve_contour", failing_after_grid)
+        monkeypatch.setattr(shellswitch.search, "solve_contour", failing)
         cfg = write(tmp_path, "search.json", SEARCH)
         assert main(["search", "--config", cfg]) == EXIT_INFEASIBLE
-        assert len(calls) == SEARCH["grid"] + 1
+        assert sweeps == [SEARCH["grid"]] and len(calls) == 1
         assert "INFEASIBLE: no contour root" in capsys.readouterr().err
 
     def test_several_crossings_exit_3(self, tmp_path, monkeypatch, capsys):
@@ -248,7 +251,7 @@ class TestSearch:
     def test_bad_float_field_exits_1(self, tmp_path, capsys, monkeypatch, field, value):
         # NaN and Infinity reach the config as the JSON literals Python writes
         calls = []
-        monkeypatch.setattr(shellswitch.search, "solve_contour", lambda *a: calls.append(a))
+        monkeypatch.setattr(shellswitch.search, "_contour_points", lambda *a: calls.append(a))
         cfg = write(tmp_path, "search.json", dict(SEARCH, **{field: value}))
         assert main(["search", "--config", cfg]) == EXIT_INPUT
         err = capsys.readouterr().err
@@ -261,7 +264,7 @@ class TestSearch:
     def test_out_of_range_field_exits_1(self, tmp_path, capsys, monkeypatch, field, value):
         # r_i must clear both the exterior horizon 2M = 6 and R1_max = 10.4
         calls = []
-        monkeypatch.setattr(shellswitch.search, "solve_contour", lambda *a: calls.append(a))
+        monkeypatch.setattr(shellswitch.search, "_contour_points", lambda *a: calls.append(a))
         cfg = write(tmp_path, "search.json", dict(SEARCH, **{field: value}))
         assert main(["search", "--config", cfg]) == EXIT_INPUT
         err = capsys.readouterr().err
@@ -271,7 +274,7 @@ class TestSearch:
     def test_grid_inside_exterior_horizon_exits_1(self, tmp_path, capsys, monkeypatch):
         # R1_max = 5.9 <= 2M = 6: every grid point used to fail, and the search exited 3
         calls = []
-        monkeypatch.setattr(shellswitch.search, "solve_contour", lambda *a: calls.append(a))
+        monkeypatch.setattr(shellswitch.search, "_contour_points", lambda *a: calls.append(a))
         cfg = write(tmp_path, "search.json", dict(SEARCH, R1_min=4.5, R1_max=5.9))
         assert main(["search", "--config", cfg]) == EXIT_INPUT
         assert capsys.readouterr().err == (
@@ -282,7 +285,7 @@ class TestSearch:
     def test_string_float_field_exits_1(self, tmp_path, capsys, monkeypatch, field):
         # "M": "3" used to be converted and solved; a string is not a number
         calls = []
-        monkeypatch.setattr(shellswitch.search, "solve_contour", lambda *a: calls.append(a))
+        monkeypatch.setattr(shellswitch.search, "_contour_points", lambda *a: calls.append(a))
         cfg = write(tmp_path, "search.json", dict(SEARCH, **{field: "3"}))
         assert main(["search", "--config", cfg]) == EXIT_INPUT
         err = capsys.readouterr().err
@@ -294,7 +297,7 @@ class TestSearch:
         # p = 10**400 raised OverflowError from p / q once the whole contour was
         # traced, and such a grid raised it in period_ratio_curve
         calls = []
-        monkeypatch.setattr(shellswitch.search, "solve_contour", lambda *a: calls.append(a))
+        monkeypatch.setattr(shellswitch.search, "_contour_points", lambda *a: calls.append(a))
         cfg = write(tmp_path, "search.json", dict(SEARCH, **{field: 10**400}))
         assert main(["search", "--config", cfg]) == EXIT_INPUT
         assert capsys.readouterr().err == (f"INPUT ERROR: search config: {field} must be at most "
@@ -303,7 +306,7 @@ class TestSearch:
 
     def test_ratio_too_large_for_a_float_exits_1(self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(shellswitch.search, "solve_contour", lambda *a: calls.append(a))
+        monkeypatch.setattr(shellswitch.search, "_contour_points", lambda *a: calls.append(a))
         cfg = write(tmp_path, "search.json", SEARCH)
         assert main(["search", "--config", cfg, "--ratio", "1" + "0" * 400 + "/1"]) == EXIT_INPUT
         assert "INPUT ERROR: search config: p must be at most" in capsys.readouterr().err

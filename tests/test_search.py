@@ -33,6 +33,9 @@ from shellswitch.geodesic import oscillation_period, trajectory
 from shellswitch.search import (
     F_MARGIN,
     F_UPPER,
+    SEED_RADII,
+    ContourPoint,
+    _contour_points,
     _one_shell_period,
     _two_shell_period,
     one_shell_spacetime,
@@ -43,6 +46,7 @@ from shellswitch.search import (
 from shellswitch.spacetime import DEFAULT_HORIZON_MARGIN, metric_factor
 
 from conftest import REFERENCE
+import oracles
 from oracles import (
     DPS, _bracketed_root, mp_contour_ratio, mp_period, mp_quad_period, mp_rate, mp_switch_root,
 )
@@ -312,12 +316,27 @@ class TestTwoShellClosedForm:
         assert outcome(lambda: _two_shell_period(config, R1)) == walked
 
 
+def count_sweeps(monkeypatch):
+    """A list that grows by the (contour points, one-shell evaluations) that each
+    shellswitch.search._contour_points sweep returns."""
+    sweeps, sweep = [], shellswitch.search._contour_points
+
+    def counted(config, R1s):
+        points, evaluations = sweep(config, R1s)
+        sweeps.append((len(points), evaluations))
+        return points, evaluations
+
+    monkeypatch.setattr(shellswitch.search, "_contour_points", counted)
+    return sweeps
+
+
 def test_hoisted_work_per_contour_point(monkeypatch):
     """Each contour point computes its two-shell period once, from the config's
-    cached release, and builds no spacetime; the outer root solves no point
-    the curve or its own iterations already hold, so the grid-24 solve makes
-    24 + 4 points.  Both period kernels are straight-line code: the solve
-    never calls the walk's spans, and builds one CycloidParams, the release."""
+    cached release, and builds no spacetime; the grid is traced in one sweep,
+    and the outer root solves no point the curve or its own iterations already
+    hold, so the grid-24 solve makes 24 + 4 points.  Both period kernels are
+    straight-line code: the solve never calls the walk's spans, and builds one
+    CycloidParams, the release."""
     counts = Counter()
 
     def count(module, name):
@@ -329,7 +348,7 @@ def test_hoisted_work_per_contour_point(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("solve_contour", "_two_shell_period", "build_spacetime"):
+    for name in ("_two_shell_period", "build_spacetime"):
         count(shellswitch.search, name)
     count(shellswitch.spacetime, "build_spacetime")
     count(shellswitch.geodesic, "oscillation_period")
@@ -337,8 +356,9 @@ def test_hoisted_work_per_contour_point(monkeypatch):
     assert not hasattr(shellswitch.search, "_schwarzschild_span")  # a reference the count would miss
     # the dataclass __init__ looks __post_init__ up on the class at each build
     count(shellswitch.geodesic.CycloidParams, "__post_init__")
+    sweeps = count_sweeps(monkeypatch)
     solve_switch_configuration(SearchConfig(grid=24, **REFERENCE))
-    assert counts["solve_contour"] == 28
+    assert [points for points, _ in sweeps] == [24, 1, 1, 1, 1]
     assert counts["_two_shell_period"] == 28
     assert counts["oscillation_period"] == 0
     assert counts["build_spacetime"] == 0
@@ -360,9 +380,9 @@ def count_calls(monkeypatch, name):
 
 def test_one_shell_evaluations_per_solve(monkeypatch):
     """The grid-200 reference solve evaluates the one-shell period at most 560
-    times (it makes 545: ~2.5 per contour point over 203 points, plus the seed
-    table's 33 rows; 1,152 with a linear seed and two end checks per point),
-    and builds the table once."""
+    times (it makes 545: ~2.5 per contour point over 203 points, counted by the
+    sweeps, plus the seed table's 33 rows; 1,152 with a linear seed and two end
+    checks per point), and builds the table once."""
     tables, table = [], SearchConfig.rate_table
 
     def counted_table(config):
@@ -371,21 +391,23 @@ def test_one_shell_evaluations_per_solve(monkeypatch):
 
     counted = cached_property(counted_table)
     counted.__set_name__(SearchConfig, "rate_table")
-    evaluations = count_calls(monkeypatch, "_one_shell_period")
     monkeypatch.setattr(SearchConfig, "rate_table", counted)
+    rows = count_calls(monkeypatch, "_one_shell_period")
+    sweeps = count_sweeps(monkeypatch)
     solve_switch_configuration(SearchConfig(grid=200, **REFERENCE))
-    assert len(tables) == 1
-    assert len(evaluations) <= 560
+    points, evaluations = (sum(counts) for counts in zip(*sweeps))
+    assert len(tables) == 1 and len(rows) == SEED_RADII  # no end check, no bisection
+    assert points <= evaluations and len(rows) + evaluations <= 560
 
 
 def test_end_checks_per_solve(monkeypatch):
     """An end of the admissible f interval is evaluated only where it decides
     whether a point has a root: the grid-200 reference solve, whose 203
     contour points all have one, makes no end check (it made 406)."""
-    points = count_calls(monkeypatch, "solve_contour")
+    sweeps = count_sweeps(monkeypatch)
     end_checks = count_calls(monkeypatch, "ratio_residual")
     solve_switch_configuration(SearchConfig(grid=200, **REFERENCE))
-    assert len(points) == 203
+    assert sum(points for points, _ in sweeps) == 203
     assert len(end_checks) <= 2
 
 
@@ -403,11 +425,10 @@ def test_rootless_point_checks_one_end(monkeypatch, m, R1, evaluations):
     step leaves the bracket through that end, not a Newton run into it."""
     config = SearchConfig(**dict(REFERENCE, m=m))
     config.rate_table
-    one_shell = count_calls(monkeypatch, "_one_shell_period")
     end_checks = count_calls(monkeypatch, "ratio_residual")
-    with pytest.raises(NoSolutionAtRadius, match="no sign change"):
-        solve_contour(R1, config)
-    assert (len(end_checks), len(one_shell)) == (1, evaluations)
+    (point,), made = _contour_points(config, [R1])
+    assert isinstance(point, NoSolutionAtRadius) and "no sign change" in str(point)
+    assert (len(end_checks), made) == (1, evaluations)
 
 
 @st.composite
@@ -527,6 +548,83 @@ class TestContourPrecision:
         f_star = fifty_digit_f(config, bisected)
         assert abs(bisected.f - f_star) <= 4 * math.ulp(float(f_star))
         assert abs(bisected.f - newton.f) <= 8 * math.ulp(newton.f)
+
+
+@st.composite
+def sweep_inputs(draw):
+    """(config, R1s, steps): a contour_inputs draw, half the time with its middle
+    patch lightened to m from 1e-10 to 0.8 of R2 / 2, which leaves the two-shell
+    branch unbound over much of (R2, r_i]; its R1 and up to five more for one
+    sweep, from below R2 to above r_i, with R2, r_i and the floor
+    2M / (1 - F_MARGIN) of a non-empty f interval among them; and NEWTON_STEPS,
+    or 0 to 2 Newton steps before the bisection fallback."""
+    config, R1 = draw(contour_inputs())
+    if draw(st.booleans()):
+        config = dataclasses.replace(config, m=0.5 * config.R2 * 10.0 ** draw(st.floats(-10.0, -0.1)))
+    R2, r_i = config.R2, config.r_i
+    floor = 2.0 * config.M / (1.0 - F_MARGIN)
+    edges = [R2, math.nextafter(R2, math.inf), floor, math.nextafter(floor, math.inf),
+             r_i, math.nextafter(r_i, math.inf)]
+    more = st.one_of(st.floats(0.5 * R2, 1.1 * r_i), st.floats(9.0, r_i), st.sampled_from(edges))
+    steps = draw(st.sampled_from([shellswitch.search.NEWTON_STEPS, 0, 1, 2]))
+    return config, [R1, *draw(st.lists(more, max_size=5))], steps
+
+
+def point_bits(point):
+    """A contour point's (R1, f, Dt1, Dtau1, Dt2, Dtau2) as float.hex, or its
+    NoSolutionAtRadius as (class, message, class of the cause)."""
+    if isinstance(point, NoSolutionAtRadius):
+        return type(point), str(point), type(point.__cause__)
+    if isinstance(point, ContourPoint):
+        point = (point.R1, point.f, point.dt1, point.dtau1, point.dt2, point.dtau2)
+    return tuple(x.hex() for x in point)
+
+
+def solved_point(R1, config, solve):
+    """solve(R1, config), or the NoSolutionAtRadius it raises."""
+    try:
+        return solve(R1, config)
+    except NoSolutionAtRadius as exc:
+        return exc
+
+
+class TestContourSweep:
+    """The contour sweep solves each point as the per-point solve it replaced
+    (oracles.solve_contour, with _seed and _contour_root), bit for bit: the
+    same f, periods and exception class and message at every R1, whichever
+    points share its sweep, and the same count of one-shell evaluations.
+    CI reruns it under five seeds."""
+
+    @given(sweep_inputs())
+    @example((SearchConfig(**dict(REFERENCE, m=2.0 * (1.0 - 1e-8))),  # rootless, lower end
+              [10.0, 10.072, 9.0], shellswitch.search.NEWTON_STEPS))
+    # R1 <= R2, an empty f interval, an unbound two-shell branch, and rootless
+    # at r_i, all through the bisection fallback
+    @example((SearchConfig(**dict(REFERENCE, m=1e-10)), [3.0, 4.0, 6.000001, 9.0, 12.0], 0))
+    @example((SearchConfig(**REFERENCE), [9.0, 10.072, 11.5], 0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_point_reference(self, inputs):
+        config, R1s, steps = inputs
+        calls = []
+
+        def counted(function):
+            def wrapper(*args):
+                calls.append(None)
+                return function(*args)
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(shellswitch.search, "NEWTON_STEPS", steps)
+            patch.setattr(oracles, "NEWTON_STEPS", steps)
+            points, evaluations = _contour_points(config, R1s)
+            single = [solved_point(R1, config, solve_contour) for R1 in R1s]
+            patch.setattr(oracles, "_one_shell_period", counted(_one_shell_period))
+            patch.setattr(oracles, "ratio_residual", counted(ratio_residual))
+            patch.setattr(shellswitch.search, "ratio_residual", counted(ratio_residual))
+            want = [point_bits(solved_point(R1, config, oracles.solve_contour)) for R1 in R1s]
+        assert [point_bits(point) for point in points] == want
+        assert [point_bits(point) for point in single] == want
+        assert evaluations == len(calls)
 
 
 @pytest.fixture(scope="module")
