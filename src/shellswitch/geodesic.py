@@ -197,8 +197,9 @@ class Leg:
 
 def _exterior_leg(release: CycloidParams, r: float) -> tuple[float, float, float, float, float]:
     """(t, tau, u_t, u_r, eta) at r on the cycloid from rest at release.r_apo, t with
-    the release's own t not subtracted; the walk's spans, the search's two period
-    kernels, the meeting and the far-side tables read it, and it is the program's
+    the release's own t not subtracted; the walk's spans, the search's one-shell
+    kernel, the meeting and the far-side tables read it (the contour sweep inlines
+    it, in its order, with the checks that can fire there), and it is the program's
     one source of a 4-velocity, (u_t, u_r) = (dt/dtau, dr/dtau) on the inbound
     branch.  One pass: eta_of_radius, coordinate_time and proper_time inlined, in
     their order and with their checks, sharing one tan(eta/2) and one sin(eta),
@@ -229,8 +230,10 @@ def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, fl
     at r_i down to its shell; at each shell the transfer u_r / k, u_t * k, with
     k = sqrt(f_out / f_in); each patch's span down to its r_min, the flat core's
     to the center, in global time by the patch's spacetime.lapses entry; four
-    mirrored quarters.  The search's two straight-line kernels
-    (search._one_shell_period, search._two_shell_period) are held to it bit for bit.
+    mirrored quarters.  The search's straight-line copies of its one- and
+    two-shell cases are held to it bit for bit: search._one_shell_period, and the
+    two-shell walk written inline in search._contour_points, whose reference is
+    _two_shell_period in tests/oracles.py.
     """
     patches, lapses = spacetime.patches, spacetime.lapses
     if patches[0].mass != 0.0:
@@ -408,14 +411,18 @@ def trajectory(
 # Null rays and static observers
 
 def _null_dt_schwarzschild(mass: float, r_near: float, r_far: float) -> float:
-    """Coordinate time for a radial light ray between two radii (one patch)."""
+    """Coordinate time for a radial light ray between two radii (one patch).
+    Where the quotient (r_far - 2M) / (r_near - 2M) overflows (r_near near the
+    horizon, r_far large), its log is taken as a difference of logs instead;
+    every finite quotient keeps its bits."""
     if r_near <= 2.0 * mass:
         raise HorizonViolation(
             f"null segment reaches r={r_near} at or inside horizon {2.0 * mass}"
         )
-    return (r_far - r_near) + 2.0 * mass * math.log(
-        (r_far - 2.0 * mass) / (r_near - 2.0 * mass)
-    )
+    far, near = r_far - 2.0 * mass, r_near - 2.0 * mass
+    quotient = far / near
+    log_quotient = math.log(quotient) if quotient != math.inf else math.log(far) - math.log(near)
+    return (r_far - r_near) + 2.0 * mass * log_quotient
 
 
 def null_crossing_time(spacetime: ShellSpacetime, r_a: float, r_b: float) -> float:

@@ -249,66 +249,6 @@ def _one_shell_period(config: SearchConfig, R: float) -> tuple[float, float, flo
     return dt, dtau, 4.0 * (ddtau - dtau / dt * ddt) / dt
 
 
-def _two_shell_period(config: SearchConfig, R1: float) -> tuple[float, float]:
-    """(Dt, Dtau) of oscillation_period(two_shell_spacetime(config, R1), r_i), raising
-    the exception class that raises, on solve_contour's domain.  Straight-line code
-    over locals: oscillation_period's two-shell walk (the exterior leg from the config's
-    cached release to R1; the transfer at R1; the mass-m span to R2, with the
-    cycloid's scalars of CycloidParams.from_state kept as locals and its entry and
-    exit points inlined; the transfer at R2 and the flat core) with every float
-    operation in the walk's order, so both outputs have its bits, and no object
-    built.  Checks that SearchConfig and _contour_points make once are left out: m > 0,
-    R2 < R1 and R2 (so R1 too) clear of the horizon 2m."""
-    M, m, R2 = config.M, config.m, config.R2
-    cycloid, t_release = config.release
-    t, dtau, _, u_r, _ = _exterior_leg(cycloid, R1)
-    # the transfer at R1 into the mass-m patch, and that patch's rest-release
-    # cycloid; each metric_factor(mass, r) inlined as (r - 2 mass) / r
-    two_m = 2.0 * m
-    gap_a, gap_b = R1 - two_m, R2 - two_m
-    f_out, f_in = (R1 - 2.0 * M) / R1, gap_a / R1
-    u_r /= math.sqrt(f_out / f_in)
-    lapse = math.sqrt(f_in / f_out)
-    E_sq = u_r * u_r + f_in
-    if not E_sq < 1.0:  # E_sq > 0: f_in > 0
-        raise UnboundGeodesicError(f"local energy E={math.sqrt(E_sq):.12g} >= 1 at r={R1}")
-    r_apo = R1 if u_r == 0.0 else two_m / (two_m / R1 - u_r * u_r)
-    E = math.sqrt(E_sq)
-    try:
-        cube = r_apo**3
-    except OverflowError:
-        raise GeodesicError(f"apoapsis r_apo={r_apo} is too large: r_apo**3 overflows") from None
-    if cube < sys.float_info.min:
-        raise GeodesicError(f"apoapsis r_apo={r_apo} is too small: r_apo**3 underflows")
-    t_scale, tau_scale = E * math.sqrt(cube / two_m), math.sqrt(cube / (8.0 * m))
-    tan_h = math.sqrt((r_apo - two_m) / two_m)
-    # entry at R1 and exit at R2 (R2 / r_apo <= R1 / r_apo: one apoapsis check)
-    x_a, x_b = R1 / r_apo, R2 / r_apo
-    if x_a - 1.0 > APOAPSIS_CLAMP:
-        raise UnreachableRadiusError(f"radius {R1} beyond apoapsis {r_apo}")
-    eta_a = 2.0 * math.acos(math.sqrt(1.0 if x_a > 1.0 else x_a))
-    eta_b = 2.0 * math.acos(math.sqrt(1.0 if x_b > 1.0 else x_b))
-    sin_a, sin_b = math.sin(eta_a), math.sin(eta_b)
-    one_minus_E2 = two_m / r_apo
-    t_a = (t_scale * (0.5 * (eta_a + sin_a) + one_minus_E2 * eta_a)
-           + two_m * math.log((tan_h + math.tan(0.5 * eta_a)) ** 2 * (two_m * R1)
-                              / (r_apo * gap_a)))
-    tan_b = math.tan(0.5 * eta_b)
-    t_b = (t_scale * (0.5 * (eta_b + sin_b) + one_minus_E2 * eta_b)
-           + two_m * math.log((tan_h + tan_b) ** 2 * (two_m * R2) / (r_apo * gap_b)))
-    dt = abs(t - t_release) + lapse * abs(t_b - t_a)
-    dtau += abs(tau_scale * (eta_b + sin_b) - tau_scale * (eta_a + sin_a))
-    # the exit tangent at R2, the transfer into the flat core and the core's span
-    u_r = -math.sqrt(one_minus_E2) * tan_b
-    if u_r == 0.0:
-        raise GeodesicError("stationary particle cannot reach a different radius")
-    f_core = gap_b / R2
-    k = math.sqrt(f_core)
-    dtau_core = abs(R2 / (u_r / k))
-    dt_core = lapse * math.sqrt(1.0 / f_core) * (E * R2 / gap_b * k * dtau_core)
-    return 4.0 * (dt + dt_core), 4.0 * (dtau + dtau_core)
-
-
 def ratio_residual(R1: float, f: float, config: SearchConfig, rate2: float) -> float:
     """Dtau1/Dt1 - rate2, rate2 being the two-shell Dtau2/Dt2 at R1; NaN marks
     a geometrically invalid point."""
@@ -324,15 +264,16 @@ def _check_end(config: SearchConfig, R1: float, rate2: float, end: float, side: 
         raise NoSolutionAtRadius(f"no sign change of the clock-rate residual in f at R1={R1}")
 
 
-def _contour_points(config: SearchConfig, R1s) -> tuple[list, int]:
+def _contour_points(config: SearchConfig, R1s) -> tuple[list, int, int]:
     """For each R1 in R1s, the contour point (R1, f, Dt1, Dtau1, Dt2, Dtau2) at the
     root in f of the clock-rate residual g = Dtau1/Dt1 - Dtau2/Dt2, or the
-    NoSolutionAtRadius that solve_contour raises there; and the number of
-    one-shell periods evaluated (the config's rate table not included).  The one
+    NoSolutionAtRadius that solve_contour raises there; the number of one-shell
+    periods evaluated (the config's rate table not included); and the number of
+    two-shell periods, one per point that passes the domain checks.  The one
     code path that solves a contour point: solve_contour runs it on one R1,
     period_ratio_curve on the whole grid.
 
-    Per point: the domain checks; the two-shell period (_two_shell_period, once);
+    Per point: the domain checks; the two-shell period, once;
     then Newton from the rate table's Hermite seed, safeguarded by bisection
     (rtsafe, Numerical Recipes 9.4).  The seed inverts the table's s(L) by cubic
     Hermite interpolation (L = log rate clamped to the table's rows, R = 2M + e^s);
@@ -357,11 +298,16 @@ def _contour_points(config: SearchConfig, R1s) -> tuple[list, int]:
     NEWTON_STEPS without convergence, bisects the bracket to its last bit (the
     guard then checks an end the bisection ran into).
 
-    One sweep: the config's and the release cycloid's invariants are read once,
-    and the seed, shell_radius and _one_shell_period with its _exterior_leg are
-    inlined in the Newton loop in their float order, so every point has the bits
-    of a solve through those functions.  The end checks, the bisection fallback
-    and the table stay calls (_one_shell_period is their kernel)."""
+    One sweep: the config's and the release cycloid's invariants are read once.
+    The two-shell walk is inlined per point, and the seed, shell_radius and
+    _one_shell_period with its _exterior_leg in the Newton loop, each in its
+    float order and with every check that can fire, so every point has the bits
+    of a solve through those functions: the two-shell walk's reference,
+    _two_shell_period, is kept in tests/oracles.py.  No point makes a Python
+    call but where an end check or the bisection fallback runs; those, and the
+    table, call _one_shell_period.  On the grid-200 reference a point takes
+    about 7.0 us, against 7.9 us with the two-shell period called as a function
+    (timeit minima of period_ratio_curve)."""
     R2, r_i, two_M = config.R2, config.r_i, 2.0 * config.M
     cycloid, t_release = config.release  # from rest at r_i in the mass-M exterior
     r_apo, energy = cycloid.r_apo, cycloid.energy
@@ -369,10 +315,15 @@ def _contour_points(config: SearchConfig, R1s) -> tuple[list, int]:
     tau_scale, u_scale = cycloid.tau_scale, cycloid.u_scale
     log_rates, s_values, ds_dL = config.rate_table
     last = len(log_rates) - 1
-    two_shell, steps = _two_shell_period, NEWTON_STEPS
+    steps, tiny = NEWTON_STEPS, sys.float_info.min
     acos, sin, sqrt, tan, log, exp, ulp = (
         math.acos, math.sin, math.sqrt, math.tan, math.log, math.exp, math.ulp)
-    points, evals = [], 0
+    # the two-shell period's terms that depend on the mass-m patch and R2 alone
+    two_m, eight_m = 2.0 * config.m, 8.0 * config.m
+    gap_b = R2 - two_m
+    two_m_R2, f_core = two_m * R2, gap_b / R2
+    k_core, core_lapse = sqrt(f_core), sqrt(1.0 / f_core)
+    points, evals, two_shell_evals = [], 0, 0
     add = points.append
     for R1 in R1s:
         try:
@@ -382,8 +333,59 @@ def _contour_points(config: SearchConfig, R1s) -> tuple[list, int]:
             f_lo = (two_M + F_MARGIN * R1 - R2) / dR_df
             if f_lo >= F_UPPER:
                 raise NoSolutionAtRadius(f"no admissible f interval at R1={R1}")
+            two_shell_evals += 1
+            # the two-shell period (tests/oracles._two_shell_period): the exterior
+            # leg to R1, where R1 <= r_i = r_apo and the non-empty f interval puts
+            # R1 above 2M, so _exterior_leg's checks cannot fire; the transfer at
+            # R1; the mass-m patch's rest-release cycloid from R1 to R2; the
+            # transfer at R2 and the flat core
             try:
-                dt2, dtau2 = two_shell(config, R1)
+                eta = 2.0 * acos(sqrt(R1 / r_apo))
+                tan_e, sin_e = tan(0.5 * eta), sin(eta)
+                t = (t_scale * (0.5 * (eta + sin_e) + one_minus_E2 * eta)
+                     + two_M * log((tan_h + tan_e) ** 2 * (two_M * R1)
+                                   / (r_apo * (R1 - two_M))))
+                dtau2 = tau_scale * (eta + sin_e)
+                gap_a = R1 - two_m
+                f_out, f_in = (R1 - two_M) / R1, gap_a / R1
+                u_r = -u_scale * tan_e / sqrt(f_out / f_in)
+                lapse = sqrt(f_in / f_out)
+                E_sq = u_r * u_r + f_in
+                if not E_sq < 1.0:  # E_sq > 0: f_in > 0
+                    raise UnboundGeodesicError(f"local energy E={sqrt(E_sq):.12g} >= 1 at r={R1}")
+                m_apo = R1 if u_r == 0.0 else two_m / (two_m / R1 - u_r * u_r)
+                E = sqrt(E_sq)
+                try:
+                    cube = m_apo**3
+                except OverflowError:
+                    raise GeodesicError(
+                        f"apoapsis r_apo={m_apo} is too large: r_apo**3 overflows") from None
+                if cube < tiny:
+                    raise GeodesicError(f"apoapsis r_apo={m_apo} is too small: r_apo**3 underflows")
+                m_t_scale, m_tau_scale = E * sqrt(cube / two_m), sqrt(cube / eight_m)
+                m_tan_h = sqrt((m_apo - two_m) / two_m)
+                # entry at R1 and exit at R2 (R2 / r_apo <= R1 / r_apo: one apoapsis check)
+                x_a, x_b = R1 / m_apo, R2 / m_apo
+                if x_a - 1.0 > APOAPSIS_CLAMP:
+                    raise UnreachableRadiusError(f"radius {R1} beyond apoapsis {m_apo}")
+                eta_a = 2.0 * acos(sqrt(1.0 if x_a > 1.0 else x_a))
+                eta_b = 2.0 * acos(sqrt(1.0 if x_b > 1.0 else x_b))
+                sin_a, sin_b = sin(eta_a), sin(eta_b)
+                m_one_minus_E2 = two_m / m_apo
+                t_a = (m_t_scale * (0.5 * (eta_a + sin_a) + m_one_minus_E2 * eta_a)
+                       + two_m * log((m_tan_h + tan(0.5 * eta_a)) ** 2 * (two_m * R1)
+                                     / (m_apo * gap_a)))
+                tan_b = tan(0.5 * eta_b)
+                t_b = (m_t_scale * (0.5 * (eta_b + sin_b) + m_one_minus_E2 * eta_b)
+                       + two_m * log((m_tan_h + tan_b) ** 2 * two_m_R2 / (m_apo * gap_b)))
+                dt2 = abs(t - t_release) + lapse * abs(t_b - t_a)
+                dtau2 += abs(m_tau_scale * (eta_b + sin_b) - m_tau_scale * (eta_a + sin_a))
+                u_r = -sqrt(m_one_minus_E2) * tan_b
+                if u_r == 0.0:
+                    raise GeodesicError("stationary particle cannot reach a different radius")
+                dtau_core = abs(R2 / (u_r / k_core))
+                dt_core = lapse * core_lapse * (E * R2 / gap_b * k_core * dtau_core)
+                dt2, dtau2 = 4.0 * (dt2 + dt_core), 4.0 * (dtau2 + dtau_core)
             except GeodesicError as exc:
                 raise NoSolutionAtRadius(f"two-shell branch invalid at R1={R1}: {exc}") from exc
             rate2 = dtau2 / dt2
@@ -465,7 +467,7 @@ def _contour_points(config: SearchConfig, R1s) -> tuple[list, int]:
             add((R1, f, dt1, dtau1, dt2, dtau2))
         except NoSolutionAtRadius as exc:
             add(exc)
-    return points, evals
+    return points, evals, two_shell_evals
 
 
 def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
@@ -480,10 +482,12 @@ def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
     NoSolutionAtRadius).  The shell radius R = R2 + (R1 - R2) f is within 4 ulps
     of its 50-digit root for shells within 10% above 2M (1.4 ulps worst over 598
     random points); farther out the rate flattens in R, and the residual's
-    rounding moves the root by more (8.8 ulps seen).  A pure function of its
+    rounding moves the root by more (8.8 ulps seen).  Both periods are computed
+    inline in the sweep, the two-shell one once; at R1 = 10.07 on the reference
+    a point takes about 7.4 us (timeit minimum).  A pure function of its
     arguments: no point seeds another, so an R1 gets the same bits here as in
     any sweep, period_ratio_curve's included."""
-    (point,), _ = _contour_points(config, (R1,))
+    (point,), _, _ = _contour_points(config, (R1,))
     if isinstance(point, NoSolutionAtRadius):
         raise point
     return ContourPoint(*point)
@@ -493,10 +497,10 @@ def period_ratio_curve(config: SearchConfig) -> list[tuple[float, float, float]]
     """(R1, f_star, Dt1/Dt2) along the contour over the configured R1 grid,
     skipping grid points with no contour root.  One _contour_points sweep over
     the grid, which builds no ContourPoint and makes no Python call per point
-    but the two-shell period (and an end check or the bisection fallback where
-    one runs)."""
+    but an end check or the bisection fallback where one runs; about 1.40 ms,
+    7.0 us a point, on the grid-200 reference (timeit minimum)."""
     grid, start, span = config.grid, config.R1_min, config.R1_max - config.R1_min
-    points, _ = _contour_points(config, [start + span * i / (grid - 1) for i in range(grid)])
+    points, _, _ = _contour_points(config, [start + span * i / (grid - 1) for i in range(grid)])
     return [(point[0], point[1], point[2] / point[4]) for point in points
             if not isinstance(point, NoSolutionAtRadius)]
 
@@ -523,8 +527,10 @@ def solve_switch_configuration(config: SearchConfig) -> SwitchSolution:
     (solve_contour).  The curve is one _contour_points sweep over the grid
     (period_ratio_curve), and each of brentq's refinements solves one point
     (solve_contour).  On the grid-200 reference the sweeps count 512 one-shell
-    evaluations over 203 contour points, 545 with the seed table's 33 rows,
-    and evaluate no end of an f interval."""
+    evaluations over 203 contour points, 545 with the seed table's 33 rows, and
+    203 two-shell evaluations, all inline in the sweeps, and evaluate no end of
+    an f interval; the solve takes about 1.50 ms (timeit minimum, rate table
+    built)."""
     curve = period_ratio_curve(config)
     if len(curve) < 2:
         raise SearchError(

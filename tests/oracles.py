@@ -5,8 +5,8 @@ local energy E in a single Schwarzschild metric; it shares no code with the
 parametric closed forms it validates.  The 4-velocity norm is the
 invariant every propagated state keeps.  The per-offset solve (invert_leg)
 is the reference that trajectory's per-leg sweep must reproduce to the last
-bit, and the per-point contour solve (solve_contour, with _seed and
-_contour_root) the one that the search's contour sweep must.  The mp_* closed
+bit, and the per-point contour solve (solve_contour, with _two_shell_period,
+_seed and _contour_root) the one that the search's contour sweep must.  The mp_* closed
 forms give the periods, the contour, the switch root and the trajectory
 samples of a leg (mp_invert_leg) at DPS digits; tanh-sinh quadrature
 (mp_quad_period) checks the closed forms.
@@ -15,6 +15,7 @@ samples of a leg (mp_invert_leg) at DPS digits; tanh-sinh quadrature
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect
 from functools import lru_cache
 
@@ -22,11 +23,15 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from shellswitch.errors import GeodesicError, NoSolutionAtRadius
-from shellswitch.geodesic import NEWTON_STEPS, NEWTON_TOL, coordinate_time, proper_time, radius
+from shellswitch.errors import (
+    GeodesicError, NoSolutionAtRadius, UnboundGeodesicError, UnreachableRadiusError,
+)
+from shellswitch.geodesic import (
+    APOAPSIS_CLAMP, NEWTON_STEPS, NEWTON_TOL, _exterior_leg, coordinate_time, proper_time, radius,
+)
 from shellswitch.search import (
     END_GUARD, F_MARGIN, F_UPPER, ContourPoint, SearchConfig, _check_end, _one_shell_period,
-    _two_shell_period, ratio_residual, shell_radius,
+    ratio_residual, shell_radius,
 )
 from shellswitch.spacetime import metric_factor
 
@@ -92,8 +97,68 @@ def invert_leg(leg, t_in_leg: float, seed=None):
 
 
 # The per-point contour solve that search._contour_points replaced, kept
-# verbatim as its bit-for-bit reference: _seed, _contour_root and solve_contour
-# as they stood before the sweep.
+# verbatim as its bit-for-bit reference: _two_shell_period, _seed,
+# _contour_root and solve_contour as they stood before the sweep.
+
+def _two_shell_period(config: SearchConfig, R1: float) -> tuple[float, float]:
+    """(Dt, Dtau) of oscillation_period(two_shell_spacetime(config, R1), r_i), raising
+    the exception class that raises, on solve_contour's domain.  Straight-line code
+    over locals: oscillation_period's two-shell walk (the exterior leg from the config's
+    cached release to R1; the transfer at R1; the mass-m span to R2, with the
+    cycloid's scalars of CycloidParams.from_state kept as locals and its entry and
+    exit points inlined; the transfer at R2 and the flat core) with every float
+    operation in the walk's order, so both outputs have its bits, and no object
+    built.  Checks that SearchConfig and _contour_points make once are left out: m > 0,
+    R2 < R1 and R2 (so R1 too) clear of the horizon 2m."""
+    M, m, R2 = config.M, config.m, config.R2
+    cycloid, t_release = config.release
+    t, dtau, _, u_r, _ = _exterior_leg(cycloid, R1)
+    # the transfer at R1 into the mass-m patch, and that patch's rest-release
+    # cycloid; each metric_factor(mass, r) inlined as (r - 2 mass) / r
+    two_m = 2.0 * m
+    gap_a, gap_b = R1 - two_m, R2 - two_m
+    f_out, f_in = (R1 - 2.0 * M) / R1, gap_a / R1
+    u_r /= math.sqrt(f_out / f_in)
+    lapse = math.sqrt(f_in / f_out)
+    E_sq = u_r * u_r + f_in
+    if not E_sq < 1.0:  # E_sq > 0: f_in > 0
+        raise UnboundGeodesicError(f"local energy E={math.sqrt(E_sq):.12g} >= 1 at r={R1}")
+    r_apo = R1 if u_r == 0.0 else two_m / (two_m / R1 - u_r * u_r)
+    E = math.sqrt(E_sq)
+    try:
+        cube = r_apo**3
+    except OverflowError:
+        raise GeodesicError(f"apoapsis r_apo={r_apo} is too large: r_apo**3 overflows") from None
+    if cube < sys.float_info.min:
+        raise GeodesicError(f"apoapsis r_apo={r_apo} is too small: r_apo**3 underflows")
+    t_scale, tau_scale = E * math.sqrt(cube / two_m), math.sqrt(cube / (8.0 * m))
+    tan_h = math.sqrt((r_apo - two_m) / two_m)
+    # entry at R1 and exit at R2 (R2 / r_apo <= R1 / r_apo: one apoapsis check)
+    x_a, x_b = R1 / r_apo, R2 / r_apo
+    if x_a - 1.0 > APOAPSIS_CLAMP:
+        raise UnreachableRadiusError(f"radius {R1} beyond apoapsis {r_apo}")
+    eta_a = 2.0 * math.acos(math.sqrt(1.0 if x_a > 1.0 else x_a))
+    eta_b = 2.0 * math.acos(math.sqrt(1.0 if x_b > 1.0 else x_b))
+    sin_a, sin_b = math.sin(eta_a), math.sin(eta_b)
+    one_minus_E2 = two_m / r_apo
+    t_a = (t_scale * (0.5 * (eta_a + sin_a) + one_minus_E2 * eta_a)
+           + two_m * math.log((tan_h + math.tan(0.5 * eta_a)) ** 2 * (two_m * R1)
+                              / (r_apo * gap_a)))
+    tan_b = math.tan(0.5 * eta_b)
+    t_b = (t_scale * (0.5 * (eta_b + sin_b) + one_minus_E2 * eta_b)
+           + two_m * math.log((tan_h + tan_b) ** 2 * (two_m * R2) / (r_apo * gap_b)))
+    dt = abs(t - t_release) + lapse * abs(t_b - t_a)
+    dtau += abs(tau_scale * (eta_b + sin_b) - tau_scale * (eta_a + sin_a))
+    # the exit tangent at R2, the transfer into the flat core and the core's span
+    u_r = -math.sqrt(one_minus_E2) * tan_b
+    if u_r == 0.0:
+        raise GeodesicError("stationary particle cannot reach a different radius")
+    f_core = gap_b / R2
+    k = math.sqrt(f_core)
+    dtau_core = abs(R2 / (u_r / k))
+    dt_core = lapse * math.sqrt(1.0 / f_core) * (E * R2 / gap_b * k * dtau_core)
+    return 4.0 * (dt + dt_core), 4.0 * (dtau + dtau_core)
+
 
 def _seed(config: SearchConfig, R1: float, rate2: float) -> float:
     """f where config.rate_table, inverted by cubic Hermite interpolation of s

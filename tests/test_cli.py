@@ -451,6 +451,15 @@ class TestLightray:
         assert captured.err == f"INPUT ERROR: {field} must be >= 0, got -5.0\n"
         assert solves == []
 
+    def test_far_ray_from_near_horizon_shell_is_finite(self, tmp_path, capsys):
+        # (r_far - 2M) / (r_near - 2M) overflowed to inf for the one-shell
+        # branch, whose R - 2M is ~5.7e-4, and the run exited 2 on a finite time
+        doc = json.loads((CONFIGS / "reference_search.json").read_text())
+        cfg = write(tmp_path, "ray.json", dict(doc, grid=24, r_a=1e308, r_b=0.0))
+        assert main(["lightray", "--config", cfg]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(out[key]) and out[key] > 1e307 for key in ("dt_branch1", "dt_branch2"))
+
     def test_branch_mode_bad_config_exits_1(self, tmp_path, capsys):
         cfg = write(tmp_path, "ray.json", dict(SEARCH, q=0, r_a=12.0, r_b=12.0))
         assert main(["lightray", "--config", cfg]) == EXIT_INPUT

@@ -37,7 +37,6 @@ from shellswitch.search import (
     ContourPoint,
     _contour_points,
     _one_shell_period,
-    _two_shell_period,
     one_shell_spacetime,
     ratio_crossings,
     shell_radius,
@@ -48,7 +47,8 @@ from shellswitch.spacetime import DEFAULT_HORIZON_MARGIN, metric_factor
 from conftest import REFERENCE
 import oracles
 from oracles import (
-    DPS, _bracketed_root, mp_contour_ratio, mp_period, mp_quad_period, mp_rate, mp_switch_root,
+    DPS, _bracketed_root, _two_shell_period, mp_contour_ratio, mp_period, mp_quad_period, mp_rate,
+    mp_switch_root,
 )
 
 
@@ -300,12 +300,13 @@ def two_shell_inputs(draw):
 
 
 class TestTwoShellClosedForm:
-    """The search's two-shell kernel starts from the config's cached release,
-    with no spacetime built; on solve_contour's domain it must give the
-    (Dt, Dtau) that oscillation_period walks on the built spacetime, bit for
-    bit, and raise the exception class that oscillation_period raises
-    wherever that raises.  test_outside_domain
-    covers R1 outside the domain.  CI reruns it under five seeds."""
+    """The two-shell kernel (oracles._two_shell_period, which the contour sweep
+    inlines and TestContourSweep holds the sweep to) starts from the config's
+    cached release, with no spacetime built; on solve_contour's domain it must
+    give the (Dt, Dtau) that oscillation_period walks on the built spacetime,
+    bit for bit, and raise the exception class that oscillation_period raises
+    wherever that raises.  test_outside_domain covers R1 outside the domain.
+    CI reruns it under five seeds."""
 
     @given(two_shell_inputs())
     @example((SearchConfig(**REFERENCE), 12.0))   # R1 == r_i: the release rests at the shell
@@ -317,25 +318,25 @@ class TestTwoShellClosedForm:
 
 
 def count_sweeps(monkeypatch):
-    """A list that grows by the (contour points, one-shell evaluations) that each
-    shellswitch.search._contour_points sweep returns."""
+    """A list that grows by the (contour points, one-shell evaluations, two-shell
+    evaluations) that each shellswitch.search._contour_points sweep returns."""
     sweeps, sweep = [], shellswitch.search._contour_points
 
     def counted(config, R1s):
-        points, evaluations = sweep(config, R1s)
-        sweeps.append((len(points), evaluations))
-        return points, evaluations
+        points, evaluations, two_shell = sweep(config, R1s)
+        sweeps.append((len(points), evaluations, two_shell))
+        return points, evaluations, two_shell
 
     monkeypatch.setattr(shellswitch.search, "_contour_points", counted)
     return sweeps
 
 
 def test_hoisted_work_per_contour_point(monkeypatch):
-    """Each contour point computes its two-shell period once, from the config's
-    cached release, and builds no spacetime; the grid is traced in one sweep,
-    and the outer root solves no point the curve or its own iterations already
-    hold, so the grid-24 solve makes 24 + 4 points.  Both period kernels are
-    straight-line code: the solve never calls the walk's spans, and builds one
+    """Each contour point computes its two-shell period once (as the sweeps count
+    it), from the config's cached release, and builds no spacetime; the grid is
+    traced in one sweep, and the outer root solves no point the curve or its own
+    iterations already hold, so the grid-24 solve makes 24 + 4 points.  Both
+    periods are straight-line code: the solve never calls the walk's spans, and builds one
     CycloidParams, the release."""
     counts = Counter()
 
@@ -348,8 +349,7 @@ def test_hoisted_work_per_contour_point(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_two_shell_period", "build_spacetime"):
-        count(shellswitch.search, name)
+    count(shellswitch.search, "build_spacetime")
     count(shellswitch.spacetime, "build_spacetime")
     count(shellswitch.geodesic, "oscillation_period")
     count(shellswitch.geodesic, "_schwarzschild_span")
@@ -358,8 +358,8 @@ def test_hoisted_work_per_contour_point(monkeypatch):
     count(shellswitch.geodesic.CycloidParams, "__post_init__")
     sweeps = count_sweeps(monkeypatch)
     solve_switch_configuration(SearchConfig(grid=24, **REFERENCE))
-    assert [points for points, _ in sweeps] == [24, 1, 1, 1, 1]
-    assert counts["_two_shell_period"] == 28
+    assert [points for points, _, _ in sweeps] == [24, 1, 1, 1, 1]
+    assert sum(two_shell for _, _, two_shell in sweeps) == 28
     assert counts["oscillation_period"] == 0
     assert counts["build_spacetime"] == 0
     assert counts["_schwarzschild_span"] == 0
@@ -395,7 +395,7 @@ def test_one_shell_evaluations_per_solve(monkeypatch):
     rows = count_calls(monkeypatch, "_one_shell_period")
     sweeps = count_sweeps(monkeypatch)
     solve_switch_configuration(SearchConfig(grid=200, **REFERENCE))
-    points, evaluations = (sum(counts) for counts in zip(*sweeps))
+    points, evaluations, _ = (sum(counts) for counts in zip(*sweeps))
     assert len(tables) == 1 and len(rows) == SEED_RADII  # no end check, no bisection
     assert points <= evaluations and len(rows) + evaluations <= 560
 
@@ -407,7 +407,7 @@ def test_end_checks_per_solve(monkeypatch):
     sweeps = count_sweeps(monkeypatch)
     end_checks = count_calls(monkeypatch, "ratio_residual")
     solve_switch_configuration(SearchConfig(grid=200, **REFERENCE))
-    assert sum(points for points, _ in sweeps) == 203
+    assert sum(points for points, _, _ in sweeps) == 203
     assert len(end_checks) <= 2
 
 
@@ -426,7 +426,7 @@ def test_rootless_point_checks_one_end(monkeypatch, m, R1, evaluations):
     config = SearchConfig(**dict(REFERENCE, m=m))
     config.rate_table
     end_checks = count_calls(monkeypatch, "ratio_residual")
-    (point,), made = _contour_points(config, [R1])
+    (point,), made, _ = _contour_points(config, [R1])
     assert isinstance(point, NoSolutionAtRadius) and "no sign change" in str(point)
     assert (len(end_checks), made) == (1, evaluations)
 
@@ -590,10 +590,10 @@ def solved_point(R1, config, solve):
 
 class TestContourSweep:
     """The contour sweep solves each point as the per-point solve it replaced
-    (oracles.solve_contour, with _seed and _contour_root), bit for bit: the
-    same f, periods and exception class and message at every R1, whichever
-    points share its sweep, and the same count of one-shell evaluations.
-    CI reruns it under five seeds."""
+    (oracles.solve_contour, with _two_shell_period, _seed and _contour_root),
+    bit for bit: the same f, periods and exception class and message at every
+    R1, whichever points share its sweep, and the same counts of one- and
+    two-shell evaluations.  CI reruns it under five seeds."""
 
     @given(sweep_inputs())
     @example((SearchConfig(**dict(REFERENCE, m=2.0 * (1.0 - 1e-8))),  # rootless, lower end
@@ -602,12 +602,19 @@ class TestContourSweep:
     # at r_i, all through the bisection fallback
     @example((SearchConfig(**dict(REFERENCE, m=1e-10)), [3.0, 4.0, 6.000001, 9.0, 12.0], 0))
     @example((SearchConfig(**REFERENCE), [9.0, 10.072, 11.5], 0))
+    # the mass-m cycloid's r_apo**3 underflows, then overflows
+    @example((SearchConfig(m=2e-113, M=1e-116, R2=1e-112, r_i=1e-100, p=9, q=10,
+                           R1_min=1e-111, R1_max=1e-101), [1e-110, 1e-104, 1e-102],
+              shellswitch.search.NEWTON_STEPS))
+    @example((SearchConfig(m=2.5025e99, M=3e100, R2=6e99, r_i=1.2e101, p=9, q=10,
+                           R1_min=4.1e100, R1_max=1.15e101), [1.14e101, 1.1499999999999999e101],
+              shellswitch.search.NEWTON_STEPS))
     @settings(max_examples=300, deadline=None)
     def test_matches_per_point_reference(self, inputs):
         config, R1s, steps = inputs
-        calls = []
+        calls, two_shell_calls = [], []
 
-        def counted(function):
+        def counted(function, calls=calls):
             def wrapper(*args):
                 calls.append(None)
                 return function(*args)
@@ -616,15 +623,17 @@ class TestContourSweep:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(shellswitch.search, "NEWTON_STEPS", steps)
             patch.setattr(oracles, "NEWTON_STEPS", steps)
-            points, evaluations = _contour_points(config, R1s)
+            points, evaluations, two_shell = _contour_points(config, R1s)
             single = [solved_point(R1, config, solve_contour) for R1 in R1s]
             patch.setattr(oracles, "_one_shell_period", counted(_one_shell_period))
             patch.setattr(oracles, "ratio_residual", counted(ratio_residual))
+            patch.setattr(oracles, "_two_shell_period", counted(_two_shell_period, two_shell_calls))
             patch.setattr(shellswitch.search, "ratio_residual", counted(ratio_residual))
             want = [point_bits(solved_point(R1, config, oracles.solve_contour)) for R1 in R1s]
         assert [point_bits(point) for point in points] == want
         assert [point_bits(point) for point in single] == want
         assert evaluations == len(calls)
+        assert two_shell == len(two_shell_calls)
 
 
 @pytest.fixture(scope="module")
