@@ -266,10 +266,11 @@ def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, fl
 
 def _solve_leg(leg: Leg, t_in_legs: list[float]) -> tuple[list[float], list[float], int]:
     """(r, tau elapsed within leg) at each of the ascending global-time offsets
-    t_in_legs from leg start, and the number of evaluations of t(eta) made.
+    t_in_legs from the start of a Schwarzschild leg, and the number of
+    evaluations of t(eta) made.
 
-    Each Schwarzschild solve finds the root of t(eta) - t0 = t_local_target in
-    its sign bracket [eta_entry, eta_exit], by Newton safeguarded by bisection
+    Each solve finds the root of t(eta) - t0 = t_local_target in its sign
+    bracket [eta_entry, eta_exit], by Newton safeguarded by bisection
     (rtsafe, Numerical Recipes 9.4): steps are taken in s = log(eta_h - eta),
     eta_h = 2 asin(E) at the horizon, so that near-horizon legs converge fast
     too, and a step that leaves the bracket bisects it.  A solve starts from
@@ -281,15 +282,15 @@ def _solve_leg(leg: Leg, t_in_legs: list[float]) -> tuple[list[float], list[floa
     One sweep per leg: the leg's and cycloid's invariants are read once, the
     seed stays in locals, and radius, coordinate_time and proper_time are
     inlined in the Newton loop in their float order and with their checks, so
-    each root has the bits of a solve through those functions."""
+    each root has the bits of a solve through those functions.  Flat legs
+    never come here: trajectory solves them as array arithmetic."""
     r_outer, r_inner, dt_global, leg_dtau = leg.r_outer, leg.r_inner, leg.dt_global, leg.dtau
     params = leg.cycloid
-    if params is not None:
-        mass, r_apo, tan_h, t_scale = params.mass, params.r_apo, params.tan_h, params.t_scale
-        one_minus_E2, tau_scale = params.one_minus_E2, params.tau_scale
-        eta_h, two_m, scale = 2.0 * math.asin(params.energy), 2.0 * mass, params.energy * tau_scale
-        (t0, tau0), entry, exit_ = leg.origin, leg.eta_entry, leg.eta_exit
-        t_per_local = dt_global / leg.dt_local
+    mass, r_apo, tan_h, t_scale = params.mass, params.r_apo, params.tan_h, params.t_scale
+    one_minus_E2, tau_scale = params.one_minus_E2, params.tau_scale
+    eta_h, two_m, scale = 2.0 * math.asin(params.energy), 2.0 * mass, params.energy * tau_scale
+    (t0, tau0), entry, exit_ = leg.origin, leg.eta_entry, leg.eta_exit
+    t_per_local = dt_global / leg.dt_local
     cos, sin, tan, log, expm1 = math.cos, math.sin, math.tan, math.log, math.expm1
     rs, dtaus, evals, steps = [], [], 0, NEWTON_STEPS
     add_r, add_dtau = rs.append, dtaus.append
@@ -304,12 +305,6 @@ def _solve_leg(leg: Leg, t_in_legs: list[float]) -> tuple[list[float], list[floa
             add_r(r_inner)
             add_dtau(leg_dtau)
             seed_eta = None
-            continue
-        if params is None:
-            # flat patch: r and tau are linear in t
-            frac = t_in_leg / dt_global
-            add_r(r_outer + frac * (r_inner - r_outer))
-            add_dtau(frac * leg_dtau)
             continue
         target = t_in_leg / t_per_local
         # t(eta) is strictly increasing on the inbound branch
@@ -356,19 +351,20 @@ def trajectory(
     in ascending order, each solved once: samples one period apart, and
     mirrored samples in a half period, often share an offset.  The offsets
     are split among the quarter's legs, each going to the first leg that ends
-    at or after it (else the last), and each leg's share is solved in one
+    at or after it (else the last).  A flat leg's share is array arithmetic,
+    r and tau linear in t; each Schwarzschild leg's share is solved in one
     _solve_leg sweep, with no Python call per offset.  A Schwarzschild solve
     starts from the previous root in its leg, moved along its tangent: about
     1.35 evaluations of t(eta) per solve.  So a row's last bits can depend on
     the call's other samples; the same arguments give the same rows, and
     equal offsets in one call share their bits.
 
-    The sample times, their reduction, each leg's offsets from its start and
-    the rows' assembly are numpy array operations, each a basic IEEE
-    operation (numpy's divmod is CPython's fmod-based one), so rows keep the
-    bits of per-sample Python arithmetic on every SIMD level; the solves stay
-    in math.  numpy is imported here, not
-    at module scope, so geodesic's own imports hold no numpy; importing the
+    The sample times, their reduction, each leg's offsets from its start, the
+    flat legs' r and tau and the rows' assembly are numpy array operations,
+    each a basic IEEE operation (numpy's divmod is CPython's fmod-based one),
+    so rows keep the bits of per-sample Python arithmetic on every SIMD level;
+    the Schwarzschild solves stay in math.  numpy is imported here, not at
+    module scope, so geodesic's own imports hold no numpy; importing the
     module still loads numpy, through the package __init__ (switch).
     """
     import numpy as np
@@ -390,19 +386,29 @@ def trajectory(
     inbound = rem <= t_quarter
     offsets, solve_of = np.unique(np.where(inbound, rem, t_half - rem), return_inverse=True)
     ascending = offsets.tolist()
-    r_solved, dtau_solved, tau_entry = [], [], []  # of each distinct offset, ascending
+    # r and tau_q of each distinct offset, filled leg by leg
+    r_solved, tau_solved = np.empty(len(ascending)), np.empty(len(ascending))
     start, t0, last = 0, 0.0, len(legs) - 1
     for k, leg in enumerate(legs):
         # the leg holding an offset: the first that ends at or after it, else the last
         end = len(ascending) if k == last else bisect_right(ascending, t0 + leg.dt_global, start)
         if end > start:
-            rs, dtaus, _ = _solve_leg(leg, (offsets[start:end] - t0).tolist())
-            r_solved += rs
-            dtau_solved += dtaus
-            tau_entry += [leg.tau] * (end - start)
+            offs = offsets[start:end] - t0
+            if leg.cycloid is None:
+                # flat patch: r and tau are linear in t.  The outermost patch
+                # is never flat, so every offset here is past the leg's start;
+                # the run at or past its end is clamped to it.
+                inside = start + int(offs.searchsorted(leg.dt_global))
+                frac = offs[:inside - start] / leg.dt_global
+                r_solved[start:inside] = leg.r_outer + frac * (leg.r_inner - leg.r_outer)
+                tau_solved[start:inside] = leg.tau + frac * leg.dtau
+                r_solved[inside:end], tau_solved[inside:end] = leg.r_inner, leg.tau + leg.dtau
+            else:
+                rs, dtaus, _ = _solve_leg(leg, offs.tolist())
+                r_solved[start:end] = rs
+                tau_solved[start:end] = leg.tau + np.array(dtaus)
         start, t0 = end, t0 + leg.dt_global
-    r = np.array(r_solved)[solve_of]
-    tau_q = (np.array(tau_entry) + np.array(dtau_solved))[solve_of]
+    r, tau_q = r_solved[solve_of], tau_solved[solve_of]
     tau = np.where(inbound, n_half * tau_half + tau_q, (n_half + 1.0) * tau_half - tau_q)
     return list(zip(t.tolist(), r.tolist(), tau.tolist()))
 

@@ -1,6 +1,8 @@
 import ast
+import itertools
 import json
 import math
+from bisect import bisect_left
 from pathlib import Path
 
 import mpmath as mp
@@ -540,22 +542,33 @@ class TestTrajectory:
     def test_each_distinct_offset_solved_once(self, monkeypatch):
         """Work pin: on a grid aligned to the period, samples one period apart
         and mirrored samples in a half period share their quarter offset, and
-        each distinct offset is solved once, in one sweep per leg that holds
-        offsets: the legs outermost first, the offsets ascending within each.
-        Each sweep returns one row per offset."""
+        each distinct offset that falls in a Schwarzschild leg is solved once,
+        in one sweep per such leg that holds offsets: the legs outermost
+        first, the offsets ascending within each.  The flat core's offsets are
+        array arithmetic and reach no sweep.  Each sweep returns one row per
+        offset."""
         doc = json.loads((CONFIGS / "two_shell_spacetime.json").read_text())
         st_, r_i = spacetime_from_config(doc), doc["r_i"]
-        dt, _, _ = oscillation_period(st_, r_i)
+        dt, _, legs = oscillation_period(st_, r_i)
         swept = record_leg_sweeps(monkeypatch)
         trajectory(st_, r_i, 2.0 * dt, 4001)
         offsets = set()
         for i in range(4001):
             rem = divmod(2.0 * dt * i / 4000, dt / 2.0)[1]
             offsets.add(rem if rem <= dt / 4.0 else dt / 2.0 - rem)
-        solved = [(leg, t) for leg, t_in_legs, _, _ in swept for t in t_in_legs]
-        assert len(solved) == len(offsets) < 4001 / 2
-        order = [(-leg.r_outer, t) for leg, t in solved]
-        assert order == sorted(order)
+        # each offset's leg, the first that ends at or after it (else the
+        # last), and its offset from that leg's start
+        ends = list(itertools.accumulate(leg.dt_global for leg in legs))
+        wanted, flat = [], 0
+        for offset in sorted(offsets):
+            k = min(bisect_left(ends, offset), len(legs) - 1)
+            if legs[k].cycloid is None:
+                flat += 1
+            else:
+                wanted.append((legs[k].patch_index, (offset - (ends[k - 1] if k else 0.0)).hex()))
+        solved = [(leg.patch_index, t.hex()) for leg, t_in_legs, _, _ in swept for t in t_in_legs]
+        assert solved == wanted
+        assert flat > 0 and len(solved) + flat == len(offsets) < 4001 / 2
         assert len({id(leg) for leg, _, _, _ in swept}) == len(swept) > 1
         assert all(len(rows) == len(t_in_legs) > 0 for _, t_in_legs, rows, _ in swept)
 
@@ -600,17 +613,13 @@ def assert_matches_fifty_digits(leg, t, got):
 
 @st.composite
 def swept_legs(draw):
-    """(leg, t_in_legs, NEWTON_STEPS): a legs() leg or a flat one, and 1 to 40
-    ascending offsets that may repeat and may be the leg's two ends or past
-    its end, as trajectory's last leg gets them; NEWTON_STEPS 0 to 3, where
-    solves bisect and hand on no seed, or the module's own."""
-    if draw(st.booleans()):
-        leg = draw(legs())[0]
-    else:
-        r_outer, dt = draw(st.floats(0.1, 50.0)), draw(st.floats(0.01, 100.0))
-        leg = Leg(0, r_outer, r_outer * draw(st.floats(0.0, 0.99)), dt,
-                  dt * draw(st.floats(0.01, 100.0)), draw(st.floats(0.01, 100.0)),
-                  draw(st.floats(0.0, 100.0)), None, None, None, None)
+    """(leg, t_in_legs, NEWTON_STEPS): a legs() leg, and 1 to 40 ascending
+    offsets that may repeat and may be the leg's two ends or past its end, as
+    trajectory's last leg gets them; NEWTON_STEPS 0 to 3, where solves bisect
+    and hand on no seed, or the module's own.  Flat legs never reach a sweep:
+    the test_pins.py properties hold trajectory's array arithmetic for them to
+    the per-offset solve."""
+    leg = draw(legs())[0]
     t = st.one_of(st.floats(0.0, 1.0).map(lambda u: leg.dt_global * u),
                   st.sampled_from([0.0, leg.dt_global, 1.25 * leg.dt_global]))
     t_in_legs = sorted(draw(st.lists(t, min_size=1, max_size=40)))

@@ -31,8 +31,10 @@ from oracles import invert_leg, mp_invert_leg
 
 # (masses center-out, shells, r_i, (dt.hex(), dtau.hex()) or exception name):
 # both reference branches, shells 1e-6 and 2e-9 above a horizon, a flat
-# middle patch, a negative surface density, a release 1e-12 above the shell,
-# and two stacks each of 3 to 6 shells
+# middle patch that touches the core, a negative surface density, a release
+# 1e-12 above the shell, two stacks each of 3 to 6 shells, and the stack of
+# configs/flat_middle_spacetime.json, a flat patch between two shells
+# (recorded at commit 74261a8)
 PERIODS = [
     ((0.0, 3.0), (6.000569857819382,), 12.0,
      ('0x1.5e31bd877b462p+11', '0x1.5e5551d8cd2e6p+6')),
@@ -82,6 +84,8 @@ PERIODS = [
      ('0x1.d83b591d8e74cp+6', '0x1.d7382fa6a9fe4p+6')),
     ((0.0, 1.9999, 3.0), (4.0, 11.999999), 12.0,
      ('0x1.73f7063667b14p+11', '0x1.dae9b340b819cp+6')),
+    ((0.0, 1.9, 0.0, 3.0), (4.0, 6.0, 9.0), 12.0,
+     ('0x1.13df0d582e6bep+8', '0x1.96293deafb677p+6')),
 ]
 
 # the grid-24 reference solve, its meeting and its trajectory rows, recorded
@@ -255,6 +259,12 @@ def sample_grids(draw):
 # the outer leg of PERIODS row 4, which ends 2e-9 above its horizon, at the
 # STACK_TRAJECTORIES grid
 NEAR_HORIZON_GRID = (stack(*PERIODS[4][:2]), PERIODS[4][2], float.fromhex(STACK_TRAJECTORIES[0][1]), 64)
+# the reference two-shell branch of PERIODS and its pinned period
+REFERENCE_STACK = stack(*PERIODS[1][:2]), PERIODS[1][2]
+REFERENCE_PERIOD = float.fromhex(PERIODS[1][3][0])
+# three whole periods of the flat-middle stack over 240 intervals: mirrored
+# and period-apart offsets repeat, in a flat leg between two Schwarzschild legs
+FLAT_MIDDLE_GRID = (stack(*PERIODS[-1][:2]), PERIODS[-1][2], 3.0 * float.fromhex(PERIODS[-1][3][0]), 241)
 
 
 @given(sample_grids(), st.randoms(use_true_random=False))
@@ -286,22 +296,23 @@ def test_rows_within_fifty_digit_bounds(grid, rng):
 
 
 @given(st.lists(sample_grids(), min_size=2, max_size=2))
+@example([FLAT_MIDDLE_GRID, (*REFERENCE_STACK, 0.0, 5)])
 @settings(max_examples=150, deadline=None)
 def test_equal_offsets_share_bits(grids):
-    """trajectory solves each distinct quarter offset once, in ascending
-    order, in one sweep per leg that holds offsets, the legs outermost
-    first, and every row with that offset is formed from the one (r, tau_q)
-    it gave.  A repeated call, after a call on another grid, gives the same
-    rows to the last bit."""
+    """trajectory solves each distinct quarter offset once: the sweeps get
+    exactly the offsets that fall in Schwarzschild legs, ascending, in one
+    sweep per such leg that holds offsets, the legs outermost first, and
+    every row with an offset is formed from the one (r, tau_q) it gave, or,
+    in a flat leg, the per-offset solve's (oracles.invert_leg).  A repeated
+    call, after a call on another grid, gives the same rows to the last bit."""
     solve_leg, first = geodesic._solve_leg, []
     for spacetime, r_i, t_max, sample_count in grids:
-        # (tau_q, r) and (-r_outer, t_in_leg) per solve, in the order solved
-        solved, order = [], []
+        swept, solved = [], []  # (leg, t_in_legs) per sweep; (tau_q, r) per solve
 
         def recorded(leg, t_in_legs):
             rs, dtaus, evals = solve_leg(leg, t_in_legs)
+            swept.append((leg, t_in_legs))
             solved.extend((leg.tau + dtau, r) for r, dtau in zip(rs, dtaus, strict=True))
-            order.extend((-leg.r_outer, t) for t in t_in_legs)
             return rs, dtaus, evals
 
         with pytest.MonkeyPatch.context() as patch:
@@ -309,10 +320,23 @@ def test_equal_offsets_share_bits(grids):
             rows = trajectory(spacetime, r_i, t_max, sample_count)
         reduced = quarter_offsets(spacetime, r_i, t_max, sample_count)
         offsets = sorted({offset for _, _, offset in reduced})
-        assert len(solved) == len(offsets)
-        assert order == sorted(order)
-        by_offset = dict(zip(offsets, solved))
-        tau_half = oscillation_period(spacetime, r_i)[1] / 2.0
+        _, dtau_period, legs = oscillation_period(spacetime, r_i)
+        wanted, by_offset = [], {}  # the sweeps trajectory should make; (tau_q, r) per offset
+        for offset in offsets:
+            leg, t = quarter_leg(legs, offset)
+            if leg.cycloid is None:
+                r, dtau, _ = invert_leg(leg, t)
+                by_offset[offset] = leg.tau + dtau, r
+            elif wanted and wanted[-1][0] is leg:
+                wanted[-1][1].append(t)
+            else:
+                wanted.append((leg, [t]))
+        assert [(leg.patch_index, [t.hex() for t in ts]) for leg, ts in swept] == [
+            (leg.patch_index, [t.hex() for t in ts]) for leg, ts in wanted
+        ]
+        schwarzschild = [offset for offset in offsets if offset not in by_offset]
+        by_offset.update(zip(schwarzschild, solved, strict=True))
+        tau_half = dtau_period / 2.0
         for (t, r, tau), (n_half, inbound, offset) in zip(rows, reduced, strict=True):
             tau_q, r_q = by_offset[offset]
             tau_row = n_half * tau_half + tau_q if inbound else (n_half + 1.0) * tau_half - tau_q
@@ -355,12 +379,8 @@ def two_loop_trajectory(spacetime, r_i, t_global_max, sample_count):
     return rows
 
 
-# the reference two-shell branch of PERIODS and its pinned period
-REFERENCE_STACK = stack(*PERIODS[1][:2]), PERIODS[1][2]
-REFERENCE_PERIOD = float.fromhex(PERIODS[1][3][0])
-
-
 @given(sample_grids())
+@example(FLAT_MIDDLE_GRID)
 @example((*REFERENCE_STACK, -100.0, 1))  # one sample, at t = +0.0 for any t_max
 @example((*REFERENCE_STACK, 0.0, 5))  # t_max = 0: every offset is 0.0
 @example((*REFERENCE_STACK, -2.5 * REFERENCE_PERIOD, 64))  # a negative t_max
