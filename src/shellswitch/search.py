@@ -19,8 +19,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from scipy.optimize import brentq
-
+from ._brent import brentq
 from .errors import (
     GeodesicError,
     MultipleCrossingsError,
@@ -114,16 +113,49 @@ class SearchConfig:
         log(R1_max - 2M): every shell radius a contour point admits.  The
         closed-form rate slope gives ds/dL = rate / (slope e^s) at no extra
         evaluation.  Radii where the one-shell period is invalid are left out;
-        the rate rises in R, so L and s ascend."""
-        s_lo, s_hi = math.log(F_MARGIN * self.R1_min), math.log(self.R1_max - 2.0 * self.M)
+        the rate rises in R, so L and s ascend.  One sweep: the release
+        cycloid's invariants are read once, and _one_shell_period with its
+        _exterior_leg is inlined in its float order, so every row has the bits
+        of a row through those functions (tests/oracles.rate_table)."""
+        two_M, r_i = 2.0 * self.M, self.r_i
+        cycloid, t_release = self.release
+        r_apo, energy = cycloid.r_apo, cycloid.energy
+        t_scale, one_minus_E2, tan_h = cycloid.t_scale, cycloid.one_minus_E2, cycloid.tan_h
+        tau_scale, u_scale = cycloid.tau_scale, cycloid.u_scale
+        acos, sin, sqrt, tan, log, exp = math.acos, math.sin, math.sqrt, math.tan, math.log, math.exp
+        s_lo, s_hi = log(F_MARGIN * self.R1_min), log(self.R1_max - two_M)
         log_rates, s_values, ds_dL = [], [], []
         for i in range(SEED_RADII):
             s = s_lo + (s_hi - s_lo) * i / (SEED_RADII - 1)
-            dt, dtau, slope = _one_shell_period(self, 2.0 * self.M + math.exp(s))
+            e_s = exp(s)
+            R = two_M + e_s
+            # _one_shell_period(self, R) for R > 0: the row is left out where
+            # that returns NaN; behind its guard x = R / r_apo lies in (0, 1]
+            # and R above 2M, so _exterior_leg's checks cannot fire
+            if not R < r_i or (f := (R - two_M) / R) < DEFAULT_HORIZON_MARGIN:
+                continue
+            eta = 2.0 * acos(sqrt(R / r_apo))
+            u_t = energy * R / (R - two_M)
+            tan_e, sin_e = tan(0.5 * eta), sin(eta)
+            t = (t_scale * (0.5 * (eta + sin_e) + one_minus_E2 * eta)
+                 + two_M * log((tan_h + tan_e) ** 2 * (two_M * R) / (r_apo * (R - two_M))))
+            u_r = -u_scale * tan_e
+            k = sqrt(f)
+            dtau_core = abs(R / (u_r / k))
+            dt_core = sqrt(1.0 / f) * (u_t * k * dtau_core)
+            dt = 4.0 * (abs(t - t_release) + dt_core)
+            dtau = 4.0 * (tau_scale * (eta + sin_e) + dtau_core)
+            df = two_M / (R * R)
+            shared, lapse = 1.0 / R + df / (2.0 * u_r * u_r), df / (2.0 * f)
+            speed = abs(u_r)
+            ddtau = dtau_core * (shared + lapse) - 1.0 / speed
+            ddt = dt_core * (shared - lapse) - u_t / speed
+            rate = dtau / dt
+            slope = 4.0 * (ddtau - rate * ddt) / dt
             if slope > 0.0:  # False for NaN too
-                log_rates.append(math.log(dtau / dt))
+                log_rates.append(log(rate))
                 s_values.append(s)
-                ds_dL.append(dtau / dt / (slope * math.exp(s)))
+                ds_dL.append(rate / (slope * e_s))
         return log_rates, s_values, ds_dL
 
     @classmethod
@@ -221,8 +253,8 @@ def _one_shell_period(config: SearchConfig, R: float) -> tuple[float, float, flo
     """(Dt, Dtau) of oscillation_period(one_shell_spacetime(config, R), r_i), and the
     rate slope d(Dtau/Dt)/dR in closed form; (NaN, NaN, NaN) exactly where
     oscillation_period raises.  Straight-line code over locals, inlined in
-    _contour_points' Newton loop and called for the rate table, the end checks
-    and the bisection fallback: oscillation_period's one-shell walk (the exterior
+    _contour_points' Newton loop and in the rate table, and called for the end
+    checks and the bisection fallback: oscillation_period's one-shell walk (the exterior
     leg from the config's cached release, the transfer at R into the flat core,
     the core's span) with every float operation in the walk's order, so every
     output has its bits.  f(M, R) is formed once (metric_factor inlined), for the
@@ -497,8 +529,9 @@ def period_ratio_curve(config: SearchConfig) -> list[tuple[float, float, float]]
     """(R1, f_star, Dt1/Dt2) along the contour over the configured R1 grid,
     skipping grid points with no contour root.  One _contour_points sweep over
     the grid, which builds no ContourPoint and makes no Python call per point
-    but an end check or the bisection fallback where one runs; about 1.40 ms,
-    7.0 us a point, on the grid-200 reference (timeit minimum)."""
+    but an end check or the bisection fallback where one runs; 1.40 to 1.55 ms,
+    7.0 to 7.8 us a point, on the grid-200 reference (timeit minima of three
+    sessions on 2 shared cores)."""
     grid, start, span = config.grid, config.R1_min, config.R1_max - config.R1_min
     points, _, _ = _contour_points(config, [start + span * i / (grid - 1) for i in range(grid)])
     return [(point[0], point[1], point[2] / point[4]) for point in points
@@ -529,8 +562,10 @@ def solve_switch_configuration(config: SearchConfig) -> SwitchSolution:
     (solve_contour).  On the grid-200 reference the sweeps count 512 one-shell
     evaluations over 203 contour points, 545 with the seed table's 33 rows, and
     203 two-shell evaluations, all inline in the sweeps, and evaluate no end of
-    an f interval; the solve takes about 1.50 ms (timeit minimum, rate table
-    built)."""
+    an f interval.  The solve takes 1.54 to 1.58 ms with the config's rate
+    table built, and 1.62 to 1.65 ms building the config and its table
+    (timeit minima of three sessions on 2 shared cores).  brentq is the
+    package's port of scipy's (_brent), which gives its bits."""
     curve = period_ratio_curve(config)
     if len(curve) < 2:
         raise SearchError(
@@ -594,8 +629,9 @@ def find_meeting_radius(solution: SwitchSolution, config: SearchConfig) -> Meeti
     proper time is then eta + sin eta = x, x = (dtau2 - dtau1) / (4 tau_scale),
     in eta between the images of r_i (1 - 1e-12) and R1 (1 + 1e-12); the left
     side rises in eta, so a crossing needs x strictly between its end values
-    (else NoMeetingError).  brentq stops at 8.9e-16 relative in eta, which is
-    dimensionless and at least ~2e-6 here, so the tiny xtol never governs.
+    (else NoMeetingError).  brentq (_brent's port of scipy's, which gives its
+    bits) stops at 8.9e-16 relative in eta, which is dimensionless and at
+    least ~2e-6 here, so the tiny xtol never governs.
     """
     params = config.release[0]
     x = (solution.dtau2 - solution.dtau1) / (4.0 * params.tau_scale)

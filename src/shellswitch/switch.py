@@ -60,7 +60,7 @@ class OperatorSpec:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"operator must be square, got {m.shape}")
         object.__setattr__(self, "matrix", m)
-        defect = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
+        defect = _unitarity_defect(m)
         if defect > UNITARITY_TOL:
             raise DimensionMismatchError(
                 f"operator flagged unitary has defect {defect:.3e}"
@@ -127,8 +127,10 @@ def measure_control_diagonal(joint: JointState, sign: int) -> MeasurementResult:
     """Project the control on (|M1> +/- |M2>)/sqrt(2); sign is +1 or -1."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    amp = (joint.branch(0) + sign * joint.branch(1)) / math.sqrt(2.0)
-    other = (joint.branch(0) - sign * joint.branch(1)) / math.sqrt(2.0)
+    # a + sign*b and a - sign*b, not a - b: the product by -1 can flip a signed zero
+    a, signed_b = joint.branch(0), sign * joint.branch(1)
+    amp = (a + signed_b) / math.sqrt(2.0)
+    other = (a - signed_b) / math.sqrt(2.0)
     raw = float(np.vdot(amp, amp).real)
     # normalize by the completeness of the two diagonal projectors so the
     # pair of outcome probabilities sums to one exactly
@@ -176,6 +178,14 @@ def switch_slots(A: OperatorSpec, B: OperatorSpec) -> tuple:
 def broken_switch_slots(C: OperatorSpec, D: OperatorSpec, B: OperatorSpec) -> tuple:
     """The broken switch's branches: B then C in M1, D then B in M2."""
     return _branches(BROKEN_ORDERS, B=B, C=C, D=D)
+
+
+def _unitarity_defect(m: np.ndarray) -> float:
+    """max |m^H m - I| of a square complex matrix: the Gram matrix's diagonal
+    less 1 in place, the subtraction of np.eye without building it."""
+    gram = m.conj().T @ m
+    gram.flat[::m.shape[0] + 1] -= 1.0
+    return np.abs(gram).max()
 
 
 def _as_state(psi, d: int) -> np.ndarray:

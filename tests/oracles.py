@@ -6,7 +6,9 @@ parametric closed forms it validates.  The 4-velocity norm is the
 invariant every propagated state keeps.  The per-offset solve (invert_leg)
 is the reference that trajectory's per-leg sweep must reproduce to the last
 bit, and the per-point contour solve (solve_contour, with _two_shell_period,
-_seed and _contour_root) the one that the search's contour sweep must.  The mp_* closed
+_seed and _contour_root) the one that the search's contour sweep must;
+rate_table, unitarity_defect and measure_control_diagonal are the references
+of the seed table's sweep and of switch's operator check and measurement.  The mp_* closed
 forms give the periods, the contour, the switch root and the trajectory
 samples of a leg (mp_invert_leg) at DPS digits; tanh-sinh quadrature
 (mp_quad_period) checks the closed forms.
@@ -30,8 +32,8 @@ from shellswitch.geodesic import (
     APOAPSIS_CLAMP, NEWTON_STEPS, NEWTON_TOL, _exterior_leg, coordinate_time, proper_time, radius,
 )
 from shellswitch.search import (
-    END_GUARD, F_MARGIN, F_UPPER, ContourPoint, SearchConfig, _check_end, _one_shell_period,
-    ratio_residual, shell_radius,
+    END_GUARD, F_MARGIN, F_UPPER, SEED_RADII, ContourPoint, SearchConfig, _check_end,
+    _one_shell_period, ratio_residual, shell_radius,
 )
 from shellswitch.spacetime import metric_factor
 
@@ -275,6 +277,41 @@ def solve_contour(R1: float, config: SearchConfig) -> ContourPoint:
         raise NoSolutionAtRadius(f"two-shell branch invalid at R1={R1}: {exc}") from exc
     f_star, dt1, dtau1 = _contour_root(config, R1, dtau2 / dt2, max(f_lo, 0.0), F_UPPER)
     return ContourPoint(R1, f_star, dt1, dtau1, dt2, dtau2)
+
+
+def rate_table(config: SearchConfig) -> tuple[list[float], list[float], list[float]]:
+    """SearchConfig.rate_table as it stood before its sweep inlined
+    _one_shell_period, kept verbatim as its bit-for-bit reference: one
+    _one_shell_period call per row, and e^s formed twice."""
+    s_lo, s_hi = math.log(F_MARGIN * config.R1_min), math.log(config.R1_max - 2.0 * config.M)
+    log_rates, s_values, ds_dL = [], [], []
+    for i in range(SEED_RADII):
+        s = s_lo + (s_hi - s_lo) * i / (SEED_RADII - 1)
+        dt, dtau, slope = _one_shell_period(config, 2.0 * config.M + math.exp(s))
+        if slope > 0.0:  # False for NaN too
+            log_rates.append(math.log(dtau / dt))
+            s_values.append(s)
+            ds_dL.append(dtau / dt / (slope * math.exp(s)))
+    return log_rates, s_values, ds_dL
+
+
+# switch's operator check and measurement as they stood before their in-place
+# and shared-slice forms, kept verbatim as their bit-for-bit references
+
+def unitarity_defect(m: np.ndarray) -> float:
+    """OperatorSpec's defect of a square complex matrix: max |m^H m - I|."""
+    return np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
+
+
+def measure_control_diagonal(joint, sign: int) -> tuple[np.ndarray, float]:
+    """(target, probability) of switch.measure_control_diagonal."""
+    amp = (joint.branch(0) + sign * joint.branch(1)) / math.sqrt(2.0)
+    other = (joint.branch(0) - sign * joint.branch(1)) / math.sqrt(2.0)
+    raw = float(np.vdot(amp, amp).real)
+    prob = raw / (raw + float(np.vdot(other, other).real))
+    if prob < 1e-30:
+        return np.zeros_like(amp), 0.0
+    return amp / math.sqrt(prob), prob
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

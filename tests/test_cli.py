@@ -964,6 +964,15 @@ class TestInProcessSession:
             assert (tmp_path / "trace" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
+def test_cli_import_loads_no_scipy():
+    """The CLI runs on the package's own root finder (shellswitch._brent):
+    importing it in a fresh interpreter puts no scipy module in sys.modules."""
+    probe = "import sys, shellswitch.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.stdout == "[]\n"
+
+
 @pytest.fixture(scope="module")
 def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("csv") / "rows.csv"

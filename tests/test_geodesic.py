@@ -507,8 +507,8 @@ class TestTrajectory:
 
     def test_numpy_not_imported_at_module_scope(self):
         """trajectory imports numpy itself; geodesic's module scope does not.
-        (The package __init__ imports switch and search, so importing
-        shellswitch.geodesic still loads numpy and scipy.optimize.)"""
+        (The package __init__ imports switch, so importing shellswitch.geodesic
+        still loads numpy.)"""
         tree = ast.parse(Path(geodesic.__file__).read_text())
         modules = set()
         for node in tree.body:

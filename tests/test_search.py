@@ -381,8 +381,8 @@ def count_calls(monkeypatch, name):
 def test_one_shell_evaluations_per_solve(monkeypatch):
     """The grid-200 reference solve evaluates the one-shell period at most 560
     times (it makes 545: ~2.5 per contour point over 203 points, counted by the
-    sweeps, plus the seed table's 33 rows; 1,152 with a linear seed and two end
-    checks per point), and builds the table once."""
+    sweeps, plus the seed table's 33 rows, inline in its own sweep; 1,152 with
+    a linear seed and two end checks per point), and builds the table once."""
     tables, table = [], SearchConfig.rate_table
 
     def counted_table(config):
@@ -394,10 +394,13 @@ def test_one_shell_evaluations_per_solve(monkeypatch):
     monkeypatch.setattr(SearchConfig, "rate_table", counted)
     rows = count_calls(monkeypatch, "_one_shell_period")
     sweeps = count_sweeps(monkeypatch)
-    solve_switch_configuration(SearchConfig(grid=200, **REFERENCE))
+    config = SearchConfig(grid=200, **REFERENCE)
+    solve_switch_configuration(config)
     points, evaluations, _ = (sum(counts) for counts in zip(*sweeps))
-    assert len(tables) == 1 and len(rows) == SEED_RADII  # no end check, no bisection
-    assert points <= evaluations and len(rows) + evaluations <= 560
+    table_rows = len(config.rate_table[0])
+    assert len(tables) == 1 and table_rows == SEED_RADII
+    assert rows == []  # no end check, no bisection
+    assert points <= evaluations and table_rows + evaluations <= 560
 
 
 def test_end_checks_per_solve(monkeypatch):
@@ -634,6 +637,41 @@ class TestContourSweep:
         assert [point_bits(point) for point in single] == want
         assert evaluations == len(calls)
         assert two_shell == len(two_shell_calls)
+
+
+@st.composite
+def table_configs(draw):
+    """SearchConfigs whose seed table spans from 1e-6 R1_min above 2M, with
+    R1_min from 1e-6 of R1_max up: where 1e-6 R1_min is below 2e-9 M the
+    lowest rows fall inside the horizon margin and are left out (about a
+    third of the draws)."""
+    M = draw(st.floats(0.5, 5.0))
+    r_i = 2.0 * M * draw(st.floats(1.01, 20.0))
+    R1_max = 2.0 * M + (r_i - 2.0 * M) * draw(st.floats(0.01, 0.99))
+    R1_min = R1_max * 10.0 ** draw(st.floats(-6.0, -0.01))
+    R2 = R1_min * draw(st.floats(0.1, 0.99))
+    return SearchConfig(m=0.5 * R2 * draw(st.floats(0.01, 0.99)), M=M, R2=R2, r_i=r_i,
+                        p=9, q=10, R1_min=R1_min, R1_max=R1_max)
+
+
+DROPPED_ROWS = SearchConfig(m=3.4e-05, M=0.56, R2=1.45e-04, r_i=18.9, p=9, q=10,
+                            R1_min=1.47e-04, R1_max=5.8)
+
+
+@given(table_configs())
+@example(SearchConfig(**REFERENCE))
+@example(DROPPED_ROWS)
+@settings(max_examples=300, deadline=None)
+def test_rate_table_matches_per_row_reference(config):
+    """The seed table's one sweep gives the rows of one _one_shell_period call
+    per row (oracles.rate_table) bit for bit, the rows left out included."""
+    hexes = [[x.hex() for x in column] for column in config.rate_table]
+    assert hexes == [[x.hex() for x in column] for column in oracles.rate_table(config)]
+
+
+def test_rate_table_leaves_out_rows_inside_the_margin():
+    """DROPPED_ROWS, an example of the property above, exercises the rows left out."""
+    assert 0 < len(DROPPED_ROWS.rate_table[0]) < SEED_RADII
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shellswitch import (
@@ -18,10 +18,12 @@ from shellswitch.errors import DimensionMismatchError, ScheduleError
 from shellswitch.switch import (
     BROKEN_ORDERS,
     SWITCH_ORDERS,
+    _unitarity_defect,
     broken_switch_slots,
     switch_slots,
 )
 
+import oracles
 from oracles import random_state, random_unitary
 
 X = OperatorSpec(np.array([[0, 1], [1, 0]], dtype=complex))
@@ -243,3 +245,73 @@ def test_order_tables_match_layered_evaluation(seed, d):
     for branches, layers in cases:
         joint = run_general_protocol(branches, psi)
         assert (joint.amplitudes == layered(layers, psi)).all()
+
+
+
+PAULIS = (np.eye(2, dtype=complex), X.matrix, Y.matrix, Z.matrix)
+SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+
+
+@st.composite
+def switch_inputs(draw):
+    """(A, B, psi): random unitaries and a random state of dimension 2 to 4,
+    or Pauli operators (the identity included) on a basis state, whose
+    products hold exact zeros."""
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        d = draw(st.integers(2, 4))
+        return random_unitary(rng, d), random_unitary(rng, d), random_state(rng, d)
+    A, B = (PAULIS[draw(st.integers(0, 3))] for _ in range(2))
+    psi = np.zeros(2, dtype=complex)
+    psi[draw(st.integers(0, 1))] = draw(st.sampled_from([1.0, -1.0, 1j, -1j]))
+    return A, B, psi
+
+
+@st.composite
+def joint_states(draw):
+    """A switch's output on switch_inputs, or a joint vector of 2 to 8
+    components whose parts are drawn from 0.0, -0.0, 1.0, -1.0 and 0.5: where
+    a zero meets a -0.0, a + (-1)*b and a - b differ in the sign of a zero."""
+    if draw(st.booleans()):
+        A, B, psi = draw(switch_inputs())
+        return run_general_protocol(switch_slots(OperatorSpec(A), OperatorSpec(B)), psi)
+    n = draw(st.integers(1, 4))
+    parts = draw(st.lists(st.tuples(SIGNED, SIGNED), min_size=2 * n, max_size=2 * n))
+    return JointState(np.array([complex(re, im) for re, im in parts]))
+
+
+@example((X.matrix, Z.matrix, KET0))
+@given(switch_inputs())
+@settings(max_examples=200, deadline=None)
+def test_unitarity_defect_matches_reference(inputs):
+    """OperatorSpec's in-place defect gives the bits of the defect with
+    np.eye (oracles.unitarity_defect), on unitaries and on matrices off them."""
+    A, B, _ = inputs
+    for m in (A, B, A + 1e-7 * B, A[:, ::-1]):
+        m = np.asarray(m, dtype=complex)
+        assert np.float64(_unitarity_defect(m)).tobytes() == np.float64(oracles.unitarity_defect(m)).tobytes()
+
+
+@example(JointState(np.array([complex(0.0, -0.0), 0j])))
+@given(joint_states())
+@settings(max_examples=300, deadline=None)
+def test_measurement_matches_reference(joint):
+    """measure_control_diagonal's shared slices give the bits of its
+    reference (oracles.measure_control_diagonal), signed zeros included:
+    tobytes compares bit patterns, where == takes -0.0 for 0.0.  A zero
+    joint vector raises ZeroDivisionError in both."""
+
+    def program(joint, sign):
+        result = measure_control_diagonal(joint, sign)
+        return result.target, result.probability
+
+    def bits(measure, sign):
+        try:
+            target, probability = measure(joint, sign)
+        except ZeroDivisionError:
+            return ZeroDivisionError
+        return target.tobytes(), probability.hex()
+
+    for sign in (1, -1):
+        want = bits(oracles.measure_control_diagonal, sign)
+        assert bits(program, sign) == want
