@@ -1,6 +1,8 @@
 """Glued spherical-shell spacetimes, radial geodesics, and the gravitational
 quantum switch parameter search."""
 
+import importlib as _importlib
+
 from .spacetime import (
     PatchSpec,
     ShellSpacetime,
@@ -26,15 +28,27 @@ from .search import (
     solve_contour,
     solve_switch_configuration,
 )
-from .switch import (
-    EventSchedule,
-    JointState,
-    OperatorSpec,
-    measure_control_diagonal,
-    run_general_protocol,
-    run_switch,
-    schedule,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# switch imports numpy, so its names are served on first use (PEP 562): the
+# package and its CLI import without numpy
+_SWITCH_NAMES = frozenset({
+    "EventSchedule",
+    "JointState",
+    "OperatorSpec",
+    "measure_control_diagonal",
+    "run_general_protocol",
+    "run_switch",
+    "schedule",
+})
+
+__all__ = sorted({
+    name for name in globals() if not name.startswith("_")
+} | _SWITCH_NAMES | {"switch"})
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "switch" or name in _SWITCH_NAMES:
+        switch = _importlib.import_module(".switch", __name__)
+        return switch if name == "switch" else getattr(switch, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,7 +37,6 @@ from .spacetime import (
     spacetime_from_config,
     stress_report,
 )
-from . import switch as sw
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -87,7 +86,13 @@ def _dump_json(doc, path: str | None) -> None:
 
 def _write_csv(path: Path, header: str, rows) -> None:
     """Rows of three floats, each to 17 significant digits."""
-    text = header + "\n" + "".join("%.17g,%.17g,%.17g\n" % row for row in rows)
+    _write_rows(path, header, "%.17g,%.17g,%.17g\n", rows)
+
+
+def _write_rows(path: Path, header: str, row_format: str, rows) -> None:
+    """One line per row, row_format % row.  The trace tables pass a column
+    that is already text as a %s cell, formatted "%.17g," once and shared."""
+    text = header + "\n" + "".join([row_format % row for row in rows])
     with _writing(path):
         path.write_text(text)
 
@@ -148,9 +153,12 @@ def cmd_trace(doc, args) -> int:
         "gamma2": two_shell_spacetime(config, solution.R1),
     }
     t_max = float(config.q) * solution.dt1
+    t_cells = None
     for name, st in branches.items():
-        samples = trajectory(st, config.r_i, t_max, args.samples)
-        _write_csv(outdir / f"{name}.csv", "t_global,r,tau", samples)
+        t, r, tau = trajectory(st, config.r_i, t_max, args.samples).T.tolist()
+        if t_cells is None:  # both branches sample the same times, t_max * i / (samples - 1)
+            t_cells = ["%.17g," % v for v in t]
+        _write_rows(outdir / f"{name}.csv", "t_global,r,tau", "%s%.17g,%.17g\n", zip(t_cells, r, tau))
     _far_side_tables(outdir, config, solution, args.samples)
     _dump_json(
         {"meeting": meeting.as_dict(), "solution": solution.as_dict()},
@@ -166,23 +174,25 @@ def _far_side_tables(outdir: Path, config, solution, samples: int) -> None:
     r_i, mirrored about their far apoapsis at half a period: an outbound pass
     from R1 up to r_i, then an inbound pass back down.  The apoapsis row is
     written once, so t_global strictly increases.  Each distinct radius is
-    solved once: most inbound radii equal an outbound one bit for bit.
+    solved and formatted once, for both tables: most inbound radii equal an
+    outbound one bit for bit, and radii are positive, so equal radii have
+    equal text.
     """
     r_lo = solution.R1
-    radii = [r_lo + (config.r_i - r_lo) * i / (samples - 1) for i in range(samples)]
-    passes = ((-1, radii), (+1, [config.r_i - (r - r_lo) for r in radii[1:]]))
-    legs = {r: _exterior_leg(config.release[0], r)[:2] for r in {r for _, rs in passes for r in rs}}
-    spans = [(sign, r, *legs[r]) for sign, rs in passes for r in rs]
+    outbound = [r_lo + (config.r_i - r_lo) * i / (samples - 1) for i in range(samples)]
+    radii = outbound + [config.r_i - (r - r_lo) for r in outbound[1:]]
+    signs = [-1] * samples + [+1] * (samples - 1)
+    legs = {r: (*_exterior_leg(config.release[0], r)[:2], "%.17g," % r) for r in set(radii)}
+    t_es, tau_es, r_cells = zip(*(legs[r] for r in radii))
     halves = {
         "gamma1": (solution.dt1 / 2.0, solution.dtau1 / 2.0),
         "gamma2": (solution.dt2 / 2.0, solution.dtau2 / 2.0),
     }
     for name, (t_half, tau_half) in halves.items():
-        rows = sorted(
-            ((t_half + sign * t_e, r, tau_half + sign * tau_e) for sign, r, t_e, tau_e in spans),
-            key=lambda row: row[0],
-        )
-        _write_csv(outdir / f"farside_{name}.csv", "t_global,r,tau", rows)
+        ts = [t_half + sign * t_e for sign, t_e in zip(signs, t_es)]
+        _write_rows(outdir / f"farside_{name}.csv", "t_global,r,tau", "%.17g,%s%.17g\n",
+                    ((ts[i], r_cells[i], tau_half + signs[i] * tau_es[i])
+                     for i in sorted(range(len(ts)), key=ts.__getitem__)))
 
 
 def cmd_period(doc, args) -> int:
@@ -233,6 +243,8 @@ def cmd_lightray(doc, args) -> int:
 
 
 def cmd_switch(doc, args) -> int:
+    from . import switch as sw  # here, so that the other subcommands load no numpy
+
     B = sw.OperatorSpec.from_json(required(doc, "B"), name="B")
     psi = amplitudes(required(doc, "psi"), "psi")
     if "C" in doc and "D" in doc:

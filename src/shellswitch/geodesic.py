@@ -343,8 +343,9 @@ def _solve_leg(leg: Leg, t_in_legs: list[float]) -> tuple[list[float], list[floa
 
 def trajectory(
     spacetime: ShellSpacetime, r_i: float, t_global_max: float, sample_count: int
-) -> list[tuple[float, float, float]]:
-    """Uniform global-time samples (t_global, r, tau) of the oscillating drop.
+) -> "np.ndarray":
+    """Uniform global-time samples of the oscillating drop: a C-contiguous
+    (sample_count, 3) float64 array whose rows are (t_global, r, tau).
 
     Each sample time is reduced to an offset in the inbound quarter, rem or
     t_half - rem after divmod(t, t_half), and the distinct offsets are swept
@@ -360,12 +361,14 @@ def trajectory(
     equal offsets in one call share their bits.
 
     The sample times, their reduction, each leg's offsets from its start, the
-    flat legs' r and tau and the rows' assembly are numpy array operations,
-    each a basic IEEE operation (numpy's divmod is CPython's fmod-based one),
-    so rows keep the bits of per-sample Python arithmetic on every SIMD level;
-    the Schwarzschild solves stay in math.  numpy is imported here, not at
-    module scope, so geodesic's own imports hold no numpy; importing the
-    module still loads numpy, through the package __init__ (switch).
+    flat legs' r and tau are numpy array operations, each a basic IEEE
+    operation (numpy's divmod is CPython's fmod-based one), so rows keep the
+    bits of per-sample Python arithmetic on every SIMD level; the
+    Schwarzschild solves stay in math.  The rows are the three columns copied
+    side by side, signed zeros included: 24 bytes a sample, and no Python
+    object per row.  numpy is imported here, not at module scope, so
+    importing geodesic, the package or its CLI loads no numpy until a
+    trajectory is sampled.
     """
     import numpy as np
 
@@ -410,7 +413,7 @@ def trajectory(
         start, t0 = end, t0 + leg.dt_global
     r, tau_q = r_solved[solve_of], tau_solved[solve_of]
     tau = np.where(inbound, n_half * tau_half + tau_q, (n_half + 1.0) * tau_half - tau_q)
-    return list(zip(t.tolist(), r.tolist(), tau.tolist()))
+    return np.column_stack((t, r, tau))
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,9 @@ def run_switch(
 
 
 def measure_control_diagonal(joint: JointState, sign: int) -> MeasurementResult:
-    """Project the control on (|M1> +/- |M2>)/sqrt(2); sign is +1 or -1."""
+    """Project the control on (|M1> +/- |M2>)/sqrt(2); sign is +1 or -1.
+    A joint state whose squared norm is 0, or underflows to 0, raises
+    InputError: it has no outcome probabilities."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     # a + sign*b and a - sign*b, not a - b: the product by -1 can flip a signed zero
@@ -134,7 +136,10 @@ def measure_control_diagonal(joint: JointState, sign: int) -> MeasurementResult:
     raw = float(np.vdot(amp, amp).real)
     # normalize by the completeness of the two diagonal projectors so the
     # pair of outcome probabilities sums to one exactly
-    prob = raw / (raw + float(np.vdot(other, other).real))
+    total = raw + float(np.vdot(other, other).real)
+    if total == 0.0:
+        raise InputError("cannot measure a joint state whose squared norm is 0 or underflows")
+    prob = raw / total
     if prob < 1e-30:
         return MeasurementResult(target=np.zeros_like(amp), probability=0.0)
     return MeasurementResult(target=amp / math.sqrt(prob), probability=prob)

@@ -8,7 +8,8 @@ is the reference that trajectory's per-leg sweep must reproduce to the last
 bit, and the per-point contour solve (solve_contour, with _two_shell_period,
 _seed and _contour_root) the one that the search's contour sweep must;
 rate_table, unitarity_defect and measure_control_diagonal are the references
-of the seed table's sweep and of switch's operator check and measurement.  The mp_* closed
+of the seed table's sweep and of switch's operator check and measurement, and
+trace_tables the one of the CLI trace's CSV writers.  The mp_* closed
 forms give the periods, the contour, the switch root and the trajectory
 samples of a leg (mp_invert_leg) at DPS digits; tanh-sinh quadrature
 (mp_quad_period) checks the closed forms.
@@ -30,10 +31,11 @@ from shellswitch.errors import (
 )
 from shellswitch.geodesic import (
     APOAPSIS_CLAMP, NEWTON_STEPS, NEWTON_TOL, _exterior_leg, coordinate_time, proper_time, radius,
+    trajectory,
 )
 from shellswitch.search import (
     END_GUARD, F_MARGIN, F_UPPER, SEED_RADII, ContourPoint, SearchConfig, _check_end,
-    _one_shell_period, ratio_residual, shell_radius,
+    _one_shell_period, one_shell_spacetime, ratio_residual, shell_radius, two_shell_spacetime,
 )
 from shellswitch.spacetime import metric_factor
 
@@ -312,6 +314,49 @@ def measure_control_diagonal(joint, sign: int) -> tuple[np.ndarray, float]:
     if prob < 1e-30:
         return np.zeros_like(amp), 0.0
     return amp / math.sqrt(prob), prob
+
+
+# cli's trace tables as they were written when trajectory returned a list of
+# (t_global, r, tau) tuples: each row formatted whole, and the far-side rows
+# built as tuples and sorted by a lambda key; kept verbatim (less cli's
+# write-error wrapper) as the byte-for-byte reference of its shared-text writers
+
+def _write_csv(path, header: str, rows) -> None:
+    """Rows of three floats, each to 17 significant digits."""
+    text = header + "\n" + "".join("%.17g,%.17g,%.17g\n" % row for row in rows)
+    path.write_text(text)
+
+
+def trace_tables(outdir, config, solution, samples: int) -> None:
+    """The four CSV tables of cli.cmd_trace, each trajectory's rows turned
+    back into the list of Python float tuples it returned."""
+    branches = {
+        "gamma1": one_shell_spacetime(config, solution.R),
+        "gamma2": two_shell_spacetime(config, solution.R1),
+    }
+    t_max = float(config.q) * solution.dt1
+    for name, st in branches.items():
+        rows = list(zip(*trajectory(st, config.r_i, t_max, samples).T.tolist()))
+        _write_csv(outdir / f"{name}.csv", "t_global,r,tau", rows)
+    _far_side_tables(outdir, config, solution, samples)
+
+
+def _far_side_tables(outdir, config, solution, samples: int) -> None:
+    r_lo = solution.R1
+    radii = [r_lo + (config.r_i - r_lo) * i / (samples - 1) for i in range(samples)]
+    passes = ((-1, radii), (+1, [config.r_i - (r - r_lo) for r in radii[1:]]))
+    legs = {r: _exterior_leg(config.release[0], r)[:2] for r in {r for _, rs in passes for r in rs}}
+    spans = [(sign, r, *legs[r]) for sign, rs in passes for r in rs]
+    halves = {
+        "gamma1": (solution.dt1 / 2.0, solution.dtau1 / 2.0),
+        "gamma2": (solution.dt2 / 2.0, solution.dtau2 / 2.0),
+    }
+    for name, (t_half, tau_half) in halves.items():
+        rows = sorted(
+            ((t_half + sign * t_e, r, tau_half + sign * tau_e) for sign, r, t_e, tau_e in spans),
+            key=lambda row: row[0],
+        )
+        _write_csv(outdir / f"farside_{name}.csv", "t_global,r,tau", rows)
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

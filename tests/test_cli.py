@@ -7,7 +7,9 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +20,12 @@ from hypothesis import strategies as st
 import shellswitch.cli
 import shellswitch.geodesic
 import shellswitch.search
+import shellswitch.switch
 from shellswitch.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_INVALID, EXIT_OK, build_parser, main
 from shellswitch.errors import NoSolutionAtRadius
+from shellswitch.search import SearchConfig, solve_switch_configuration
 
+import oracles
 from conftest import REFERENCE
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -757,8 +762,8 @@ class TestSwitch:
 
     def test_output_json_is_finite(self, tmp_path, capsys, monkeypatch):
         # a non-finite number that reached the output would not be JSON
-        monkeypatch.setattr(shellswitch.cli.sw, "measure_control_diagonal",
-                            lambda joint, sign: shellswitch.cli.sw.MeasurementResult(
+        monkeypatch.setattr(shellswitch.switch, "measure_control_diagonal",
+                            lambda joint, sign: shellswitch.switch.MeasurementResult(
                                 np.zeros(2), float("nan")))
         out = tmp_path / "out.json"
         cfg = write(tmp_path, "sw.json", PAULI)
@@ -973,6 +978,24 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout == "[]\n"
 
 
+def test_cli_import_loads_no_numpy():
+    """Only switch and trajectory need numpy, and each imports it on use:
+    importing the CLI in a fresh interpreter puts no numpy in sys.modules."""
+    probe = "import sys, shellswitch.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    done = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.stdout == "[]\n"
+
+
+@cache
+def reference_solve(ratio: str):
+    """configs/reference_search.json solved at the ratio p/q."""
+    p, q = map(int, ratio.split("/"))
+    doc = json.loads((CONFIGS / "reference_search.json").read_text())
+    config = SearchConfig.from_dict({**doc, "p": p, "q": q})
+    return config, solve_switch_configuration(config)
+
+
 @pytest.fixture(scope="module")
 def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("csv") / "rows.csv"
@@ -989,6 +1012,25 @@ class TestOutputWriters:
         shellswitch.cli._write_csv(csv_path, "a,b,c", rows)
         expected = ["a,b,c"] + [",".join(format(v, ".17g") for v in row) for row in rows]
         assert csv_path.read_text() == "\n".join(expected) + "\n"
+
+    # the shipped ratios: configs/reference_search.json's and scripts/golden.py's
+    @given(st.integers(2, 1500), st.sampled_from(["9/10", "13/15"]))
+    @example(2, "9/10")
+    @example(1500, "13/15")
+    @settings(max_examples=60, deadline=None)
+    def test_trace_tables_match_row_writer(self, samples, ratio):
+        """trace's writers, which format a shared t_global column and each
+        distinct far-side radius once, give the bytes of the writer that
+        formatted every row of Python floats whole (oracles.trace_tables)."""
+        config, solution = reference_solve(ratio)
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp, "new"), Path(tmp, "old")
+            assert main(["trace", "--config", str(CONFIGS / "reference_search.json"), "--ratio", ratio,
+                         "--samples", str(samples), "--out", str(new)]) == EXIT_OK
+            old.mkdir()
+            oracles.trace_tables(old, config, solution, samples)
+            for name in ("gamma1", "gamma2", "farside_gamma1", "farside_gamma2"):
+                assert (new / f"{name}.csv").read_bytes() == (old / f"{name}.csv").read_bytes(), name
 
     @pytest.mark.parametrize("samples", [64, 721])
     def test_far_side_solves_each_radius_once(self, tmp_path, monkeypatch, ref_config,

@@ -475,7 +475,7 @@ def solves_root(leg, t_in_leg) -> bool:
 class TestTrajectory:
     def test_initial_sample(self):
         samples = trajectory(m2_reference(), 12.0, 100.0, 5)
-        assert samples[0] == (0.0, 12.0, 0.0)
+        assert samples[0].tolist() == [0.0, 12.0, 0.0]
 
     def test_period_consistency(self):
         st_ = m2_reference()
@@ -507,8 +507,8 @@ class TestTrajectory:
 
     def test_numpy_not_imported_at_module_scope(self):
         """trajectory imports numpy itself; geodesic's module scope does not.
-        (The package __init__ imports switch, so importing shellswitch.geodesic
-        still loads numpy.)"""
+        (The package __init__ serves switch's names on first use, so importing
+        shellswitch.geodesic loads no numpy: test_cli_import_loads_no_numpy.)"""
         tree = ast.parse(Path(geodesic.__file__).read_text())
         modules = set()
         for node in tree.body:

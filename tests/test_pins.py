@@ -6,9 +6,11 @@ period, search or sampling paths keeps these outputs to the last bit.  A
 string in place of the two periods names the exception that stack raises.
 """
 
+import gc
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -392,9 +394,35 @@ def two_loop_trajectory(spacetime, r_i, t_global_max, sample_count):
 @settings(max_examples=100, deadline=None)
 def test_rows_match_two_loop_reference(grid):
     """The array reduction, the per-leg sweeps and the assembly give the two
-    loops' rows bit for bit."""
+    loops' rows bit for bit, as one C-contiguous (n, 3) float64 array."""
     rows = trajectory(*grid)
-    assert all(type(x) is float for row in rows for x in row)
+    assert type(rows) is np.ndarray and rows.dtype == np.float64
+    assert rows.shape == (grid[3], 3) and rows.flags.c_contiguous
     assert [tuple(x.hex() for x in row) for row in rows] == [
         tuple(x.hex() for x in row) for row in two_loop_trajectory(*grid)
     ]
+
+
+def test_rows_leave_no_tracked_objects():
+    """Work guard: the rows are one array, which the garbage collector does
+    not track, and a 2,000-sample call on the reference two-shell branch
+    leaves at most 50 more tracked objects allocated than it frees (a tuple
+    per row would leave 2,000).  The collector is off while it is measured,
+    so that no collection resets the count, and 2,500 3-tuples are held,
+    which empties CPython's free list of them: a tuple taken from that list
+    is not counted as an allocation."""
+    spacetime, r_i = REFERENCE_STACK
+    args = spacetime, r_i, 3.0 * REFERENCE_PERIOD, 2000
+    trajectory(*args)  # numpy's import and first-call caches
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        held = [(i, i, i) for i in range(2500)]  # noqa: F841
+        before = gc.get_count()[0]
+        rows = trajectory(*args)
+        grown = gc.get_count()[0] - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert not gc.is_tracked(rows)
+    assert grown <= 50

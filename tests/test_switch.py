@@ -14,7 +14,7 @@ from shellswitch import (
     run_switch,
     schedule,
 )
-from shellswitch.errors import DimensionMismatchError, ScheduleError
+from shellswitch.errors import DimensionMismatchError, InputError, ScheduleError
 from shellswitch.switch import (
     BROKEN_ORDERS,
     SWITCH_ORDERS,
@@ -293,25 +293,28 @@ def test_unitarity_defect_matches_reference(inputs):
 
 
 @example(JointState(np.array([complex(0.0, -0.0), 0j])))
+@example(JointState(np.array([0j, 0j])))
+@example(JointState(np.array([1e-170 + 0j, 0j])))  # nonzero, and its squares underflow
 @given(joint_states())
 @settings(max_examples=300, deadline=None)
 def test_measurement_matches_reference(joint):
     """measure_control_diagonal's shared slices give the bits of its
     reference (oracles.measure_control_diagonal), signed zeros included:
-    tobytes compares bit patterns, where == takes -0.0 for 0.0.  A zero
-    joint vector raises ZeroDivisionError in both."""
+    tobytes compares bit patterns, where == takes -0.0 for 0.0.  A joint
+    vector whose squared norm is 0 or underflows to 0 raises
+    ZeroDivisionError in the reference and InputError in the program."""
 
     def program(joint, sign):
         result = measure_control_diagonal(joint, sign)
         return result.target, result.probability
 
-    def bits(measure, sign):
+    def bits(measure, sign, zero_norm_error):
         try:
             target, probability = measure(joint, sign)
-        except ZeroDivisionError:
-            return ZeroDivisionError
+        except zero_norm_error:
+            return "zero norm"
         return target.tobytes(), probability.hex()
 
     for sign in (1, -1):
-        want = bits(oracles.measure_control_diagonal, sign)
-        assert bits(program, sign) == want
+        want = bits(oracles.measure_control_diagonal, sign, ZeroDivisionError)
+        assert bits(program, sign, InputError) == want
