@@ -67,9 +67,12 @@ def invert_leg(leg, t_in_leg: float, seed=None):
     """(r, tau elapsed within leg, seed) at global-time offset t_in_leg from
     leg start: the sampler's solve of one offset before the per-leg sweep
     (geodesic._solve_leg), kept verbatim but for eta_horizon, now formed in
-    place as 2 asin(E).  seed, (eta, local target, dt/deta) at the previous
-    root in the leg or None after a bisection, is moved along its tangent to
-    start the solve."""
+    place as 2 asin(E), and for the prediction rule.  seed, (eta, local
+    target, dt/deta) at the previous evaluated root in the leg or None after
+    a bisection, is moved along its tangent to start the solve; a prediction
+    inside the leg that moves eta by at most NEWTON_TOL * (eta_h - eta) in the
+    seed's eta is taken as the root, with no evaluation of t(eta), and the
+    seed it came from is returned unchanged."""
     if t_in_leg <= 0.0:
         return leg.r_outer, 0.0, None
     if t_in_leg >= leg.dt_global:
@@ -83,9 +86,11 @@ def invert_leg(leg, t_in_leg: float, seed=None):
     # t(eta) is strictly increasing on the inbound branch
     lo, hi = leg.eta_entry, leg.eta_exit
     eta = seed[0] + (t_local_target - seed[1]) / seed[2] if seed else lo
+    eta_h, two_m, scale = 2.0 * math.asin(params.energy), 2.0 * params.mass, params.energy * params.tau_scale
     if not lo < eta < hi:  # no seed, or its prediction leaves the leg
         eta = lo + (hi - lo) * t_in_leg / leg.dt_global
-    eta_h, two_m, scale = 2.0 * math.asin(params.energy), 2.0 * params.mass, params.energy * params.tau_scale
+    elif abs(eta - seed[0]) <= NEWTON_TOL * (eta_h - seed[0]):
+        return radius(params, eta), proper_time(params, eta) - tau0, seed
     for _ in range(NEWTON_STEPS):
         r = radius(params, eta)
         g = coordinate_time(params, eta, r) - t0 - t_local_target

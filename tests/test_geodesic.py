@@ -8,7 +8,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shellswitch import (
@@ -520,14 +520,19 @@ class TestTrajectory:
         assert "numpy" not in modules
 
     def test_coordinate_time_calls_per_offset(self, monkeypatch):
-        """Work pin: each Schwarzschild solve starts from the previous root in
-        its leg, moved along its tangent, and evaluates t(eta) about 1.5 times
-        (a linear guess across the leg cost about 4).  On this grid, aligned
-        to the period, 501 samples hit 150 such solves and 226 evaluations,
-        as the sweeps count them, at least one each; the period's spans,
-        which record the legs' origins too, make none, as they read their
-        cycloid points through _exterior_leg; solving every sample from a
-        linear guess would cost about 9 evaluations per solve."""
+        """Work pin: each Schwarzschild solve starts from the previous
+        evaluated root in its leg, moved along its tangent, and a prediction
+        within the Newton stopping rule is the root, at no evaluation of
+        t(eta).  On this grid, aligned to the period, 501 samples give 151
+        offsets in Schwarzschild legs, 150 of them strictly inside.  107 of
+        those lie within rounding of a smaller offset (samples one period
+        apart, or mirrored in a half period) and are predicted, as the
+        per-offset reference (oracles.invert_leg) predicts them; the other 43
+        make 119 evaluations, as the sweeps count them (226 when every solve
+        evaluated at least once).  The period's spans, which record the legs'
+        origins too, make none, as they read their cycloid points through
+        _exterior_leg; solving every sample from a linear guess would cost
+        about 9 evaluations per solve."""
         st_ = build_spacetime([
             PatchSpec(0.0, 0.0, 4.0), PatchSpec(1.9, 4.0, 9.0), PatchSpec(3.0, 9.0, None),
         ])
@@ -535,9 +540,15 @@ class TestTrajectory:
         swept = record_leg_sweeps(monkeypatch)
         trajectory(st_, 12.0, 2.0 * dt, 501)
         inverted = [t for leg, t_in_legs, _, _ in swept for t in t_in_legs if solves_root(leg, t)]
-        evals = sum(evals for _, _, _, evals in swept)
-        assert len(inverted) > 140
-        assert len(inverted) <= evals <= 1.6 * len(inverted)
+        predicted = 0
+        for leg, t_in_legs, _, _ in swept:
+            seed = None
+            for t in t_in_legs:
+                before, seed = seed, invert_leg(leg, t, seed)[2]
+                predicted += before is not None and seed is before
+        assert sum(len(t_in_legs) for _, t_in_legs, _, _ in swept) == 151
+        assert len(inverted) == 150 and predicted == 107
+        assert sum(evals for _, _, _, evals in swept) == 119
 
     def test_each_distinct_offset_solved_once(self, monkeypatch):
         """Work pin: on a grid aligned to the period, samples one period apart
@@ -611,6 +622,40 @@ def assert_matches_fifty_digits(leg, t, got):
     assert abs(tau - tau_mp) <= 1e-14 * scale
 
 
+# the outer leg of a shell 2e-9 above its horizon, from rest at 12
+NEAR_HORIZON_LEG = leg_from(3.0, 12.0, 12.0, 6.000000011999999, 1.0)
+
+
+def prediction_boundary(leg, seed, t):
+    """(last, first): the adjacent floats above offset t where predictions
+    from seed, the (eta, local target, dt/deta) of the evaluated root at t,
+    stop being taken as roots: the predicted eta lies inside the leg and
+    within NEWTON_TOL * (eta_h - eta) of the seed's at last, and not at
+    first, and first's prediction still lies inside the leg."""
+    seed_eta, seed_target, slope = seed
+    t_per_local = leg.dt_global / leg.dt_local
+    eta_h = 2.0 * math.asin(leg.cycloid.energy)
+
+    def predicted_eta(u):
+        return seed_eta + (u / t_per_local - seed_target) / slope
+
+    def taken(u):
+        eta = predicted_eta(u)
+        return (leg.eta_entry < eta < leg.eta_exit
+                and abs(eta - seed_eta) <= geodesic.NEWTON_TOL * (eta_h - seed_eta))
+
+    # twice the tolerance's step in eta, or two ulps of eta where that is
+    # less (the tolerance is below an ulp within ~2e-7 of the horizon), as a
+    # global-time offset
+    step = max(2.0 * geodesic.NEWTON_TOL * (eta_h - seed_eta), 2.0 * math.ulp(seed_eta))
+    last, first = t, (seed_target + step * slope) * t_per_local
+    assert taken(last) and not taken(first)
+    while (mid := 0.5 * (last + first)) not in (last, first):
+        last, first = (mid, first) if taken(mid) else (last, mid)
+    assume(leg.eta_entry < predicted_eta(first) < leg.eta_exit)
+    return last, first
+
+
 @st.composite
 def swept_legs(draw):
     """(leg, t_in_legs, NEWTON_STEPS): a legs() leg, and 1 to 40 ascending
@@ -664,6 +709,28 @@ class TestNewtonSampling:
                 want.append((r.hex(), dtau.hex()))
         assert [(r.hex(), dtau.hex()) for r, dtau in zip(rs, dtaus, strict=True)] == want
         assert evals == len(calls)
+
+    @given(legs())
+    @example((NEAR_HORIZON_LEG, 0.3 * NEAR_HORIZON_LEG.dt_global))
+    @example((NEAR_HORIZON_LEG, 0.999 * NEAR_HORIZON_LEG.dt_global))
+    @settings(max_examples=100, deadline=None)
+    def test_near_duplicate_offsets_are_predicted(self, drawn):
+        """Offsets 1 to 4 ulps above an evaluated one, and the last offset
+        whose prediction moves eta by at most NEWTON_TOL * (eta_h - eta), are
+        taken from the evaluated root's tangent at no evaluation of t(eta),
+        and their rows hold the 50-digit bounds.  The first offset whose
+        prediction moves eta by more is evaluated."""
+        leg, t = drawn
+        seed = invert_leg(leg, t)[2]
+        assert seed is not None  # Newton converged: the solve hands on a seed
+        last, boundary = prediction_boundary(leg, seed, t)
+        offsets = [t + k * math.ulp(t) for k in range(1, 5)] + [last]
+        evals = _solve_leg(leg, [t])[2]
+        rs, dtaus, with_predicted = _solve_leg(leg, [t, *offsets])
+        assert with_predicted == evals
+        for u, *got in zip(offsets, rs[1:], dtaus[1:], strict=True):
+            assert_matches_fifty_digits(leg, u, got)
+        assert _solve_leg(leg, [t, *offsets, boundary])[2] > evals
 
     @pytest.mark.parametrize("r_exit", [6.000000011999999, 9.0])
     def test_bisection_fallback(self, monkeypatch, r_exit):

@@ -128,7 +128,9 @@ TRAJECTORY = [
 # linear-guess sampler; relative distance from the 50-digit value, old -> new:
 # row 4/10 tau 1.4e-17 -> 1.0e-16; row 14/3 tau 7.1e-17 -> 1.2e-16; row 14/6
 # r 3.1e-16 -> 3.0e-16, tau 3.4e-16 -> 1.1e-16; row 18/2 r 6.4e-17 -> 8.0e-17,
-# tau 2.7e-17 -> 1.8e-16.
+# tau 2.7e-17 -> 1.8e-16.  Row 18/8 moved when an offset within the Newton
+# stopping rule of an evaluated root took that root's prediction: r 2.0e-15 ->
+# 8.7e-17 from the 50-digit value.
 STACK_TRAJECTORIES = [
     (4, '0x1.2a60d870cd14bp+7', {
         10: ('0x1.7ae4a111456fap+4', '0x1.2c2c0665226bap+3', '0x1.e857d69dee4f1p+3'),
@@ -145,7 +147,7 @@ STACK_TRAJECTORIES = [
     (18, '0x1.844aab8ade636p+6', {
         2: ('0x1.8a747d80e1eb1p+1', '0x1.8b4639931e4bep+1', '0x1.1a4030db308ecp+1'),
         5: ('0x1.ed119ce11a65dp+2', '0x1.27153693ff51ep+1', '0x1.4f68ac99acbf9p+2'),
-        8: ('0x1.8a747d80e1eb1p+3', '0x1.2b61b85bc957ep+0', '0x1.e390a52510991p+2'),
+        8: ('0x1.8a747d80e1eb1p+3', '0x1.2b61b85bc9588p+0', '0x1.e390a52510991p+2'),
         45: ('0x1.1559e83e9ed94p+6', '0x1.70eb4d95d0cc8p+1', '0x1.2ab77aca384bfp+5'),
     }),
 ]
