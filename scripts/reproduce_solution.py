@@ -20,16 +20,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from shellswitch import (
-    OperatorSpec,
-    SearchConfig,
-    find_meeting_radius,
-    measure_control_diagonal,
-    run_switch,
-    schedule,
-    solve_switch_configuration,
-)
 from shellswitch.cli import _write_csv
+from shellswitch.search import SearchConfig, find_meeting_radius, solve_switch_configuration
+from shellswitch.switch import OperatorSpec, measure_control_diagonal, run_switch, schedule
 
 
 def main() -> int:

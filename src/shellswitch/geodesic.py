@@ -197,30 +197,15 @@ class Leg:
 
 def _exterior_leg(release: CycloidParams, r: float) -> tuple[float, float, float, float, float]:
     """(t, tau, u_t, u_r, eta) at r on the cycloid from rest at release.r_apo, t with
-    the release's own t not subtracted; the walk's spans, the search's one-shell
-    kernel, the meeting and the far-side tables read it (the contour sweep inlines
-    it, in its order, with the checks that can fire there), and it is the program's
-    one source of a 4-velocity, (u_t, u_r) = (dt/dtau, dr/dtau) on the inbound
-    branch.  One pass: eta_of_radius, coordinate_time and proper_time inlined, in
-    their order and with their checks, sharing one tan(eta/2) and one sin(eta),
-    so t, tau and eta keep their bits."""
-    mass, r_apo = release.mass, release.r_apo
-    x = r / r_apo
-    if x > 1.0:
-        if x - 1.0 > APOAPSIS_CLAMP:
-            raise UnreachableRadiusError(f"radius {r} beyond apoapsis {r_apo}")
-        x = 1.0
-    if x < 0.0:
-        raise GeodesicError(f"negative radius {r}")
-    eta = 2.0 * math.acos(math.sqrt(x))
-    if r <= 2.0 * mass:
-        raise GeodesicError(f"coordinate time diverges: r={r} at or inside horizon {2.0 * mass}")
-    u_t = release.energy * r / (r - 2.0 * mass)
-    tan_e, sin_e = math.tan(0.5 * eta), math.sin(eta)
-    t = (release.t_scale * (0.5 * (eta + sin_e) + release.one_minus_E2 * eta)
-         + 2.0 * mass * math.log((release.tan_h + tan_e) ** 2 * (2.0 * mass * r)
-                                 / (r_apo * (r - 2.0 * mass))))
-    return t, release.tau_scale * (eta + sin_e), u_t, -release.u_scale * tan_e, eta
+    the release's own t not subtracted: eta_of_radius, coordinate_time at the exact
+    r and proper_time, their checks in that order, and (u_t, u_r) = (dt/dtau,
+    dr/dtau) on the inbound branch, the program's one source of a 4-velocity.  The
+    walk's spans, the search's one-shell kernel, the meeting and the far-side tables
+    read it; the contour sweep inlines it, with the checks that can fire there."""
+    eta = eta_of_radius(release, r)
+    return (coordinate_time(release, eta, r), proper_time(release, eta),
+            release.energy * r / (r - 2.0 * release.mass),
+            -release.u_scale * math.tan(0.5 * eta), eta)
 
 
 def oscillation_period(spacetime: ShellSpacetime, r_i: float) -> tuple[float, float, list[Leg]]:

@@ -11,17 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from shellswitch import (
-    OperatorSpec,
-    PatchSpec,
-    build_spacetime,
-    induced_metric_gap,
-    measure_control_diagonal,
-    run_general_protocol,
-    run_switch,
-    shell_stress,
-    solve_switch_configuration,
-)
 from shellswitch.cli import main
 from shellswitch.geodesic import (
     CycloidParams,
@@ -32,8 +21,21 @@ from shellswitch.geodesic import (
     proper_time,
     radius,
 )
-from shellswitch.search import SearchConfig, one_shell_spacetime, two_shell_spacetime
-from shellswitch.switch import EventSchedule, broken_switch_slots
+from shellswitch.search import (
+    SearchConfig,
+    one_shell_spacetime,
+    solve_switch_configuration,
+    two_shell_spacetime,
+)
+from shellswitch.spacetime import PatchSpec, build_spacetime, induced_metric_gap, shell_stress
+from shellswitch.switch import (
+    EventSchedule,
+    OperatorSpec,
+    broken_switch_slots,
+    measure_control_diagonal,
+    run_general_protocol,
+    run_switch,
+)
 
 from conftest import REFERENCE
 from oracles import quad_spans, random_state, random_unitary

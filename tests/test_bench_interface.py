@@ -34,3 +34,15 @@ def test_tracer_install_then_uninstall_restores_every_function(monkeypatch):
         assert now.keys() == saved.keys(), module.__name__
         changed = [attr for attr, value in saved.items() if now[attr] is not value]
         assert changed == [], module.__name__
+
+
+def test_calibration_check_names_resolve_to_their_modules():
+    """bench/calibration_check.py imports PatchSpec, build_spacetime and
+    trajectory from the package itself; the package serves those three, and
+    only those, from their defining modules."""
+    from shellswitch import geodesic, spacetime
+
+    assert shellswitch.PatchSpec is spacetime.PatchSpec
+    assert shellswitch.build_spacetime is spacetime.build_spacetime
+    assert shellswitch.trajectory is geodesic.trajectory
+    assert not hasattr(shellswitch, "SearchConfig")

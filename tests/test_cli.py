@@ -612,6 +612,17 @@ class TestScaleBand:
             # json.dumps writes each float's repr: equal text is equal bits, -0.0 included
             assert json.dumps(json.loads(out), sort_keys=True) == json.dumps(want, sort_keys=True)
 
+    @pytest.mark.parametrize("command", ["validate", "stress"])
+    @pytest.mark.parametrize("k", [509, -540])
+    def test_band_edges_exit_2(self, band_config, command, k):
+        """At 2^509 a shell's R * R overflows and at 2^-540 it underflows to 0:
+        both commands reject the stack as invalid, with no traceback."""
+        band_config.write_text(json.dumps(scaled_two_shell(k)))
+        code, out, err = run_in_process([command, "--config", str(band_config)])
+        assert code == EXIT_INVALID
+        assert out == "" and err.startswith(("INVALID: ", "ERROR: "))
+        assert "Traceback" not in err
+
 
 def without(doc, *path):
     """A deep copy of doc with the key at the end of path removed."""
@@ -982,6 +993,15 @@ def test_cli_import_loads_no_numpy():
     """Only switch and trajectory need numpy, and each imports it on use:
     importing the CLI in a fresh interpreter puts no numpy in sys.modules."""
     probe = "import sys, shellswitch.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    done = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.stdout == "[]\n"
+
+
+def test_package_import_loads_no_submodule():
+    """Each public name lives in its defining module: a bare `import
+    shellswitch` runs no package code, so it loads none of the layers."""
+    probe = "import sys, shellswitch; print(sorted(m for m in sys.modules if m.startswith('shellswitch.')))"
     done = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert done.stdout == "[]\n"

@@ -11,15 +11,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from shellswitch import (
-    CycloidParams,
-    PatchSpec,
-    build_spacetime,
-    null_crossing_time,
-    oscillation_period,
-    static_exchange,
-    trajectory,
-)
 from shellswitch.errors import (
     GeodesicError,
     NoRestoringForceError,
@@ -28,6 +19,7 @@ from shellswitch.errors import (
 )
 from shellswitch import geodesic
 from shellswitch.geodesic import (
+    CycloidParams,
     Leg,
     _exterior_leg,
     _minkowski_span,
@@ -36,10 +28,14 @@ from shellswitch.geodesic import (
     coordinate_time,
     diametral_crossing_time,
     eta_of_radius,
+    null_crossing_time,
+    oscillation_period,
     proper_time,
     radius,
+    static_exchange,
+    trajectory,
 )
-from shellswitch.spacetime import metric_factor, spacetime_from_config
+from shellswitch.spacetime import PatchSpec, build_spacetime, metric_factor, spacetime_from_config
 
 import oracles
 from oracles import DPS, _cycloid_at, invert_leg, mp_invert_leg, mp_period, norm_defect, quad_spans

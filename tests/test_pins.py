@@ -15,18 +15,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shellswitch import (
-    PatchSpec,
-    SearchConfig,
-    build_spacetime,
-    find_meeting_radius,
-    oscillation_period,
-    solve_switch_configuration,
-    trajectory,
-)
 from shellswitch import geodesic
-from shellswitch.geodesic import proper_time
-from shellswitch.search import one_shell_spacetime, two_shell_spacetime
+from shellswitch.geodesic import oscillation_period, proper_time, trajectory
+from shellswitch.search import (
+    SearchConfig,
+    find_meeting_radius,
+    one_shell_spacetime,
+    solve_switch_configuration,
+    two_shell_spacetime,
+)
+from shellswitch.spacetime import PatchSpec, build_spacetime
 
 from conftest import REFERENCE
 from oracles import invert_leg, mp_invert_leg

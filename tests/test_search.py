@@ -10,14 +10,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import shellswitch.search
-from shellswitch import (
-    SearchConfig,
-    find_meeting_radius,
-    period_ratio_curve,
-    ratio_residual,
-    solve_contour,
-    solve_switch_configuration,
-)
 from shellswitch.errors import (
     GeodesicError,
     GeometryError,
@@ -35,11 +27,17 @@ from shellswitch.search import (
     F_UPPER,
     SEED_RADII,
     ContourPoint,
+    SearchConfig,
     _contour_points,
     _one_shell_period,
+    find_meeting_radius,
     one_shell_spacetime,
+    period_ratio_curve,
     ratio_crossings,
+    ratio_residual,
     shell_radius,
+    solve_contour,
+    solve_switch_configuration,
     two_shell_spacetime,
 )
 from shellswitch.spacetime import DEFAULT_HORIZON_MARGIN, metric_factor

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shellswitch import (
+from shellswitch.errors import GeometryError, HorizonViolation, MissingKeyError
+from shellswitch.spacetime import (
     PatchSpec,
     build_spacetime,
     induced_metric_gap,
+    metric_factor,
+    patches_from_config,
     shell_stress,
+    stress_report,
 )
-from shellswitch.errors import GeometryError, HorizonViolation, MissingKeyError
-from shellswitch.spacetime import metric_factor, patches_from_config, stress_report
 
 
 def one_shell(M, R):

@@ -5,21 +5,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shellswitch import (
-    EventSchedule,
-    JointState,
-    OperatorSpec,
-    measure_control_diagonal,
-    run_general_protocol,
-    run_switch,
-    schedule,
-)
 from shellswitch.errors import DimensionMismatchError, InputError, ScheduleError
 from shellswitch.switch import (
     BROKEN_ORDERS,
     SWITCH_ORDERS,
+    EventSchedule,
+    JointState,
+    OperatorSpec,
     _unitarity_defect,
     broken_switch_slots,
+    measure_control_diagonal,
+    run_general_protocol,
+    run_switch,
+    schedule,
     switch_slots,
 )
 
